@@ -50,6 +50,7 @@ from .bisim import (
     bounded_bisim,
     coinduction_transfer,
     diagonal_bisim,
+    divergence_depth,
     first_divergence_depth,
     minimize,
     partition_refine,

@@ -3,13 +3,22 @@ refinement for finite coalgebras.
 
 A witness equips a relation on states with, per related pair, the shared
 label and the positionwise child pairs; verification checks the commuting
-squares clause by clause.  The decision procedure refines the label
-partition by successor blocks to a fixpoint; related-in-a-block then
-coincides with equality of all finite-depth observations.
+squares clause by clause.
+
+Bisimilarity is decided on the finite coalgebra itself, with no depth-n
+observation built: :func:`partition_refine` refines the label partition by
+successor blocks to a fixpoint in O(m log n) for m edges, and
+:func:`divergence_depth` answers one pair by a union-find search over child
+pairs in O(n r alpha(n)) for n states of arity at most r.
+Related-in-a-block then coincides with equality of all finite-depth
+observations.  :func:`first_divergence_depth` and :func:`bounded_bisim`
+compare those observations directly up to a depth bound; they are the
+reference oracle the fast procedures are tested against.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
@@ -98,7 +107,11 @@ def verify_bisim(c: Coalgebra, w: BisimWitness) -> bool:
 
 def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> Optional[int]:
     """Smallest n <= max_depth at which the observations of s and t differ,
-    or None if none exists within the bound."""
+    or None if none exists within the bound.
+
+    The depth oracle: it builds the depth-n observations for n = 0, 1, ...,
+    which costs up to O(max_depth * |S| * arity).  With max_depth >= |S| it
+    agrees with :func:`divergence_depth`."""
     for n in range(max_depth + 1):
         if approximate(c, s, n) is not approximate(c, t, n):
             return n
@@ -111,37 +124,167 @@ def bounded_bisim(c: Coalgebra, s, t, depth: int) -> bool:
     return first_divergence_depth(c, s, t, depth) is None
 
 
+def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
+    """The exact smallest depth at which the observations of s and t
+    differ, or None if s and t are bisimilar.
+
+    Breadth-first search over child pairs, starting from (s, t); every
+    enqueued pair is merged in a union-find, and a pair whose states
+    already share a root is skipped.  The first pair at BFS level l with
+    different labels gives depth l + 1.  Skipping is sound because depth-n
+    agreement is an equivalence relation: a skipped pair is linked by
+    enqueued pairs of no greater level, each of which agrees at least as
+    deep.  Every expanded pair made a merge, so at most |S| pairs are
+    expanded: O(n r alpha(n)) for n states of arity at most r, with no
+    depth-n observation built.
+    """
+    _require_states(c)
+    parent: dict = {}
+
+    def find(x):
+        while True:
+            p = parent.get(x, x)
+            if p == x:
+                return x
+            g = parent.get(p, p)
+            parent[x] = g
+            x = g
+
+    def merge(x, y) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[rx] = ry
+        return True
+
+    if not merge(s, t):
+        return None
+    level = [(s, t)]
+    depth = 1
+    while level:
+        following = []
+        for x, y in level:
+            px, py = c.transition(x), c.transition(y)
+            if px.label != py.label:
+                return depth
+            for a, b in zip(px.children, py.children):
+                if merge(a, b):
+                    following.append((a, b))
+        level = following
+        depth += 1
+    return None
+
+
 def partition_refine(c: Coalgebra) -> Partition:
     """Compute the coarsest bisimulation partition.
 
-    Start from the label partition; repeatedly split blocks whose members
-    send some position into different blocks; stabilizes within |states|
-    rounds.  Output ordering is canonical: blocks by the enumeration index
-    of their earliest member, members in enumeration order.
+    Start from the label partition and refine by signatures, the tuple of
+    child block ids, until stable.  Round k yields the partition into
+    equal depth-(k+1) observations.  A round recomputes signatures only for
+    dirty states, those with a child that changed block in the previous
+    round; all of a round's signatures are computed before any split.
+    When a block splits, its largest part keeps the block id and only the
+    smaller parts get new ids, so each state moves O(log n) times and the
+    signature work is O(m log n).  Clean members keep the signature they
+    share and are never visited, unless they are the part that moves.
+
+    Output ordering is canonical: blocks by the enumeration index of their
+    earliest member, members in enumeration order.
     """
     states = _require_states(c)
+    n = len(states)
     index = {s: i for i, s in enumerate(states)}
-    block_id = _group(states, lambda s: (c.transition(s).label,))
-    while True:
-        new_id = _group(
-            states,
-            lambda s: (
-                block_id[s],
-                tuple(block_id[ch] for ch in c.transition(s).children),
-            ),
-        )
-        if len(set(new_id.values())) == len(set(block_id.values())):
-            block_id = new_id
-            break
-        block_id = new_id
-    groups: dict = {}
+    # Flat tables over state indices: the children of i are
+    # kids[koff[i]:koff[i + 1]], its predecessors (with repeats)
+    # preds[poff[i]:poff[i + 1]].
+    koff = array("l", [0])
+    kids = array("l")
+    block = array("l")
+    label_block: dict = {}
     for s in states:
-        groups.setdefault(block_id[s], []).append(s)
-    blocks = sorted(
-        (tuple(sorted(g, key=index.__getitem__)) for g in groups.values()),
-        key=lambda b: index[b[0]],
-    )
-    return Partition(tuple(blocks))
+        pv = c.transition(s)
+        kids.extend(map(index.__getitem__, pv.children))
+        koff.append(len(kids))
+        block.append(label_block.setdefault(pv.label, len(label_block)))
+    poff = array("l", [0]) * (n + 1)
+    for k in kids:
+        poff[k + 1] += 1
+    for i in range(n):
+        poff[i + 1] += poff[i]
+    fill = poff[:n]
+    preds = array("l", [0]) * len(kids)
+    for i in range(n):
+        for k in kids[koff[i] : koff[i + 1]]:
+            preds[fill[k]] = i
+            fill[k] += 1
+    # Every block is a segment elems[start[b]:end[b]]; loc[i] is the
+    # position of state i in elems.
+    start = array("l", [0]) * len(label_block)
+    for b in block:
+        start[b] += 1
+    top = 0
+    for b in range(len(start)):
+        start[b], top = top, top + start[b]
+    end = start[:]
+    elems = array("l", [0]) * n
+    loc = array("l", [0]) * n
+    for i in range(n):
+        b = block[i]
+        elems[end[b]] = i
+        loc[i] = end[b]
+        end[b] += 1
+    dirty = list(range(n))
+    mark = bytearray(b"\x01") * n
+    while dirty:
+        touched: dict = {}
+        for i in dirty:
+            key = tuple(map(block.__getitem__, kids[koff[i] : koff[i + 1]]))
+            touched.setdefault(block[i], {}).setdefault(key, []).append(i)
+        moved: list = []
+        for b, groups in touched.items():
+            # The clean members of b share one signature, and it differs
+            # from every dirty member's, which names a block created in the
+            # previous round.  So the clean members form a part of their
+            # own, listed as None: they are found only if that part moves.
+            parts = list(groups.values())
+            sizes = list(map(len, parts))
+            clean = end[b] - start[b] - sum(sizes)
+            if clean:
+                parts.append(None)
+                sizes.append(clean)
+            if len(parts) == 1:
+                continue
+            largest = max(range(len(parts)), key=sizes.__getitem__)
+            for k, members in enumerate(parts):
+                if k == largest:
+                    continue
+                if members is None:
+                    # The clean part is no larger than the largest part,
+                    # which is dirty, so this scan costs O(dirty members).
+                    members = [x for x in elems[start[b] : end[b]] if not mark[x]]
+                top = end[b]
+                for x in members:
+                    e = end[b] - 1
+                    y, p = elems[e], loc[x]
+                    elems[p], loc[y] = y, p
+                    elems[e], loc[x] = x, e
+                    end[b] = e
+                    block[x] = len(start)
+                start.append(end[b])
+                end.append(top)
+                moved.extend(members)
+        for i in dirty:
+            mark[i] = 0
+        dirty = []
+        for x in moved:
+            for p in preds[poff[x] : poff[x + 1]]:
+                if not mark[p]:
+                    mark[p] = 1
+                    dirty.append(p)
+    groups_by_block: dict = {}
+    for i, s in enumerate(states):
+        groups_by_block.setdefault(block[i], []).append(s)
+    return Partition(tuple(tuple(g) for g in groups_by_block.values()))
 
 
 def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> bool:
@@ -174,7 +317,8 @@ def minimize(c: Coalgebra) -> Coalgebra:
 
     Block states are named by their earliest member in the enumeration;
     transitions factor through the blocks (well-defined because blocks are
-    bisimulation-closed).
+    bisimulation-closed).  The blocks come from :func:`partition_refine`,
+    so the cost is O(m log n) for n states and m edges.
     """
     states = _require_states(c)
     p = partition_refine(c)
@@ -193,13 +337,3 @@ def minimize(c: Coalgebra) -> Coalgebra:
         name=f"min({c.name})" if c.name else "min",
     )
 
-
-def _group(states, key) -> dict:
-    ids: dict = {}
-    out = {}
-    for s in states:
-        k = key(s)
-        if k not in ids:
-            ids[k] = len(ids)
-        out[s] = ids[k]
-    return out

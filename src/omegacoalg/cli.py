@@ -14,7 +14,7 @@ import sys
 from . import bisim as bs
 from . import catalog, specdoc
 from .container import truncate
-from .errors import OmegaCoalgError, SortMismatch, SpecValidationError
+from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import (
     IndexedCoalgebra,
     i_into,
@@ -60,6 +60,17 @@ def tree_json(t):
     return {"label": t.label, "children": [tree_json(ch) for ch in t.children]}
 
 
+def _depth(text: str) -> int:
+    """The argparse type of every --depth: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="omegacoalg")
     sub = p.add_subparsers(dest="command", required=True)
@@ -67,22 +78,50 @@ def _build_parser() -> argparse.ArgumentParser:
     approx = sub.add_parser("approx", help="print the depth-n observation of a state")
     approx.add_argument("--spec", required=True)
     approx.add_argument("--state", required=True)
-    approx.add_argument("--depth", type=int, required=True)
+    approx.add_argument("--depth", type=_depth, required=True)
     approx.add_argument("--format", choices=("text", "json"), default="text")
 
-    bisim = sub.add_parser("bisim", help="decide bisimilarity of two states")
+    bisim = sub.add_parser(
+        "bisim",
+        help="decide bisimilarity of two states",
+        description=(
+            "Decide whether two states are bisimilar; if not, print the "
+            "smallest depth at which their observations differ."
+        ),
+    )
     bisim.add_argument("--spec", required=True)
     bisim.add_argument("--left", required=True)
     bisim.add_argument("--right", required=True)
-    bisim.add_argument("--algorithm", choices=("partition", "bounded"), default="partition")
-    bisim.add_argument("--depth", type=int, default=None)
+    bisim.add_argument(
+        "--algorithm",
+        choices=("partition", "bounded"),
+        default="partition",
+        help=(
+            "partition (default): exact answer from a union-find search "
+            "over child pairs, O(n r alpha(n)) for n states of arity at "
+            "most r; "
+            "bounded: the depth oracle, which compares the depth-n "
+            "observations for every n <= --depth and reports 'bisimilar' "
+            "when none differ"
+        ),
+    )
+    bisim.add_argument(
+        "--depth", type=_depth, default=None, help="depth bound of --algorithm bounded"
+    )
 
-    minimize = sub.add_parser("minimize", help="print the quotient spec")
+    minimize = sub.add_parser(
+        "minimize",
+        help="print the quotient spec",
+        description=(
+            "Print the quotient by bisimilarity, computed by partition "
+            "refinement in O(m log n) for n states and m edges."
+        ),
+    )
     minimize.add_argument("--spec", required=True)
 
     check = sub.add_parser("check", help="run the invariant suite on a spec")
     check.add_argument("--spec", required=True)
-    check.add_argument("--depth", type=int, default=30)
+    check.add_argument("--depth", type=_depth, default=30)
 
     demo = sub.add_parser("demo", help="print a built-in example spec")
     demo.add_argument("name", choices=sorted(demo_documents()))
@@ -140,7 +179,6 @@ def _tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
 
 def cmd_approx(args) -> int:
     doc = specdoc.load_spec(args.spec)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * args.depth + 1000))
     if doc.kind == "plain":
         c = doc.coalgebra
         if args.state not in c.state_enumeration:
@@ -153,6 +191,9 @@ def cmd_approx(args) -> int:
             print(f"unknown state: {args.state}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
         t = iapproximate(c, args.state, args.depth).tree
+    # The renderers recurse once per level; the depth is within its bound
+    # here, since the approximation above checks it.
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * args.depth + 1000))
     if args.format == "text":
         print(render_text(t))
     else:
@@ -161,30 +202,43 @@ def cmd_approx(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    """Print 'bisimilar' (exit 0) or 'distinguishable at depth k' (exit 1).
+
+    The default algorithm, partition, is the exact union-find pair search
+    :func:`omegacoalg.bisim.divergence_depth`; bounded is the depth oracle,
+    which compares observations up to --depth only.
+    """
     doc = specdoc.load_spec(args.spec)
-    if args.algorithm == "bounded" and args.depth is None:
+    bounded = args.algorithm == "bounded"
+    if bounded and args.depth is None:
         print("--depth is required with --algorithm bounded", file=sys.stderr)
         return EXIT_VALIDATION
+    c = doc.coalgebra if doc.kind == "plain" else doc.icoalgebra
+    known = c.state_enumeration if doc.kind == "plain" else c.states
+    for s in (args.left, args.right):
+        if s not in known:
+            print(f"unknown state: {s}", file=sys.stderr)
+            return EXIT_UNKNOWN_STATE
     if doc.kind == "plain":
-        c = doc.coalgebra
-        for s in (args.left, args.right):
-            if s not in c.state_enumeration:
-                print(f"unknown state: {s}", file=sys.stderr)
-                return EXIT_UNKNOWN_STATE
-        bound = args.depth if args.algorithm == "bounded" else len(c.state_enumeration)
-        k = bs.first_divergence_depth(c, args.left, args.right, bound)
+        if bounded:
+            k = bs.first_divergence_depth(c, args.left, args.right, args.depth)
+        else:
+            k = bs.divergence_depth(c, args.left, args.right)
     else:
-        c = doc.icoalgebra
-        for s in (args.left, args.right):
-            if s not in c.states:
-                print(f"unknown state: {s}", file=sys.stderr)
-                return EXIT_UNKNOWN_STATE
-        bound = args.depth if args.algorithm == "bounded" else len(c.states)
-        try:
-            k = ifirst_divergence_depth(c, args.left, args.right, bound)
-        except SortMismatch as e:
-            print(f"sort mismatch: {e}", file=sys.stderr)
+        sorts = (c.sort_of[args.left], c.sort_of[args.right])
+        if sorts[0] != sorts[1]:
+            print(
+                f"sort mismatch: states {args.left!r} and {args.right!r} have "
+                f"sorts {sorts[0]!r} and {sorts[1]!r}",
+                file=sys.stderr,
+            )
             return EXIT_VALIDATION
+        # Paired states of equal sort have equal sorts all the way down, so
+        # the sort-tagged labels differ exactly where the raw labels do.
+        if bounded:
+            k = ifirst_divergence_depth(c, args.left, args.right, args.depth)
+        else:
+            k = bs.divergence_depth(_tagged_plain(c), args.left, args.right)
     if k is None:
         print("bisimilar")
         return EXIT_OK
@@ -193,6 +247,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    """Print the quotient by bisimilarity as a spec document of the same
+    kind, by partition refinement in O(m log n)."""
     doc = specdoc.load_spec(args.spec)
     if doc.kind == "plain":
         print(specdoc.dump_document(specdoc.plain_document(bs.minimize(doc.coalgebra))), end="")

@@ -1,14 +1,22 @@
+import contextlib
+import io
+import os
 import random
+import tempfile
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from omegacoalg import (
     BisimWitness,
     Coalgebra,
+    Container,
     approximate,
     bounded_bisim,
     coinduction_transfer,
     diagonal_bisim,
+    divergence_depth,
     first_divergence_depth,
     minimize,
     partition_refine,
@@ -16,8 +24,10 @@ from omegacoalg import (
     verify_bisim,
     witness_from_partition,
 )
+from omegacoalg import cli, specdoc
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
+from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer, ifirst_divergence_depth
 
 from conftest import random_coalgebra
 
@@ -191,3 +201,124 @@ def test_coinduction_instance_on_corpus_witnesses():
         assert verify_bisim(c, w)
         for (s, t) in w.relation:
             assert bounded_bisim(c, s, t, 50)
+
+
+@st.composite
+def small_coalgebras(draw):
+    """Up to 6 states over up to 3 labels of arity 0-2; children are drawn
+    from all states, so self-loops occur."""
+    labels = tuple("xyz"[: draw(st.integers(1, 3))])
+    arity = {a: draw(st.integers(0, 2)) for a in labels}
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 6))))
+    gamma = {}
+    for s in states:
+        a = draw(st.sampled_from(labels))
+        gamma[s] = (a, tuple(draw(st.sampled_from(states)) for _ in range(arity[a])))
+    return Coalgebra(Container(arity=arity, labels=labels), gamma, state_enumeration=states)
+
+
+SELF_LOOP = Coalgebra(
+    Container(arity={"x": 1}, labels=("x",)), {"s0": ("x", ("s0",))}, state_enumeration=("s0",)
+)
+LEAVES = Coalgebra(
+    Container(arity={"x": 1, "z": 0}, labels=("x", "z")),
+    {"s0": ("x", ("s1",)), "s1": ("z", ()), "s2": ("x", ("s2",)), "s3": ("z", ())},
+    state_enumeration=("s0", "s1", "s2", "s3"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coalgebras())
+@example(SELF_LOOP)
+@example(LEAVES)
+def test_refinement_and_pair_search_match_oracle_property(c):
+    p = partition_refine(c)
+    n = len(c.state_enumeration)
+    block = {s: i for i, b in enumerate(p.blocks) for s in b}
+    assert sorted(block) == sorted(c.state_enumeration)
+    order = c.state_enumeration.index
+    assert [b[0] for b in p.blocks] == sorted((b[0] for b in p.blocks), key=order)
+    assert all(list(b) == sorted(b, key=order) for b in p.blocks)
+    for s in c.state_enumeration:
+        for t in c.state_enumeration:
+            assert (block[s] == block[t]) == bounded_bisim(c, s, t, n)
+            assert divergence_depth(c, s, t) == first_divergence_depth(c, s, t, n)
+
+
+@st.composite
+def small_indexed_coalgebras(draw):
+    """Up to 3 sorts sharing the label names x and y, so that equal raw
+    labels occur at different sorts; every sort has a state."""
+    sorts = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
+    labels_at = {i: ("x", "y")[: draw(st.integers(1, 2))] for i in sorts}
+    arity, child_sort = {}, {}
+    for i in sorts:
+        for a in labels_at[i]:
+            arity[(i, a)] = draw(st.integers(0, 2))
+            child_sort[(i, a)] = tuple(draw(st.sampled_from(sorts)) for _ in range(arity[(i, a)]))
+    base = IndexedContainer(sorts, labels_at, arity, child_sort)
+    states = tuple(f"q{j}" for j in range(draw(st.integers(len(sorts), 6))))
+    sort_of = {s: sorts[j % len(sorts)] for j, s in enumerate(states)}
+    gamma = {}
+    for s in states:
+        a = draw(st.sampled_from(labels_at[sort_of[s]]))
+        kids = (
+            draw(st.sampled_from([q for q in states if sort_of[q] == j]))
+            for j in child_sort[(sort_of[s], a)]
+        )
+        gamma[s] = (a, tuple(kids))
+    return IndexedCoalgebra(base, states, sort_of, gamma)
+
+
+def run_bisim(path, s, t):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["bisim", "--spec", path, "--left", s, "--right", t])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_indexed_coalgebras())
+def test_indexed_cli_bisim_matches_oracle_property(c):
+    n = len(c.states)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            fh.write(specdoc.dump_document(specdoc.indexed_document(c)))
+        for s in c.states:
+            for t in c.states:
+                code, out, err = run_bisim(path, s, t)
+                if c.sort_of[s] != c.sort_of[t]:
+                    assert (code, out) == (2, "") and "sort mismatch" in err
+                    continue
+                k = ifirst_divergence_depth(c, s, t, n)
+                if k is None:
+                    assert (code, out) == (0, "bisimilar\n")
+                else:
+                    assert (code, out) == (1, f"distinguishable at depth {k}\n")
+
+
+def marker_cycle(n):
+    """c0 -> c1 -> ... -> c(n-1) -> c0, all labelled a except the marker c0."""
+    states = tuple(f"c{i}" for i in range(n))
+    gamma = {s: ("m" if i == 0 else "a", (states[(i + 1) % n],)) for i, s in enumerate(states)}
+    return Coalgebra(
+        Container(arity={"a": 1, "m": 1}, labels=("a", "m")), gamma, state_enumeration=states
+    )
+
+
+def test_marker_cycle_scaling():
+    # Naive rounds would take n rounds of n signatures each: minutes here.
+    n = 20000
+    c = marker_cycle(n)
+    start = time.monotonic()
+    p = partition_refine(c)
+    assert time.monotonic() - start < 2
+    assert p.blocks == tuple((s,) for s in c.state_enumeration)
+    # ci reaches the marker after n - i steps (c0 after 0), and two states
+    # differ first at the depth where the nearer one sees it.
+    i, j = 3, n // 2 + 7
+    start = time.monotonic()
+    k = divergence_depth(c, f"c{i}", f"c{j}")
+    assert time.monotonic() - start < 2
+    assert k == min(n - i, n - j) + 1

@@ -143,6 +143,28 @@ def test_bisim_bounded_needs_depth(cycle_spec):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("approx", "--state", "t", "--depth", "-3"),
+        ("bisim", "--left", "t", "--right", "u", "--algorithm", "bounded", "--depth", "-3"),
+        ("check", "--depth", "-3"),
+    ],
+)
+def test_negative_depth_rejected(fig1_spec, args):
+    r = run_cli(args[0], "--spec", fig1_spec, *args[1:])
+    assert r.returncode == 2
+    assert "--depth: must be a non-negative integer, got '-3'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_approx_depth_far_beyond_bound(fig1_spec):
+    r = run_cli("approx", "--spec", fig1_spec, "--state", "t", "--depth", str(10**10))
+    assert r.returncode == 2
+    assert "exceeds bound" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_bisim_indexed_sort_mismatch(tmp_path):
     parity = run_cli("demo", "parity").stdout
     path = tmp_path / "parity.json"
