@@ -31,11 +31,10 @@ from .chain import (
 )
 from .mtype import (
     Coalgebra,
-    FinalCoalgebra,
     MElement,
     MorphismCandidate,
     approximate,
-    final_coalgebra,
+    approximate_all,
     into,
     out,
     out_coalgebra,
@@ -65,9 +64,11 @@ from .indexed import (
     i_into,
     i_out,
     iapproximate,
+    iapproximate_all,
     ibounded_bisim,
     iunfold,
     well_sorted,
+    well_sorted_all,
 )
 from . import catalog
 

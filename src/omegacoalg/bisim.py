@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .mtype import Coalgebra, approximate
@@ -50,11 +51,14 @@ class Partition:
 
     blocks: tuple
 
+    @cached_property
+    def _block_index(self) -> dict:
+        return {s: b for b in self.blocks for s in b}
+
     def block_of(self, s):
-        for b in self.blocks:
-            if s in b:
-                return b
-        raise KeyError(s)
+        """The block containing ``s``, in O(1) from an index built on first
+        use; ``KeyError`` for a state in no block."""
+        return self._block_index[s]
 
 
 def _require_states(c: Coalgebra):

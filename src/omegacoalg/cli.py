@@ -20,16 +20,18 @@ from .indexed import (
     i_into,
     i_out,
     iapproximate,
+    iapproximate_all,
     ifirst_divergence_depth,
     iunfold,
     iverify_morphism,
     iuniqueness_probe,
-    well_sorted,
+    well_sorted_all,
 )
 from .mtype import (
     Coalgebra,
     MorphismCandidate,
     approximate,
+    approximate_all,
     into,
     out,
     unfold,
@@ -271,12 +273,20 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Run the invariant suite and print one PASS/FAIL line per invariant
+    (exit 1 if any fails).
+
+    The level table of every state up to --depth is built once, level by
+    level, in O(|S| depth r) for |S| states of arity at most r; the
+    invariants then read their observations from it.
+    """
     doc = specdoc.load_spec(args.spec)
     depth = args.depth
     results = []
     if doc.kind == "plain":
         c = doc.coalgebra
         container = c.container
+        approximate_all(c, depth)
 
         def compat() -> bool:
             for s in c.state_enumeration:
@@ -312,12 +322,11 @@ def cmd_check(args) -> int:
         ]
     else:
         c = doc.icoalgebra
+        iapproximate_all(c, depth)
 
         def isorted() -> bool:
-            return all(
-                well_sorted(c.base, iapproximate(c, s, n))
-                for s in c.states
-                for n in range(depth + 1)
+            return well_sorted_all(
+                c.base, (iapproximate(c, s, n) for s in c.states for n in range(depth + 1))
             )
 
         def icompat() -> bool:

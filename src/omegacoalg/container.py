@@ -127,6 +127,10 @@ class PValue:
         if not isinstance(self.children, tuple):
             object.__setattr__(self, "children", tuple(self.children))
 
+    def __iter__(self):
+        """Unpack as ``label, children``, the shape of every transition."""
+        return iter((self.label, self.children))
+
 
 def pmap(f: Callable, v: PValue) -> PValue:
     """Apply ``f`` to every child payload, keeping the label (the functor

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .chain import Chain, LimitElement
 from .container import TRUNC, _tree, _truncate, ApproxTree
 from .errors import (
     ArityMismatch,
-    DepthBoundExceeded,
     InvalidCoalgebra,
     NotAMorphism,
     SortMismatch,
     UnknownLabel,
 )
-from .mtype import depth_bound
+from .mtype import _fill_levels, _level_entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +106,10 @@ class IndexedCoalgebra:
                     f"got {len(children)} children"
                 )
             for b, ch in enumerate(children):
+                if ch not in self.sort_of:
+                    raise InvalidCoalgebra(
+                        f"transition of {s!r} leaves the state set: {ch!r}"
+                    )
                 want = self.base.child_sort[key][b]
                 if self.sort_of[ch] != want:
                     raise InvalidCoalgebra(
@@ -149,55 +152,50 @@ class SortedMElement:
 
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
-    """Check labels and child sorts recursively against the container."""
-    stack = [(t.sort, t.tree)]
+    """Check labels and child sorts recursively against the container: the
+    one-tree case of :func:`well_sorted_all`."""
+    return well_sorted_all(ic, (t,))
+
+
+def well_sorted_all(ic: IndexedContainer, trees: Iterable[SortedApproxTree]) -> bool:
+    """Check every tree of ``trees`` as :func:`well_sorted` does, in one
+    walk: trees are interned, so a (sort, subtree) pair checks the same way
+    on every path and in every tree, and each distinct pair is checked once
+    across the whole family, however much the trees share."""
     seen = set()
-    while stack:
-        sort, node = stack.pop()
-        if node.is_trunc:
-            continue
-        # Trees are interned, so a (sort, subtree) pair checks the same way
-        # on every path; dedup keeps shared trees linear to traverse.
-        mark = (sort, id(node))
-        if mark in seen:
-            continue
-        seen.add(mark)
-        if node.label not in ic.labels(sort):
-            return False
-        key = (sort, node.label)
-        if len(node.children) != ic.arity[key]:
-            return False
-        for b, ch in enumerate(node.children):
-            stack.append((ic.child_sort[key][b], ch))
+    for t in trees:
+        stack = [(t.sort, t.tree)]
+        while stack:
+            sort, node = stack.pop()
+            if node.is_trunc:
+                continue
+            mark = (sort, id(node))
+            if mark in seen:
+                continue
+            seen.add(mark)
+            if node.label not in ic.labels(sort):
+                return False
+            key = (sort, node.label)
+            if len(node.children) != ic.arity[key]:
+                return False
+            for b, ch in enumerate(node.children):
+                stack.append((ic.child_sort[key][b], ch))
     return True
 
 
 def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
-    """Depth-n observation of an indexed state, carrying its sort."""
-    if n > depth_bound():
-        raise DepthBoundExceeded(f"depth {n} exceeds bound {depth_bound()}")
-    levels = c._levels
-    while len(levels) <= n:
-        levels.append({})
-    got = levels[n].get(s)
-    if got is None:
-        need = [set() for _ in range(n + 1)]
-        need[n].add(s)
-        for k in range(n, 0, -1):
-            below = levels[k - 1]
-            for t in need[k]:
-                for ch in c.transition(t)[1]:
-                    if ch not in below:
-                        need[k - 1].add(ch)
-        for t in need[0]:
-            levels[0][t] = TRUNC
-        for k in range(1, n + 1):
-            below = levels[k - 1]
-            for t in need[k]:
-                label, children = c.transition(t)
-                levels[k][t] = _tree(k, label, tuple(below[ch] for ch in children))
-        got = levels[n][s]
-    return SortedApproxTree(c.sort_of[s], got)
+    """Depth-n observation of an indexed state, carrying its sort.  The tree
+    comes from the coalgebra's level table, filled by the same engine as
+    :func:`omegacoalg.mtype.approximate`."""
+    return SortedApproxTree(c.sort_of[s], _level_entry(c, s, n))
+
+
+def iapproximate_all(c: IndexedCoalgebra, n: int) -> list:
+    """Fill the level table with every state at every depth k <= n, one
+    level at a time, as :func:`omegacoalg.mtype.approximate_all` does for
+    plain coalgebras; returns the table up to depth n."""
+    _fill_levels(c._levels, c.transition, c.states, 0, n)
+    return c._levels[: n + 1]
 
 
 def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
@@ -283,7 +281,10 @@ def ifirst_divergence_depth(c: IndexedCoalgebra, s, t, max_depth: int) -> Option
 
 def iverify_morphism(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
     """Indexed analogue of the morphism law check for maps
-    state -> SortedMElement."""
+    state -> SortedMElement.  Checking every state (``states=None``) first
+    fills the level table by one :func:`iapproximate_all` sweep."""
+    if states is None:
+        iapproximate_all(c, depth)
     for s in states if states is not None else c.states:
         m = map_fn(s)
         if m.sort != c.sort_of[s]:
@@ -310,8 +311,6 @@ def iuniqueness_probe(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> b
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:
     """View a plain coalgebra (with enumerated labels and states) as an
     indexed one over a single sort."""
-    from .mtype import Coalgebra  # noqa: F401  (typing aid only)
-
     sort = "*"
     labels = container.labels
     if labels is None:

@@ -38,6 +38,8 @@ DEFAULT_DEPTH_BOUND = 10**4
 
 
 def depth_bound() -> int:
+    """The largest admitted observation depth: ``OMEGACOALG_MAX_DEPTH`` if
+    set, else 10^4.  Read when a level table grows to a new depth."""
     return int(os.environ.get("OMEGACOALG_MAX_DEPTH", DEFAULT_DEPTH_BOUND))
 
 
@@ -127,47 +129,86 @@ class MorphismCandidate:
     map: Callable[[object], MElement]
 
 
-@dataclass(frozen=True, eq=False)
-class FinalCoalgebra:
-    """The final coalgebra packaged with its structure map and inverse."""
+def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
+    """The level-table engine behind every depth-n observation, plain and
+    indexed.
 
-    container: Container
-    out: Callable[[MElement], PValue]
-    into: Callable[[PValue], MElement]
+    ``levels[k]`` maps a state to its depth-k observation and ``step(t)``
+    is the ``(label, children)`` transition of ``t``.  Afterwards
+    ``levels[k][r]`` holds for every root ``r`` and every ``lo <= k <= hi``.
+    An entry at depth k needs only its children's entries at depth k-1, so
+    the walk down collects the missing entries level by level and stops at
+    the first level below ``lo`` where none is missing; the entries are then
+    built bottom-up, level by level.  The cost is proportional to the
+    entries added (times the arity), not to ``hi``.  The depth bound is read
+    only when the table grows to a new depth: a depth already in the table
+    was admitted when it was built.
+    """
+    if hi >= len(levels):
+        bound = depth_bound()
+        if hi > bound:
+            raise DepthBoundExceeded(f"depth {hi} exceeds bound {bound}")
+        levels.extend({} for _ in range(hi + 1 - len(levels)))
+    missing = []
+    wanted = ()
+    for k in range(hi, -1, -1):
+        here = levels[k]
+        need = {t for t in wanted if t not in here}
+        if k >= lo:
+            need.update(r for r in roots if r not in here)
+        elif not need:
+            break
+        # Every level's pending states are kept until the build-up; a list
+        # is the smallest way to keep them on a sweep over all states.
+        need = list(need)
+        missing.append((k, need))
+        wanted = [ch for _, children in map(step, need) for ch in children]
+    for k, need in reversed(missing):
+        here = levels[k]
+        if k == 0:
+            for t in need:
+                here[t] = TRUNC
+            continue
+        below = levels[k - 1]
+        for t in need:
+            label, children = step(t)
+            here[t] = _tree(k, label, tuple([below[ch] for ch in children]))
+
+
+def _level_entry(c, s, n: int):
+    """``approximate`` for any coalgebra ``c`` with a level table
+    ``c._levels`` and a ``(label, children)`` transition, plain or indexed:
+    a table hit returns at once; a miss runs :func:`_fill_levels` with the
+    one root ``s``."""
+    levels = c._levels
+    if n < len(levels):
+        got = levels[n].get(s)
+        if got is not None:
+            return got
+    _fill_levels(levels, c.transition, (s,), n, n)
+    return levels[n][s]
 
 
 def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
     """The depth-n observation of state ``s``: Trunc at depth 0, otherwise
     the transition's label over the children's depth-(n-1) observations.
 
-    Evaluated iteratively, level by level, with a per-coalgebra cache shared
-    across states and depths.
+    Read from the coalgebra's level table, shared across states and depths;
+    a missing entry is built by the level engine together with the missing
+    entries below it.  A hit returns without reading the depth bound.
     """
-    if n > depth_bound():
-        raise DepthBoundExceeded(f"depth {n} exceeds bound {depth_bound()}")
-    levels = c._levels
-    while len(levels) <= n:
-        levels.append({})
-    got = levels[n].get(s)
-    if got is not None:
-        return got
-    need = [set() for _ in range(n + 1)]
-    need[n].add(s)
-    for k in range(n, 0, -1):
-        below = levels[k - 1]
-        for t in need[k]:
-            for ch in c.transition(t).children:
-                if ch not in below:
-                    need[k - 1].add(ch)
-    for t in need[0]:
-        levels[0][t] = TRUNC
-    for k in range(1, n + 1):
-        below = levels[k - 1]
-        here = levels[k]
-        for t in need[k]:
-            pv = c.transition(t)
-            here[t] = _tree(k, pv.label, tuple(below[ch] for ch in pv.children))
-    return levels[n][s]
+    return _level_entry(c, s, n)
+
+
+def approximate_all(c: Coalgebra, n: int) -> list:
+    """Fill the level table with every enumerated state at every depth
+    k <= n, one level at a time: O(|S| n r) for |S| states of arity at most
+    r.  Returns the table up to depth n: entry k maps each state to its
+    depth-k observation, so ``approximate(c, s, k)`` is then a lookup."""
+    if c.state_enumeration is None:
+        raise NeedsFiniteStates("approximate_all needs a state enumeration")
+    _fill_levels(c._levels, c.transition, c.state_enumeration, 0, n)
+    return c._levels[: n + 1]
 
 
 def unfold(c: Coalgebra, s) -> MElement:
@@ -226,10 +267,6 @@ def _pvalue_to_node(c: Container, pv: PValue, depth: int):
     return make_node(c, pv.label, pv.children, depth=depth)
 
 
-def final_coalgebra(c: Container) -> FinalCoalgebra:
-    return FinalCoalgebra(c, out=out, into=lambda v: into(c, v))
-
-
 def out_coalgebra(c: Container) -> Coalgebra:
     """The final coalgebra viewed as a coalgebra over its own elements."""
     return Coalgebra(c, gamma=out, name="out")
@@ -246,8 +283,13 @@ def _check_states(mc: MorphismCandidate, states) -> Iterable:
 
 
 def morphism_violations(mc: MorphismCandidate, depth: int, states=None):
-    """Yield (state, stage) pairs where the morphism law fails."""
-    for s in _check_states(mc, states):
+    """Yield (state, stage) pairs where the morphism law fails.  Checking the
+    whole enumeration (``states=None``) first fills the source's level
+    table by one :func:`approximate_all` sweep."""
+    checked = _check_states(mc, states)
+    if states is None:
+        approximate_all(mc.source, depth)
+    for s in checked:
         m = mc.map(s)
         for n in range(depth + 1):
             if m.at(n) is not approximate(mc.source, s, n):

@@ -34,6 +34,11 @@ def _require(cond: bool, msg: str):
         raise SpecValidationError(msg)
 
 
+def _is_arity(n) -> bool:
+    """A non-negative JSON integer; ``true``/``false`` are not arities."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def load_spec(path: str) -> SpecDocument:
     try:
         with open(path) as fh:
@@ -74,10 +79,8 @@ def _parse_signature(sig) -> Container:
     _require(isinstance(arity, dict), "signature.arity: expected an object")
     for a in labels:
         _require(a in arity, f"signature.arity.{a}: missing")
-        n = arity[a]
         _require(
-            isinstance(n, int) and n >= 0,
-            f"signature.arity.{a}: expected a non-negative integer",
+            _is_arity(arity[a]), f"signature.arity.{a}: expected a non-negative integer"
         )
     try:
         return Container(arity=dict(arity), labels=tuple(labels))
@@ -127,6 +130,10 @@ def _parse_indexed(frag) -> IndexedContainer:
             _require(
                 isinstance(entry, dict) and "arity" in entry and "child_sorts" in entry,
                 f"indexed.labels.{i}.{a}: expected arity and child_sorts",
+            )
+            _require(
+                _is_arity(entry["arity"]),
+                f"indexed.labels.{i}.{a}.arity: expected a non-negative integer",
             )
             arity[(i, a)] = entry["arity"]
             child_sort[(i, a)] = tuple(entry["child_sorts"])

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from omegacoalg import Coalgebra, Container
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
@@ -70,3 +72,42 @@ def random_indexed_coalgebra(rng: random.Random) -> IndexedCoalgebra:
 def indexed_corpus(count=50, seed=4711) -> tuple:
     rng = random.Random(seed)
     return tuple(random_indexed_coalgebra(rng) for _ in range(count))
+
+
+@st.composite
+def small_coalgebras(draw):
+    """Up to 6 states over up to 3 labels of arity 0-2; children are drawn
+    from all states, so self-loops occur."""
+    labels = tuple("xyz"[: draw(st.integers(1, 3))])
+    arity = {a: draw(st.integers(0, 2)) for a in labels}
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 6))))
+    gamma = {}
+    for s in states:
+        a = draw(st.sampled_from(labels))
+        gamma[s] = (a, tuple(draw(st.sampled_from(states)) for _ in range(arity[a])))
+    return Coalgebra(Container(arity=arity, labels=labels), gamma, state_enumeration=states)
+
+
+@st.composite
+def small_indexed_coalgebras(draw):
+    """Up to 3 sorts sharing the label names x and y, so that equal raw
+    labels occur at different sorts; every sort has a state."""
+    sorts = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
+    labels_at = {i: ("x", "y")[: draw(st.integers(1, 2))] for i in sorts}
+    arity, child_sort = {}, {}
+    for i in sorts:
+        for a in labels_at[i]:
+            arity[(i, a)] = draw(st.integers(0, 2))
+            child_sort[(i, a)] = tuple(draw(st.sampled_from(sorts)) for _ in range(arity[(i, a)]))
+    base = IndexedContainer(sorts, labels_at, arity, child_sort)
+    states = tuple(f"q{j}" for j in range(draw(st.integers(len(sorts), 6))))
+    sort_of = {s: sorts[j % len(sorts)] for j, s in enumerate(states)}
+    gamma = {}
+    for s in states:
+        a = draw(st.sampled_from(labels_at[sort_of[s]]))
+        kids = (
+            draw(st.sampled_from([q for q in states if sort_of[q] == j]))
+            for j in child_sort[(sort_of[s], a)]
+        )
+        gamma[s] = (a, tuple(kids))
+    return IndexedCoalgebra(base, states, sort_of, gamma)

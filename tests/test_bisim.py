@@ -6,7 +6,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from omegacoalg import (
     BisimWitness,
@@ -27,9 +27,9 @@ from omegacoalg import (
 from omegacoalg import cli, specdoc
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
-from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer, ifirst_divergence_depth
+from omegacoalg.indexed import ifirst_divergence_depth
 
-from conftest import random_coalgebra
+from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
 
 
 def constant_cycle(last_label="x"):
@@ -203,20 +203,6 @@ def test_coinduction_instance_on_corpus_witnesses():
             assert bounded_bisim(c, s, t, 50)
 
 
-@st.composite
-def small_coalgebras(draw):
-    """Up to 6 states over up to 3 labels of arity 0-2; children are drawn
-    from all states, so self-loops occur."""
-    labels = tuple("xyz"[: draw(st.integers(1, 3))])
-    arity = {a: draw(st.integers(0, 2)) for a in labels}
-    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 6))))
-    gamma = {}
-    for s in states:
-        a = draw(st.sampled_from(labels))
-        gamma[s] = (a, tuple(draw(st.sampled_from(states)) for _ in range(arity[a])))
-    return Coalgebra(Container(arity=arity, labels=labels), gamma, state_enumeration=states)
-
-
 SELF_LOOP = Coalgebra(
     Container(arity={"x": 1}, labels=("x",)), {"s0": ("x", ("s0",))}, state_enumeration=("s0",)
 )
@@ -243,31 +229,6 @@ def test_refinement_and_pair_search_match_oracle_property(c):
         for t in c.state_enumeration:
             assert (block[s] == block[t]) == bounded_bisim(c, s, t, n)
             assert divergence_depth(c, s, t) == first_divergence_depth(c, s, t, n)
-
-
-@st.composite
-def small_indexed_coalgebras(draw):
-    """Up to 3 sorts sharing the label names x and y, so that equal raw
-    labels occur at different sorts; every sort has a state."""
-    sorts = tuple(f"i{j}" for j in range(draw(st.integers(1, 3))))
-    labels_at = {i: ("x", "y")[: draw(st.integers(1, 2))] for i in sorts}
-    arity, child_sort = {}, {}
-    for i in sorts:
-        for a in labels_at[i]:
-            arity[(i, a)] = draw(st.integers(0, 2))
-            child_sort[(i, a)] = tuple(draw(st.sampled_from(sorts)) for _ in range(arity[(i, a)]))
-    base = IndexedContainer(sorts, labels_at, arity, child_sort)
-    states = tuple(f"q{j}" for j in range(draw(st.integers(len(sorts), 6))))
-    sort_of = {s: sorts[j % len(sorts)] for j, s in enumerate(states)}
-    gamma = {}
-    for s in states:
-        a = draw(st.sampled_from(labels_at[sort_of[s]]))
-        kids = (
-            draw(st.sampled_from([q for q in states if sort_of[q] == j]))
-            for j in child_sort[(sort_of[s], a)]
-        )
-        gamma[s] = (a, tuple(kids))
-    return IndexedCoalgebra(base, states, sort_of, gamma)
 
 
 def run_bisim(path, s, t):

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+
+from omegacoalg import cli, mtype
 
 PKG = [sys.executable, "-m", "omegacoalg"]
 
@@ -272,3 +277,102 @@ def test_env_depth_bound(tmp_path, fig1_spec):
     )
     assert r.returncode == 2
     assert "depth" in r.stderr.lower()
+
+
+def indexed_doc(arity, gamma):
+    return {
+        "schema_version": "1",
+        "indexed": {
+            "sorts": ["e"],
+            "labels": {"e": {"E": {"arity": arity, "child_sorts": ["e"]}}},
+        },
+        "coalgebra": {"states": {"p": "e"}, "gamma": gamma},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a child that is not a state of an indexed spec
+        indexed_doc(1, {"p": {"label": "E", "children": ["ghost"]}}),
+        # JSON booleans are not arities, plain or indexed
+        {
+            "schema_version": "1",
+            "signature": {"labels": ["x"], "arity": {"x": True}},
+            "coalgebra": {"states": ["s"], "gamma": {"s": {"label": "x", "children": ["s"]}}},
+        },
+        indexed_doc(True, {"p": {"label": "E", "children": ["p"]}}),
+    ],
+    ids=["indexed-unknown-child", "plain-bool-arity", "indexed-bool-arity"],
+)
+def test_malformed_spec_exits_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--spec", str(path), "--depth", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("validation error:")
+    assert "Traceback" not in r.stderr
+
+
+def random_plain_doc(rng, n):
+    labels = {"a": 0, "b": 1, "c": 2}
+    states = [f"s{i}" for i in range(n)]
+    gamma = {}
+    for s in states:
+        a = rng.choice("abbcc")
+        gamma[s] = {"label": a, "children": [rng.choice(states) for _ in range(labels[a])]}
+    return {
+        "schema_version": "1",
+        "signature": {"labels": list(labels), "arity": labels},
+        "coalgebra": {"states": states, "gamma": gamma},
+    }
+
+
+def random_indexed_doc(rng, n):
+    sorts = {"e": {"E": ["o"], "F": ["e", "o"], "Z": []}, "o": {"O": ["e"], "P": ["o", "o"]}}
+    states = {f"q{i}": "eo"[i % 2] for i in range(n)}
+    by_sort = {i: [q for q in states if states[q] == i] for i in sorts}
+    gamma = {}
+    for q, i in states.items():
+        a = rng.choice(sorted(sorts[i]))
+        gamma[q] = {"label": a, "children": [rng.choice(by_sort[j]) for j in sorts[i][a]]}
+    return {
+        "schema_version": "1",
+        "indexed": {
+            "sorts": list(sorts),
+            "labels": {
+                i: {a: {"arity": len(cs), "child_sorts": cs} for a, cs in per.items()}
+                for i, per in sorts.items()
+            },
+        },
+        "coalgebra": {"states": states, "gamma": gamma},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, checks",
+    [(random_plain_doc(random.Random(3), 1500), 4), (random_indexed_doc(random.Random(4), 300), 5)],
+    ids=["plain-1500", "indexed-300"],
+)
+def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, checks):
+    """The level table is built once for every state, so ``check`` reads the
+    depth bound when the table grows, not once per (state, depth): here at
+    most twice, for --depth and for the one extra stage that ``out``
+    observes, where a per-observation read would make 10^5 reads."""
+    reads = []
+    bound = mtype.depth_bound
+
+    def counted():
+        reads.append(1)
+        return bound()
+
+    monkeypatch.setattr(mtype, "depth_bound", counted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "--spec", str(path), "--depth", "20"])
+    assert code == 0
+    assert out.getvalue().count(": PASS\n") == checks
+    assert 1 <= len(reads) <= 2

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacoalg import approximate, tree_equal, truncate, unfold
-from omegacoalg.container import TRUNC
+from omegacoalg.container import TRUNC, _tree
 from omegacoalg.indexed import (
     SortedApproxTree,
     embed_plain,
@@ -15,11 +16,12 @@ from omegacoalg.indexed import (
     iuniqueness_probe,
     iverify_morphism,
     well_sorted,
+    well_sorted_all,
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.errors import SortMismatch
 
-from conftest import indexed_corpus, random_coalgebra
+from conftest import indexed_corpus, random_coalgebra, small_indexed_coalgebras
 
 
 PARITY = parity_container()
@@ -39,6 +41,33 @@ def test_well_sorted_rejects_wrong_child_sort():
 
     bad = SortedApproxTree("e", _tree(2, "E", (inner,)))  # E(E(Trunc)) at sort e
     assert not well_sorted(PARITY, bad)
+
+
+def test_well_sorted_all_one_walk_over_a_family():
+    c = parity_coalgebra()
+    good = [iapproximate(c, s, n) for s in c.states for n in range(8)]
+    inner = iapproximate(c, "p", 1).tree
+    bad = SortedApproxTree("e", _tree(2, "E", (inner,)))  # E(E(Trunc)) at sort e
+    assert well_sorted_all(PARITY, good)
+    assert well_sorted_all(PARITY, [])
+    # The bad tree shares its subtree E(Trunc) at sort e with the good ones;
+    # it fails at its root, whether checked before or after them.
+    assert not well_sorted_all(PARITY, good + [bad])
+    assert not well_sorted_all(PARITY, [bad] + good)
+    assert not well_sorted_all(PARITY, [SortedApproxTree("o", good[3].tree)] + good)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_indexed_coalgebras(), st.data())
+def test_well_sorted_all_matches_per_tree_property(c, data):
+    """Trees re-rooted at drawn sorts, often the wrong ones: the family
+    check agrees with checking each tree on its own."""
+    trees = [
+        SortedApproxTree(data.draw(st.sampled_from(c.base.sorts)), iapproximate(c, s, n).tree)
+        for s in c.states
+        for n in range(5)
+    ]
+    assert well_sorted_all(c.base, trees) == all(well_sorted(c.base, t) for t in trees)
 
 
 def test_well_sorted_trunc():

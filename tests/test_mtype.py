@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegacoalg import (
     Coalgebra,
@@ -9,6 +10,7 @@ from omegacoalg import (
     MorphismCandidate,
     PValue,
     approximate,
+    approximate_all,
     into,
     out,
     out_coalgebra,
@@ -19,7 +21,7 @@ from omegacoalg import (
     verify_morphism,
     w_chain,
 )
-from omegacoalg.container import TRUNC, make_node
+from omegacoalg.container import TRUNC, _tree, make_node
 from omegacoalg.mtype import MElement
 from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
@@ -29,8 +31,9 @@ from omegacoalg.catalog import (
     stream_from_function,
 )
 from omegacoalg.errors import ArityMismatch, DepthBoundExceeded, NotAMorphism
+from omegacoalg.indexed import IndexedCoalgebra, iapproximate, iapproximate_all
 
-from conftest import random_coalgebra
+from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
 
 
 def test_approximate_base_case():
@@ -208,3 +211,47 @@ def test_randomized_existence_and_compat():
             m = unfold(c, s)
             for n in range(50):
                 assert tree_equal(truncate(c.container, m.at(n + 1)), m.at(n))
+
+
+def unrolled(step, s, n, memo):
+    """The depth-n observation of ``s`` by direct recursion on the
+    transitions: the reference for the level engine."""
+    if (s, n) not in memo:
+        if n == 0:
+            memo[(s, n)] = TRUNC
+        else:
+            label, children = step(s)
+            memo[(s, n)] = _tree(n, label, tuple(unrolled(step, ch, n - 1, memo) for ch in children))
+    return memo[(s, n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_coalgebras(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_level_sweep_matches_demand_driven_property(c, depth, rnd):
+    table = approximate_all(c, depth)
+    assert len(table) == depth + 1
+    fresh = Coalgebra(c.container, c.gamma, state_enumeration=c.state_enumeration)
+    queries = [(s, n) for s in c.state_enumeration for n in range(depth + 1)]
+    rnd.shuffle(queries)
+    memo = {}
+    for s, n in queries:
+        got = approximate(fresh, s, n)
+        assert got is table[n][s] is approximate(c, s, n)
+        assert got is unrolled(c.transition, s, n, memo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indexed_coalgebras(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
+    table = iapproximate_all(c, depth)
+    assert len(table) == depth + 1
+    fresh = IndexedCoalgebra(c.base, c.states, c.sort_of, c.gamma)
+    queries = [(s, n) for s in c.states for n in range(depth + 1)]
+    rnd.shuffle(queries)
+    memo = {}
+    for s, n in queries:
+        got = iapproximate(fresh, s, n)
+        assert got.sort == c.sort_of[s]
+        assert got.tree is table[n][s] is iapproximate(c, s, n).tree
+        assert got.tree is unrolled(c.transition, s, n, memo)
+
