@@ -9,7 +9,9 @@ Exit codes: 0 success / bisimilar, 1 distinguishable or failed checks,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from operator import attrgetter
 
 from . import bisim as bs
 from . import catalog, specdoc
@@ -47,19 +49,123 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN_STATE = 3
 
 
-def render_text(t) -> str:
-    """Display form: '·' for Trunc, labels with parenthesized children."""
+def _emit(root, write, parts) -> None:
+    """Write the expanded rendering of the tree ``root`` through ``write``,
+    piece by piece.
+
+    ``parts(t)`` renders one node: a string for a node without children,
+    else the ``(head, separator, tail)`` written around its children.  The
+    rendering of a node depends on the node alone, so a node reached along
+    two or more edges is rendered once into a string, lowest stage first so
+    that the shared nodes below it are ready, and then written by reference;
+    every other node is expanded inline from an explicit stack.  The cost is
+    O(distinct nodes + output bytes), and nothing recurses.
+    """
+    refs = {}
+    todo = [root]
+    while todo:
+        for ch in todo.pop().children:
+            if ch in refs:
+                refs[ch] += 1
+            else:
+                refs[ch] = 1
+                todo.append(ch)
+    memo = {}
+    for t in sorted((t for t, k in refs.items() if k > 1), key=attrgetter("depth")):
+        pieces = []
+        _expand(t, pieces.append, parts, memo)
+        memo[t] = "".join(pieces)
+    _expand(root, write, parts, memo)
+
+
+def _expand(root, write, parts, memo) -> None:
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            write(item)
+            continue
+        text = memo.get(item)
+        if text is None:
+            text = parts(item)
+            if text.__class__ is tuple:
+                head, sep, tail = text
+                write(head)
+                push(tail)
+                children = item.children
+                for ch in children[:0:-1]:
+                    push(ch)
+                    push(sep)
+                push(children[0])
+                continue
+        write(text)
+
+
+def _render(t, parts, write, end):
+    if write is not None:
+        _emit(t, write, parts)
+        write(end)
+        return None
+    pieces = []
+    _emit(t, pieces.append, parts)
+    pieces.append(end)
+    return "".join(pieces)
+
+
+def _text_parts(t):
     if t.is_trunc:
         return "·"
     if not t.children:
         return str(t.label)
-    return f"{t.label}({', '.join(render_text(ch) for ch in t.children)})"
+    return (f"{t.label}(", ", ", ")")
 
 
-def tree_json(t):
-    if t.is_trunc:
-        return None
-    return {"label": t.label, "children": [tree_json(ch) for ch in t.children]}
+def render_text(t, write=None):
+    """Display form: '·' for Trunc, labels with parenthesized children.
+
+    Returns the text; given ``write``, passes it to ``write`` in pieces
+    instead and returns None.  Shared subtrees are rendered once (see
+    :func:`_emit`), but the text is the expanded tree.
+    """
+    return _render(t, _text_parts, write, "")
+
+
+def _json_parts(root_depth: int):
+    """``parts`` of the JSON layout of ``json.dumps(..., sort_keys=True,
+    indent=2)`` for a tree of depth ``root_depth``.  Every child sits one
+    stage below its parent (:func:`omegacoalg.container.make_node`), so a
+    node at depth d is nested ``root_depth - d`` levels deep, 4 spaces per
+    level, wherever it occurs."""
+
+    def parts(t):
+        if t.is_trunc:
+            return "null"
+        label = '"label": ' + json.dumps(t.label) + "\n"
+        pad = "    " * (root_depth - t.depth)
+        key = pad + "  "
+        if not t.children:
+            return "{\n" + key + '"children": [],\n' + key + label + pad + "}"
+        item = key + "  "
+        return (
+            "{\n" + key + '"children": [\n' + item,
+            ",\n" + item,
+            "\n" + key + "],\n" + key + label + pad + "}",
+        )
+
+    return parts
+
+
+def tree_json(t, write=None):
+    """The tree as a JSON document: Trunc is null, a node is an object with
+    ``label`` and ``children``.  The text is byte for byte
+    ``json.dumps(tree, sort_keys=True, indent=2) + "\\n"`` of that nested
+    form (labels are JSON strings or numbers), written without building it.
+
+    Returns the text; given ``write``, passes it to ``write`` in pieces
+    instead and returns None.
+    """
+    return _render(t, _json_parts(t.depth), write, "\n")
 
 
 def _depth(text: str) -> int:
@@ -180,6 +286,13 @@ def _tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
 
 
 def cmd_approx(args) -> int:
+    """Print the depth-n observation of a state as text or JSON.
+
+    The observation is a hash-consed DAG; it is written out as the expanded
+    tree, straight to stdout in pieces, in O(distinct nodes + output bytes)
+    time and without recursion (see :func:`_emit`).  The output of a
+    branching state still grows exponentially with the depth.
+    """
     doc = specdoc.load_spec(args.spec)
     if doc.kind == "plain":
         c = doc.coalgebra
@@ -193,13 +306,12 @@ def cmd_approx(args) -> int:
             print(f"unknown state: {args.state}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
         t = iapproximate(c, args.state, args.depth).tree
-    # The renderers recurse once per level; the depth is within its bound
-    # here, since the approximation above checks it.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * args.depth + 1000))
+    write = sys.stdout.write
     if args.format == "text":
-        print(render_text(t))
+        render_text(t, write)
+        write("\n")
     else:
-        print(specdoc.dump_document(tree_json(t)), end="")
+        tree_json(t, write)
     return EXIT_OK
 
 

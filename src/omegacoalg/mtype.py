@@ -28,6 +28,7 @@ from .chain import (
 from .container import TRUNC, Container, PValue, _tree, _truncate, make_node
 from .errors import (
     ArityMismatch,
+    CannotTruncateUnit,
     DepthBoundExceeded,
     InvalidCoalgebra,
     NeedsFiniteStates,
@@ -179,12 +180,14 @@ def _level_entry(c, s, n: int):
     """``approximate`` for any coalgebra ``c`` with a level table
     ``c._levels`` and a ``(label, children)`` transition, plain or indexed:
     a table hit returns at once; a miss runs :func:`_fill_levels` with the
-    one root ``s``."""
+    one root ``s``.  A negative ``n`` raises :class:`CannotTruncateUnit`."""
     levels = c._levels
-    if n < len(levels):
+    if 0 <= n < len(levels):
         got = levels[n].get(s)
         if got is not None:
             return got
+    elif n < 0:
+        raise CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
     _fill_levels(levels, c.transition, (s,), n, n)
     return levels[n][s]
 

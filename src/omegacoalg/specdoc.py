@@ -34,6 +34,12 @@ def _require(cond: bool, msg: str):
         raise SpecValidationError(msg)
 
 
+def _require_str(value, where: str):
+    """State names, sorts, labels and children are JSON strings."""
+    if not isinstance(value, str):
+        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(value)}")
+
+
 def _is_arity(n) -> bool:
     """A non-negative JSON integer; ``true``/``false`` are not arities."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
@@ -78,6 +84,7 @@ def _parse_signature(sig) -> Container:
     _require(isinstance(labels, list), "signature.labels: expected an array")
     _require(isinstance(arity, dict), "signature.arity: expected an object")
     for a in labels:
+        _require_str(a, "signature.labels")
         _require(a in arity, f"signature.arity.{a}: missing")
         _require(
             _is_arity(arity[a]), f"signature.arity.{a}: expected a non-negative integer"
@@ -94,21 +101,36 @@ def _parse_coalgebra(container: Container, frag) -> Coalgebra:
     gamma = frag.get("gamma")
     _require(isinstance(states, list), "coalgebra.states: expected an array")
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
+    declared = set(container.labels)
     table = {}
     for s in states:
-        _require(s in gamma, f"coalgebra.gamma.{s}: missing")
-        entry = gamma[s]
-        _require(isinstance(entry, dict), f"coalgebra.gamma.{s}: expected an object")
-        _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
-        children = entry.get("children")
-        _require(
-            isinstance(children, list), f"coalgebra.gamma.{s}.children: expected an array"
-        )
-        table[s] = (entry["label"], tuple(children))
+        _require_str(s, "coalgebra.states")
+        label, children = _parse_entry(gamma, s)
+        if label not in declared:
+            raise SpecValidationError(
+                f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels"
+            )
+        table[s] = (label, children)
     try:
         return Coalgebra(container, table, state_enumeration=tuple(states))
     except OmegaCoalgError as e:
         raise SpecValidationError(f"coalgebra: {e}") from None
+
+
+def _parse_entry(gamma: dict, s: str) -> tuple:
+    """The ``(label, children)`` transition of state ``s`` in ``gamma``."""
+    _require(s in gamma, f"coalgebra.gamma.{s}: missing")
+    entry = gamma[s]
+    _require(isinstance(entry, dict), f"coalgebra.gamma.{s}: expected an object")
+    _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
+    label = entry["label"]
+    _require_str(label, f"coalgebra.gamma.{s}.label")
+    children = entry.get("children")
+    _require(isinstance(children, list), f"coalgebra.gamma.{s}.children: expected an array")
+    for ch in children:
+        if not isinstance(ch, str):
+            _require_str(ch, f"coalgebra.gamma.{s}.children")
+    return label, tuple(children)
 
 
 def _parse_indexed(frag) -> IndexedContainer:
@@ -121,6 +143,7 @@ def _parse_indexed(frag) -> IndexedContainer:
     arity = {}
     child_sort = {}
     for i in sorts:
+        _require_str(i, "indexed.sorts")
         per_sort = labels.get(i, {})
         _require(
             isinstance(per_sort, dict), f"indexed.labels.{i}: expected an object"
@@ -135,8 +158,15 @@ def _parse_indexed(frag) -> IndexedContainer:
                 _is_arity(entry["arity"]),
                 f"indexed.labels.{i}.{a}.arity: expected a non-negative integer",
             )
+            child_sorts = entry["child_sorts"]
+            _require(
+                isinstance(child_sorts, list),
+                f"indexed.labels.{i}.{a}.child_sorts: expected an array",
+            )
+            for j in child_sorts:
+                _require_str(j, f"indexed.labels.{i}.{a}.child_sorts")
             arity[(i, a)] = entry["arity"]
-            child_sort[(i, a)] = tuple(entry["child_sorts"])
+            child_sort[(i, a)] = tuple(child_sorts)
     try:
         return IndexedContainer(tuple(sorts), labels_at, arity, child_sort)
     except OmegaCoalgError as e:
@@ -153,16 +183,9 @@ def _parse_icoalgebra(ic: IndexedContainer, frag) -> IndexedCoalgebra:
     )
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
     table = {}
-    for s in states:
-        _require(s in gamma, f"coalgebra.gamma.{s}: missing")
-        entry = gamma[s]
-        _require(isinstance(entry, dict), f"coalgebra.gamma.{s}: expected an object")
-        _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
-        children = entry.get("children")
-        _require(
-            isinstance(children, list), f"coalgebra.gamma.{s}.children: expected an array"
-        )
-        table[s] = (entry["label"], tuple(children))
+    for s, sort in states.items():
+        _require_str(sort, f"coalgebra.states.{s}")
+        table[s] = _parse_entry(gamma, s)
     try:
         return IndexedCoalgebra(
             ic, states=tuple(states), sort_of=dict(states), gamma=table

@@ -315,6 +315,85 @@ def test_malformed_spec_exits_2(tmp_path, doc):
     assert "Traceback" not in r.stderr
 
 
+def plain_doc(labels=("a",), arity=None, states=("q",), gamma=None):
+    return {
+        "schema_version": "1",
+        "signature": {"labels": list(labels), "arity": arity or {"a": 1}},
+        "coalgebra": {
+            "states": list(states),
+            "gamma": gamma or {"q": {"label": "a", "children": ["q"]}},
+        },
+    }
+
+
+def parity_doc(sorts=("e",), child_sorts=("e",), states=None, gamma=None):
+    return {
+        "schema_version": "1",
+        "indexed": {
+            "sorts": list(sorts),
+            "labels": {"e": {"E": {"arity": 1, "child_sorts": list(child_sorts)}}},
+        },
+        "coalgebra": {
+            "states": states or {"q": "e"},
+            "gamma": gamma or {"q": {"label": "E", "children": ["q"]}},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            plain_doc(arity={"a": 1, "x": 0}, gamma={"q": {"label": "x", "children": []}}),
+            "coalgebra.gamma.q.label: 'x' is not in signature.labels",
+        ),
+        (plain_doc(labels=(["a"],)), "signature.labels: expected a string"),
+        (plain_doc(states=(["q"],)), "coalgebra.states: expected a string"),
+        (
+            plain_doc(gamma={"q": {"label": ["a"], "children": ["q"]}}),
+            "coalgebra.gamma.q.label: expected a string",
+        ),
+        (
+            plain_doc(gamma={"q": {"label": "a", "children": [["q"]]}}),
+            "coalgebra.gamma.q.children: expected a string",
+        ),
+        (parity_doc(sorts=(["e"],)), "indexed.sorts: expected a string"),
+        (parity_doc(child_sorts=(["e"],)), "indexed.labels.e.E.child_sorts: expected a string"),
+        (parity_doc(states={"q": ["e"]}), "coalgebra.states.q: expected a string"),
+        (
+            parity_doc(gamma={"q": {"label": ["E"], "children": ["q"]}}),
+            "coalgebra.gamma.q.label: expected a string",
+        ),
+        (
+            parity_doc(gamma={"q": {"label": "E", "children": [["q"]]}}),
+            "coalgebra.gamma.q.children: expected a string",
+        ),
+    ],
+    ids=[
+        "label-outside-signature-labels",
+        "signature-label-list",
+        "plain-state-list",
+        "plain-label-list",
+        "plain-child-list",
+        "indexed-sort-list",
+        "indexed-child-sort-list",
+        "indexed-state-sort-list",
+        "indexed-label-list",
+        "indexed-child-list",
+    ],
+)
+def test_spec_boundary_exits_2(tmp_path, doc, message):
+    """Names the spec cannot mean (lists, a label outside signature.labels)
+    are validation errors, not tracebacks with the 'distinguishable' code."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("approx", "--spec", str(path), "--state", "q", "--depth", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"validation error: {message}")
+    assert "Traceback" not in r.stderr
+
+
 def random_plain_doc(rng, n):
     labels = {"a": 0, "b": 1, "c": 2}
     states = [f"s{i}" for i in range(n)]

@@ -27,10 +27,16 @@ from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
     conat_coalgebra,
     fig1_coalgebra,
+    parity_coalgebra,
     stream_container,
     stream_from_function,
 )
-from omegacoalg.errors import ArityMismatch, DepthBoundExceeded, NotAMorphism
+from omegacoalg.errors import (
+    ArityMismatch,
+    CannotTruncateUnit,
+    DepthBoundExceeded,
+    NotAMorphism,
+)
 from omegacoalg.indexed import IndexedCoalgebra, iapproximate, iapproximate_all
 
 from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
@@ -64,6 +70,21 @@ def test_approximate_depth_bound(monkeypatch):
     c = conat_coalgebra()
     with pytest.raises(DepthBoundExceeded):
         approximate(c, "inf", 11)
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty-table", "filled-table"])
+def test_negative_depth_rejected(filled):
+    """A negative depth names no stage; it must not index the level table
+    from its end and return the deepest stored observation."""
+    c, ic = conat_coalgebra(), parity_coalgebra()
+    if filled:
+        approximate(c, "inf", 3)
+        iapproximate(ic, "p", 3)
+    for n in (-1, -4):
+        with pytest.raises(CannotTruncateUnit):
+            approximate(c, "inf", n)
+        with pytest.raises(CannotTruncateUnit):
+            iapproximate(ic, "p", n)
 
 
 def test_unfold_stages_are_approximations():
