@@ -5,30 +5,18 @@ three-label demonstration signature, and the parity indexed example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chain import LimitElement
 from .container import Container, PValue
 from .indexed import IndexedCoalgebra, IndexedContainer
-from .mtype import Coalgebra, MElement, into, unfold
-
-
-@dataclass(frozen=True, eq=False)
-class StreamContext:
-    """The stream signature over a base label domain: every label has
-    exactly one child.  ``base_labels`` may be None for infinite domains
-    (enumeration is only needed by oracles)."""
-
-    base_labels: Optional[tuple] = None
-
-    @property
-    def container(self) -> Container:
-        return Container(arity=lambda a: 1, labels=self.base_labels)
+from .mtype import Coalgebra, MElement, into, out, unfold
 
 
 def stream_container(labels: Optional[tuple] = None) -> Container:
-    return StreamContext(labels).container
+    """The stream signature over a base label domain: every label has
+    exactly one child.  ``labels`` may be None for infinite domains
+    (enumeration is only needed by oracles)."""
+    return Container(arity=lambda a: 1, labels=labels)
 
 
 def head(m: MElement):
@@ -38,13 +26,10 @@ def head(m: MElement):
 
 
 def tail(m: MElement) -> MElement:
-    """Second component of the structure map: the unique child.  Stage n of
-    the tail is the child of stage n+1 of the stream, which avoids the
-    generic structure-map plumbing on this hot path."""
-    lim = LimitElement(
-        m.limit.chain, lambda n: m.at(n + 1).children[0], provenance="tail"
-    )
-    return MElement(m.container, lim, origin=("tail", m))
+    """Second component of the structure map: the unique child.  For an
+    unfolded stream this is ``unfold(c, t)`` for the next state ``t``, so
+    ``tail`` iterated k times costs O(k) and nests nothing."""
+    return out(m).children[0]
 
 
 def cons(a, m: MElement) -> MElement:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .chain import Chain, LimitElement
-from .container import TRUNC, _tree, _truncate, ApproxTree
+from .container import _truncate, ApproxTree
 from .errors import (
     ArityMismatch,
     InvalidCoalgebra,
@@ -21,7 +21,7 @@ from .errors import (
     SortMismatch,
     UnknownLabel,
 )
-from .mtype import _fill_levels, _level_entry
+from .mtype import _Element, _FreeExtension, _fill_levels, _level_entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +120,10 @@ class IndexedCoalgebra:
             self._gamma_cache[s] = got
         return got
 
+    # The depth-n observation of a state, ``_observe(s, n)``: a read of the
+    # level table, as pointed elements take it.
+    _observe = _level_entry
+
 
 @dataclass(frozen=True)
 class SortedApproxTree:
@@ -134,21 +138,31 @@ class SortedApproxTree:
         return self.tree.depth
 
 
-class SortedMElement:
-    """An element of the indexed final coalgebra at a fixed sort."""
+class SortedMElement(_Element):
+    """An element of the indexed final coalgebra at a fixed sort: pointed,
+    ``SortedMElement(base, sort, coalgebra=c, state=s)`` as :func:`iunfold`
+    and :func:`i_into` make it, or hand-built,
+    ``SortedMElement(base, sort, limit)`` (see
+    :class:`~omegacoalg.mtype._Element`)."""
 
-    __slots__ = ("base", "sort", "limit")
+    __slots__ = ("base", "sort")
+    _made_by = ("i_into", "iunfold", "indexed")
 
-    def __init__(self, base: IndexedContainer, sort, limit: LimitElement):
+    def __init__(
+        self,
+        base: IndexedContainer,
+        sort,
+        limit: Optional[LimitElement] = None,
+        *,
+        coalgebra=None,
+        state=None,
+    ):
         self.base = base
         self.sort = sort
-        self.limit = limit
-
-    def at(self, n: int) -> ApproxTree:
-        return self.limit.at(n)
+        self._hold(limit, coalgebra, state)
 
     def __repr__(self):
-        return f"SortedMElement({self.sort!r}, {self.limit.provenance or 'anonymous'})"
+        return f"SortedMElement({self.sort!r}, {self._provenance() or 'anonymous'})"
 
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
@@ -199,19 +213,32 @@ def iapproximate_all(c: IndexedCoalgebra, n: int) -> list:
 
 
 def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
-    """Corecursion into the indexed final coalgebra at sort_of(s)."""
-    limit = LimitElement(
-        Chain(project=lambda n, t: _truncate(t)),
-        lambda n: iapproximate(c, s, n).tree,
-        provenance=f"iunfold({c.name or 'indexed'}, {s!r})",
-    )
-    return SortedMElement(c.base, c.sort_of[s], limit)
+    """Corecursion into the indexed final coalgebra at sort_of(s): the
+    element pointed at ``(c, s)``, whose stage n is one read of ``c``'s
+    level table."""
+    return SortedMElement(c.base, c.sort_of[s], coalgebra=c, state=s)
 
 
 def i_out(m: SortedMElement):
     """Expose the root label and the child elements, with the children's
-    sorts read off the child-sort assignment."""
+    sorts read off the child-sort assignment.
+
+    For an element of :func:`iunfold` the children are ``iunfold(c, t)``
+    for the child states ``t``, and for one of :func:`i_into` they are the
+    children it was given, in O(arity) either way.  A hand-built element's
+    children are families reading stage n off the stage n+1 of ``m``; its
+    root label is checked against the sort (:class:`SortMismatch`).
+    """
     ic = m.base
+    c = m.coalgebra
+    if type(c) is _FreeExtension:
+        return c.label, c.children
+    if c is not None:
+        label, children = c.transition(m.state)
+        sorts = ic.child_sort[(m.sort, label)]
+        return label, tuple(
+            [SortedMElement(ic, j, coalgebra=c, state=t) for j, t in zip(sorts, children)]
+        )
     label = m.at(1).label
     if label not in ic.labels(m.sort):
         raise SortMismatch(f"root label {label!r} is not available at sort {m.sort!r}")
@@ -229,7 +256,10 @@ def i_out(m: SortedMElement):
 
 def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
     """Inverse of :func:`i_out`: assemble an element at ``sort`` from a
-    label and correctly sorted child elements."""
+    label and correctly sorted child elements.  The result is pointed at
+    the one-state free extension that steps to ``(label, children)``: stage
+    n is the label over the children's stage n-1, and :func:`i_out` gives
+    back ``(label, children)``."""
     if label not in ic.labels(sort):
         raise SortMismatch(f"label {label!r} is not available at sort {sort!r}")
     key = (sort, label)
@@ -244,16 +274,7 @@ def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
             raise SortMismatch(
                 f"child {b} has sort {ch.sort!r}, expected {ic.child_sort[key][b]!r}"
             )
-
-    def fn(n):
-        if n == 0:
-            return TRUNC
-        return _tree(n, label, tuple(ch.at(n - 1) for ch in children))
-
-    limit = LimitElement(
-        Chain(project=lambda n, t: _truncate(t)), fn, provenance=f"i_into({label!r})"
-    )
-    return SortedMElement(ic, sort, limit)
+    return SortedMElement(ic, sort, coalgebra=_FreeExtension(label, children), state=None)
 
 
 def ibounded_bisim(c: IndexedCoalgebra, s, t, depth: int) -> bool:

@@ -1,12 +1,17 @@
 """The final coalgebra (M-type) of a container as an omega-chain limit.
 
-Elements of the final coalgebra are :class:`MElement`: compatible families
-of depth-n approximation trees.  ``unfold`` sends a coalgebra state to the
-family of its depth-n unrollings; ``out``/``into`` are the mutually inverse
-structure maps, realized through the shifted-chain and limit-commutation
-equivalences.  Finality is witnessed observationally by
-:func:`verify_morphism` (existence) and :func:`uniqueness_probe`
-(agreement of any verified morphism with unfold).
+Elements of the final coalgebra are :class:`MElement`.  An element that
+``unfold`` or ``into`` makes is pointed: it holds a coalgebra and a state,
+its depth-n stage is a read of that coalgebra's level table, and ``out`` of
+it is the morphism law, ``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``,
+in O(arity).  A hand-built element holds a compatible family of depth-n
+trees (a :class:`~omegacoalg.chain.LimitElement`); for it ``out``/``into``
+are the paper's composition of the shifted-chain and limit-commutation
+equivalences in :mod:`omegacoalg.chain`, which stays the reference
+semantics: every element has a ``.limit`` view to which it applies.
+Finality is witnessed observationally by :func:`verify_morphism`
+(existence) and :func:`uniqueness_probe` (agreement of any verified
+morphism with unfold).
 """
 
 from __future__ import annotations
@@ -50,84 +55,8 @@ def w_chain(c: Container) -> Chain:
     return Chain(project=lambda n, t: _truncate(t))
 
 
-@dataclass(eq=False)
-class Coalgebra:
-    """A state domain with a transition ``state -> PValue`` of states.
-
-    ``gamma`` is a pure function or, for finite presentations, a mapping
-    ``state -> PValue`` or ``state -> (label, children)``.  States must be
-    hashable.  When ``state_enumeration`` is present, the presentation is
-    validated eagerly: arities must match and transitions must stay within
-    the enumerated states.
-    """
-
-    container: Container
-    gamma: Mapping | Callable[[object], PValue]
-    state_enumeration: Optional[tuple] = None
-    name: str = ""
-    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _levels: list = field(default_factory=list, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.state_enumeration is not None:
-            states = tuple(self.state_enumeration)
-            self.state_enumeration = states
-            if len(set(states)) != len(states):
-                raise InvalidCoalgebra("state enumeration contains duplicates")
-            pool = set(states)
-            for s in states:
-                pv = self.transition(s)
-                for ch in pv.children:
-                    if ch not in pool:
-                        raise InvalidCoalgebra(
-                            f"transition of {s!r} leaves the state enumeration: {ch!r}"
-                        )
-
-    def transition(self, s) -> PValue:
-        pv = self._gamma_cache.get(s)
-        if pv is None:
-            raw = self.gamma[s] if isinstance(self.gamma, Mapping) else self.gamma(s)
-            if isinstance(raw, PValue):
-                pv = raw
-            else:
-                label, children = raw
-                pv = PValue(label, tuple(children))
-            n = self.container.arity_of(pv.label)
-            if len(pv.children) != n:
-                raise ArityMismatch(
-                    f"state {s!r}: label {pv.label!r} has arity {n}, "
-                    f"got {len(pv.children)} children"
-                )
-            self._gamma_cache[s] = pv
-        return pv
-
-
-class MElement:
-    """An element of the final coalgebra's carrier: a compatible family of
-    depth-n approximation trees.  Hash/equality are by identity; use
-    ``tree_equal(m.at(n), m2.at(n))`` for observational comparison."""
-
-    __slots__ = ("container", "limit", "origin")
-
-    def __init__(self, container: Container, limit: LimitElement, origin=None):
-        self.container = container
-        self.limit = limit
-        self.origin = origin
-
-    def at(self, n: int):
-        return self.limit.at(n)
-
-    def __repr__(self):
-        return f"MElement({self.limit.provenance or 'anonymous'})"
-
-
-@dataclass(frozen=True, eq=False)
-class MorphismCandidate:
-    """A map from a coalgebra's states into the final coalgebra, to be
-    checked against the morphism law by :func:`verify_morphism`."""
-
-    source: Coalgebra
-    map: Callable[[object], MElement]
+def _no_stage(n: int) -> CannotTruncateUnit:
+    return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
 
 
 def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
@@ -187,9 +116,200 @@ def _level_entry(c, s, n: int):
         if got is not None:
             return got
     elif n < 0:
-        raise CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
+        raise _no_stage(n)
     _fill_levels(levels, c.transition, (s,), n, n)
     return levels[n][s]
+
+
+@dataclass(eq=False)
+class Coalgebra:
+    """A state domain with a transition ``state -> PValue`` of states.
+
+    ``gamma`` is a pure function or, for finite presentations, a mapping
+    ``state -> PValue`` or ``state -> (label, children)``.  States must be
+    hashable.  When ``state_enumeration`` is present, the presentation is
+    validated eagerly: arities must match and transitions must stay within
+    the enumerated states.
+    """
+
+    container: Container
+    gamma: Mapping | Callable[[object], PValue]
+    state_enumeration: Optional[tuple] = None
+    name: str = ""
+    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.state_enumeration is not None:
+            states = tuple(self.state_enumeration)
+            self.state_enumeration = states
+            if len(set(states)) != len(states):
+                raise InvalidCoalgebra("state enumeration contains duplicates")
+            pool = set(states)
+            for s in states:
+                pv = self.transition(s)
+                for ch in pv.children:
+                    if ch not in pool:
+                        raise InvalidCoalgebra(
+                            f"transition of {s!r} leaves the state enumeration: {ch!r}"
+                        )
+
+    # The depth-n observation of a state, ``_observe(s, n)``: a read of the
+    # level table, as pointed elements take it.
+    _observe = _level_entry
+
+    def transition(self, s) -> PValue:
+        pv = self._gamma_cache.get(s)
+        if pv is None:
+            raw = self.gamma[s] if isinstance(self.gamma, Mapping) else self.gamma(s)
+            if isinstance(raw, PValue):
+                pv = raw
+            else:
+                label, children = raw
+                pv = PValue(label, tuple(children))
+            n = self.container.arity_of(pv.label)
+            if len(pv.children) != n:
+                raise ArityMismatch(
+                    f"state {s!r}: label {pv.label!r} has arity {n}, "
+                    f"got {len(pv.children)} children"
+                )
+            self._gamma_cache[s] = pv
+        return pv
+
+
+class _Element:
+    """The two forms of an element, plain (:class:`MElement`) or sorted
+    (:class:`~omegacoalg.indexed.SortedMElement`).
+
+    A pointed element holds a coalgebra and a state, as ``unfold`` and
+    ``into`` make it: it reads stage n from the coalgebra (a level-table
+    read for a coalgebra given by transitions) and caches nothing itself.
+    A hand-built element holds a compatible family ``limit`` of depth-n
+    trees; ``coalgebra`` is None exactly for these.  ``limit`` is that
+    family or, for a pointed element, a lazy
+    :class:`~omegacoalg.chain.LimitElement` view of its stages, made on
+    first use.  A negative depth raises :class:`CannotTruncateUnit`.
+    """
+
+    __slots__ = ("coalgebra", "state", "_limit")
+    # How provenance names the assembling and unfolding operations and an
+    # unnamed coalgebra.
+    _made_by = ("into", "unfold", "coalgebra")
+
+    def _hold(self, limit: Optional[LimitElement], coalgebra, state):
+        if (limit is None) == (coalgebra is None):
+            raise TypeError("an element holds either a limit family or a coalgebra and a state")
+        self.coalgebra = coalgebra
+        self.state = state
+        self._limit = limit
+
+    def at(self, n: int):
+        c = self.coalgebra
+        if c is not None:
+            return c._observe(self.state, n)
+        if n < 0:
+            raise _no_stage(n)
+        return self._limit.at(n)
+
+    @property
+    def limit(self) -> LimitElement:
+        if self._limit is None:
+            self._limit = LimitElement(
+                Chain(project=lambda n, t: _truncate(t)), self.at, provenance=self._provenance()
+            )
+        return self._limit
+
+    def _provenance(self) -> str:
+        c = self.coalgebra
+        if c is None:
+            return self._limit.provenance
+        assembled, unfolded, unnamed = self._made_by
+        if type(c) is _FreeExtension:
+            return f"{assembled}({c.label!r})"
+        return f"{unfolded}({c.name or unnamed}, {self.state!r})"
+
+
+class MElement(_Element):
+    """An element of the final coalgebra's carrier: pointed,
+    ``MElement(container, coalgebra=c, state=s)``, or hand-built,
+    ``MElement(container, limit)`` (see :class:`_Element`).  Hash/equality
+    are by identity; use ``tree_equal(m.at(n), m2.at(n))`` for
+    observational comparison."""
+
+    __slots__ = ("container",)
+
+    def __init__(
+        self,
+        container: Container,
+        limit: Optional[LimitElement] = None,
+        *,
+        coalgebra=None,
+        state=None,
+    ):
+        self.container = container
+        self._hold(limit, coalgebra, state)
+
+    def __repr__(self):
+        return f"MElement({self._provenance() or 'anonymous'})"
+
+
+class _FreeExtension:
+    """The one-state free extension behind :func:`into` and
+    :func:`~omegacoalg.indexed.i_into`: the final coalgebra (its elements,
+    stepping by ``out``) plus one fresh state, ``None``, stepping to
+    ``label`` over the elements ``children``.  Its unfold sends an element
+    to itself and the fresh state to the assembled element, whose depth-n
+    stage is ``label`` over the children's depth-(n-1) stages.
+    """
+
+    __slots__ = ("label", "children", "nested")
+
+    def __init__(self, label, children: tuple):
+        self.label = label
+        self.children = children
+        self.nested = any(type(ch.coalgebra) is _FreeExtension for ch in children)
+
+    def _observe(self, s, n: int):
+        if n <= 0:
+            if n == 0:
+                return TRUNC
+            raise _no_stage(n)
+        if not self.nested:
+            return _tree(n, self.label, tuple([ch.at(n - 1) for ch in self.children]))
+        # Assembled children (``cons`` over ``cons``) are evaluated from an
+        # explicit stack, so deep nesting does not recurse.
+        done = {}
+        stack = [(self, n)]
+        while stack:
+            ext, k = stack[-1]
+            if (ext, k) in done:
+                stack.pop()
+                continue
+            if ext.nested and k > 1:
+                todo = [
+                    (ch.coalgebra, k - 1)
+                    for ch in ext.children
+                    if type(ch.coalgebra) is _FreeExtension and (ch.coalgebra, k - 1) not in done
+                ]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            done[ext, k] = _tree(
+                k,
+                ext.label,
+                tuple([done.get((ch.coalgebra, k - 1)) or ch.at(k - 1) for ch in ext.children]),
+            )
+        return done[self, n]
+
+
+@dataclass(frozen=True, eq=False)
+class MorphismCandidate:
+    """A map from a coalgebra's states into the final coalgebra, to be
+    checked against the morphism law by :func:`verify_morphism`."""
+
+    source: Coalgebra
+    map: Callable[[object], MElement]
 
 
 def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
@@ -216,19 +336,57 @@ def approximate_all(c: Coalgebra, n: int) -> list:
 
 def unfold(c: Coalgebra, s) -> MElement:
     """The unique coalgebra morphism into the final coalgebra, evaluated at
-    ``s``: stage n is ``approximate(c, s, n)``."""
-    limit = LimitElement(
-        w_chain(c.container),
-        lambda n: approximate(c, s, n),
-        provenance=f"unfold({c.name or 'coalgebra'}, {s!r})",
-    )
-    return MElement(c.container, limit, origin=(c, s))
+    ``s``: the element pointed at ``(c, s)``.  Stage n is
+    ``approximate(c, s, n)``, one read of ``c``'s level table."""
+    return MElement(c.container, coalgebra=c, state=s)
 
 
 def out(m: MElement) -> PValue:
     """The final coalgebra's structure map: expose the root label and the
-    child elements.  Composition of the shifted-chain equivalence with the
-    inverse limit-commutation map."""
+    child elements.
+
+    For a pointed element it is the morphism law, in O(arity):
+    ``out(unfold(c, s))`` is the transition of ``s`` with each child state
+    ``t`` sent to ``unfold(c, t)``, and ``out(into(c, v))`` is ``v``.  For a
+    hand-built element it is the reference construction of
+    :mod:`omegacoalg.chain`: the shifted-chain equivalence composed with the
+    inverse limit-commutation map, which raises :class:`LabelDrift` on a
+    family whose root label changes across stages.  Both give the same
+    stages (``out(MElement(m.container, m.limit))`` is the reference for
+    any ``m``).
+    """
+    c = m.coalgebra
+    if c is None:
+        return _out_by_chain(m)
+    if type(c) is _FreeExtension:
+        return PValue(c.label, c.children)
+    label, children = c.transition(m.state)
+    container = m.container
+    return PValue(label, tuple([MElement(container, coalgebra=c, state=t) for t in children]))
+
+
+def into(c: Container, v: PValue) -> MElement:
+    """Inverse of :func:`out`: assemble an element from a label and child
+    elements.
+
+    When every child is pointed, the result is pointed at the one-state
+    free extension that steps to ``v``: stage n is the label over the
+    children's stage n-1, and ``out`` of it gives back ``v``.  A hand-built
+    child sends it through the reference construction of
+    :mod:`omegacoalg.chain`: the limit-commutation map composed with the
+    shifted-chain equivalence.
+    """
+    if len(v.children) != c.arity_of(v.label):
+        raise ArityMismatch(
+            f"label {v.label!r} has arity {c.arity_of(v.label)}, "
+            f"got {len(v.children)} children"
+        )
+    if any(ch.coalgebra is None for ch in v.children):
+        return _into_by_chain(c, v)
+    return MElement(c, coalgebra=_FreeExtension(v.label, v.children), state=None)
+
+
+def _out_by_chain(m: MElement) -> PValue:
     c = m.container
     base = w_chain(c)
     shifted_limit = shift_forward(m.limit)
@@ -241,15 +399,7 @@ def out(m: MElement) -> PValue:
     return PValue(pv.label, tuple(MElement(c, ch) for ch in pv.children))
 
 
-def into(c: Container, v: PValue) -> MElement:
-    """Inverse of :func:`out`: assemble an element from a label and child
-    elements.  Composition of the limit-commutation map with the shifted-
-    chain equivalence."""
-    if len(v.children) != c.arity_of(v.label):
-        raise ArityMismatch(
-            f"label {v.label!r} has arity {c.arity_of(v.label)}, "
-            f"got {len(v.children)} children"
-        )
+def _into_by_chain(c: Container, v: PValue) -> MElement:
     base = w_chain(c)
     lp = poly_limit_to(c, base, v)
     as_nodes = LimitElement(

@@ -111,6 +111,7 @@ def _parse_coalgebra(container: Container, frag) -> Coalgebra:
                 f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels"
             )
         table[s] = (label, children)
+    _require_declared(gamma, table)
     try:
         return Coalgebra(container, table, state_enumeration=tuple(states))
     except OmegaCoalgError as e:
@@ -131,6 +132,13 @@ def _parse_entry(gamma: dict, s: str) -> tuple:
         if not isinstance(ch, str):
             _require_str(ch, f"coalgebra.gamma.{s}.children")
     return label, tuple(children)
+
+
+def _require_declared(gamma: dict, table: dict):
+    """Every key of ``gamma`` must name a declared state: an entry for an
+    undeclared one would be dropped without a word."""
+    for s in gamma:
+        _require(s in table, f"coalgebra.gamma.{s}: not a declared state")
 
 
 def _parse_indexed(frag) -> IndexedContainer:
@@ -186,6 +194,7 @@ def _parse_icoalgebra(ic: IndexedContainer, frag) -> IndexedCoalgebra:
     for s, sort in states.items():
         _require_str(sort, f"coalgebra.states.{s}")
         table[s] = _parse_entry(gamma, s)
+    _require_declared(gamma, table)
     try:
         return IndexedCoalgebra(
             ic, states=tuple(states), sort_of=dict(states), gamma=table

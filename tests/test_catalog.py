@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +157,46 @@ def test_conats_pairwise_distinct():
             d = max(k, k2) + 1
             a, b = conat_of(k), conat_of(k2)
             assert not tree_equal(a.at(d), b.at(d))
+
+
+DEEP_USE = """
+import sys
+from omegacoalg import out
+from omegacoalg.catalog import conat_infinity, cons, head, stream_from_function, tail, zip_streams
+
+sys.setrecursionlimit(200)
+m = conat_infinity()
+for _ in range(1000):
+    m = out(m).children[0]
+assert m.at(3).label == "S"
+
+nat = stream_from_function(lambda k: k)
+t = nat
+for _ in range(5000):
+    t = tail(t)
+assert head(t) == 5000 and head(tail(t)) == 5001
+
+node = zip_streams(nat, stream_from_function(lambda k: -k)).at(2000)
+for k in range(2000):
+    assert node.label == (k, -k)
+    node = node.children[0]
+assert node.is_trunc
+
+c = nat
+for k in range(3000):
+    c = cons(-k, c)
+node = c.at(3001)
+for k in range(2999, -1, -1):
+    assert node.label == -k
+    node = node.children[0]
+assert node.label == 0 and node.children[0].is_trunc
+print("ok")
+"""
+
+
+def test_deep_use_needs_no_recursion():
+    """``out`` 1000 times, ``tail`` 5000 times, a zip observed to depth 2000
+    and 3000 nested ``cons`` run with the recursion limit at 200."""
+    r = subprocess.run([sys.executable, "-c", DEEP_USE], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"

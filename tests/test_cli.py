@@ -455,3 +455,42 @@ def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, ch
     assert code == 0
     assert out.getvalue().count(": PASS\n") == checks
     assert 1 <= len(reads) <= 2
+
+
+PLAIN_GHOST = plain_doc(
+    gamma={"q": {"label": "a", "children": ["q"]}, "ghost": {"label": "a", "children": ["q"]}}
+)
+PARITY_GHOST = parity_doc(
+    gamma={"q": {"label": "E", "children": ["q"]}, "ghost": {"label": "E", "children": ["q"]}}
+)
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        (PLAIN_GHOST, ("approx", "--state", "q", "--depth", "2")),
+        (PLAIN_GHOST, ("check", "--depth", "2")),
+        (PARITY_GHOST, ("minimize",)),
+        (PARITY_GHOST, ("check", "--depth", "2")),
+    ],
+    ids=["plain-approx", "plain-check", "indexed-minimize", "indexed-check"],
+)
+def test_undeclared_gamma_state_exits_2(tmp_path, doc, command):
+    """A transition for a state the spec does not declare is an error, not
+    an entry dropped without a word."""
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(command[0], "--spec", str(path), *command[1:])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "validation error: coalgebra.gamma.ghost: not a declared state\n"
+
+
+def test_parity_demo_with_ghost_entry_exits_2(tmp_path):
+    doc = json.loads(run_cli("demo", "parity").stdout)
+    doc["coalgebra"]["gamma"]["ghost"] = {"label": "E", "children": ["q"]}
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("minimize", "--spec", str(path))
+    assert r.returncode == 2
+    assert r.stderr == "validation error: coalgebra.gamma.ghost: not a declared state\n"

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacoalg import approximate, tree_equal, truncate, unfold
+from omegacoalg import Container, PValue, approximate, into, out, tree_equal, truncate, unfold
 from omegacoalg.container import TRUNC, _tree
 from omegacoalg.indexed import (
     SortedApproxTree,
+    SortedMElement,
     embed_plain,
     i_into,
     i_out,
@@ -19,6 +20,7 @@ from omegacoalg.indexed import (
     well_sorted_all,
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
+from omegacoalg.mtype import MElement
 from omegacoalg.errors import SortMismatch
 
 from conftest import indexed_corpus, random_coalgebra, small_indexed_coalgebras
@@ -182,3 +184,38 @@ def test_singleton_index_embedding_agrees_with_plain():
             m_idx = iunfold(ic, s)
             for n in range(31):
                 assert tree_equal(m_idx.at(n), m_plain.at(n))
+
+
+def _at_sort(ic, sort):
+    """The plain container of the labels at ``sort``: the signature under
+    which chain.py reads a sorted element's families."""
+    return Container(arity={a: ic.arity[(sort, a)] for a in ic.labels(sort)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indexed_coalgebras(), st.integers(0, 8))
+def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
+    """``i_out``/``i_into`` on unfolded elements give the same child sorts
+    and the same stages, as the same objects, as the chain.py ``out``/
+    ``into`` composition applied to the elements' ``limit`` views; the
+    hand-built ``i_out`` path agrees too."""
+    ic = c.base
+    for s in c.states:
+        m = iunfold(c, s)
+        label, children = i_out(m)
+        ref = out(MElement(_at_sort(ic, m.sort), m.limit))
+        hand_label, hand_children = i_out(SortedMElement(ic, m.sort, m.limit))
+        assert label == ref.label == hand_label == c.transition(s)[0]
+        assert tuple(ch.sort for ch in children) == ic.child_sort[(m.sort, label)]
+        assert tuple(ch.sort for ch in hand_children) == ic.child_sort[(m.sort, label)]
+        kids = c.transition(s)[1]
+        for ch, ref_ch, hand_ch, t in zip(children, ref.children, hand_children, kids):
+            for n in range(depth + 1):
+                assert ch.at(n) is ref_ch.at(n) is hand_ch.at(n) is iapproximate(c, t, n).tree
+        back = i_into(ic, m.sort, label, children)
+        by_hand = tuple(MElement(_at_sort(ic, ch.sort), ch.limit) for ch in children)
+        ref_back = into(_at_sort(ic, m.sort), PValue(label, by_hand))
+        assert i_out(back) == (label, children)
+        assert back.sort == m.sort
+        for n in range(depth + 1):
+            assert back.at(n) is ref_back.at(n) is m.at(n)

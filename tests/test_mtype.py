@@ -26,10 +26,13 @@ from omegacoalg.mtype import MElement
 from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
     conat_coalgebra,
+    conat_infinity,
+    cons,
     fig1_coalgebra,
     parity_coalgebra,
     stream_container,
     stream_from_function,
+    tail,
 )
 from omegacoalg.errors import (
     ArityMismatch,
@@ -37,7 +40,14 @@ from omegacoalg.errors import (
     DepthBoundExceeded,
     NotAMorphism,
 )
-from omegacoalg.indexed import IndexedCoalgebra, iapproximate, iapproximate_all
+from omegacoalg.indexed import (
+    IndexedCoalgebra,
+    i_into,
+    i_out,
+    iapproximate,
+    iapproximate_all,
+    iunfold,
+)
 
 from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
 
@@ -276,3 +286,70 @@ def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
         assert got.tree is table[n][s] is iapproximate(c, s, n).tree
         assert got.tree is unrolled(c.transition, s, n, memo)
 
+
+@settings(max_examples=200, deadline=None)
+@given(small_coalgebras(), st.integers(0, 8))
+def test_pointed_out_into_match_chain_reference_property(c, depth):
+    """``out``/``into`` on unfolded elements (the morphism law and the
+    one-state extension) give the same stages, as the same objects, as the
+    chain.py composition applied to the elements' ``limit`` views."""
+    container = c.container
+    for s in c.state_enumeration:
+        m = unfold(c, s)
+        v = out(m)
+        ref = out(MElement(container, m.limit))
+        assert v.label == ref.label == c.transition(s).label
+        assert len(v.children) == len(ref.children)
+        for ch, ref_ch, t in zip(v.children, ref.children, c.transition(s).children):
+            for n in range(depth + 1):
+                assert ch.at(n) is ref_ch.at(n) is approximate(c, t, n)
+        back = into(container, v)
+        by_hand = tuple(MElement(container, ch.limit) for ch in v.children)
+        ref_back = into(container, PValue(v.label, by_hand))
+        assert out(back) == v
+        ref_again = out(MElement(container, back.limit))
+        assert ref_again.label == v.label
+        for n in range(depth + 1):
+            assert back.at(n) is ref_back.at(n) is m.at(n)
+            for ch, ref_ch in zip(v.children, ref_again.children):
+                assert ref_ch.at(n) is ch.at(n)
+
+
+def test_negative_depth_on_every_element():
+    """A negative depth names no stage on any element, pointed, assembled,
+    hand-built or sorted, nor on the ``limit`` view of a pointed one (a
+    hand-built element's ``limit`` is the caller's own family)."""
+    s7 = stream_from_function(lambda k: 7)
+    sc = s7.container
+
+    def by_hand(n):
+        t = TRUNC
+        for d in range(1, n + 1):
+            t = make_node(sc, 7, [t], depth=d)
+        return t
+
+    hand = MElement(sc, LimitElement(w_chain(sc), by_hand, provenance="by-hand"))
+    p = iunfold(parity_coalgebra(), "p")
+    label, children = i_out(p)
+    elements = {
+        "unfold": s7,
+        "out-child": out(conat_infinity()).children[0],
+        "into": into(s7.container, PValue(3, (s7,))),
+        "tail": tail(s7),
+        "cons": cons(3, cons(4, s7)),
+        "limit-view": MElement(s7.container, s7.limit),
+        "hand-built": hand,
+        "hand-built-out-child": out(hand).children[0],
+        "hand-built-cons": cons(7, hand),
+        "hand-built-tail": tail(hand),
+        "iunfold": p,
+        "i_out-child": children[0],
+        "i_into": i_into(p.base, "e", label, children),
+    }
+    for m in elements.values():
+        for n in (-1, -3):
+            with pytest.raises(CannotTruncateUnit):
+                m.at(n)
+        if m.coalgebra is not None:
+            with pytest.raises(CannotTruncateUnit):
+                m.limit.at(-1)
