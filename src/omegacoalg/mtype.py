@@ -5,10 +5,11 @@ Elements of the final coalgebra are :class:`MElement`.  An element that
 its depth-n stage is a read of that coalgebra's level table, and ``out`` of
 it is the morphism law, ``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``,
 in O(arity).  A hand-built element holds a compatible family of depth-n
-trees (a :class:`~omegacoalg.chain.LimitElement`); for it ``out``/``into``
-are the paper's composition of the shifted-chain and limit-commutation
-equivalences in :mod:`omegacoalg.chain`, which stays the reference
-semantics: every element has a ``.limit`` view to which it applies.
+trees (a :class:`~omegacoalg.chain.LimitElement`); for it ``into`` and
+the root label of ``out`` are the paper's composition of the shifted-chain
+and limit-commutation equivalences in :mod:`omegacoalg.chain`, which stays
+the reference semantics: every element has a ``.limit`` view to which it
+applies.  An element assembled by ``into`` keeps the stages it has built.
 Finality is witnessed observationally by :func:`verify_morphism`
 (existence) and :func:`uniqueness_probe` (agreement of any verified
 morphism with unfold).
@@ -36,6 +37,7 @@ from .errors import (
     CannotTruncateUnit,
     DepthBoundExceeded,
     InvalidCoalgebra,
+    LabelDrift,
     NeedsFiniteStates,
     NotAMorphism,
 )
@@ -259,48 +261,43 @@ class _FreeExtension:
     stepping by ``out``) plus one fresh state, ``None``, stepping to
     ``label`` over the elements ``children``.  Its unfold sends an element
     to itself and the fresh state to the assembled element, whose depth-n
-    stage is ``label`` over the children's depth-(n-1) stages.
+    stage is ``label`` over the children's depth-(n-1) stages.  The
+    extension keeps the stages it has built, so observing the assembled
+    element again at a depth it has reached costs a lookup.
     """
 
-    __slots__ = ("label", "children", "nested")
+    __slots__ = ("label", "children", "_stages")
 
     def __init__(self, label, children: tuple):
         self.label = label
         self.children = children
-        self.nested = any(type(ch.coalgebra) is _FreeExtension for ch in children)
+        self._stages = {0: TRUNC}
 
     def _observe(self, s, n: int):
-        if n <= 0:
-            if n == 0:
-                return TRUNC
+        got = self._stages.get(n)
+        if got is not None:
+            return got
+        if n < 0:
             raise _no_stage(n)
-        if not self.nested:
-            return _tree(n, self.label, tuple([ch.at(n - 1) for ch in self.children]))
         # Assembled children (``cons`` over ``cons``) are evaluated from an
         # explicit stack, so deep nesting does not recurse.
-        done = {}
         stack = [(self, n)]
         while stack:
             ext, k = stack[-1]
-            if (ext, k) in done:
+            if k in ext._stages:
                 stack.pop()
                 continue
-            if ext.nested and k > 1:
-                todo = [
-                    (ch.coalgebra, k - 1)
-                    for ch in ext.children
-                    if type(ch.coalgebra) is _FreeExtension and (ch.coalgebra, k - 1) not in done
-                ]
-                if todo:
-                    stack.extend(todo)
-                    continue
+            todo = [
+                (ch.coalgebra, k - 1)
+                for ch in ext.children
+                if type(ch.coalgebra) is _FreeExtension and k - 1 not in ch.coalgebra._stages
+            ]
+            if todo:
+                stack.extend(todo)
+                continue
             stack.pop()
-            done[ext, k] = _tree(
-                k,
-                ext.label,
-                tuple([done.get((ch.coalgebra, k - 1)) or ch.at(k - 1) for ch in ext.children]),
-            )
-        return done[self, n]
+            ext._stages[k] = _tree(k, ext.label, tuple([ch.at(k - 1) for ch in ext.children]))
+        return self._stages[n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +345,13 @@ def out(m: MElement) -> PValue:
     For a pointed element it is the morphism law, in O(arity):
     ``out(unfold(c, s))`` is the transition of ``s`` with each child state
     ``t`` sent to ``unfold(c, t)``, and ``out(into(c, v))`` is ``v``.  For a
-    hand-built element it is the reference construction of
-    :mod:`omegacoalg.chain`: the shifted-chain equivalence composed with the
+    hand-built element the root label comes from the construction of
+    :mod:`omegacoalg.chain`, the shifted-chain equivalence composed with the
     inverse limit-commutation map, which raises :class:`LabelDrift` on a
-    family whose root label changes across stages.  Both give the same
-    stages (``out(MElement(m.container, m.limit))`` is the reference for
+    family whose root label changes across its first stages; child ``b``'s
+    stage n is child ``b`` of the element's stage n+1, checked for the same
+    drift.  All give the same stages as the chain.py composition
+    (``out(MElement(m.container, m.limit))`` applies the hand-built path to
     any ``m``).
     """
     c = m.coalgebra
@@ -395,8 +394,21 @@ def _out_by_chain(m: MElement) -> PValue:
         lambda n: _node_to_pvalue(shifted_limit.at(n)),
         provenance=f"out({m.limit.provenance})",
     )
-    pv = poly_limit_from(c, base, as_pvalues)
-    return PValue(pv.label, tuple(MElement(c, ch) for ch in pv.children))
+    label = poly_limit_from(c, base, as_pvalues).label
+
+    # Child b's stage n is child b of ``m``'s stage n+1, as in the families
+    # ``poly_limit_from`` gives, but read straight off ``m``: a chain of
+    # ``tail``s then nests three frames per level, not six.
+    def child(b):
+        def fn(n):
+            t = m.at(n + 1)
+            if t.label != label:
+                raise LabelDrift(f"stage {n} has label {t.label!r}, stage 0 has {label!r}")
+            return t.children[b]
+
+        return MElement(c, LimitElement(base, fn, provenance=f"out[{b}]({m.limit.provenance})"))
+
+    return PValue(label, tuple([child(b) for b in range(c.arity_of(label))]))
 
 
 def _into_by_chain(c: Container, v: PValue) -> MElement:

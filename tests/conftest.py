@@ -8,10 +8,24 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from omegacoalg import Coalgebra, Container
+from omegacoalg import Coalgebra, Container, LimitElement, PValue, w_chain
+from omegacoalg.chain import poly_chain, poly_limit_from, shift_forward
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
 LABEL_POOL = "wxyz"
+
+
+def chain_out(container: Container, limit: LimitElement) -> PValue:
+    """``out`` of the family ``limit`` as the paper composes it, step by
+    step in chain.py: the shifted-chain view, then the inverse of the
+    limit-commutation map.  The children are chain.py's own families."""
+    base = w_chain(container)
+    shifted = shift_forward(limit)
+    as_pvalues = LimitElement(
+        poly_chain(container, base),
+        lambda n: PValue(shifted.at(n).label, shifted.at(n).children),
+    )
+    return poly_limit_from(container, base, as_pvalues)
 
 
 def random_container(rng: random.Random, max_labels=4, max_arity=3) -> Container:

@@ -200,3 +200,38 @@ def test_deep_use_needs_no_recursion():
     r = subprocess.run([sys.executable, "-c", DEEP_USE], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "ok\n"
+
+
+HAND_BUILT_TAILS = """
+import sys
+from omegacoalg import LimitElement, out, w_chain
+from omegacoalg.container import TRUNC, make_node
+from omegacoalg.mtype import MElement
+from omegacoalg.catalog import head, stream_container, tail
+
+sys.setrecursionlimit(1000)
+sc = stream_container()
+
+def sevens(n):
+    t = TRUNC
+    for d in range(1, n + 1):
+        t = make_node(sc, 7, [t], depth=d)
+    return t
+
+for step in (tail, lambda m: out(m).children[0]):
+    m = MElement(sc, LimitElement(w_chain(sc), sevens))
+    for _ in range(300):
+        m = step(m)
+    assert head(m) == 7 and m.at(3) is sevens(3)
+print("ok")
+"""
+
+
+def test_hand_built_tail_300_times_at_default_limit():
+    """``tail`` and ``out`` applied 300 times to a hand-built stream run at
+    recursion limit 1000: each level nests a fixed, small number of frames."""
+    r = subprocess.run(
+        [sys.executable, "-c", HAND_BUILT_TAILS], capture_output=True, text=True, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"

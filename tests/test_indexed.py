@@ -23,7 +23,7 @@ from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.mtype import MElement
 from omegacoalg.errors import SortMismatch
 
-from conftest import indexed_corpus, random_coalgebra, small_indexed_coalgebras
+from conftest import chain_out, indexed_corpus, random_coalgebra, small_indexed_coalgebras
 
 
 PARITY = parity_container()
@@ -204,14 +204,19 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         m = iunfold(c, s)
         label, children = i_out(m)
         ref = out(MElement(_at_sort(ic, m.sort), m.limit))
+        lit = chain_out(_at_sort(ic, m.sort), m.limit)
         hand_label, hand_children = i_out(SortedMElement(ic, m.sort, m.limit))
-        assert label == ref.label == hand_label == c.transition(s)[0]
+        assert label == ref.label == lit.label == hand_label == c.transition(s)[0]
         assert tuple(ch.sort for ch in children) == ic.child_sort[(m.sort, label)]
         assert tuple(ch.sort for ch in hand_children) == ic.child_sort[(m.sort, label)]
         kids = c.transition(s)[1]
-        for ch, ref_ch, hand_ch, t in zip(children, ref.children, hand_children, kids):
+        for ch, ref_ch, lit_ch, hand_ch, t in zip(
+            children, ref.children, lit.children, hand_children, kids
+        ):
             for n in range(depth + 1):
-                assert ch.at(n) is ref_ch.at(n) is hand_ch.at(n) is iapproximate(c, t, n).tree
+                got = ch.at(n)
+                assert got is ref_ch.at(n) is lit_ch.at(n) is hand_ch.at(n)
+                assert got is iapproximate(c, t, n).tree
         back = i_into(ic, m.sort, label, children)
         by_hand = tuple(MElement(_at_sort(ic, ch.sort), ch.limit) for ch in children)
         ref_back = into(_at_sort(ic, m.sort), PValue(label, by_hand))

@@ -38,6 +38,7 @@ from omegacoalg.errors import (
     ArityMismatch,
     CannotTruncateUnit,
     DepthBoundExceeded,
+    LabelDrift,
     NotAMorphism,
 )
 from omegacoalg.indexed import (
@@ -49,7 +50,7 @@ from omegacoalg.indexed import (
     iunfold,
 )
 
-from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
+from conftest import chain_out, random_coalgebra, small_coalgebras, small_indexed_coalgebras
 
 
 def test_approximate_base_case():
@@ -292,27 +293,31 @@ def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
 def test_pointed_out_into_match_chain_reference_property(c, depth):
     """``out``/``into`` on unfolded elements (the morphism law and the
     one-state extension) give the same stages, as the same objects, as the
-    chain.py composition applied to the elements' ``limit`` views."""
+    chain.py composition applied to the elements' ``limit`` views, and so
+    does the hand-built ``out``."""
     container = c.container
     for s in c.state_enumeration:
         m = unfold(c, s)
         v = out(m)
         ref = out(MElement(container, m.limit))
-        assert v.label == ref.label == c.transition(s).label
-        assert len(v.children) == len(ref.children)
-        for ch, ref_ch, t in zip(v.children, ref.children, c.transition(s).children):
+        lit = chain_out(container, m.limit)
+        assert v.label == ref.label == lit.label == c.transition(s).label
+        assert len(v.children) == len(ref.children) == len(lit.children)
+        kids = c.transition(s).children
+        for ch, ref_ch, lit_ch, t in zip(v.children, ref.children, lit.children, kids):
             for n in range(depth + 1):
-                assert ch.at(n) is ref_ch.at(n) is approximate(c, t, n)
+                assert ch.at(n) is ref_ch.at(n) is lit_ch.at(n) is approximate(c, t, n)
         back = into(container, v)
         by_hand = tuple(MElement(container, ch.limit) for ch in v.children)
         ref_back = into(container, PValue(v.label, by_hand))
         assert out(back) == v
         ref_again = out(MElement(container, back.limit))
         assert ref_again.label == v.label
+        lit_again = chain_out(container, back.limit)
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is m.at(n)
-            for ch, ref_ch in zip(v.children, ref_again.children):
-                assert ref_ch.at(n) is ch.at(n)
+            for ch, ref_ch, lit_ch in zip(v.children, ref_again.children, lit_again.children):
+                assert ref_ch.at(n) is lit_ch.at(n) is ch.at(n)
 
 
 def test_negative_depth_on_every_element():
@@ -353,3 +358,43 @@ def test_negative_depth_on_every_element():
         if m.coalgebra is not None:
             with pytest.raises(CannotTruncateUnit):
                 m.limit.at(-1)
+
+
+def test_hand_built_out_detects_label_drift():
+    """A hand-built family whose root label changes raises LabelDrift: at
+    ``out`` when the change is among the first stages, and when a child is
+    observed at the stage where it changes otherwise."""
+    sc = stream_container()
+
+    def drifting_at(k):
+        def fn(n):
+            t = TRUNC
+            for d in range(1, n + 1):
+                t = make_node(sc, 5 if d < k else 6, [t], depth=d)
+            return t
+
+        return MElement(sc, LimitElement(w_chain(sc), fn))
+
+    with pytest.raises(LabelDrift):
+        out(drifting_at(3))
+    child = out(drifting_at(20)).children[0]
+    assert child.at(18).label == 5
+    with pytest.raises(LabelDrift):
+        child.at(19)
+
+
+def test_assembled_element_keeps_its_stages():
+    """Observing an ``into`` element again at a depth it has built reads
+    its own stages, not its children's."""
+    seen = []
+
+    class Counting(Coalgebra):
+        def _observe(self, s, n):
+            seen.append(n)
+            return super()._observe(s, n)
+
+    c = Counting(stream_container(), {0: (1, (0,))}, state_enumeration=(0,))
+    m = cons(3, cons(2, unfold(c, 0)))
+    first = m.at(10)
+    assert m.at(10) is first and m.at(10) is first
+    assert seen == [8]
