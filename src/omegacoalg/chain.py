@@ -5,7 +5,10 @@ A chain is a family of stage-value domains connected by projections
 intensionally: a :class:`LimitElement` evaluates any finite stage on demand
 and caches the result; compatibility (``project(n, at(n+1)) == at(n)``) is
 guaranteed by construction for library-built elements and checkable to any
-finite depth for hand-built ones.
+finite depth for hand-built ones.  The limit of the approximation chain
+is itself a coalgebra, :data:`LIMITS`: its states are limit elements and
+its transition is the paper's ``out``, the shifted-chain equivalence
+composed with the inverse limit-commutation map.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .container import Container, PValue, pmap
-from .errors import ConeLawViolation, LabelDrift
+from .errors import CannotTruncateUnit, ConeLawViolation, LabelDrift
 
 DEFAULT_CONE_CHECK_DEPTH = 16
 DEFAULT_LABEL_CHECK_DEPTH = 8
@@ -189,3 +192,49 @@ def poly_limit_from(
         return LimitElement(base, fn, provenance=f"poly_limit_from[{b}]")
 
     return PValue(label, tuple(child(b) for b in range(len(first.children))))
+
+
+def _no_stage(n: int) -> CannotTruncateUnit:
+    return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
+
+
+class LimitCoalgebra:
+    """The limit of the approximation chain as a coalgebra: a state is a
+    compatible family of depth-n trees (a :class:`LimitElement`), observed
+    at depth n as its stage n, and its transition is the paper's ``out``.
+    An element built by hand from a family is pointed at it in
+    :data:`LIMITS`."""
+
+    def _observe(self, l: LimitElement, n: int):
+        if n < 0:
+            raise _no_stage(n)
+        return l.at(n)
+
+    def transition(self, l: LimitElement) -> PValue:
+        """The shifted-chain view of ``l`` read through the inverse
+        limit-commutation map, which raises :class:`LabelDrift` on a family
+        whose root label changes across its first stages.  Child b's stage
+        n is child b of ``l``'s stage n+1, as in the families
+        :func:`poly_limit_from` gives, but read straight off ``l`` (checked
+        for drift when observed), so a chain of ``out``s nests two frames
+        per level, not six.  No container is consulted."""
+        base, shifted = l.chain, shift_forward(l)
+        as_pvalues = LimitElement(
+            poly_chain(None, base), lambda n: PValue(shifted.at(n).label, shifted.at(n).children)
+        )
+        pv = poly_limit_from(None, base, as_pvalues)
+        label = pv.label
+
+        def child(b):
+            def fn(n):
+                t = l.at(n + 1)
+                if t.label != label:
+                    raise LabelDrift(f"stage {n} has label {t.label!r}, stage 0 has {label!r}")
+                return t.children[b]
+
+            return LimitElement(base, fn, provenance=f"out[{b}]({l.provenance})")
+
+        return PValue(label, tuple([child(b) for b in range(len(pv.children))]))
+
+
+LIMITS = LimitCoalgebra()

@@ -3,7 +3,7 @@ the invariant checks, and print the built-in demo specs.
 
 All output is deterministic (sorted JSON keys, canonical block naming).
 Exit codes: 0 success / bisimilar, 1 distinguishable or failed checks,
-2 validation error, 3 unknown state.
+2 validation or internal error, 3 unknown state.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ from .container import truncate
 from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import (
     IndexedCoalgebra,
+    _tagged_plain,
     i_into,
     i_out,
     iapproximate,
-    iapproximate_all,
-    ifirst_divergence_depth,
     iunfold,
     iverify_morphism,
     iuniqueness_probe,
     well_sorted_all,
 )
 from .mtype import (
-    Coalgebra,
     MorphismCandidate,
     approximate,
     approximate_all,
@@ -40,7 +38,6 @@ from .mtype import (
     uniqueness_probe,
     verify_morphism,
 )
-from .container import Container, PValue
 
 EXIT_OK = 0
 EXIT_DISTINGUISHABLE = 1
@@ -269,20 +266,10 @@ def demo_documents() -> dict:
     }
 
 
-def _tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
-    """Reduce an indexed coalgebra to a plain one by tagging labels with
-    their sort; the plain partition/minimization algorithms then respect
-    sorts automatically."""
-    ic = c.base
-    labels = tuple((i, a) for i in ic.sorts for a in ic.labels(i))
-    container = Container(
-        arity={(i, a): ic.arity[(i, a)] for (i, a) in labels}, labels=labels
-    )
-    gamma = {}
-    for s in c.states:
-        label, children = c.transition(s)
-        gamma[s] = PValue((c.sort_of[s], label), children)
-    return Coalgebra(container, gamma, state_enumeration=c.states, name="tagged")
+def _coalgebra(doc):
+    """The spec's coalgebra, plain or indexed: both have the plain
+    interface that observations and the depth oracle read."""
+    return doc.coalgebra if doc.kind == "plain" else doc.icoalgebra
 
 
 def cmd_approx(args) -> int:
@@ -293,19 +280,11 @@ def cmd_approx(args) -> int:
     time and without recursion (see :func:`_emit`).  The output of a
     branching state still grows exponentially with the depth.
     """
-    doc = specdoc.load_spec(args.spec)
-    if doc.kind == "plain":
-        c = doc.coalgebra
-        if args.state not in c.state_enumeration:
-            print(f"unknown state: {args.state}", file=sys.stderr)
-            return EXIT_UNKNOWN_STATE
-        t = approximate(c, args.state, args.depth)
-    else:
-        c = doc.icoalgebra
-        if args.state not in c.states:
-            print(f"unknown state: {args.state}", file=sys.stderr)
-            return EXIT_UNKNOWN_STATE
-        t = iapproximate(c, args.state, args.depth).tree
+    c = _coalgebra(specdoc.load_spec(args.spec))
+    if args.state not in c.state_enumeration:
+        print(f"unknown state: {args.state}", file=sys.stderr)
+        return EXIT_UNKNOWN_STATE
+    t = approximate(c, args.state, args.depth)
     write = sys.stdout.write
     if args.format == "text":
         render_text(t, write)
@@ -327,18 +306,12 @@ def cmd_bisim(args) -> int:
     if bounded and args.depth is None:
         print("--depth is required with --algorithm bounded", file=sys.stderr)
         return EXIT_VALIDATION
-    c = doc.coalgebra if doc.kind == "plain" else doc.icoalgebra
-    known = c.state_enumeration if doc.kind == "plain" else c.states
+    c = _coalgebra(doc)
     for s in (args.left, args.right):
-        if s not in known:
+        if s not in c.state_enumeration:
             print(f"unknown state: {s}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
-    if doc.kind == "plain":
-        if bounded:
-            k = bs.first_divergence_depth(c, args.left, args.right, args.depth)
-        else:
-            k = bs.divergence_depth(c, args.left, args.right)
-    else:
+    if doc.kind == "indexed":
         sorts = (c.sort_of[args.left], c.sort_of[args.right])
         if sorts[0] != sorts[1]:
             print(
@@ -347,12 +320,13 @@ def cmd_bisim(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
-        # Paired states of equal sort have equal sorts all the way down, so
-        # the sort-tagged labels differ exactly where the raw labels do.
-        if bounded:
-            k = ifirst_divergence_depth(c, args.left, args.right, args.depth)
-        else:
-            k = bs.divergence_depth(_tagged_plain(c), args.left, args.right)
+    # Paired states of equal sort have equal sorts all the way down, so the
+    # raw labels differ exactly where the sort-tagged ones do.
+    if bounded:
+        k = bs.first_divergence_depth(c, args.left, args.right, args.depth)
+    else:
+        plain = c if doc.kind == "plain" else _tagged_plain(c)
+        k = bs.divergence_depth(plain, args.left, args.right)
     if k is None:
         print("bisimilar")
         return EXIT_OK
@@ -394,19 +368,20 @@ def cmd_check(args) -> int:
     """
     doc = specdoc.load_spec(args.spec)
     depth = args.depth
-    results = []
-    if doc.kind == "plain":
-        c = doc.coalgebra
-        container = c.container
-        approximate_all(c, depth)
+    c = _coalgebra(doc)
+    element = unfold if doc.kind == "plain" else iunfold
+    approximate_all(c, depth)
 
-        def compat() -> bool:
-            for s in c.state_enumeration:
-                m = unfold(c, s)
-                for n in range(depth):
-                    if truncate(container, m.at(n + 1)) is not m.at(n):
-                        return False
-            return True
+    def compat() -> bool:
+        for s in c.state_enumeration:
+            m = element(c, s)
+            for n in range(depth):
+                if truncate(None, m.at(n + 1)) is not m.at(n):
+                    return False
+        return True
+
+    if doc.kind == "plain":
+        container = c.container
 
         def roundtrip() -> bool:
             for s in c.state_enumeration:
@@ -433,21 +408,11 @@ def cmd_check(args) -> int:
             ("unfold-uniqueness", uniqueness_probe(c, mc, depth)),
         ]
     else:
-        c = doc.icoalgebra
-        iapproximate_all(c, depth)
 
         def isorted() -> bool:
             return well_sorted_all(
                 c.base, (iapproximate(c, s, n) for s in c.states for n in range(depth + 1))
             )
-
-        def icompat() -> bool:
-            for s in c.states:
-                m = iunfold(c, s)
-                for n in range(depth):
-                    if truncate(None, m.at(n + 1)) is not m.at(n):
-                        return False
-            return True
 
         def iroundtrip() -> bool:
             for s in c.states:
@@ -461,7 +426,7 @@ def cmd_check(args) -> int:
 
         results = [
             ("well-sorted", isorted()),
-            ("compatibility", icompat()),
+            ("compatibility", compat()),
             ("i-out-i-into-roundtrip", iroundtrip()),
             ("iunfold-is-morphism", iverify_morphism(c, lambda s: iunfold(c, s), depth)),
             ("iunfold-uniqueness", iuniqueness_probe(c, lambda s: iunfold(c, s), depth)),
@@ -495,6 +460,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OmegaCoalgError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except Exception as e:
+        # Python's own exit code for an uncaught exception, 1, would read
+        # as "distinguishable".
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,9 +1,15 @@
 """Indexed containers: sorted signatures, coalgebras, and corecursion.
 
 An indexed container fibres a signature over a finite set of sorts; each
-label lives at a sort and assigns a sort to every child position.  The
-indexed operations mirror the plain ones, threading sorts through and
-rejecting ill-sorted inputs eagerly.
+label lives at a sort and assigns a sort to every child position.
+
+An indexed coalgebra is a sort-checked view of a plain one: it has the
+plain interface (``transition``, ``state_enumeration`` and a level table),
+so the plain observations, the depth oracle and the finality probes run on
+it unchanged, and each indexed operation is a sort check plus the plain
+call.  Partition refinement runs on :func:`_tagged_plain`, the reduction
+that tags every label with its sort.  Ill-sorted inputs are rejected
+eagerly.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .chain import Chain, LimitElement
-from .container import _truncate, ApproxTree
+from .bisim import bounded_bisim, first_divergence_depth
+from .chain import LimitElement
+from .container import ApproxTree, Container, PValue
 from .errors import (
     ArityMismatch,
     InvalidCoalgebra,
@@ -21,7 +28,16 @@ from .errors import (
     SortMismatch,
     UnknownLabel,
 )
-from .mtype import _Element, _FreeExtension, _fill_levels, _level_entry
+from .mtype import (
+    Coalgebra,
+    MorphismCandidate,
+    _Element,
+    _FreeExtension,
+    _level_entry,
+    approximate_all,
+    uniqueness_probe,
+    verify_morphism,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +136,11 @@ class IndexedCoalgebra:
             self._gamma_cache[s] = got
         return got
 
+    @property
+    def state_enumeration(self) -> tuple:
+        """The states, under the name the plain algorithms read."""
+        return self.states
+
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table, as pointed elements take it.
     _observe = _level_entry
@@ -139,11 +160,13 @@ class SortedApproxTree:
 
 
 class SortedMElement(_Element):
-    """An element of the indexed final coalgebra at a fixed sort: pointed,
-    ``SortedMElement(base, sort, coalgebra=c, state=s)`` as :func:`iunfold`
-    and :func:`i_into` make it, or hand-built,
-    ``SortedMElement(base, sort, limit)`` (see
-    :class:`~omegacoalg.mtype._Element`)."""
+    """An element of the indexed final coalgebra at a fixed sort, pointed
+    at a state of a coalgebra: ``SortedMElement(base, sort, coalgebra=c,
+    state=s)`` as :func:`iunfold` and :func:`i_into` make it, or
+    ``SortedMElement(base, sort, limit)`` for a family built by hand,
+    pointed at ``(LIMITS, limit)`` (see :class:`~omegacoalg.mtype._Element`).
+    Equality and hash are those of :class:`~omegacoalg.mtype.MElement`
+    plus the sort."""
 
     __slots__ = ("base", "sort")
     _made_by = ("i_into", "iunfold", "indexed")
@@ -160,6 +183,9 @@ class SortedMElement(_Element):
         self.base = base
         self.sort = sort
         self._hold(limit, coalgebra, state)
+
+    def _key(self) -> tuple:
+        return super()._key() + (self.sort,)
 
     def __repr__(self):
         return f"SortedMElement({self.sort!r}, {self._provenance() or 'anonymous'})"
@@ -205,11 +231,10 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
 
 
 def iapproximate_all(c: IndexedCoalgebra, n: int) -> list:
-    """Fill the level table with every state at every depth k <= n, one
-    level at a time, as :func:`omegacoalg.mtype.approximate_all` does for
-    plain coalgebras; returns the table up to depth n."""
-    _fill_levels(c._levels, c.transition, c.states, 0, n)
-    return c._levels[: n + 1]
+    """Fill the level table with every state at every depth k <= n: the
+    plain :func:`omegacoalg.mtype.approximate_all`; returns the table up to
+    depth n."""
+    return approximate_all(c, n)
 
 
 def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
@@ -221,37 +246,25 @@ def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
 
 def i_out(m: SortedMElement):
     """Expose the root label and the child elements, with the children's
-    sorts read off the child-sort assignment.
+    sorts read off the child-sort assignment, in O(arity).
 
-    For an element of :func:`iunfold` the children are ``iunfold(c, t)``
-    for the child states ``t``, and for one of :func:`i_into` they are the
-    children it was given, in O(arity) either way.  A hand-built element's
-    children are families reading stage n off the stage n+1 of ``m``; its
-    root label is checked against the sort (:class:`SortMismatch`).
+    As :func:`omegacoalg.mtype.out`: the children of an element pointed at
+    ``(c, s)`` are pointed at ``c``'s child states (for a family built by
+    hand, the children :data:`~omegacoalg.chain.LIMITS` gives), and those
+    of an element of :func:`i_into` are the children it was given.  A root
+    label that is not available at the element's sort raises
+    :class:`SortMismatch`.
     """
-    ic = m.base
     c = m.coalgebra
     if type(c) is _FreeExtension:
         return c.label, c.children
-    if c is not None:
-        label, children = c.transition(m.state)
-        sorts = ic.child_sort[(m.sort, label)]
-        return label, tuple(
-            [SortedMElement(ic, j, coalgebra=c, state=t) for j, t in zip(sorts, children)]
-        )
-    label = m.at(1).label
-    if label not in ic.labels(m.sort):
+    label, children = c.transition(m.state)
+    sorts = m.base.child_sort.get((m.sort, label))
+    if sorts is None:
         raise SortMismatch(f"root label {label!r} is not available at sort {m.sort!r}")
-    key = (m.sort, label)
-    children = []
-    for b in range(ic.arity[key]):
-        limit = LimitElement(
-            Chain(project=lambda n, t: _truncate(t)),
-            lambda n, b=b: m.at(n + 1).children[b],
-            provenance=f"i_out[{b}]({m.limit.provenance})",
-        )
-        children.append(SortedMElement(ic, ic.child_sort[key][b], limit))
-    return label, tuple(children)
+    return label, tuple(
+        [SortedMElement(m.base, j, coalgebra=c, state=t) for j, t in zip(sorts, children)]
+    )
 
 
 def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
@@ -277,56 +290,69 @@ def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
     return SortedMElement(ic, sort, coalgebra=_FreeExtension(label, children), state=None)
 
 
-def ibounded_bisim(c: IndexedCoalgebra, s, t, depth: int) -> bool:
-    """Depth-wise observational equality; only meaningful within a sort."""
+def _same_sort(c: IndexedCoalgebra, s, t) -> None:
     if c.sort_of[s] != c.sort_of[t]:
         raise SortMismatch(
             f"states {s!r} and {t!r} have sorts {c.sort_of[s]!r} and {c.sort_of[t]!r}"
         )
-    for n in range(depth + 1):
-        if iapproximate(c, s, n).tree is not iapproximate(c, t, n).tree:
-            return False
-    return True
+
+
+def ibounded_bisim(c: IndexedCoalgebra, s, t, depth: int) -> bool:
+    """Depth-wise observational equality, only meaningful within a sort:
+    :func:`omegacoalg.bisim.bounded_bisim` after a sort check."""
+    _same_sort(c, s, t)
+    return bounded_bisim(c, s, t, depth)
 
 
 def ifirst_divergence_depth(c: IndexedCoalgebra, s, t, max_depth: int) -> Optional[int]:
-    if c.sort_of[s] != c.sort_of[t]:
-        raise SortMismatch(
-            f"states {s!r} and {t!r} have sorts {c.sort_of[s]!r} and {c.sort_of[t]!r}"
-        )
-    for n in range(max_depth + 1):
-        if iapproximate(c, s, n).tree is not iapproximate(c, t, n).tree:
-            return n
-    return None
+    """:func:`omegacoalg.bisim.first_divergence_depth` after a sort check.
+    Within a sort the raw labels differ exactly where the sorted ones do."""
+    _same_sort(c, s, t)
+    return first_divergence_depth(c, s, t, max_depth)
+
+
+def _sorts_kept(c: IndexedCoalgebra, map_fn, states) -> bool:
+    """Whether ``map_fn`` sends every checked state to an element of the
+    state's own sort."""
+    return all(map_fn(s).sort == c.sort_of[s] for s in (c.states if states is None else states))
 
 
 def iverify_morphism(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """Indexed analogue of the morphism law check for maps
-    state -> SortedMElement.  Checking every state (``states=None``) first
-    fills the level table by one :func:`iapproximate_all` sweep."""
-    if states is None:
-        iapproximate_all(c, depth)
-    for s in states if states is not None else c.states:
-        m = map_fn(s)
-        if m.sort != c.sort_of[s]:
-            return False
-        for n in range(depth + 1):
-            if m.at(n) is not iapproximate(c, s, n).tree:
-                return False
-    return True
+    """The morphism law for maps state -> SortedMElement: a sort check,
+    then :func:`omegacoalg.mtype.verify_morphism`, which first fills the
+    level table by one sweep when every state is checked
+    (``states=None``)."""
+    if states is not None:
+        states = tuple(states)
+    return _sorts_kept(c, map_fn, states) and verify_morphism(
+        MorphismCandidate(c, map_fn), depth, states
+    )
 
 
 def iuniqueness_probe(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """Any verified indexed morphism agrees with iunfold."""
-    if not iverify_morphism(c, map_fn, depth, states):
-        raise NotAMorphism("candidate fails the indexed morphism law")
-    for s in states if states is not None else c.states:
-        m = map_fn(s)
-        u = iunfold(c, s)
-        for n in range(depth + 1):
-            if m.at(n) is not u.at(n):
-                return False
-    return True
+    """Any verified indexed morphism agrees with iunfold: a sort check,
+    then :func:`omegacoalg.mtype.uniqueness_probe`."""
+    if states is not None:
+        states = tuple(states)
+    if not _sorts_kept(c, map_fn, states):
+        raise NotAMorphism("candidate fails the indexed morphism law: a state changes sort")
+    return uniqueness_probe(c, MorphismCandidate(c, map_fn), depth, states)
+
+
+def _tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
+    """Reduce an indexed coalgebra to a plain one by tagging labels with
+    their sort; the plain partition/minimization algorithms then respect
+    sorts automatically."""
+    ic = c.base
+    labels = tuple((i, a) for i in ic.sorts for a in ic.labels(i))
+    container = Container(
+        arity={(i, a): ic.arity[(i, a)] for (i, a) in labels}, labels=labels
+    )
+    gamma = {}
+    for s in c.states:
+        label, children = c.transition(s)
+        gamma[s] = PValue((c.sort_of[s], label), children)
+    return Coalgebra(container, gamma, state_enumeration=c.states, name="tagged")
 
 
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:

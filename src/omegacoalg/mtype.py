@@ -1,16 +1,16 @@
 """The final coalgebra (M-type) of a container as an omega-chain limit.
 
-Elements of the final coalgebra are :class:`MElement`.  An element that
-``unfold`` or ``into`` makes is pointed: it holds a coalgebra and a state,
-its depth-n stage is a read of that coalgebra's level table, and ``out`` of
-it is the morphism law, ``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``,
-in O(arity).  A hand-built element holds a compatible family of depth-n
-trees (a :class:`~omegacoalg.chain.LimitElement`); for it ``into`` and
-the root label of ``out`` are the paper's composition of the shifted-chain
-and limit-commutation equivalences in :mod:`omegacoalg.chain`, which stays
-the reference semantics: every element has a ``.limit`` view to which it
-applies.  An element assembled by ``into`` keeps the stages it has built.
-Finality is witnessed observationally by :func:`verify_morphism`
+Elements of the final coalgebra are :class:`MElement`, each pointed: it
+holds a coalgebra and a state, its depth-n stage is the coalgebra's
+observation of the state, and ``out`` of it is the morphism law,
+``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).
+``unfold`` points at a coalgebra's level table, ``into`` at a one-state
+free extension, and a family of depth-n trees built by hand at
+:data:`~omegacoalg.chain.LIMITS`, the chain's limit as a coalgebra, whose
+transition is the paper's construction.  :mod:`omegacoalg.chain` stays the
+reference semantics that the tests check ``out``/``into`` against, through
+every element's ``.limit`` view.  Finality is witnessed observationally
+by :func:`verify_morphism`
 (existence) and :func:`uniqueness_probe` (agreement of any verified
 morphism with unfold).
 """
@@ -22,22 +22,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .chain import (
-    Chain,
-    LimitElement,
-    poly_chain,
-    poly_limit_from,
-    poly_limit_to,
-    shift_back,
-    shift_forward,
-)
-from .container import TRUNC, Container, PValue, _tree, _truncate, make_node
+from .chain import LIMITS, Chain, LimitElement, _no_stage
+from .container import TRUNC, Container, PValue, _tree, _truncate
 from .errors import (
     ArityMismatch,
-    CannotTruncateUnit,
     DepthBoundExceeded,
     InvalidCoalgebra,
-    LabelDrift,
     NeedsFiniteStates,
     NotAMorphism,
 )
@@ -55,10 +45,6 @@ def w_chain(c: Container) -> Chain:
     """The approximation chain of ``c``: stage n holds depth-n trees, the
     projection drops the deepest layer."""
     return Chain(project=lambda n, t: _truncate(t))
-
-
-def _no_stage(n: int) -> CannotTruncateUnit:
-    return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
 
 
 def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
@@ -180,17 +166,13 @@ class Coalgebra:
 
 
 class _Element:
-    """The two forms of an element, plain (:class:`MElement`) or sorted
-    (:class:`~omegacoalg.indexed.SortedMElement`).
-
-    A pointed element holds a coalgebra and a state, as ``unfold`` and
-    ``into`` make it: it reads stage n from the coalgebra (a level-table
-    read for a coalgebra given by transitions) and caches nothing itself.
-    A hand-built element holds a compatible family ``limit`` of depth-n
-    trees; ``coalgebra`` is None exactly for these.  ``limit`` is that
-    family or, for a pointed element, a lazy
-    :class:`~omegacoalg.chain.LimitElement` view of its stages, made on
-    first use.  A negative depth raises :class:`CannotTruncateUnit`.
+    """An element of the final coalgebra, plain (:class:`MElement`) or
+    sorted (:class:`~omegacoalg.indexed.SortedMElement`): a coalgebra and a
+    state, whose stage n is ``coalgebra._observe(state, n)``.  A family
+    ``limit`` built by hand is held as ``(LIMITS, limit)``.  A negative
+    depth raises :class:`CannotTruncateUnit`.  ``limit`` is a lazy
+    :class:`~omegacoalg.chain.LimitElement` view of the stages, made on
+    first use.  Equality is described at :class:`MElement`.
     """
 
     __slots__ = ("coalgebra", "state", "_limit")
@@ -199,19 +181,25 @@ class _Element:
     _made_by = ("into", "unfold", "coalgebra")
 
     def _hold(self, limit: Optional[LimitElement], coalgebra, state):
-        if (limit is None) == (coalgebra is None):
-            raise TypeError("an element holds either a limit family or a coalgebra and a state")
+        if limit is not None:
+            if coalgebra is not None:
+                raise TypeError("an element holds a limit family or a coalgebra, not both")
+            coalgebra, state = LIMITS, limit
         self.coalgebra = coalgebra
         self.state = state
-        self._limit = limit
+        self._limit = None
 
     def at(self, n: int):
-        c = self.coalgebra
-        if c is not None:
-            return c._observe(self.state, n)
-        if n < 0:
-            raise _no_stage(n)
-        return self._limit.at(n)
+        return self.coalgebra._observe(self.state, n)
+
+    def _key(self) -> tuple:
+        return (type(self), id(self.coalgebra), self.state)
+
+    def __eq__(self, other):
+        return isinstance(other, _Element) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def limit(self) -> LimitElement:
@@ -223,8 +211,8 @@ class _Element:
 
     def _provenance(self) -> str:
         c = self.coalgebra
-        if c is None:
-            return self._limit.provenance
+        if c is LIMITS:
+            return self.state.provenance
         assembled, unfolded, unnamed = self._made_by
         if type(c) is _FreeExtension:
             return f"{assembled}({c.label!r})"
@@ -232,11 +220,19 @@ class _Element:
 
 
 class MElement(_Element):
-    """An element of the final coalgebra's carrier: pointed,
-    ``MElement(container, coalgebra=c, state=s)``, or hand-built,
-    ``MElement(container, limit)`` (see :class:`_Element`).  Hash/equality
-    are by identity; use ``tree_equal(m.at(n), m2.at(n))`` for
-    observational comparison."""
+    """An element of the final coalgebra's carrier, pointed at a state of
+    a coalgebra: ``MElement(container, coalgebra=c, state=s)``, as
+    ``unfold`` and ``into`` make it, or ``MElement(container, limit)`` for
+    a family built by hand, pointed at ``(LIMITS, limit)`` (see
+    :class:`_Element`).
+
+    Equality and hash are by ``(type, coalgebra identity, state)``, not by
+    object identity: the element pointed at a state is the same however it
+    was reached, so a coalgebra whose states are elements (``zip_streams``)
+    has one state per pointed pair, not one per ``tail`` taken.  Elements
+    of different coalgebras, and two ``into`` results, are unequal even
+    when bisimilar: compare stages (``tree_equal``) for that.  The
+    container is not compared."""
 
     __slots__ = ("container",)
 
@@ -340,23 +336,17 @@ def unfold(c: Coalgebra, s) -> MElement:
 
 def out(m: MElement) -> PValue:
     """The final coalgebra's structure map: expose the root label and the
-    child elements.
+    child elements, in O(arity).
 
-    For a pointed element it is the morphism law, in O(arity):
-    ``out(unfold(c, s))`` is the transition of ``s`` with each child state
-    ``t`` sent to ``unfold(c, t)``, and ``out(into(c, v))`` is ``v``.  For a
-    hand-built element the root label comes from the construction of
-    :mod:`omegacoalg.chain`, the shifted-chain equivalence composed with the
-    inverse limit-commutation map, which raises :class:`LabelDrift` on a
-    family whose root label changes across its first stages; child ``b``'s
-    stage n is child ``b`` of the element's stage n+1, checked for the same
-    drift.  All give the same stages as the chain.py composition
-    (``out(MElement(m.container, m.limit))`` applies the hand-built path to
-    any ``m``).
+    It is the morphism law: ``out`` of the element pointed at ``(c, s)`` is
+    the transition of ``s`` with each child state ``t`` sent to the element
+    pointed at ``(c, t)``, and ``out(into(c, v))`` is ``v``.  For an element
+    built by hand the transition is that of
+    :data:`~omegacoalg.chain.LIMITS`, the paper's construction, which
+    raises :class:`LabelDrift` on a family whose root label changes across
+    its stages.
     """
     c = m.coalgebra
-    if c is None:
-        return _out_by_chain(m)
     if type(c) is _FreeExtension:
         return PValue(c.label, c.children)
     label, children = c.transition(m.state)
@@ -366,70 +356,16 @@ def out(m: MElement) -> PValue:
 
 def into(c: Container, v: PValue) -> MElement:
     """Inverse of :func:`out`: assemble an element from a label and child
-    elements.
-
-    When every child is pointed, the result is pointed at the one-state
-    free extension that steps to ``v``: stage n is the label over the
-    children's stage n-1, and ``out`` of it gives back ``v``.  A hand-built
-    child sends it through the reference construction of
-    :mod:`omegacoalg.chain`: the limit-commutation map composed with the
-    shifted-chain equivalence.
+    elements, pointed at the one-state free extension that steps to ``v``:
+    stage n is the label over the children's stage n-1, and ``out`` of it
+    gives back ``v``.
     """
     if len(v.children) != c.arity_of(v.label):
         raise ArityMismatch(
             f"label {v.label!r} has arity {c.arity_of(v.label)}, "
             f"got {len(v.children)} children"
         )
-    if any(ch.coalgebra is None for ch in v.children):
-        return _into_by_chain(c, v)
     return MElement(c, coalgebra=_FreeExtension(v.label, v.children), state=None)
-
-
-def _out_by_chain(m: MElement) -> PValue:
-    c = m.container
-    base = w_chain(c)
-    shifted_limit = shift_forward(m.limit)
-    as_pvalues = LimitElement(
-        poly_chain(c, base),
-        lambda n: _node_to_pvalue(shifted_limit.at(n)),
-        provenance=f"out({m.limit.provenance})",
-    )
-    label = poly_limit_from(c, base, as_pvalues).label
-
-    # Child b's stage n is child b of ``m``'s stage n+1, as in the families
-    # ``poly_limit_from`` gives, but read straight off ``m``: a chain of
-    # ``tail``s then nests three frames per level, not six.
-    def child(b):
-        def fn(n):
-            t = m.at(n + 1)
-            if t.label != label:
-                raise LabelDrift(f"stage {n} has label {t.label!r}, stage 0 has {label!r}")
-            return t.children[b]
-
-        return MElement(c, LimitElement(base, fn, provenance=f"out[{b}]({m.limit.provenance})"))
-
-    return PValue(label, tuple([child(b) for b in range(c.arity_of(label))]))
-
-
-def _into_by_chain(c: Container, v: PValue) -> MElement:
-    base = w_chain(c)
-    lp = poly_limit_to(c, base, v)
-    as_nodes = LimitElement(
-        Chain(project=lambda n, t: _truncate(t)),
-        lambda n: _pvalue_to_node(c, lp.at(n), n + 1),
-        provenance="into",
-    )
-    limit = shift_back(base, as_nodes)
-    limit.provenance = f"into({v.label!r})"
-    return MElement(c, limit)
-
-
-def _node_to_pvalue(t) -> PValue:
-    return PValue(t.label, t.children)
-
-
-def _pvalue_to_node(c: Container, pv: PValue, depth: int):
-    return make_node(c, pv.label, pv.children, depth=depth)
 
 
 def out_coalgebra(c: Container) -> Coalgebra:
@@ -471,13 +407,14 @@ def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
 
 def uniqueness_probe(c: Coalgebra, mc: MorphismCandidate, depth: int, states=None) -> bool:
     """Executable shadow of contractibility: any verified morphism agrees
-    with unfold at every checked state and stage."""
+    with unfold at every checked state and stage.  Stage n of
+    ``unfold(c, s)`` is ``c._observe(s, n)``, so ``c`` may be any
+    coalgebra with a level table, plain or indexed."""
     if not verify_morphism(mc, depth, states):
         raise NotAMorphism("candidate fails the morphism law; probe refused")
     for s in _check_states(mc, states):
         m = mc.map(s)
-        u = unfold(c, s)
         for n in range(depth + 1):
-            if m.at(n) is not u.at(n):
+            if m.at(n) is not c._observe(s, n):
                 return False
     return True

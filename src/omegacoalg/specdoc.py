@@ -47,12 +47,16 @@ def _is_arity(n) -> bool:
 
 def load_spec(path: str) -> SpecDocument:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise SpecValidationError(f"cannot read spec file: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SpecValidationError(f"spec is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecValidationError(f"spec is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SpecValidationError("spec nests too deeply to parse") from None
     return parse_spec(doc)
 
 
@@ -112,6 +116,10 @@ def _parse_coalgebra(container: Container, frag) -> Coalgebra:
             )
         table[s] = (label, children)
     _require_declared(gamma, table)
+    # After the transitions, so that one with an unlisted label is named
+    # as such rather than by its arity entry.
+    for a in container.arity:
+        _require(a in declared, f"signature.arity.{a}: not in signature.labels")
     try:
         return Coalgebra(container, table, state_enumeration=tuple(states))
     except OmegaCoalgError as e:
@@ -175,6 +183,8 @@ def _parse_indexed(frag) -> IndexedContainer:
                 _require_str(j, f"indexed.labels.{i}.{a}.child_sorts")
             arity[(i, a)] = entry["arity"]
             child_sort[(i, a)] = tuple(child_sorts)
+    for i in labels:
+        _require(i in labels_at, f"indexed.labels.{i}: not in indexed.sorts")
     try:
         return IndexedContainer(tuple(sorts), labels_at, arity, child_sort)
     except OmegaCoalgError as e:

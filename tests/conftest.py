@@ -8,8 +8,8 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from omegacoalg import Coalgebra, Container, LimitElement, PValue, w_chain
-from omegacoalg.chain import poly_chain, poly_limit_from, shift_forward
+from omegacoalg import Coalgebra, Container, LimitElement, PValue, make_node, w_chain
+from omegacoalg.chain import poly_chain, poly_limit_from, poly_limit_to, shift_back, shift_forward
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
 LABEL_POOL = "wxyz"
@@ -26,6 +26,19 @@ def chain_out(container: Container, limit: LimitElement) -> PValue:
         lambda n: PValue(shifted.at(n).label, shifted.at(n).children),
     )
     return poly_limit_from(container, base, as_pvalues)
+
+
+def chain_into(container: Container, v: PValue) -> LimitElement:
+    """``into`` of ``v``, whose children are families (or anything with
+    ``at``), as the paper composes it in chain.py: the limit-commutation
+    map, then the inverse of the shifted-chain view."""
+    base = w_chain(container)
+    lp = poly_limit_to(container, base, v)
+    as_nodes = LimitElement(
+        base,
+        lambda n: make_node(container, lp.at(n).label, lp.at(n).children, depth=n + 1),
+    )
+    return shift_back(base, as_nodes)
 
 
 def random_container(rng: random.Random, max_labels=4, max_arity=3) -> Container:

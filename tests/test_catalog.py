@@ -79,6 +79,25 @@ def test_zip_law_randomized():
             assert tree_equal(lhs.at(n), rhs.at(n))
 
 
+def test_zip_of_cyclic_streams_has_one_state_per_pair():
+    """Elements compare by (coalgebra, state), so the zip coalgebra sees the
+    same pair state again after a full period, however many ``tail``s made
+    its elements: two 2-state cycles give at most 4 pair states at any
+    depth."""
+    sc = stream_container()
+    a = Coalgebra(sc, {0: ("a0", (1,)), 1: ("a1", (0,))}, state_enumeration=(0, 1))
+    b = Coalgebra(sc, {0: ("b0", (1,)), 1: ("b1", (0,))}, state_enumeration=(0, 1))
+    z = zip_streams(unfold(a, 0), unfold(b, 1))
+    node = z.at(2000)
+    for k in range(2000):
+        assert node.label == (f"a{k % 2}", f"b{(k + 1) % 2}")
+        node = node.children[0]
+    assert len(z.coalgebra._gamma_cache) <= 4
+    assert tail(unfold(a, 0)) == tail(unfold(a, 0)) == unfold(a, 1)
+    assert hash(tail(unfold(a, 0))) == hash(unfold(a, 1))
+    assert unfold(a, 0) != unfold(b, 0) and unfold(a, 0) != unfold(a, 1)
+
+
 def test_stream_from_function_identity_labels():
     m = stream_from_function(lambda k: k)
     sc = m.container
@@ -207,7 +226,7 @@ import sys
 from omegacoalg import LimitElement, out, w_chain
 from omegacoalg.container import TRUNC, make_node
 from omegacoalg.mtype import MElement
-from omegacoalg.catalog import head, stream_container, tail
+from omegacoalg.catalog import cons, head, stream_container, tail
 
 sys.setrecursionlimit(1000)
 sc = stream_container()
@@ -223,13 +242,23 @@ for step in (tail, lambda m: out(m).children[0]):
     for _ in range(300):
         m = step(m)
     assert head(m) == 7 and m.at(3) is sevens(3)
+
+m = MElement(sc, LimitElement(w_chain(sc), sevens))
+for k in range(3000):
+    m = cons(-k, m)
+node = m.at(3002)
+for k in range(2999, -1, -1):
+    assert node.label == -k
+    node = node.children[0]
+assert node is sevens(2)
 print("ok")
 """
 
 
 def test_hand_built_tail_300_times_at_default_limit():
-    """``tail`` and ``out`` applied 300 times to a hand-built stream run at
-    recursion limit 1000: each level nests a fixed, small number of frames."""
+    """``tail`` and ``out`` applied 300 times, and ``cons`` applied 3000
+    times, to a hand-built stream run at recursion limit 1000: each ``out``
+    nests a fixed, small number of frames, and ``cons`` none."""
     r = subprocess.run(
         [sys.executable, "-c", HAND_BUILT_TAILS], capture_output=True, text=True, timeout=60
     )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from omegacoalg import cli, mtype
 
@@ -368,6 +369,11 @@ def parity_doc(sorts=("e",), child_sorts=("e",), states=None, gamma=None):
             parity_doc(gamma={"q": {"label": "E", "children": [["q"]]}}),
             "coalgebra.gamma.q.children: expected a string",
         ),
+        (plain_doc(arity={"a": 1, "ghost": 2}), "signature.arity.ghost: not in signature.labels"),
+        (
+            {**parity_doc(), "indexed": {"sorts": ["e"], "labels": {"e": {}, "ghost": {}}}},
+            "indexed.labels.ghost: not in indexed.sorts",
+        ),
     ],
     ids=[
         "label-outside-signature-labels",
@@ -380,6 +386,8 @@ def parity_doc(sorts=("e",), child_sorts=("e",), states=None, gamma=None):
         "indexed-state-sort-list",
         "indexed-label-list",
         "indexed-child-list",
+        "unlisted-arity-entry",
+        "unlisted-sort-entry",
     ],
 )
 def test_spec_boundary_exits_2(tmp_path, doc, message):
@@ -494,3 +502,151 @@ def test_parity_demo_with_ghost_entry_exits_2(tmp_path):
     r = run_cli("minimize", "--spec", str(path))
     assert r.returncode == 2
     assert r.stderr == "validation error: coalgebra.gamma.ghost: not a declared state\n"
+
+
+@pytest.mark.parametrize("command", ["bisim", "check"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 200000 + b"]" * 200000, "spec nests too deeply to parse"),
+        (b'{"schema_version": "\xff"}', "spec is not UTF-8 text"),
+    ],
+    ids=["nested-200000", "not-utf8"],
+)
+def test_unreadable_spec_exits_2(tmp_path, command, content, message):
+    """A spec that cannot be read as JSON text is a validation error, never
+    a traceback with the 'distinguishable' code."""
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    extra = ["--left", "a", "--right", "b"] if command == "bisim" else []
+    r = run_cli(command, "--spec", str(path), *extra)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"validation error: {message}")
+
+
+def test_internal_error_exits_2(monkeypatch):
+    """An exception the library does not expect still exits 2, not 1."""
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_demo", broken)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["demo", "stream"])
+    assert code == 2
+    assert err.getvalue() == "internal error: KeyError: 'boom'\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, prefix + (i,))
+
+
+def _names(doc):
+    """The strings of a document, keys included: state names, labels, sorts."""
+    found = set()
+    for path in _paths(doc):
+        found.update(k for k in path if isinstance(k, str))
+        value = doc
+        for k in path:
+            value = value[k]
+        if isinstance(value, str):
+            found.add(value)
+    return sorted(found)
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo spec with one position replaced by a drawn value (a JSON
+    value, or a name or list of names from the spec) or, in an object,
+    deleted; also returns the names to draw states from."""
+    name = draw(st.sampled_from(sorted(cli.demo_documents())))
+    doc = json.loads(json.dumps(cli.demo_documents()[name]))
+    names = _names(doc)
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    named = st.sampled_from(names)
+    replacement = JSON_VALUES | named | st.lists(named, max_size=3)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(replacement)
+    return json.dumps(doc).encode(), names
+
+
+# Spec files as bytes, with the names to draw states from: any JSON value,
+# a mutated demo, arrays nested up to 200000 deep, or any bytes at all.
+SPEC_FILES = st.one_of(
+    JSON_VALUES.map(lambda v: (json.dumps(v).encode(), ["p", "t"])),
+    mutated_demos(),
+    st.integers(1, 200000).map(lambda k: (b"[" * k + b"]" * k, ["p"])),
+    st.binary(max_size=8).map(lambda b: (b, ["p"])),
+)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the arguments
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(spec=SPEC_FILES, data=st.data())
+def test_every_command_keeps_the_exit_code_contract(tmp_path, spec, data):
+    """Whatever the spec document, state names and depths, every command
+    exits 0, 1, 2 or 3 without a traceback or an internal error, and 1
+    only as the answer of ``bisim`` or ``check``.  ``approx`` depths stop at
+    8: a mutated spec may branch, and the expanded output then grows
+    exponentially with the depth."""
+    content, names = spec
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    states = st.sampled_from(names) | st.text(max_size=3)
+    depth = st.integers(-2, 50).map(str)
+    commands = [
+        ["approx", "--state", data.draw(states), "--depth", str(data.draw(st.integers(-2, 8)))]
+        + data.draw(st.sampled_from([[], ["--format", "json"]])),
+        ["bisim", "--left", data.draw(states), "--right", data.draw(states)],
+        ["bisim", "--left", data.draw(states), "--right", data.draw(states)]
+        + ["--algorithm", "bounded", "--depth", data.draw(depth)],
+        ["minimize"],
+        ["check", "--depth", data.draw(depth)],
+    ]
+    for command in commands:
+        code, out, err = _run_in_process([command[0], "--spec", str(path), *command[1:]])
+        assert code in (0, 1, 2, 3), (command, code, err)
+        assert "Traceback" not in err and "internal error" not in err, (command, err)
+        if code == 1:
+            assert command[0] in ("bisim", "check"), (command, out)
+            assert out.startswith("distinguishable at depth") or ": FAIL" in out, (command, out)
+    demo = st.sampled_from(sorted(cli.demo_documents())) | states
+    code, out, err = _run_in_process(["demo", data.draw(demo)])
+    assert code in (0, 2) and "Traceback" not in err

@@ -13,6 +13,7 @@ from omegacoalg.indexed import (
     i_out,
     iapproximate,
     ibounded_bisim,
+    ifirst_divergence_depth,
     iunfold,
     iuniqueness_probe,
     iverify_morphism,
@@ -21,9 +22,15 @@ from omegacoalg.indexed import (
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.mtype import MElement
-from omegacoalg.errors import SortMismatch
+from omegacoalg.errors import NotAMorphism, SortMismatch
 
-from conftest import chain_out, indexed_corpus, random_coalgebra, small_indexed_coalgebras
+from conftest import (
+    chain_into,
+    chain_out,
+    indexed_corpus,
+    random_coalgebra,
+    small_indexed_coalgebras,
+)
 
 
 PARITY = parity_container()
@@ -151,6 +158,37 @@ def test_ibounded_bisim_same_alternation():
     assert ibounded_bisim(c, "p", "p2", 20)
 
 
+def test_indexed_operations_check_sorts_first():
+    """The indexed operations are the plain ones behind a sort check: a map
+    that sends a state to an element of another sort fails the morphism
+    law even where every stage agrees, states of different sorts are not
+    compared, and a family whose root label is not at its sort has no
+    ``i_out``."""
+    from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
+
+    two = IndexedContainer(
+        sorts=("e", "o"),
+        labels_at={"e": ("X", "Y"), "o": ("X",)},
+        arity={("e", "X"): 0, ("e", "Y"): 0, ("o", "X"): 0},
+        child_sort={("e", "X"): (), ("e", "Y"): (), ("o", "X"): ()},
+    )
+    gamma = {"p": ("X", ()), "q": ("X", ()), "r": ("Y", ())}
+    c = IndexedCoalgebra(two, ("p", "q", "r"), {"p": "e", "q": "o", "r": "e"}, gamma)
+    swapped = lambda s: iunfold(c, {"p": "q", "q": "p"}[s])
+    assert all(swapped(s).at(n) is iunfold(c, s).at(n) for s in "pq" for n in range(5))
+    assert not iverify_morphism(c, swapped, 5, states=["p", "q"])
+    assert not iverify_morphism(c, swapped, 5, states=iter(["p"]))
+    # Sorts kept, stages wrong: the states to check are read twice.
+    assert not iverify_morphism(c, lambda s: iunfold(c, "r"), 5, states=iter(["p"]))
+    with pytest.raises(NotAMorphism):
+        iuniqueness_probe(c, swapped, 5, states=["p", "q"])
+    with pytest.raises(SortMismatch):
+        ifirst_divergence_depth(c, "p", "q", 5)
+    assert ifirst_divergence_depth(c, "p", "p", 5) is None
+    with pytest.raises(SortMismatch):
+        i_out(SortedMElement(PARITY, "o", iunfold(parity_coalgebra(), "p").limit))
+
+
 def test_indexed_corpus_well_sorted_everywhere():
     for c in indexed_corpus(20):
         for s in c.states:
@@ -197,8 +235,8 @@ def _at_sort(ic, sort):
 def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
     """``i_out``/``i_into`` on unfolded elements give the same child sorts
     and the same stages, as the same objects, as the chain.py ``out``/
-    ``into`` composition applied to the elements' ``limit`` views; the
-    hand-built ``i_out`` path agrees too."""
+    ``into`` composition applied to the elements' ``limit`` views; ``i_out``
+    and ``i_into`` of elements built by hand from those views agree too."""
     ic = c.base
     for s in c.states:
         m = iunfold(c, s)
@@ -220,7 +258,10 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         back = i_into(ic, m.sort, label, children)
         by_hand = tuple(MElement(_at_sort(ic, ch.sort), ch.limit) for ch in children)
         ref_back = into(_at_sort(ic, m.sort), PValue(label, by_hand))
+        views = tuple(ch.limit for ch in children)
+        lit_back = chain_into(_at_sort(ic, m.sort), PValue(label, views))
+        hand_back = i_into(ic, m.sort, hand_label, hand_children)
         assert i_out(back) == (label, children)
-        assert back.sort == m.sort
+        assert back.sort == hand_back.sort == m.sort
         for n in range(depth + 1):
-            assert back.at(n) is ref_back.at(n) is m.at(n)
+            assert back.at(n) is ref_back.at(n) is lit_back.at(n) is hand_back.at(n) is m.at(n)

@@ -43,6 +43,7 @@ from omegacoalg.errors import (
 )
 from omegacoalg.indexed import (
     IndexedCoalgebra,
+    SortedMElement,
     i_into,
     i_out,
     iapproximate,
@@ -50,7 +51,13 @@ from omegacoalg.indexed import (
     iunfold,
 )
 
-from conftest import chain_out, random_coalgebra, small_coalgebras, small_indexed_coalgebras
+from conftest import (
+    chain_into,
+    chain_out,
+    random_coalgebra,
+    small_coalgebras,
+    small_indexed_coalgebras,
+)
 
 
 def test_approximate_base_case():
@@ -294,7 +301,7 @@ def test_pointed_out_into_match_chain_reference_property(c, depth):
     """``out``/``into`` on unfolded elements (the morphism law and the
     one-state extension) give the same stages, as the same objects, as the
     chain.py composition applied to the elements' ``limit`` views, and so
-    does the hand-built ``out``."""
+    do ``out``/``into`` of elements built by hand from those views."""
     container = c.container
     for s in c.state_enumeration:
         m = unfold(c, s)
@@ -310,20 +317,22 @@ def test_pointed_out_into_match_chain_reference_property(c, depth):
         back = into(container, v)
         by_hand = tuple(MElement(container, ch.limit) for ch in v.children)
         ref_back = into(container, PValue(v.label, by_hand))
+        lit_back = chain_into(container, PValue(v.label, tuple(ch.limit for ch in v.children)))
+        lit_hand_back = chain_into(container, PValue(v.label, by_hand))
         assert out(back) == v
         ref_again = out(MElement(container, back.limit))
         assert ref_again.label == v.label
         lit_again = chain_out(container, back.limit)
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is m.at(n)
+            assert lit_back.at(n) is lit_hand_back.at(n) is m.at(n)
             for ch, ref_ch, lit_ch in zip(v.children, ref_again.children, lit_again.children):
                 assert ref_ch.at(n) is lit_ch.at(n) is ch.at(n)
 
 
 def test_negative_depth_on_every_element():
-    """A negative depth names no stage on any element, pointed, assembled,
-    hand-built or sorted, nor on the ``limit`` view of a pointed one (a
-    hand-built element's ``limit`` is the caller's own family)."""
+    """A negative depth names no stage on any element, unfolded,
+    assembled, hand-built or sorted, nor on its ``limit`` view."""
     s7 = stream_from_function(lambda k: 7)
     sc = s7.container
 
@@ -355,9 +364,31 @@ def test_negative_depth_on_every_element():
         for n in (-1, -3):
             with pytest.raises(CannotTruncateUnit):
                 m.at(n)
-        if m.coalgebra is not None:
-            with pytest.raises(CannotTruncateUnit):
-                m.limit.at(-1)
+        with pytest.raises(CannotTruncateUnit):
+            m.limit.at(-1)
+
+
+def test_elements_compare_by_coalgebra_and_state():
+    """Elements are values: equal and of equal hash when they are of one
+    type and point at one state of one coalgebra (and, sorted, at one
+    sort), whatever made them."""
+    c = conat_coalgebra(2)
+    one = out(unfold(c, 2)).children[0]
+    assert one == unfold(c, 1) and hash(one) == hash(unfold(c, 1))
+    assert len({one, unfold(c, 1), unfold(c, 2)}) == 2
+    assert unfold(c, 1) != unfold(conat_coalgebra(2), 1)
+    family = unfold(c, 1).limit
+    assert MElement(c.container, family) == MElement(c.container, family)
+    assert MElement(c.container, family) != unfold(c, 1)
+    v = out(unfold(c, 2))
+    assert into(c.container, v) != into(c.container, v)
+    p = parity_coalgebra()
+    assert iunfold(p, "p") == iunfold(p, "p") != MElement(None, coalgebra=p, state="p")
+    assert SortedMElement(p.base, "e", coalgebra=p, state="p") != SortedMElement(
+        p.base, "o", coalgebra=p, state="p"
+    )
+    with pytest.raises(TypeError):
+        MElement(c.container, family, coalgebra=c, state=1)
 
 
 def test_hand_built_out_detects_label_drift():
