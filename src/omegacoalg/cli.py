@@ -266,12 +266,6 @@ def demo_documents() -> dict:
     }
 
 
-def _coalgebra(doc):
-    """The spec's coalgebra, plain or indexed: both have the plain
-    interface that observations and the depth oracle read."""
-    return doc.coalgebra if doc.kind == "plain" else doc.icoalgebra
-
-
 def cmd_approx(args) -> int:
     """Print the depth-n observation of a state as text or JSON.
 
@@ -280,7 +274,7 @@ def cmd_approx(args) -> int:
     time and without recursion (see :func:`_emit`).  The output of a
     branching state still grows exponentially with the depth.
     """
-    c = _coalgebra(specdoc.load_spec(args.spec))
+    c = specdoc.load_spec(args.spec).coalgebra
     if args.state not in c.state_enumeration:
         print(f"unknown state: {args.state}", file=sys.stderr)
         return EXIT_UNKNOWN_STATE
@@ -306,7 +300,7 @@ def cmd_bisim(args) -> int:
     if bounded and args.depth is None:
         print("--depth is required with --algorithm bounded", file=sys.stderr)
         return EXIT_VALIDATION
-    c = _coalgebra(doc)
+    c = doc.coalgebra
     for s in (args.left, args.right):
         if s not in c.state_enumeration:
             print(f"unknown state: {s}", file=sys.stderr)
@@ -325,8 +319,7 @@ def cmd_bisim(args) -> int:
     if bounded:
         k = bs.first_divergence_depth(c, args.left, args.right, args.depth)
     else:
-        plain = c if doc.kind == "plain" else _tagged_plain(c)
-        k = bs.divergence_depth(plain, args.left, args.right)
+        k = bs.divergence_depth(c, args.left, args.right)
     if k is None:
         print("bisimilar")
         return EXIT_OK
@@ -336,12 +329,14 @@ def cmd_bisim(args) -> int:
 
 def cmd_minimize(args) -> int:
     """Print the quotient by bisimilarity as a spec document of the same
-    kind, by partition refinement in O(m log n)."""
+    kind, by partition refinement in O(m log n).  An indexed coalgebra is
+    refined with its labels tagged by sort, so that states of different
+    sorts start in different blocks."""
     doc = specdoc.load_spec(args.spec)
+    c = doc.coalgebra
     if doc.kind == "plain":
-        print(specdoc.dump_document(specdoc.plain_document(bs.minimize(doc.coalgebra))), end="")
+        print(specdoc.dump_document(specdoc.plain_document(bs.minimize(c))), end="")
         return EXIT_OK
-    c = doc.icoalgebra
     tagged = _tagged_plain(c)
     quotient = bs.minimize(tagged)
     gamma = {}
@@ -368,7 +363,7 @@ def cmd_check(args) -> int:
     """
     doc = specdoc.load_spec(args.spec)
     depth = args.depth
-    c = _coalgebra(doc)
+    c = doc.coalgebra
     element = unfold if doc.kind == "plain" else iunfold
     approximate_all(c, depth)
 

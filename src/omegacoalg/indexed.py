@@ -3,20 +3,22 @@
 An indexed container fibres a signature over a finite set of sorts; each
 label lives at a sort and assigns a sort to every child position.
 
-An indexed coalgebra is a sort-checked view of a plain one: it has the
-plain interface (``transition``, ``state_enumeration`` and a level table),
-so the plain observations, the depth oracle and the finality probes run on
-it unchanged, and each indexed operation is a sort check plus the plain
-call.  Partition refinement runs on :func:`_tagged_plain`, the reduction
-that tags every label with its sort.  Ill-sorted inputs are rejected
-eagerly.
+An indexed coalgebra *is* a plain :class:`~omegacoalg.mtype.Coalgebra`
+whose transitions are sort-checked when admitted: ``transition`` returns a
+:class:`~omegacoalg.container.PValue` from the one transition cache, and
+the level table is the plain one.  So the plain observations, the depth
+oracle, the pair search and the finality probes run on it unchanged, and
+each indexed operation is a sort check plus the plain call.  Partition
+refinement runs on :func:`_tagged_plain`, the reduction that tags every
+label with its sort, so that the sort splits the initial partition.
+Ill-sorted inputs are rejected eagerly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .bisim import bounded_bisim, first_divergence_depth
 from .chain import LimitElement
@@ -78,72 +80,57 @@ class IndexedContainer:
         return tuple(self.labels_at.get(sort, ()))
 
 
-@dataclass(eq=False)
-class IndexedCoalgebra:
-    """States with a sort each and transitions respecting the child-sort
-    assignment.  Finite presentations are validated at construction."""
+class IndexedCoalgebra(Coalgebra):
+    """A coalgebra whose states have a sort each and whose transitions are
+    sort-checked: a transition is admitted only if its label lives at the
+    state's sort and each child is a state of the sort its position asks
+    for.  The transition cache, the level table and ``transition``, which
+    returns a :class:`~omegacoalg.container.PValue`, are those of
+    :class:`~omegacoalg.mtype.Coalgebra`; ``base`` and ``states`` are
+    read-only views of ``container`` and ``state_enumeration``.  Finite
+    presentations are validated at construction."""
 
-    base: IndexedContainer
-    states: tuple
-    sort_of: Mapping
-    gamma: Mapping | Callable
-    name: str = ""
-    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _levels: list = field(default_factory=list, repr=False, compare=False)
+    _duplicates = "duplicate states"
+    _state_pool = "state set"
 
-    def __post_init__(self):
-        self.states = tuple(self.states)
-        pool = set(self.states)
-        if len(pool) != len(self.states):
-            raise InvalidCoalgebra("duplicate states")
-        for s in self.states:
-            if self.sort_of[s] not in set(self.base.sorts):
-                raise InvalidCoalgebra(f"state {s!r} has unknown sort {self.sort_of[s]!r}")
-            label, children = self.transition(s)
-            for ch in children:
-                if ch not in pool:
-                    raise InvalidCoalgebra(
-                        f"transition of {s!r} leaves the state set: {ch!r}"
-                    )
-
-    def transition(self, s):
-        got = self._gamma_cache.get(s)
-        if got is None:
-            raw = self.gamma[s] if isinstance(self.gamma, Mapping) else self.gamma(s)
-            label, children = raw
-            children = tuple(children)
-            i = self.sort_of[s]
-            if label not in self.base.labels(i):
-                raise UnknownLabel(f"state {s!r}: label {label!r} not at sort {i!r}")
-            key = (i, label)
-            if len(children) != self.base.arity[key]:
-                raise ArityMismatch(
-                    f"state {s!r}: label {label!r} has arity {self.base.arity[key]}, "
-                    f"got {len(children)} children"
-                )
-            for b, ch in enumerate(children):
-                if ch not in self.sort_of:
-                    raise InvalidCoalgebra(
-                        f"transition of {s!r} leaves the state set: {ch!r}"
-                    )
-                want = self.base.child_sort[key][b]
-                if self.sort_of[ch] != want:
-                    raise InvalidCoalgebra(
-                        f"state {s!r}: child {b} has sort {self.sort_of[ch]!r}, "
-                        f"expected {want!r}"
-                    )
-            got = (label, children)
-            self._gamma_cache[s] = got
-        return got
+    def __init__(self, base: IndexedContainer, states, sort_of: Mapping, gamma, name: str = ""):
+        self.sort_of = sort_of
+        super().__init__(base, gamma, tuple(states), name)
 
     @property
-    def state_enumeration(self) -> tuple:
-        """The states, under the name the plain algorithms read."""
-        return self.states
+    def base(self) -> IndexedContainer:
+        return self.container
 
-    # The depth-n observation of a state, ``_observe(s, n)``: a read of the
-    # level table, as pointed elements take it.
-    _observe = _level_entry
+    @property
+    def states(self) -> tuple:
+        return self.state_enumeration
+
+    def _admit(self, s, pv: PValue) -> None:
+        """The state's sort must be declared, the label must live at it,
+        and every child must be a state of the sort its position asks for
+        (read off the child-sort assignment)."""
+        ic = self.container
+        i = self.sort_of[s]
+        if i not in ic.sorts:
+            raise InvalidCoalgebra(f"state {s!r} has unknown sort {i!r}")
+        label, children = pv
+        if label not in ic.labels(i):
+            raise UnknownLabel(f"state {s!r}: label {label!r} not at sort {i!r}")
+        key = (i, label)
+        if len(children) != ic.arity[key]:
+            raise ArityMismatch(
+                f"state {s!r}: label {label!r} has arity {ic.arity[key]}, "
+                f"got {len(children)} children"
+            )
+        for b, ch in enumerate(children):
+            if ch not in self.sort_of:
+                raise InvalidCoalgebra(f"transition of {s!r} leaves the state set: {ch!r}")
+            want = ic.child_sort[key][b]
+            if self.sort_of[ch] != want:
+                raise InvalidCoalgebra(
+                    f"state {s!r}: child {b} has sort {self.sort_of[ch]!r}, "
+                    f"expected {want!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,8 @@ class SortedMElement(_Element):
     at a state of a coalgebra: ``SortedMElement(base, sort, coalgebra=c,
     state=s)`` as :func:`iunfold` and :func:`i_into` make it, or
     ``SortedMElement(base, sort, limit)`` for a family built by hand,
-    pointed at ``(LIMITS, limit)`` (see :class:`~omegacoalg.mtype._Element`).
+    pointed at ``(LIMITS, (limit, ()))`` (see
+    :class:`~omegacoalg.mtype._Element`).
     Equality and hash are those of :class:`~omegacoalg.mtype.MElement`
     plus the sort."""
 
@@ -230,11 +218,9 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
     return SortedApproxTree(c.sort_of[s], _level_entry(c, s, n))
 
 
-def iapproximate_all(c: IndexedCoalgebra, n: int) -> list:
-    """Fill the level table with every state at every depth k <= n: the
-    plain :func:`omegacoalg.mtype.approximate_all`; returns the table up to
-    depth n."""
-    return approximate_all(c, n)
+# An indexed coalgebra's level table fills as a plain one's: every state at
+# every depth k <= n, returning the table up to depth n.
+iapproximate_all = approximate_all
 
 
 def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
@@ -369,14 +355,10 @@ def embed_plain(container, coalgebra) -> IndexedCoalgebra:
         child_sort={(sort, a): (sort,) * container.arity_of(a) for a in labels},
     )
     states = coalgebra.state_enumeration
-    gamma = {}
-    for s in states:
-        pv = coalgebra.transition(s)
-        gamma[s] = (pv.label, pv.children)
     return IndexedCoalgebra(
         ic,
         states=states,
         sort_of={s: sort for s in states},
-        gamma=gamma,
+        gamma=coalgebra.transition,
         name=f"embed({coalgebra.name})" if coalgebra.name else "embed",
     )

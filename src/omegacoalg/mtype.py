@@ -30,6 +30,7 @@ from .errors import (
     InvalidCoalgebra,
     NeedsFiniteStates,
     NotAMorphism,
+    OmegaCoalgError,
 )
 
 DEFAULT_DEPTH_BOUND = 10**4
@@ -37,8 +38,12 @@ DEFAULT_DEPTH_BOUND = 10**4
 
 def depth_bound() -> int:
     """The largest admitted observation depth: ``OMEGACOALG_MAX_DEPTH`` if
-    set, else 10^4.  Read when a level table grows to a new depth."""
-    return int(os.environ.get("OMEGACOALG_MAX_DEPTH", DEFAULT_DEPTH_BOUND))
+    set, else 10^4.  Read when a level table grows to a new depth; a value
+    other than decimal digits raises :class:`OmegaCoalgError`."""
+    text = os.environ.get("OMEGACOALG_MAX_DEPTH", str(DEFAULT_DEPTH_BOUND))
+    if not text.isdecimal():
+        raise OmegaCoalgError(f"OMEGACOALG_MAX_DEPTH must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def w_chain(c: Container) -> Chain:
@@ -94,10 +99,10 @@ def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
 
 
 def _level_entry(c, s, n: int):
-    """``approximate`` for any coalgebra ``c`` with a level table
-    ``c._levels`` and a ``(label, children)`` transition, plain or indexed:
-    a table hit returns at once; a miss runs :func:`_fill_levels` with the
-    one root ``s``.  A negative ``n`` raises :class:`CannotTruncateUnit`."""
+    """``approximate`` for a coalgebra ``c``, plain or indexed, read from
+    its level table ``c._levels``: a table hit returns at once; a miss runs
+    :func:`_fill_levels` with the one root ``s``.  A negative ``n`` raises
+    :class:`CannotTruncateUnit`."""
     levels = c._levels
     if 0 <= n < len(levels):
         got = levels[n].get(s)
@@ -116,8 +121,8 @@ class Coalgebra:
     ``gamma`` is a pure function or, for finite presentations, a mapping
     ``state -> PValue`` or ``state -> (label, children)``.  States must be
     hashable.  When ``state_enumeration`` is present, the presentation is
-    validated eagerly: arities must match and transitions must stay within
-    the enumerated states.
+    validated eagerly: every transition must be admitted (:meth:`_admit`)
+    and must stay within the enumerated states.
     """
 
     container: Container
@@ -127,19 +132,23 @@ class Coalgebra:
     _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _levels: list = field(default_factory=list, repr=False, compare=False)
 
+    # How validation names a repeated state and the states a child must
+    # stay among.
+    _duplicates = "state enumeration contains duplicates"
+    _state_pool = "state enumeration"
+
     def __post_init__(self):
         if self.state_enumeration is not None:
             states = tuple(self.state_enumeration)
             self.state_enumeration = states
-            if len(set(states)) != len(states):
-                raise InvalidCoalgebra("state enumeration contains duplicates")
             pool = set(states)
+            if len(pool) != len(states):
+                raise InvalidCoalgebra(self._duplicates)
             for s in states:
-                pv = self.transition(s)
-                for ch in pv.children:
+                for ch in self.transition(s).children:
                     if ch not in pool:
                         raise InvalidCoalgebra(
-                            f"transition of {s!r} leaves the state enumeration: {ch!r}"
+                            f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
                         )
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
@@ -155,21 +164,27 @@ class Coalgebra:
             else:
                 label, children = raw
                 pv = PValue(label, tuple(children))
-            n = self.container.arity_of(pv.label)
-            if len(pv.children) != n:
-                raise ArityMismatch(
-                    f"state {s!r}: label {pv.label!r} has arity {n}, "
-                    f"got {len(pv.children)} children"
-                )
+            self._admit(s, pv)
             self._gamma_cache[s] = pv
         return pv
+
+    def _admit(self, s, pv: PValue) -> None:
+        """Reject a transition the signature does not allow: here, one
+        whose label has another arity.  Called once per state, on the
+        first read of its transition."""
+        n = self.container.arity_of(pv.label)
+        if len(pv.children) != n:
+            raise ArityMismatch(
+                f"state {s!r}: label {pv.label!r} has arity {n}, "
+                f"got {len(pv.children)} children"
+            )
 
 
 class _Element:
     """An element of the final coalgebra, plain (:class:`MElement`) or
     sorted (:class:`~omegacoalg.indexed.SortedMElement`): a coalgebra and a
     state, whose stage n is ``coalgebra._observe(state, n)``.  A family
-    ``limit`` built by hand is held as ``(LIMITS, limit)``.  A negative
+    ``limit`` built by hand is held as ``(LIMITS, (limit, ()))``.  A negative
     depth raises :class:`CannotTruncateUnit`.  ``limit`` is a lazy
     :class:`~omegacoalg.chain.LimitElement` view of the stages, made on
     first use.  Equality is described at :class:`MElement`.
@@ -184,7 +199,7 @@ class _Element:
         if limit is not None:
             if coalgebra is not None:
                 raise TypeError("an element holds a limit family or a coalgebra, not both")
-            coalgebra, state = LIMITS, limit
+            coalgebra, state = LIMITS, (limit, ())
         self.coalgebra = coalgebra
         self.state = state
         self._limit = None
@@ -212,7 +227,9 @@ class _Element:
     def _provenance(self) -> str:
         c = self.coalgebra
         if c is LIMITS:
-            return self.state.provenance
+            family, path = self.state
+            opened = "".join(f"out[{b}](" for _, b in reversed(path))
+            return opened + family.provenance + ")" * len(path)
         assembled, unfolded, unnamed = self._made_by
         if type(c) is _FreeExtension:
             return f"{assembled}({c.label!r})"
@@ -223,7 +240,7 @@ class MElement(_Element):
     """An element of the final coalgebra's carrier, pointed at a state of
     a coalgebra: ``MElement(container, coalgebra=c, state=s)``, as
     ``unfold`` and ``into`` make it, or ``MElement(container, limit)`` for
-    a family built by hand, pointed at ``(LIMITS, limit)`` (see
+    a family built by hand, pointed at ``(LIMITS, (limit, ()))`` (see
     :class:`_Element`).
 
     Equality and hash are by ``(type, coalgebra identity, state)``, not by

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .container import Container
 from .errors import OmegaCoalgError, SpecValidationError
@@ -21,12 +20,16 @@ SCHEMA_VERSION = "1"
 
 @dataclass(eq=False)
 class SpecDocument:
-    kind: str  # "plain" | "indexed"
-    container: Optional[Container]
-    coalgebra: Optional[Coalgebra]
-    icontainer: Optional[IndexedContainer]
-    icoalgebra: Optional[IndexedCoalgebra]
+    """A loaded document: its coalgebra, plain or indexed, and the parsed
+    JSON it came from."""
+
+    coalgebra: Coalgebra
     raw: dict
+
+    @property
+    def kind(self) -> str:
+        """``"indexed"`` or ``"plain"``, by the coalgebra's type."""
+        return "indexed" if isinstance(self.coalgebra, IndexedCoalgebra) else "plain"
 
 
 def _require(cond: bool, msg: str):
@@ -73,12 +76,10 @@ def parse_spec(doc: dict) -> SpecDocument:
     )
     _require("coalgebra" in doc, "coalgebra: missing")
     if has_sig:
-        container = _parse_signature(doc["signature"])
-        coalgebra = _parse_coalgebra(container, doc["coalgebra"])
-        return SpecDocument("plain", container, coalgebra, None, None, doc)
-    icontainer = _parse_indexed(doc["indexed"])
-    icoalgebra = _parse_icoalgebra(icontainer, doc["coalgebra"])
-    return SpecDocument("indexed", None, None, icontainer, icoalgebra, doc)
+        coalgebra = _parse_coalgebra(_parse_signature(doc["signature"]), doc["coalgebra"])
+    else:
+        coalgebra = _parse_icoalgebra(_parse_indexed(doc["indexed"]), doc["coalgebra"])
+    return SpecDocument(coalgebra, doc)
 
 
 def _parse_signature(sig) -> Container:
@@ -213,30 +214,31 @@ def _parse_icoalgebra(ic: IndexedContainer, frag) -> IndexedCoalgebra:
         raise SpecValidationError(f"coalgebra: {e}") from None
 
 
+def _gamma(c: Coalgebra) -> dict:
+    """The ``gamma`` fragment of a finitely presented coalgebra, plain or
+    indexed: each state's transition, read once."""
+    gamma = {}
+    for s in c.state_enumeration:
+        label, children = c.transition(s)
+        gamma[s] = {"label": label, "children": list(children)}
+    return gamma
+
+
 def plain_document(coalgebra: Coalgebra) -> dict:
     """Serialize a finitely presented plain coalgebra back to a document."""
     container = coalgebra.container
-    states = list(coalgebra.state_enumeration)
     return {
         "schema_version": SCHEMA_VERSION,
         "signature": {
             "labels": list(container.labels),
             "arity": {a: container.arity_of(a) for a in container.labels},
         },
-        "coalgebra": {
-            "states": states,
-            "gamma": {
-                s: {
-                    "label": coalgebra.transition(s).label,
-                    "children": list(coalgebra.transition(s).children),
-                }
-                for s in states
-            },
-        },
+        "coalgebra": {"states": list(coalgebra.state_enumeration), "gamma": _gamma(coalgebra)},
     }
 
 
 def indexed_document(c: IndexedCoalgebra) -> dict:
+    """Serialize a finitely presented indexed coalgebra back to a document."""
     ic = c.base
     return {
         "schema_version": SCHEMA_VERSION,
@@ -253,16 +255,7 @@ def indexed_document(c: IndexedCoalgebra) -> dict:
                 for i in ic.sorts
             },
         },
-        "coalgebra": {
-            "states": {s: c.sort_of[s] for s in c.states},
-            "gamma": {
-                s: {
-                    "label": c.transition(s)[0],
-                    "children": list(c.transition(s)[1]),
-                }
-                for s in c.states
-            },
-        },
+        "coalgebra": {"states": {s: c.sort_of[s] for s in c.states}, "gamma": _gamma(c)},
     }
 
 

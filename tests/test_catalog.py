@@ -243,6 +243,22 @@ for step in (tail, lambda m: out(m).children[0]):
         m = step(m)
     assert head(m) == 7 and m.at(3) is sevens(3)
 
+# A hand-built state is a family and a path: ``tail`` 2000 times and a zip
+# observed to depth 1000 nest no frames, and two ``out``s agree.
+from omegacoalg.catalog import zip_streams
+
+m = MElement(sc, LimitElement(w_chain(sc), sevens))
+for _ in range(2000):
+    m = tail(m)
+assert head(m) == 7 and m.at(3) is sevens(3)
+h = MElement(sc, LimitElement(w_chain(sc), sevens))
+assert out(h).children[0] == out(h).children[0]
+node = zip_streams(h, tail(h)).at(1000)
+for _ in range(1000):
+    assert node.label == (7, 7)
+    node = node.children[0]
+assert node.is_trunc
+
 m = MElement(sc, LimitElement(w_chain(sc), sevens))
 for k in range(3000):
     m = cons(-k, m)

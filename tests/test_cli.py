@@ -8,7 +8,10 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from omegacoalg import cli, mtype
+from omegacoalg import PValue, cli, mtype, specdoc
+from omegacoalg.indexed import IndexedCoalgebra, ifirst_divergence_depth
+
+from conftest import small_indexed_coalgebras
 
 PKG = [sys.executable, "-m", "omegacoalg"]
 
@@ -278,6 +281,24 @@ def test_env_depth_bound(tmp_path, fig1_spec):
     )
     assert r.returncode == 2
     assert "depth" in r.stderr.lower()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1e3", "-1"])
+def test_env_depth_bound_not_a_non_negative_integer(fig1_spec, value):
+    """A bound that is not a non-negative integer is an error naming the
+    variable, not an internal error."""
+    import os
+
+    env = dict(os.environ, OMEGACOALG_MAX_DEPTH=value)
+    r = subprocess.run(
+        PKG + ["approx", "--spec", fig1_spec, "--state", "t", "--depth", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: OMEGACOALG_MAX_DEPTH")
+    assert "internal error" not in r.stderr
 
 
 def indexed_doc(arity, gamma):
@@ -650,3 +671,36 @@ def test_every_command_keeps_the_exit_code_contract(tmp_path, spec, data):
     demo = st.sampled_from(sorted(cli.demo_documents())) | states
     code, out, err = _run_in_process(["demo", data.draw(demo)])
     assert code in (0, 2) and "Traceback" not in err
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(c=small_indexed_coalgebras())
+def test_indexed_minimize_property(tmp_path, c):
+    """``minimize`` of an indexed spec prints an indexed spec whose states
+    are the earliest state of each bisimilarity class, each of its own
+    sort, stepping to the representatives of its children; minimizing it
+    again prints the same bytes."""
+    path = tmp_path / "spec.json"
+    path.write_text(specdoc.dump_document(specdoc.indexed_document(c)))
+    code, out, err = _run_in_process(["minimize", "--spec", str(path)])
+    assert code == 0, err
+    q = specdoc.parse_spec(json.loads(out)).coalgebra
+    assert isinstance(q, IndexedCoalgebra)
+    n = len(c.states)
+    rep = {
+        s: next(
+            r
+            for r in c.states
+            if c.sort_of[r] == c.sort_of[s] and ifirst_divergence_depth(c, r, s, n) is None
+        )
+        for s in c.states
+    }
+    assert set(q.states) == set(rep.values())
+    for r in q.states:
+        assert q.sort_of[r] == c.sort_of[r]
+        label, children = c.transition(r)
+        assert q.transition(r) == PValue(label, tuple(rep[ch] for ch in children))
+    path.write_text(out)
+    assert _run_in_process(["minimize", "--spec", str(path)]) == (0, out, "")

@@ -244,10 +244,10 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         ref = out(MElement(_at_sort(ic, m.sort), m.limit))
         lit = chain_out(_at_sort(ic, m.sort), m.limit)
         hand_label, hand_children = i_out(SortedMElement(ic, m.sort, m.limit))
-        assert label == ref.label == lit.label == hand_label == c.transition(s)[0]
+        assert label == ref.label == lit.label == hand_label == c.transition(s).label
         assert tuple(ch.sort for ch in children) == ic.child_sort[(m.sort, label)]
         assert tuple(ch.sort for ch in hand_children) == ic.child_sort[(m.sort, label)]
-        kids = c.transition(s)[1]
+        kids = c.transition(s).children
         for ch, ref_ch, lit_ch, hand_ch, t in zip(
             children, ref.children, lit.children, hand_children, kids
         ):
