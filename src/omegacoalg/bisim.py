@@ -86,14 +86,15 @@ def bisim_violations(c: Coalgebra, w: BisimWitness):
             continue
         label, ps = w.alpha[pair]
         gs, gt = c.transition(s), c.transition(t)
-        if gs.label != label or gt.label != label:
+        tag_s, tag_t = c._tag(s, gs), c._tag(t, gt)
+        if gs.label != label or gt.label != label or tag_s != tag_t:
             yield (
                 f"pair {pair!r}: alpha label {label!r} vs transitions "
-                f"{gs.label!r} / {gt.label!r}"
+                f"{tag_s!r} / {tag_t!r}"
             )
             continue
-        if len(ps) != c.container.arity_of(label):
-            yield f"pair {pair!r}: alpha has {len(ps)} positions, arity is " f"{c.container.arity_of(label)}"
+        if len(ps) != len(gs.children):
+            yield f"pair {pair!r}: alpha has {len(ps)} positions, arity is {len(gs.children)}"
             continue
         for b, (x, y) in enumerate(ps):
             if (x, y) != (gs.children[b], gt.children[b]):
@@ -133,16 +134,18 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
     differ, or None if s and t are bisimilar.
 
     Breadth-first search over child pairs, starting from (s, t); every
-    enqueued pair is merged in a union-find, and a pair whose states
-    already share a root is skipped.  The first pair at BFS level l with
-    different labels gives depth l + 1.  Skipping is sound because depth-n
-    agreement is an equivalence relation: a skipped pair is linked by
-    enqueued pairs of no greater level, each of which agrees at least as
-    deep.  Every expanded pair made a merge, so at most |S| pairs are
-    expanded: O(n r alpha(n)) for n states of arity at most r, with no
+    enqueued pair is merged in a union-find, and a pair whose states already
+    share a root is skipped.  The first pair at BFS level l with different
+    tags (:meth:`~omegacoalg.mtype.Coalgebra._tag`: the labels, and in an
+    indexed coalgebra the sorts) gives depth l + 1.  Skipping is sound
+    because depth-n agreement is an equivalence relation: a skipped pair is
+    linked by enqueued pairs of no greater level, each of which agrees at
+    least as deep.  Every expanded pair made a merge, so at most |S| pairs
+    are expanded: O(n r alpha(n)) for n states of arity at most r, with no
     depth-n observation built.
     """
     _require_states(c)
+    tag = c._tag
     parent: dict = {}
 
     def find(x):
@@ -169,7 +172,7 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
         following = []
         for x, y in level:
             px, py = c.transition(x), c.transition(y)
-            if px.label != py.label:
+            if tag(x, px) != tag(y, py):
                 return depth
             for a, b in zip(px.children, py.children):
                 if merge(a, b):
@@ -182,15 +185,17 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
 def partition_refine(c: Coalgebra) -> Partition:
     """Compute the coarsest bisimulation partition.
 
-    Start from the label partition and refine by signatures, the tuple of
-    child block ids, until stable.  Round k yields the partition into
-    equal depth-(k+1) observations.  A round recomputes signatures only for
-    dirty states, those with a child that changed block in the previous
-    round; all of a round's signatures are computed before any split.
-    When a block splits, its largest part keeps the block id and only the
-    smaller parts get new ids, so each state moves O(log n) times and the
-    signature work is O(m log n).  Clean members keep the signature they
-    share and are never visited, unless they are the part that moves.
+    Start from the partition by tag
+    (:meth:`~omegacoalg.mtype.Coalgebra._tag`: the label, and in an indexed
+    coalgebra the sort too) and refine by signatures, the tuple of child
+    block ids, until stable.  Round k yields the partition into equal
+    depth-(k+1) observations.  A round recomputes signatures only for dirty
+    states, those with a child that changed block in the previous round; all
+    of a round's signatures are computed before any split.  When a block
+    splits, its largest part keeps the block id and only the smaller parts
+    get new ids, so each state moves O(log n) times and the signature work
+    is O(m log n).  Clean members keep the signature they share and are
+    never visited, unless they are the part that moves.
 
     Output ordering is canonical: blocks by the enumeration index of their
     earliest member, members in enumeration order.
@@ -205,11 +210,12 @@ def partition_refine(c: Coalgebra) -> Partition:
     kids = array("l")
     block = array("l")
     label_block: dict = {}
+    tag = c._tag
     for s in states:
         pv = c.transition(s)
         kids.extend(map(index.__getitem__, pv.children))
         koff.append(len(kids))
-        block.append(label_block.setdefault(pv.label, len(label_block)))
+        block.append(label_block.setdefault(tag(s, pv), len(label_block)))
     poff = array("l", [0]) * (n + 1)
     for k in kids:
         poff[k + 1] += 1
@@ -317,14 +323,14 @@ def witness_from_partition(c: Coalgebra, p: Partition) -> BisimWitness:
 
 
 def minimize(c: Coalgebra) -> Coalgebra:
-    """The quotient coalgebra on partition blocks.
+    """The quotient coalgebra on partition blocks, of the kind of ``c``
+    (:meth:`~omegacoalg.mtype.Coalgebra._like`).
 
     Block states are named by their earliest member in the enumeration;
     transitions factor through the blocks (well-defined because blocks are
     bisimulation-closed).  The blocks come from :func:`partition_refine`,
     so the cost is O(m log n) for n states and m edges.
     """
-    states = _require_states(c)
     p = partition_refine(c)
     rep = {}
     for block in p.blocks:
@@ -334,10 +340,6 @@ def minimize(c: Coalgebra) -> Coalgebra:
     for block in p.blocks:
         pv = c.transition(block[0])
         gamma[block[0]] = (pv.label, tuple(rep[ch] for ch in pv.children))
-    return Coalgebra(
-        c.container,
-        gamma,
-        state_enumeration=tuple(block[0] for block in p.blocks),
-        name=f"min({c.name})" if c.name else "min",
-    )
+    name = f"min({c.name})" if c.name else "min"
+    return c._like(tuple(block[0] for block in p.blocks), gamma, name)
 

@@ -18,8 +18,6 @@ from . import catalog, specdoc
 from .container import truncate
 from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import (
-    IndexedCoalgebra,
-    _tagged_plain,
     i_into,
     i_out,
     iapproximate,
@@ -330,26 +328,12 @@ def cmd_bisim(args) -> int:
 def cmd_minimize(args) -> int:
     """Print the quotient by bisimilarity as a spec document of the same
     kind, by partition refinement in O(m log n).  An indexed coalgebra is
-    refined with its labels tagged by sort, so that states of different
-    sorts start in different blocks."""
+    refined with the sort joining the label in the first partition, so
+    that states of different sorts are never merged."""
     doc = specdoc.load_spec(args.spec)
-    c = doc.coalgebra
-    if doc.kind == "plain":
-        print(specdoc.dump_document(specdoc.plain_document(bs.minimize(c))), end="")
-        return EXIT_OK
-    tagged = _tagged_plain(c)
-    quotient = bs.minimize(tagged)
-    gamma = {}
-    for s in quotient.state_enumeration:
-        pv = quotient.transition(s)
-        gamma[s] = (pv.label[1], pv.children)
-    reduced = IndexedCoalgebra(
-        c.base,
-        states=quotient.state_enumeration,
-        sort_of={s: c.sort_of[s] for s in quotient.state_enumeration},
-        gamma=gamma,
-    )
-    print(specdoc.dump_document(specdoc.indexed_document(reduced)), end="")
+    quotient = bs.minimize(doc.coalgebra)
+    document = specdoc.plain_document if doc.kind == "plain" else specdoc.indexed_document
+    print(specdoc.dump_document(document(quotient)), end="")
     return EXIT_OK
 
 

@@ -7,11 +7,11 @@ An indexed coalgebra *is* a plain :class:`~omegacoalg.mtype.Coalgebra`
 whose transitions are sort-checked when admitted: ``transition`` returns a
 :class:`~omegacoalg.container.PValue` from the one transition cache, and
 the level table is the plain one.  So the plain observations, the depth
-oracle, the pair search and the finality probes run on it unchanged, and
-each indexed operation is a sort check plus the plain call.  Partition
-refinement runs on :func:`_tagged_plain`, the reduction that tags every
-label with its sort, so that the sort splits the initial partition.
-Ill-sorted inputs are rejected eagerly.
+oracle, the pair search, partition refinement, minimization and the
+finality probes run on it unchanged, and each indexed operation is a sort
+check plus the plain call.  Where bisimilarity compares two states, the
+sort joins the label (:meth:`IndexedCoalgebra._tag`), and a quotient is
+again indexed.  Ill-sorted inputs are rejected eagerly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .bisim import bounded_bisim, first_divergence_depth
 from .chain import LimitElement
-from .container import ApproxTree, Container, PValue
+from .container import ApproxTree, PValue
 from .errors import (
     ArityMismatch,
     InvalidCoalgebra,
@@ -131,6 +131,18 @@ class IndexedCoalgebra(Coalgebra):
                     f"state {s!r}: child {b} has sort {self.sort_of[ch]!r}, "
                     f"expected {want!r}"
                 )
+
+    def _tag(self, s, pv: PValue):
+        """What bisimilarity compares at ``s`` besides its children: its
+        sort and its label, so that states of different sorts are never
+        related, even where they carry the same label name."""
+        return (self.sort_of[s], pv.label)
+
+    def _like(self, states: tuple, gamma: Mapping, name: str) -> "IndexedCoalgebra":
+        """An indexed coalgebra over the same signature on ``states``, each
+        of its sort here, stepping by ``gamma``."""
+        sort_of = {s: self.sort_of[s] for s in states}
+        return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
 
 
 @dataclass(frozen=True)
@@ -323,22 +335,6 @@ def iuniqueness_probe(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> b
     if not _sorts_kept(c, map_fn, states):
         raise NotAMorphism("candidate fails the indexed morphism law: a state changes sort")
     return uniqueness_probe(c, MorphismCandidate(c, map_fn), depth, states)
-
-
-def _tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
-    """Reduce an indexed coalgebra to a plain one by tagging labels with
-    their sort; the plain partition/minimization algorithms then respect
-    sorts automatically."""
-    ic = c.base
-    labels = tuple((i, a) for i in ic.sorts for a in ic.labels(i))
-    container = Container(
-        arity={(i, a): ic.arity[(i, a)] for (i, a) in labels}, labels=labels
-    )
-    gamma = {}
-    for s in c.states:
-        label, children = c.transition(s)
-        gamma[s] = PValue((c.sort_of[s], label), children)
-    return Coalgebra(container, gamma, state_enumeration=c.states, name="tagged")
 
 
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:

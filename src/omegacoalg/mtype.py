@@ -121,8 +121,8 @@ class Coalgebra:
     ``gamma`` is a pure function or, for finite presentations, a mapping
     ``state -> PValue`` or ``state -> (label, children)``.  States must be
     hashable.  When ``state_enumeration`` is present, the presentation is
-    validated eagerly: every transition must be admitted (:meth:`_admit`)
-    and must stay within the enumerated states.
+    validated eagerly: every state must have a transition, which must be
+    admitted (:meth:`_admit`) and must stay within the enumerated states.
     """
 
     container: Container
@@ -158,7 +158,13 @@ class Coalgebra:
     def transition(self, s) -> PValue:
         pv = self._gamma_cache.get(s)
         if pv is None:
-            raw = self.gamma[s] if isinstance(self.gamma, Mapping) else self.gamma(s)
+            if not isinstance(self.gamma, Mapping):
+                raw = self.gamma(s)
+            else:
+                try:
+                    raw = self.gamma[s]
+                except KeyError:
+                    raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
             if isinstance(raw, PValue):
                 pv = raw
             else:
@@ -178,6 +184,17 @@ class Coalgebra:
                 f"state {s!r}: label {pv.label!r} has arity {n}, "
                 f"got {len(pv.children)} children"
             )
+
+    def _tag(self, s, pv: PValue):
+        """What bisimilarity compares at ``s`` besides its children: here
+        the label of its transition ``pv``."""
+        return pv.label
+
+    def _like(self, states: tuple, gamma: Mapping, name: str) -> "Coalgebra":
+        """A coalgebra of this one's kind and signature on ``states``,
+        stepping by ``gamma``: how :func:`~omegacoalg.bisim.minimize`
+        builds a quotient."""
+        return Coalgebra(self.container, gamma, states, name)
 
 
 class _Element:

@@ -101,6 +101,35 @@ def indexed_corpus(count=50, seed=4711) -> tuple:
     return tuple(random_indexed_coalgebra(rng) for _ in range(count))
 
 
+def tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
+    """The reference reduction of an indexed coalgebra to a plain one: every
+    label is tagged with its state's sort, so that plain bisimilarity keeps
+    states of different sorts apart.  The library compares sorts itself;
+    its answers on ``c`` are checked against the plain ones on this copy."""
+    ic = c.base
+    labels = tuple((i, a) for i in ic.sorts for a in ic.labels(i))
+    container = Container(arity={key: ic.arity[key] for key in labels}, labels=labels)
+    gamma = {}
+    for s in c.states:
+        label, children = c.transition(s)
+        gamma[s] = PValue((c.sort_of[s], label), children)
+    return Coalgebra(container, gamma, state_enumeration=c.states, name="tagged")
+
+
+def two_sorts_sharing_a_label() -> IndexedCoalgebra:
+    """Sorts x and y each offer a leaf label named a; p and r are of sort x,
+    q of sort y.  p and r are bisimilar, q is bisimilar to neither."""
+    base = IndexedContainer(
+        sorts=("x", "y"),
+        labels_at={"x": ("a",), "y": ("a",)},
+        arity={("x", "a"): 0, ("y", "a"): 0},
+        child_sort={("x", "a"): (), ("y", "a"): ()},
+    )
+    return IndexedCoalgebra(
+        base, ("p", "q", "r"), {"p": "x", "q": "y", "r": "x"}, {s: ("a", ()) for s in "pqr"}
+    )
+
+
 @st.composite
 def small_coalgebras(draw):
     """Up to 6 states over up to 3 labels of arity 0-2; children are drawn

@@ -5,7 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from omegacoalg import Container, PValue, approximate, into, out, tree_equal, truncate, unfold
 from omegacoalg.container import TRUNC, _tree
+from omegacoalg.bisim import (
+    BisimWitness,
+    diagonal_bisim,
+    divergence_depth,
+    minimize,
+    partition_refine,
+    verify_bisim,
+    witness_from_partition,
+)
 from omegacoalg.indexed import (
+    IndexedCoalgebra,
     SortedApproxTree,
     SortedMElement,
     embed_plain,
@@ -30,6 +40,8 @@ from conftest import (
     indexed_corpus,
     random_coalgebra,
     small_indexed_coalgebras,
+    tagged_plain,
+    two_sorts_sharing_a_label,
 )
 
 
@@ -265,3 +277,54 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         assert back.sort == hand_back.sort == m.sort
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is lit_back.at(n) is hand_back.at(n) is m.at(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_indexed_coalgebras())
+def test_bisimilarity_matches_tagged_reference_property(c):
+    """Partition refinement, the pair search, minimization and witness
+    verification on an indexed coalgebra answer as the plain ones do on its
+    sort-tagged copy, with the tags stripped from the quotient's labels."""
+    ref = tagged_plain(c)
+    p, p_ref = partition_refine(c), partition_refine(ref)
+    assert p.blocks == p_ref.blocks
+    for s in c.states:
+        for t in c.states:
+            assert divergence_depth(c, s, t) == divergence_depth(ref, s, t)
+    q, q_ref = minimize(c), minimize(ref)
+    assert isinstance(q, IndexedCoalgebra)
+    assert q.states == q_ref.state_enumeration
+    for s in q.states:
+        assert q.sort_of[s] == c.sort_of[s]
+        (_, label), children = q_ref.transition(s)
+        assert q.transition(s) == PValue(label, children)
+    assert verify_bisim(c, witness_from_partition(c, p))
+    assert verify_bisim(ref, witness_from_partition(ref, p_ref))
+
+
+def test_two_sorts_sharing_a_label_name_stay_apart():
+    """States of different sorts are never bisimilar, even with equal
+    label names: they start in different blocks, differ at depth 1, are
+    kept apart by minimize, and a witness relating them fails."""
+    c = two_sorts_sharing_a_label()
+    assert partition_refine(c).blocks == (("p", "r"), ("q",))
+    assert divergence_depth(c, "p", "q") == 1
+    assert divergence_depth(c, "p", "r") is None
+    q = minimize(c)
+    assert isinstance(q, IndexedCoalgebra)
+    assert q.states == ("p", "q")
+    assert q.sort_of == {"p": "x", "q": "y"}
+    assert q.transition("q") == PValue("a", ())
+    across = BisimWitness(frozenset({("p", "q")}), {("p", "q"): ("a", ())})
+    assert not verify_bisim(c, across)
+    within = BisimWitness(frozenset({("p", "r")}), {("p", "r"): ("a", ())})
+    assert verify_bisim(c, within)
+
+
+def test_verify_bisim_on_parity():
+    c = parity_coalgebra()
+    assert verify_bisim(c, diagonal_bisim(c))
+    assert verify_bisim(c, witness_from_partition(c, partition_refine(c)))
+    q = minimize(c)
+    assert isinstance(q, IndexedCoalgebra)
+    assert (q.states, q.sort_of) == (c.states, c.sort_of)

@@ -29,7 +29,9 @@ from omegacoalg.catalog import (
     conat_infinity,
     cons,
     fig1_coalgebra,
+    fig1_signature,
     parity_coalgebra,
+    parity_container,
     stream_container,
     stream_from_function,
     tail,
@@ -38,6 +40,7 @@ from omegacoalg.errors import (
     ArityMismatch,
     CannotTruncateUnit,
     DepthBoundExceeded,
+    InvalidCoalgebra,
     LabelDrift,
     NotAMorphism,
 )
@@ -429,3 +432,12 @@ def test_assembled_element_keeps_its_stages():
     first = m.at(10)
     assert m.at(10) is first and m.at(10) is first
     assert seen == [8]
+
+
+def test_gamma_mapping_missing_a_state_is_invalid():
+    """A ``gamma`` mapping without an entry for an enumerated state is an
+    invalid presentation that names the state, for both kinds."""
+    with pytest.raises(InvalidCoalgebra, match="state 'a' has no transition"):
+        Coalgebra(fig1_signature(), {}, state_enumeration=("a",))
+    with pytest.raises(InvalidCoalgebra, match="state 'q' has no transition"):
+        IndexedCoalgebra(parity_container(), ("p", "q"), {"p": "e", "q": "o"}, {"p": ("E", ("q",))})
