@@ -115,8 +115,15 @@ def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> Optional[int]:
     or None if none exists within the bound.
 
     The depth oracle: it builds the depth-n observations for n = 0, 1, ...,
-    which costs up to O(max_depth * |S| * arity).  With max_depth >= |S| it
-    agrees with :func:`divergence_depth`."""
+    which costs up to O(max_depth * |S| * arity).  Observations carry
+    labels, not tags (:meth:`~omegacoalg.mtype.Coalgebra._tag`), so the
+    roots' tags are compared first: in an indexed coalgebra, roots of
+    different sorts differ at depth 1 even where their labels agree.  Below
+    roots of equal sort and label the child sorts agree position by
+    position, so deeper observations need no tags.  With max_depth >= |S|
+    it agrees with :func:`divergence_depth`."""
+    if max_depth >= 1 and c._tag(s, c.transition(s)) != c._tag(t, c.transition(t)):
+        return 1
     for n in range(max_depth + 1):
         if approximate(c, s, n) is not approximate(c, t, n):
             return n

@@ -15,27 +15,9 @@ from operator import attrgetter
 
 from . import bisim as bs
 from . import catalog, specdoc
-from .container import truncate
 from .errors import OmegaCoalgError, SpecValidationError
-from .indexed import (
-    i_into,
-    i_out,
-    iapproximate,
-    iunfold,
-    iverify_morphism,
-    iuniqueness_probe,
-    well_sorted_all,
-)
-from .mtype import (
-    MorphismCandidate,
-    approximate,
-    approximate_all,
-    into,
-    out,
-    unfold,
-    uniqueness_probe,
-    verify_morphism,
-)
+from .indexed import SortedApproxTree, well_sorted_all
+from .mtype import _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
 EXIT_DISTINGUISHABLE = 1
@@ -342,79 +324,29 @@ def cmd_check(args) -> int:
     (exit 1 if any fails).
 
     The level table of every state up to --depth is built once, level by
-    level, in O(|S| depth r) for |S| states of arity at most r; the
-    invariants then read their observations from it.
+    level, in O(|S| depth r) for |S| states of arity at most r; each law is
+    then read off it against truncation, ``out``/``into`` or the
+    transition (:func:`omegacoalg.mtype._table_laws`).
     """
     doc = specdoc.load_spec(args.spec)
-    depth = args.depth
     c = doc.coalgebra
-    element = unfold if doc.kind == "plain" else iunfold
-    approximate_all(c, depth)
-
-    def compat() -> bool:
-        for s in c.state_enumeration:
-            m = element(c, s)
-            for n in range(depth):
-                if truncate(None, m.at(n + 1)) is not m.at(n):
-                    return False
-        return True
-
+    verdicts = _table_laws(c, args.depth)
     if doc.kind == "plain":
-        container = c.container
-
-        def roundtrip() -> bool:
-            for s in c.state_enumeration:
-                m = unfold(c, s)
-                v = out(m)
-                back = into(container, v)
-                for n in range(depth + 1):
-                    if back.at(n) is not m.at(n):
-                        return False
-                again = out(back)
-                if again.label != v.label:
-                    return False
-                for b in range(len(v.children)):
-                    for n in range(depth + 1):
-                        if again.children[b].at(n) is not v.children[b].at(n):
-                            return False
-            return True
-
-        mc = MorphismCandidate(c, lambda s: unfold(c, s))
-        results = [
-            ("compatibility", compat()),
-            ("out-into-roundtrip", roundtrip()),
-            ("unfold-is-morphism", verify_morphism(mc, depth)),
-            ("unfold-uniqueness", uniqueness_probe(c, mc, depth)),
-        ]
+        names = ("compatibility", "out-into-roundtrip", "unfold-is-morphism", "unfold-uniqueness")
     else:
-
-        def isorted() -> bool:
-            return well_sorted_all(
-                c.base, (iapproximate(c, s, n) for s in c.states for n in range(depth + 1))
-            )
-
-        def iroundtrip() -> bool:
-            for s in c.states:
-                m = iunfold(c, s)
-                label, children = i_out(m)
-                back = i_into(c.base, m.sort, label, children)
-                for n in range(depth + 1):
-                    if back.at(n) is not m.at(n):
-                        return False
-            return True
-
-        results = [
-            ("well-sorted", isorted()),
-            ("compatibility", compat()),
-            ("i-out-i-into-roundtrip", iroundtrip()),
-            ("iunfold-is-morphism", iverify_morphism(c, lambda s: iunfold(c, s), depth)),
-            ("iunfold-uniqueness", iuniqueness_probe(c, lambda s: iunfold(c, s), depth)),
-        ]
-    ok = True
-    for name, passed in results:
+        names = (
+            "well-sorted",
+            "compatibility",
+            "i-out-i-into-roundtrip",
+            "iunfold-is-morphism",
+            "iunfold-uniqueness",
+        )
+        table = approximate_all(c, args.depth)
+        trees = (SortedApproxTree(c.sort_of[s], t) for level in table for s, t in level.items())
+        verdicts = (well_sorted_all(c.base, trees),) + verdicts
+    for name, passed in zip(names, verdicts):
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_CHECKS_FAILED
+    return EXIT_OK if all(verdicts) else EXIT_CHECKS_FAILED
 
 
 def cmd_demo(args) -> int:

@@ -191,21 +191,16 @@ def _truncate(t: ApproxTree) -> ApproxTree:
     stack = [t]
     while stack:
         cur = stack[-1]
-        if cur in cache:
-            stack.pop()
-            continue
         if cur.depth == 1:
             cache[cur] = TRUNC
             stack.pop()
             continue
-        pending = [ch for ch in cur.children if ch not in cache]
-        if pending:
-            stack.extend(pending)
-        else:
-            cache[cur] = _tree(
-                cur.depth - 1, cur.label, tuple(cache[ch] for ch in cur.children)
-            )
-            stack.pop()
+        kids = [cache.get(ch) for ch in cur.children]
+        if None in kids:
+            stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
+            continue
+        cache[cur] = _tree(cur.depth - 1, cur.label, tuple(kids))
+        stack.pop()
     return cache[t]
 
 

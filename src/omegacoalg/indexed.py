@@ -110,6 +110,8 @@ class IndexedCoalgebra(Coalgebra):
         and every child must be a state of the sort its position asks for
         (read off the child-sort assignment)."""
         ic = self.container
+        if s not in self.sort_of:
+            raise InvalidCoalgebra(f"state {s!r} has no sort")
         i = self.sort_of[s]
         if i not in ic.sorts:
             raise InvalidCoalgebra(f"state {s!r} has unknown sort {i!r}")
@@ -143,6 +145,13 @@ class IndexedCoalgebra(Coalgebra):
         of its sort here, stepping by ``gamma``."""
         sort_of = {s: self.sort_of[s] for s in states}
         return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
+
+    def _reassembled(self, s):
+        """As for a plain coalgebra, by :func:`i_out` and :func:`i_into`."""
+        e = iunfold(self, s)
+        v = i_out(e)
+        m = i_into(self.container, e.sort, *v)
+        return m if i_out(m) == v else None
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ morphism with unfold).
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -52,26 +53,46 @@ def w_chain(c: Container) -> Chain:
     return Chain(project=lambda n, t: _truncate(t))
 
 
-def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
-    """The level-table engine behind every depth-n observation, plain and
-    indexed.
-
-    ``levels[k]`` maps a state to its depth-k observation and ``step(t)``
-    is the ``(label, children)`` transition of ``t``.  Afterwards
-    ``levels[k][r]`` holds for every root ``r`` and every ``lo <= k <= hi``.
-    An entry at depth k needs only its children's entries at depth k-1, so
-    the walk down collects the missing entries level by level and stops at
-    the first level below ``lo`` where none is missing; the entries are then
-    built bottom-up, level by level.  The cost is proportional to the
-    entries added (times the arity), not to ``hi``.  The depth bound is read
-    only when the table grows to a new depth: a depth already in the table
-    was admitted when it was built.
-    """
+def _grow(levels: list, hi: int) -> None:
+    """Extend the level table to depth ``hi``.  The depth bound is read only
+    here, when the table grows to a new depth: a depth already in the table
+    was admitted when it was built."""
     if hi >= len(levels):
         bound = depth_bound()
         if hi > bound:
             raise DepthBoundExceeded(f"depth {hi} exceeds bound {bound}")
         levels.extend({} for _ in range(hi + 1 - len(levels)))
+
+
+def _build_level(levels: list, k: int, steps) -> None:
+    """Add the depth-k entry of every state in ``steps``, an iterable of
+    ``(state, transition)`` pairs: Trunc at depth 0, else the transition's
+    label over the children's depth-(k-1) entries, which must be in the
+    table."""
+    here = levels[k]
+    if k == 0:
+        for t, _ in steps:
+            here[t] = TRUNC
+        return
+    below = levels[k - 1]
+    for t, pv in steps:
+        here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
+
+
+def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
+    """The level-table engine behind every depth-n observation, plain and
+    indexed.
+
+    ``levels[k]`` maps a state to its depth-k observation and ``step(t)``
+    is the transition of ``t``.  Afterwards ``levels[k][r]`` holds for
+    every root ``r`` and every ``lo <= k <= hi``.  An entry at depth k
+    needs only its children's entries at depth k-1, so the walk down
+    collects the missing entries level by level and stops at the first
+    level below ``lo`` where none is missing; the entries are then built
+    bottom-up, level by level (:func:`_build_level`).  The cost is
+    proportional to the entries added (times the arity), not to ``hi``.
+    """
+    _grow(levels, hi)
     missing = []
     wanted = ()
     for k in range(hi, -1, -1):
@@ -85,17 +106,9 @@ def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
         # is the smallest way to keep them on a sweep over all states.
         need = list(need)
         missing.append((k, need))
-        wanted = [ch for _, children in map(step, need) for ch in children]
+        wanted = [ch for pv in map(step, need) for ch in pv.children]
     for k, need in reversed(missing):
-        here = levels[k]
-        if k == 0:
-            for t in need:
-                here[t] = TRUNC
-            continue
-        below = levels[k - 1]
-        for t in need:
-            label, children = step(t)
-            here[t] = _tree(k, label, tuple([below[ch] for ch in children]))
+        _build_level(levels, k, zip(need, map(step, need)))
 
 
 def _level_entry(c, s, n: int):
@@ -195,6 +208,14 @@ class Coalgebra:
         stepping by ``gamma``: how :func:`~omegacoalg.bisim.minimize`
         builds a quotient."""
         return Coalgebra(self.container, gamma, states, name)
+
+    def _reassembled(self, s):
+        """``into(out(e))`` for the element ``e`` unfolded at ``s``, or None
+        where ``out`` of it does not give back ``out(e)``: the roundtrip
+        that :func:`_table_laws` compares with the level table."""
+        v = out(unfold(self, s))
+        m = into(self.container, v)
+        return m if out(m) == v else None
 
 
 class _Element:
@@ -296,12 +317,17 @@ class _FreeExtension:
     element again at a depth it has reached costs a lookup.
     """
 
-    __slots__ = ("label", "children", "_stages")
+    __slots__ = ("label", "children", "_stages", "_nested")
 
     def __init__(self, label, children: tuple):
         self.label = label
         self.children = children
         self._stages = {0: TRUNC}
+        # The extensions of assembled children (``cons`` over ``cons``),
+        # whose stages this one's stages wait for.
+        self._nested = tuple(
+            [ch.coalgebra for ch in children if type(ch.coalgebra) is _FreeExtension]
+        )
 
     def _observe(self, s, n: int):
         got = self._stages.get(n)
@@ -309,25 +335,28 @@ class _FreeExtension:
             return got
         if n < 0:
             raise _no_stage(n)
-        # Assembled children (``cons`` over ``cons``) are evaluated from an
-        # explicit stack, so deep nesting does not recurse.
-        stack = [(self, n)]
-        while stack:
-            ext, k = stack[-1]
-            if k in ext._stages:
+        if self._nested:
+            # Nested extensions are evaluated first, from an explicit stack,
+            # so deep nesting does not recurse.
+            stack = [(ext, n - 1) for ext in self._nested]
+            while stack:
+                ext, k = stack[-1]
+                if k in ext._stages:
+                    stack.pop()
+                    continue
+                todo = [(e, k - 1) for e in ext._nested if k - 1 not in e._stages]
+                if todo:
+                    stack.extend(todo)
+                    continue
                 stack.pop()
-                continue
-            todo = [
-                (ch.coalgebra, k - 1)
-                for ch in ext.children
-                if type(ch.coalgebra) is _FreeExtension and k - 1 not in ch.coalgebra._stages
-            ]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            ext._stages[k] = _tree(k, ext.label, tuple([ch.at(k - 1) for ch in ext.children]))
-        return self._stages[n]
+                ext._stage(k)
+        return self._stage(n)
+
+    def _stage(self, k: int):
+        """Build stage k >= 1 from the children's stages k-1, with every
+        nested extension's already built."""
+        got = self._stages[k] = _tree(k, self.label, tuple([ch.at(k - 1) for ch in self.children]))
+        return got
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,10 +384,61 @@ def approximate_all(c: Coalgebra, n: int) -> list:
     k <= n, one level at a time: O(|S| n r) for |S| states of arity at most
     r.  Returns the table up to depth n: entry k maps each state to its
     depth-k observation, so ``approximate(c, s, k)`` is then a lookup."""
-    if c.state_enumeration is None:
+    states = c.state_enumeration
+    if states is None:
         raise NeedsFiniteStates("approximate_all needs a state enumeration")
-    _fill_levels(c._levels, c.transition, c.state_enumeration, 0, n)
-    return c._levels[: n + 1]
+    # The enumeration is closed under children, so each level is filled
+    # from the one below, with no walk down.
+    levels = c._levels
+    _grow(levels, n)
+    steps = [(s, c.transition(s)) for s in states]
+    for k in range(n + 1):
+        here = levels[k]
+        _build_level(levels, k, [p for p in steps if p[0] not in here])
+    return levels[: n + 1]
+
+
+def _table_laws(c: Coalgebra, depth: int) -> tuple:
+    """The finality laws on ``c``'s level table up to ``depth``, each read
+    against something other than the table itself: truncation, ``out``/
+    ``into`` and the transition.  Returns four verdicts:
+
+    * compatible: truncating each depth-(k+1) entry gives the depth-k one;
+    * roundtrip: for every state, ``out`` of the element reassembled by
+      ``into`` gives back what it was assembled from, and the element's
+      stages are the state's entries (:meth:`Coalgebra._reassembled`);
+    * morphism: each depth-k entry, k >= 1, is the label of its state's
+      transition over the children's depth-(k-1) entries;
+    * unique: the morphism law and Trunc at depth 0, the induction that
+      forces any morphism into the final coalgebra to equal ``unfold``.
+
+    The roundtrip reads one state's entries at a time and holds one
+    reassembled element; the other laws are one sweep per level, with no
+    element objects.
+    """
+    table = approximate_all(c, depth)
+    states = c.state_enumeration
+    roundtrip = True
+    for s in states:
+        m = c._reassembled(s)
+        if m is None or any(m.at(k) is not level[s] for k, level in enumerate(table)):
+            roundtrip = False
+            break
+    steps = [c.transition(s) for s in states]
+    row = [table[0][s] for s in states]
+    base = all(t is TRUNC for t in row)
+    compatible = morphism = True
+    for k in range(1, depth + 1):
+        below, level = table[k - 1], table[k]
+        lower, row = row, [level[s] for s in states]
+        compatible = compatible and all(map(operator.is_, map(_truncate, row), lower))
+        morphism = morphism and all(
+            t.depth == k
+            and t.label == pv.label
+            and t.children == tuple([below[ch] for ch in pv.children])
+            for t, pv in zip(row, steps)
+        )
+    return compatible, roundtrip, morphism, morphism and base
 
 
 def unfold(c: Coalgebra, s) -> MElement:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from omegacoalg import PValue, cli, mtype, specdoc
+from omegacoalg.container import _tree
 from omegacoalg.indexed import IndexedCoalgebra, ifirst_divergence_depth
 
 from conftest import small_indexed_coalgebras
@@ -484,6 +485,84 @@ def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, ch
     assert code == 0
     assert out.getvalue().count(": PASS\n") == checks
     assert 1 <= len(reads) <= 2
+
+
+STREAM_DOC = cli.demo_documents()["stream"]
+# The parity demo with a second label F at the even sort, of E's arity and
+# child sort, so that a table entry relabelled E -> F stays well sorted.
+PARITY_TWO_LABELS = {
+    "schema_version": "1",
+    "indexed": {
+        "sorts": ["e", "o"],
+        "labels": {
+            "e": {a: {"arity": 1, "child_sorts": ["o"]} for a in ("E", "F")},
+            "o": {"O": {"arity": 1, "child_sorts": ["e"]}},
+        },
+    },
+    "coalgebra": {
+        "states": {"p": "e", "q": "o", "r": "e"},
+        "gamma": {
+            "p": {"label": "E", "children": ["q"]},
+            "q": {"label": "O", "children": ["p"]},
+            "r": {"label": "F", "children": ["q"]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "doc, state, relabel, expected",
+    [
+        (
+            STREAM_DOC,
+            "lo",
+            {"0": "1"},
+            [
+                "compatibility: FAIL",
+                "out-into-roundtrip: FAIL",
+                "unfold-is-morphism: FAIL",
+                "unfold-uniqueness: FAIL",
+            ],
+        ),
+        (
+            PARITY_TWO_LABELS,
+            "p",
+            {"E": "F"},
+            [
+                "well-sorted: PASS",
+                "compatibility: FAIL",
+                "i-out-i-into-roundtrip: FAIL",
+                "iunfold-is-morphism: FAIL",
+                "iunfold-uniqueness: FAIL",
+            ],
+        ),
+    ],
+    ids=["plain", "indexed"],
+)
+def test_check_fails_on_a_wrong_table_entry(tmp_path, monkeypatch, doc, state, relabel, expected):
+    """Every law ``check`` prints can fail.  The loaded coalgebra's level
+    table already holds one wrong but well-shaped entry, at depth 3 of one
+    state: another label of the same arity over the right children.  The
+    table is filled around it, and every law that reads the table against
+    truncation, ``out``/``into`` or the transition reports it."""
+    load = specdoc.load_spec
+
+    def corrupted(path):
+        loaded = load(path)
+        c = loaded.coalgebra
+        mtype.approximate(c, state, 3)
+        label, children = c.transition(state)
+        below = c._levels[2]
+        c._levels[3][state] = _tree(3, relabel[label], tuple(below[ch] for ch in children))
+        return loaded
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--spec", str(path), "--depth", "6"]
+    assert _run_in_process(argv)[0] == 0
+    monkeypatch.setattr(specdoc, "load_spec", corrupted)
+    code, out, err = _run_in_process(argv)
+    assert (code, out.splitlines(), err) == (1, expected, "")
 
 
 PLAIN_GHOST = plain_doc(

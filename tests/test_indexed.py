@@ -7,8 +7,10 @@ from omegacoalg import Container, PValue, approximate, into, out, tree_equal, tr
 from omegacoalg.container import TRUNC, _tree
 from omegacoalg.bisim import (
     BisimWitness,
+    bounded_bisim,
     diagonal_bisim,
     divergence_depth,
+    first_divergence_depth,
     minimize,
     partition_refine,
     verify_bisim,
@@ -32,7 +34,7 @@ from omegacoalg.indexed import (
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.mtype import MElement
-from omegacoalg.errors import NotAMorphism, SortMismatch
+from omegacoalg.errors import InvalidCoalgebra, NotAMorphism, SortMismatch
 
 from conftest import (
     chain_into,
@@ -319,6 +321,31 @@ def test_two_sorts_sharing_a_label_name_stay_apart():
     assert not verify_bisim(c, across)
     within = BisimWitness(frozenset({("p", "r")}), {("p", "r"): ("a", ())})
     assert verify_bisim(c, within)
+
+
+def test_depth_oracle_tells_sorts_apart():
+    """The depth oracle compares the roots' sorts with their labels: p and
+    q carry the same leaf label at different sorts, so they differ at
+    depth 1, as in the pair search."""
+    c = two_sorts_sharing_a_label()
+    assert first_divergence_depth(c, "p", "q", 5) == 1 == divergence_depth(c, "p", "q")
+    assert not bounded_bisim(c, "p", "q", 5)
+    assert first_divergence_depth(c, "p", "q", 0) is None
+    assert first_divergence_depth(c, "p", "r", 5) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_indexed_coalgebras())
+def test_depth_oracle_matches_pair_search_property(c):
+    n = len(c.states)
+    for s in c.states:
+        for t in c.states:
+            assert first_divergence_depth(c, s, t, n) == divergence_depth(c, s, t)
+
+
+def test_state_without_a_sort_is_invalid():
+    with pytest.raises(InvalidCoalgebra, match="state 'p' has no sort"):
+        IndexedCoalgebra(PARITY, ("p",), {}, {"p": ("E", ("p",))})
 
 
 def test_verify_bisim_on_parity():

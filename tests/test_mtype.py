@@ -22,7 +22,7 @@ from omegacoalg import (
     w_chain,
 )
 from omegacoalg.container import TRUNC, _tree, make_node
-from omegacoalg.mtype import MElement
+from omegacoalg.mtype import MElement, _table_laws
 from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
     conat_coalgebra,
@@ -52,6 +52,8 @@ from omegacoalg.indexed import (
     iapproximate,
     iapproximate_all,
     iunfold,
+    iuniqueness_probe,
+    iverify_morphism,
 )
 
 from conftest import (
@@ -296,6 +298,68 @@ def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
         assert got.sort == c.sort_of[s]
         assert got.tree is table[n][s] is iapproximate(c, s, n).tree
         assert got.tree is unrolled(c.transition, s, n, memo)
+
+
+def element_laws(c, depth: int) -> tuple:
+    """The four laws of ``_table_laws``, read through element objects as
+    the library offers them: per-element compatibility, ``out``/``into``
+    (``i_out``/``i_into`` when indexed), and the morphism probes with the
+    ``unfold`` candidate."""
+    indexed = isinstance(c, IndexedCoalgebra)
+    states = c.state_enumeration
+    element = (lambda s: iunfold(c, s)) if indexed else (lambda s: unfold(c, s))
+    compatible = all(
+        truncate(None, element(s).at(n + 1)) is element(s).at(n)
+        for s in states
+        for n in range(depth)
+    )
+    roundtrip = True
+    for s in states:
+        m = element(s)
+        if indexed:
+            v = i_out(m)
+            back = i_into(c.base, m.sort, *v)
+            again = i_out(back)
+        else:
+            v = out(m)
+            back = into(c.container, v)
+            again = out(back)
+        roundtrip = roundtrip and again == v
+        roundtrip = roundtrip and all(back.at(n) is m.at(n) for n in range(depth + 1))
+    if indexed:
+        return (
+            compatible,
+            roundtrip,
+            iverify_morphism(c, element, depth),
+            iuniqueness_probe(c, element, depth),
+        )
+    mc = MorphismCandidate(c, element)
+    return compatible, roundtrip, verify_morphism(mc, depth), uniqueness_probe(c, mc, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(1, 8),
+    st.randoms(use_true_random=False),
+)
+def test_table_laws_match_element_library_and_catch_a_wrong_entry_property(c, depth, rnd):
+    """On a table filled in any order, the level sweeps of ``check`` give
+    the element-level library's verdicts.  With one entry replaced by a
+    well-shaped tree of another label over the same children, the
+    roundtrip, morphism and uniqueness laws fail, and compatibility fails
+    unless the only truncation read is that of the wrong depth-1 entry."""
+    states = c.state_enumeration
+    for _ in range(rnd.randint(0, 3)):
+        approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
+    laws = _table_laws(c, depth)
+    assert laws == element_laws(c, depth) == (True, True, True, True)
+    s, k = rnd.choice(states), rnd.randint(1, depth)
+    right = c._levels[k][s]
+    c._levels[k][s] = _tree(k, ("wrong", right.label), right.children)
+    compatible, roundtrip, morphism, unique = _table_laws(c, depth)
+    assert compatible == (k == depth == 1)
+    assert not roundtrip and not morphism and not unique
 
 
 @settings(max_examples=200, deadline=None)
