@@ -6,10 +6,8 @@ alternate, so every well-sorted tree alternates E and O labels.  A plain
 container is the special case with a single sort.
 """
 
-import random
-
-from omegacoalg import approximate, tree_equal
-from omegacoalg.catalog import parity_coalgebra, parity_container
+from omegacoalg import approximate, out, tree_equal
+from omegacoalg.catalog import fig1_coalgebra, parity_coalgebra, parity_container
 from omegacoalg.cli import render_text
 from omegacoalg.indexed import (
     embed_plain,
@@ -19,12 +17,6 @@ from omegacoalg.indexed import (
     iunfold,
     well_sorted,
 )
-
-import sys
-import pathlib
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from conftest import random_coalgebra  # noqa: E402
 
 
 def main():
@@ -37,9 +29,12 @@ def main():
         assert well_sorted(base, t)
         print(f"p at depth {n} (sort {t.sort}):", render_text(t.tree))
 
-    # The structure map and its inverse, sort-aware.
+    # The structure map and its inverse, sort-aware: the plain ``out`` gives
+    # the children the sorts their positions ask for; ``i_out`` is the same
+    # map as a pair.
     m = iunfold(c, "p")
-    label, children = i_out(m)
+    label, children = out(m)
+    assert (label, children) == i_out(m)
     print("out(p) =", label, "with child sorts", [ch.sort for ch in children])
     back = i_into(base, "e", label, children)
     assert all(tree_equal(back.at(n), m.at(n)) for n in range(21))
@@ -47,16 +42,14 @@ def main():
 
     # Single-sort embedding: a plain coalgebra, viewed as indexed, produces
     # exactly the same approximations.
-    rng = random.Random(7)
-    plain = random_coalgebra(rng)
+    plain = fig1_coalgebra()
     ic = embed_plain(plain.container, plain)
-    s = plain.state_enumeration[0]
     assert all(
         tree_equal(iapproximate(ic, s, n).tree, approximate(plain, s, n))
+        for s in plain.state_enumeration
         for n in range(21)
     )
     print("singleton-sort embedding agrees with the plain construction")
-
 
 if __name__ == "__main__":
     main()

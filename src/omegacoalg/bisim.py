@@ -68,13 +68,9 @@ def _require_states(c: Coalgebra):
 
 
 def diagonal_bisim(c: Coalgebra) -> BisimWitness:
-    """The identity relation as a bisimulation witness."""
-    states = _require_states(c)
-    alpha = {}
-    for s in states:
-        pv = c.transition(s)
-        alpha[(s, s)] = (pv.label, tuple((ch, ch) for ch in pv.children))
-    return BisimWitness(frozenset(alpha), alpha)
+    """The identity relation as a bisimulation witness: the witness of the
+    partition into singletons."""
+    return witness_from_partition(c, Partition(tuple((s,) for s in _require_states(c))))
 
 
 def bisim_violations(c: Coalgebra, w: BisimWitness):

@@ -24,36 +24,23 @@ DEFAULT_CONE_CHECK_DEPTH = 16
 DEFAULT_LABEL_CHECK_DEPTH = 8
 
 
-def _structural_equal(n, a, b) -> bool:
-    return a == b
-
-
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """Stage projections plus decidable per-stage equality.
-
-    ``project(n, v)`` maps a stage-(n+1) value ``v`` to stage n.
-    """
+    """Stage projections: ``project(n, v)`` maps a stage-(n+1) value ``v``
+    to stage n.  Stage values compare with ``==``."""
 
     project: Callable[[int, object], object]
-    equal: Callable[[int, object, object], bool] = _structural_equal
 
 
 def shifted(chain: Chain) -> Chain:
     """The chain with stage n given by stage n+1 of the original."""
-    return Chain(
-        project=lambda n, v: chain.project(n + 1, v),
-        equal=lambda n, a, b: chain.equal(n + 1, a, b),
-    )
+    return Chain(project=lambda n, v: chain.project(n + 1, v))
 
 
 def poly_chain(c: Container, base: Chain) -> Chain:
     """The image of a chain under the polynomial functor: stage n holds
     PValues whose children are stage-n values of the base chain."""
-    return Chain(
-        project=lambda n, pv: pmap(lambda x: base.project(n, x), pv),
-        equal=_structural_equal,
-    )
+    return Chain(project=lambda n, pv: pmap(lambda x: base.project(n, x), pv))
 
 
 class LimitElement:
@@ -93,7 +80,7 @@ def check_compat(l: LimitElement, upto: int) -> bool:
     """Verify ``project(n, at(n+1)) == at(n)`` for all n < upto."""
     chain = l.chain
     for n in range(upto):
-        if not chain.equal(n, chain.project(n, l.at(n + 1)), l.at(n)):
+        if chain.project(n, l.at(n + 1)) != l.at(n):
             return False
     return True
 
@@ -108,7 +95,7 @@ def cone_to_map(
     """
     for x in c.apex_samples:
         for n in range(check_depth):
-            if not chain.equal(n, chain.project(n, c.legs(n + 1, x)), c.legs(n, x)):
+            if chain.project(n, c.legs(n + 1, x)) != c.legs(n, x):
                 raise ConeLawViolation(f"cone law fails at stage {n} for apex {x!r}")
 
     def h(x):

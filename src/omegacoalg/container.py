@@ -59,6 +59,11 @@ class Container:
         except KeyError:
             raise UnknownLabel(f"label {label!r} has no declared arity") from None
 
+    def child_sorts(self, sort, label) -> Optional[tuple]:
+        """The sorts of the children of a ``label`` node at ``sort``: none,
+        since a plain container has no sorts."""
+        return None
+
 
 class ApproxTree:
     """An element of the depth-n approximation stage: the unit value (Trunc)

@@ -12,6 +12,12 @@ finality probes run on it unchanged, and each indexed operation is a sort
 check plus the plain call.  Where bisimilarity compares two states, the
 sort joins the label (:meth:`IndexedCoalgebra._tag`), and a quotient is
 again indexed.  Ill-sorted inputs are rejected eagerly.
+
+A sorted element is a plain :class:`~omegacoalg.mtype.MElement` that
+carries its sort, and the plain ``out`` serves it: the children take the
+sorts :meth:`IndexedContainer.child_sorts` gives.  :func:`i_out` is that
+``out`` as a ``(label, children)`` pair; :func:`iunfold` and the
+sort-checked :func:`i_into` give the element its sort.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bisim import bounded_bisim, first_divergence_depth
-from .chain import LimitElement
 from .container import ApproxTree, PValue
 from .errors import (
     ArityMismatch,
@@ -32,11 +37,12 @@ from .errors import (
 )
 from .mtype import (
     Coalgebra,
+    MElement,
     MorphismCandidate,
-    _Element,
     _FreeExtension,
     _level_entry,
     approximate_all,
+    out,
     uniqueness_probe,
     verify_morphism,
 )
@@ -78,6 +84,15 @@ class IndexedContainer:
 
     def labels(self, sort) -> tuple:
         return tuple(self.labels_at.get(sort, ()))
+
+    def child_sorts(self, sort, label) -> tuple:
+        """The sorts of the children of a ``label`` node at ``sort``; a
+        label that is not available at ``sort`` raises
+        :class:`SortMismatch`."""
+        sorts = self.child_sort.get((sort, label))
+        if sorts is None:
+            raise SortMismatch(f"root label {label!r} is not available at sort {sort!r}")
+        return sorts
 
 
 class IndexedCoalgebra(Coalgebra):
@@ -147,11 +162,11 @@ class IndexedCoalgebra(Coalgebra):
         return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
 
     def _reassembled(self, s):
-        """As for a plain coalgebra, by :func:`i_out` and :func:`i_into`."""
+        """As for a plain coalgebra, by :func:`iunfold` and :func:`i_into`."""
         e = iunfold(self, s)
-        v = i_out(e)
+        v = out(e)
         m = i_into(self.container, e.sort, *v)
-        return m if i_out(m) == v else None
+        return m if out(m) == v else None
 
 
 @dataclass(frozen=True)
@@ -167,37 +182,10 @@ class SortedApproxTree:
         return self.tree.depth
 
 
-class SortedMElement(_Element):
-    """An element of the indexed final coalgebra at a fixed sort, pointed
-    at a state of a coalgebra: ``SortedMElement(base, sort, coalgebra=c,
-    state=s)`` as :func:`iunfold` and :func:`i_into` make it, or
-    ``SortedMElement(base, sort, limit)`` for a family built by hand,
-    pointed at ``(LIMITS, (limit, ()))`` (see
-    :class:`~omegacoalg.mtype._Element`).
-    Equality and hash are those of :class:`~omegacoalg.mtype.MElement`
-    plus the sort."""
-
-    __slots__ = ("base", "sort")
-    _made_by = ("i_into", "iunfold", "indexed")
-
-    def __init__(
-        self,
-        base: IndexedContainer,
-        sort,
-        limit: Optional[LimitElement] = None,
-        *,
-        coalgebra=None,
-        state=None,
-    ):
-        self.base = base
-        self.sort = sort
-        self._hold(limit, coalgebra, state)
-
-    def _key(self) -> tuple:
-        return super()._key() + (self.sort,)
-
-    def __repr__(self):
-        return f"SortedMElement({self.sort!r}, {self._provenance() or 'anonymous'})"
+def SortedMElement(base: IndexedContainer, sort, limit=None, *, coalgebra=None, state=None):
+    """An element of the indexed final coalgebra at ``sort``: the
+    :class:`~omegacoalg.mtype.MElement` that carries ``sort``."""
+    return MElement(base, limit, coalgebra=coalgebra, state=state, sort=sort)
 
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
@@ -244,37 +232,22 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
 iapproximate_all = approximate_all
 
 
-def iunfold(c: IndexedCoalgebra, s) -> SortedMElement:
+def iunfold(c: IndexedCoalgebra, s) -> MElement:
     """Corecursion into the indexed final coalgebra at sort_of(s): the
     element pointed at ``(c, s)``, whose stage n is one read of ``c``'s
     level table."""
-    return SortedMElement(c.base, c.sort_of[s], coalgebra=c, state=s)
+    return MElement(c.container, coalgebra=c, state=s, sort=c.sort_of[s])
 
 
-def i_out(m: SortedMElement):
-    """Expose the root label and the child elements, with the children's
-    sorts read off the child-sort assignment, in O(arity).
-
-    As :func:`omegacoalg.mtype.out`: the children of an element pointed at
-    ``(c, s)`` are pointed at ``c``'s child states (for a family built by
-    hand, the children :data:`~omegacoalg.chain.LIMITS` gives), and those
-    of an element of :func:`i_into` are the children it was given.  A root
-    label that is not available at the element's sort raises
-    :class:`SortMismatch`.
-    """
-    c = m.coalgebra
-    if type(c) is _FreeExtension:
-        return c.label, c.children
-    label, children = c.transition(m.state)
-    sorts = m.base.child_sort.get((m.sort, label))
-    if sorts is None:
-        raise SortMismatch(f"root label {label!r} is not available at sort {m.sort!r}")
-    return label, tuple(
-        [SortedMElement(m.base, j, coalgebra=c, state=t) for j, t in zip(sorts, children)]
-    )
+def i_out(m: MElement) -> tuple:
+    """:func:`omegacoalg.mtype.out` as a ``(label, children)`` pair: the
+    children take the sorts of the child-sort assignment, and a root label
+    that is not available at the element's sort raises
+    :class:`SortMismatch`."""
+    return tuple(out(m))
 
 
-def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
+def i_into(ic: IndexedContainer, sort, label, children) -> MElement:
     """Inverse of :func:`i_out`: assemble an element at ``sort`` from a
     label and correctly sorted child elements.  The result is pointed at
     the one-state free extension that steps to ``(label, children)``: stage
@@ -294,7 +267,7 @@ def i_into(ic: IndexedContainer, sort, label, children) -> SortedMElement:
             raise SortMismatch(
                 f"child {b} has sort {ch.sort!r}, expected {ic.child_sort[key][b]!r}"
             )
-    return SortedMElement(ic, sort, coalgebra=_FreeExtension(label, children), state=None)
+    return MElement(ic, coalgebra=_FreeExtension(label, children), state=None, sort=sort)
 
 
 def _same_sort(c: IndexedCoalgebra, s, t) -> None:
@@ -325,7 +298,7 @@ def _sorts_kept(c: IndexedCoalgebra, map_fn, states) -> bool:
 
 
 def iverify_morphism(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """The morphism law for maps state -> SortedMElement: a sort check,
+    """The morphism law for maps state -> sorted element: a sort check,
     then :func:`omegacoalg.mtype.verify_morphism`, which first fills the
     level table by one sweep when every state is checked
     (``states=None``)."""

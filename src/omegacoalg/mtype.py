@@ -3,14 +3,16 @@
 Elements of the final coalgebra are :class:`MElement`, each pointed: it
 holds a coalgebra and a state, its depth-n stage is the coalgebra's
 observation of the state, and ``out`` of it is the morphism law,
-``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).
-``unfold`` points at a coalgebra's level table, ``into`` at a one-state
-free extension, and a family of depth-n trees built by hand at
-:data:`~omegacoalg.chain.LIMITS`, the chain's limit as a coalgebra, whose
-transition is the paper's construction.  :mod:`omegacoalg.chain` stays the
-reference semantics that the tests check ``out``/``into`` against, through
-every element's ``.limit`` view.  Finality is witnessed observationally
-by :func:`verify_morphism`
+``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).  An
+element of an indexed container's final coalgebra is the same class
+carrying its sort, and ``out`` reads its children's sorts off the
+container (``child_sorts``).  ``unfold`` points at a coalgebra's level
+table, ``into`` at a one-state free extension, and a family of depth-n
+trees built by hand at :data:`~omegacoalg.chain.LIMITS`, the chain's limit
+as a coalgebra, whose transition is the paper's construction.
+:mod:`omegacoalg.chain` stays the reference semantics that the tests check
+``out``/``into`` against, through every element's ``.limit`` view.
+Finality is witnessed observationally by :func:`verify_morphism`
 (existence) and :func:`uniqueness_probe` (agreement of any verified
 morphism with unfold).
 """
@@ -47,10 +49,16 @@ def depth_bound() -> int:
     return int(text)
 
 
+# The approximation chain: stage n holds depth-n trees, the projection
+# drops the deepest layer.  Trees are interned across containers, so every
+# container has this one chain.
+_W_CHAIN = Chain(project=lambda n, t: _truncate(t))
+
+
 def w_chain(c: Container) -> Chain:
     """The approximation chain of ``c``: stage n holds depth-n trees, the
     projection drops the deepest layer."""
-    return Chain(project=lambda n, t: _truncate(t))
+    return _W_CHAIN
 
 
 def _grow(levels: list, hi: int) -> None:
@@ -79,42 +87,37 @@ def _build_level(levels: list, k: int, steps) -> None:
         here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
 
 
-def _fill_levels(levels: list, step, roots, lo: int, hi: int) -> None:
+def _fill_levels(c, s, n: int) -> None:
     """The level-table engine behind every depth-n observation, plain and
-    indexed.
+    indexed: afterwards ``c._levels[n][s]`` holds.
 
-    ``levels[k]`` maps a state to its depth-k observation and ``step(t)``
-    is the transition of ``t``.  Afterwards ``levels[k][r]`` holds for
-    every root ``r`` and every ``lo <= k <= hi``.  An entry at depth k
-    needs only its children's entries at depth k-1, so the walk down
-    collects the missing entries level by level and stops at the first
-    level below ``lo`` where none is missing; the entries are then built
-    bottom-up, level by level (:func:`_build_level`).  The cost is
-    proportional to the entries added (times the arity), not to ``hi``.
+    ``c._levels[k]`` maps a state to its depth-k observation.  An entry at
+    depth k needs only its children's entries at depth k-1, so the walk
+    down collects the missing entries level by level, from ``s`` at depth
+    n, and stops at the first level where none is missing; the entries are
+    then built bottom-up, level by level (:func:`_build_level`).  The cost
+    is proportional to the entries added (times the arity), not to ``n``.
     """
-    _grow(levels, hi)
+    levels = c._levels
+    _grow(levels, n)
+    step = c.transition
     missing = []
-    wanted = ()
-    for k in range(hi, -1, -1):
+    wanted = [s]
+    for k in range(n, -1, -1):
         here = levels[k]
-        need = {t for t in wanted if t not in here}
-        if k >= lo:
-            need.update(r for r in roots if r not in here)
-        elif not need:
+        steps = [(t, step(t)) for t in dict.fromkeys(wanted) if t not in here]
+        if not steps:
             break
-        # Every level's pending states are kept until the build-up; a list
-        # is the smallest way to keep them on a sweep over all states.
-        need = list(need)
-        missing.append((k, need))
-        wanted = [ch for pv in map(step, need) for ch in pv.children]
-    for k, need in reversed(missing):
-        _build_level(levels, k, zip(need, map(step, need)))
+        missing.append((k, steps))
+        wanted = [ch for _, pv in steps for ch in pv.children]
+    for k, steps in reversed(missing):
+        _build_level(levels, k, steps)
 
 
 def _level_entry(c, s, n: int):
     """``approximate`` for a coalgebra ``c``, plain or indexed, read from
     its level table ``c._levels``: a table hit returns at once; a miss runs
-    :func:`_fill_levels` with the one root ``s``.  A negative ``n`` raises
+    :func:`_fill_levels` from ``s``.  A negative ``n`` raises
     :class:`CannotTruncateUnit`."""
     levels = c._levels
     if 0 <= n < len(levels):
@@ -123,7 +126,7 @@ def _level_entry(c, s, n: int):
             return got
     elif n < 0:
         raise _no_stage(n)
-    _fill_levels(levels, c.transition, (s,), n, n)
+    _fill_levels(c, s, n)
     return levels[n][s]
 
 
@@ -218,70 +221,23 @@ class Coalgebra:
         return m if out(m) == v else None
 
 
-class _Element:
-    """An element of the final coalgebra, plain (:class:`MElement`) or
-    sorted (:class:`~omegacoalg.indexed.SortedMElement`): a coalgebra and a
-    state, whose stage n is ``coalgebra._observe(state, n)``.  A family
-    ``limit`` built by hand is held as ``(LIMITS, (limit, ()))``.  A negative
-    depth raises :class:`CannotTruncateUnit`.  ``limit`` is a lazy
-    :class:`~omegacoalg.chain.LimitElement` view of the stages, made on
-    first use.  Equality is described at :class:`MElement`.
-    """
-
-    __slots__ = ("coalgebra", "state", "_limit")
-    # How provenance names the assembling and unfolding operations and an
-    # unnamed coalgebra.
-    _made_by = ("into", "unfold", "coalgebra")
-
-    def _hold(self, limit: Optional[LimitElement], coalgebra, state):
-        if limit is not None:
-            if coalgebra is not None:
-                raise TypeError("an element holds a limit family or a coalgebra, not both")
-            coalgebra, state = LIMITS, (limit, ())
-        self.coalgebra = coalgebra
-        self.state = state
-        self._limit = None
-
-    def at(self, n: int):
-        return self.coalgebra._observe(self.state, n)
-
-    def _key(self) -> tuple:
-        return (type(self), id(self.coalgebra), self.state)
-
-    def __eq__(self, other):
-        return isinstance(other, _Element) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @property
-    def limit(self) -> LimitElement:
-        if self._limit is None:
-            self._limit = LimitElement(
-                Chain(project=lambda n, t: _truncate(t)), self.at, provenance=self._provenance()
-            )
-        return self._limit
-
-    def _provenance(self) -> str:
-        c = self.coalgebra
-        if c is LIMITS:
-            family, path = self.state
-            opened = "".join(f"out[{b}](" for _, b in reversed(path))
-            return opened + family.provenance + ")" * len(path)
-        assembled, unfolded, unnamed = self._made_by
-        if type(c) is _FreeExtension:
-            return f"{assembled}({c.label!r})"
-        return f"{unfolded}({c.name or unnamed}, {self.state!r})"
-
-
-class MElement(_Element):
+class MElement:
     """An element of the final coalgebra's carrier, pointed at a state of
     a coalgebra: ``MElement(container, coalgebra=c, state=s)``, as
     ``unfold`` and ``into`` make it, or ``MElement(container, limit)`` for
-    a family built by hand, pointed at ``(LIMITS, (limit, ()))`` (see
-    :class:`_Element`).
+    a family built by hand, pointed at ``(LIMITS, (limit, ()))``.  Stage n
+    is ``coalgebra._observe(state, n)``; a negative depth raises
+    :class:`CannotTruncateUnit`.  ``limit`` is a lazy
+    :class:`~omegacoalg.chain.LimitElement` view of the stages, made on
+    first use.
 
-    Equality and hash are by ``(type, coalgebra identity, state)``, not by
+    ``sort`` is None over a plain container.  An element of an indexed
+    container's final coalgebra carries its sort (``sort=``, as
+    :func:`~omegacoalg.indexed.iunfold` and
+    :func:`~omegacoalg.indexed.i_into` give it), and :func:`out` gives each
+    child the sort its position asks for.  ``base`` is the container.
+
+    Equality and hash are by ``(coalgebra identity, state, sort)``, not by
     object identity: the element pointed at a state is the same however it
     was reached, so a coalgebra whose states are elements (``zip_streams``)
     has one state per pointed pair, not one per ``tail`` taken.  Elements
@@ -289,7 +245,7 @@ class MElement(_Element):
     when bisimilar: compare stages (``tree_equal``) for that.  The
     container is not compared."""
 
-    __slots__ = ("container",)
+    __slots__ = ("container", "coalgebra", "state", "sort", "_limit")
 
     def __init__(
         self,
@@ -298,12 +254,53 @@ class MElement(_Element):
         *,
         coalgebra=None,
         state=None,
+        sort=None,
     ):
+        if limit is not None:
+            if coalgebra is not None:
+                raise TypeError("an element holds a limit family or a coalgebra, not both")
+            coalgebra, state = LIMITS, (limit, ())
         self.container = container
-        self._hold(limit, coalgebra, state)
+        self.coalgebra = coalgebra
+        self.state = state
+        self.sort = sort
+        self._limit = None
+
+    @property
+    def base(self) -> Container:
+        return self.container
+
+    def at(self, n: int):
+        return self.coalgebra._observe(self.state, n)
+
+    def _key(self) -> tuple:
+        return (id(self.coalgebra), self.state, self.sort)
+
+    def __eq__(self, other):
+        return isinstance(other, MElement) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def limit(self) -> LimitElement:
+        if self._limit is None:
+            self._limit = LimitElement(_W_CHAIN, self.at, provenance=self._provenance())
+        return self._limit
+
+    def _provenance(self) -> str:
+        c = self.coalgebra
+        if c is LIMITS:
+            family, path = self.state
+            opened = "".join(f"out[{b}](" for _, b in reversed(path))
+            return opened + family.provenance + ")" * len(path)
+        if type(c) is _FreeExtension:
+            return f"into({c.label!r})"
+        return f"unfold({c.name or 'coalgebra'}, {self.state!r})"
 
     def __repr__(self):
-        return f"MElement({self._provenance() or 'anonymous'})"
+        sort = "" if self.sort is None else f"{self.sort!r}, "
+        return f"MElement({sort}{self._provenance() or 'anonymous'})"
 
 
 class _FreeExtension:
@@ -454,8 +451,11 @@ def out(m: MElement) -> PValue:
 
     It is the morphism law: ``out`` of the element pointed at ``(c, s)`` is
     the transition of ``s`` with each child state ``t`` sent to the element
-    pointed at ``(c, t)``, and ``out(into(c, v))`` is ``v``.  For an element
-    built by hand the transition is that of
+    pointed at ``(c, t)``, and ``out(into(c, v))`` is ``v``.  Each child
+    takes the sort that ``m.container.child_sorts`` gives its position:
+    none over a plain container; over an indexed one, a root label that is
+    not available at ``m.sort`` raises :class:`SortMismatch`.  For an
+    element built by hand the transition is that of
     :data:`~omegacoalg.chain.LIMITS`, the paper's construction, which
     raises :class:`LabelDrift` on a family whose root label changes across
     its stages.
@@ -465,7 +465,9 @@ def out(m: MElement) -> PValue:
         return PValue(c.label, c.children)
     label, children = c.transition(m.state)
     container = m.container
-    return PValue(label, tuple([MElement(container, coalgebra=c, state=t) for t in children]))
+    sorts = container.child_sorts(m.sort, label) or (None,) * len(children)
+    kids = [MElement(container, coalgebra=c, state=t, sort=j) for j, t in zip(sorts, children)]
+    return PValue(label, tuple(kids))
 
 
 def into(c: Container, v: PValue) -> MElement:

@@ -177,7 +177,7 @@ def test_indexed_operations_check_sorts_first():
     that sends a state to an element of another sort fails the morphism
     law even where every stage agrees, states of different sorts are not
     compared, and a family whose root label is not at its sort has no
-    ``i_out``."""
+    ``i_out`` and no ``out``."""
     from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
     two = IndexedContainer(
@@ -201,6 +201,8 @@ def test_indexed_operations_check_sorts_first():
     assert ifirst_divergence_depth(c, "p", "p", 5) is None
     with pytest.raises(SortMismatch):
         i_out(SortedMElement(PARITY, "o", iunfold(parity_coalgebra(), "p").limit))
+    with pytest.raises(SortMismatch):
+        out(SortedMElement(PARITY, "o", iunfold(parity_coalgebra(), "p").limit))
 
 
 def test_indexed_corpus_well_sorted_everywhere():
@@ -250,10 +252,21 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
     """``i_out``/``i_into`` on unfolded elements give the same child sorts
     and the same stages, as the same objects, as the chain.py ``out``/
     ``into`` composition applied to the elements' ``limit`` views; ``i_out``
-    and ``i_into`` of elements built by hand from those views agree too."""
+    and ``i_into`` of elements built by hand from those views agree too.
+    The plain ``out`` of an unfolded, assembled or hand-built sorted
+    element is ``i_out`` of it, with the child sorts of ``child_sort``."""
     ic = c.base
+
+    def plain_out(m):
+        v = out(m)
+        assert tuple(v) == i_out(m)
+        assert tuple(ch.sort for ch in v.children) == ic.child_sort[(m.sort, v.label)]
+        return v
+
     for s in c.states:
         m = iunfold(c, s)
+        plain_out(m)
+        plain_out(SortedMElement(ic, m.sort, m.limit))
         label, children = i_out(m)
         ref = out(MElement(_at_sort(ic, m.sort), m.limit))
         lit = chain_out(_at_sort(ic, m.sort), m.limit)
@@ -276,6 +289,8 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         lit_back = chain_into(_at_sort(ic, m.sort), PValue(label, views))
         hand_back = i_into(ic, m.sort, hand_label, hand_children)
         assert i_out(back) == (label, children)
+        plain_out(back)
+        plain_out(hand_back)
         assert back.sort == hand_back.sort == m.sort
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is lit_back.at(n) is hand_back.at(n) is m.at(n)

@@ -285,6 +285,26 @@ def test_level_sweep_matches_demand_driven_property(c, depth, rnd):
 
 
 @settings(max_examples=200, deadline=None)
+@given(small_coalgebras(), st.data())
+def test_level_fill_adds_only_what_its_root_needs_property(c, data):
+    """After each ``approximate(c, s, n)`` on a fresh table, level k holds
+    exactly the states reachable in exactly n - k steps from the root of
+    some call so far: a fill adds no entry its root does not need."""
+    calls = data.draw(
+        st.lists(st.tuples(st.sampled_from(c.state_enumeration), st.integers(0, 8)), max_size=6)
+    )
+    expected = []
+    for s, n in calls:
+        approximate(c, s, n)
+        expected.extend(set() for _ in range(n + 1 - len(expected)))
+        frontier = {s}
+        for k in range(n, -1, -1):
+            expected[k] |= frontier
+            frontier = {ch for t in frontier for ch in c.transition(t).children}
+        assert [set(level) for level in c._levels] == expected
+
+
+@settings(max_examples=200, deadline=None)
 @given(small_indexed_coalgebras(), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
     table = iapproximate_all(c, depth)
@@ -436,9 +456,9 @@ def test_negative_depth_on_every_element():
 
 
 def test_elements_compare_by_coalgebra_and_state():
-    """Elements are values: equal and of equal hash when they are of one
-    type and point at one state of one coalgebra (and, sorted, at one
-    sort), whatever made them."""
+    """Elements are values: equal and of equal hash when they point at one
+    state of one coalgebra at one sort (None for a plain element),
+    whatever made them."""
     c = conat_coalgebra(2)
     one = out(unfold(c, 2)).children[0]
     assert one == unfold(c, 1) and hash(one) == hash(unfold(c, 1))
