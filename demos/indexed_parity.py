@@ -6,17 +6,10 @@ alternate, so every well-sorted tree alternates E and O labels.  A plain
 container is the special case with a single sort.
 """
 
-from omegacoalg import approximate, out, tree_equal
+from omegacoalg import approximate, into, out, tree_equal, unfold
 from omegacoalg.catalog import fig1_coalgebra, parity_coalgebra, parity_container
 from omegacoalg.cli import render_text
-from omegacoalg.indexed import (
-    embed_plain,
-    i_into,
-    i_out,
-    iapproximate,
-    iunfold,
-    well_sorted,
-)
+from omegacoalg.indexed import embed_plain, i_into, i_out, iapproximate, well_sorted
 
 
 def main():
@@ -29,16 +22,19 @@ def main():
         assert well_sorted(base, t)
         print(f"p at depth {n} (sort {t.sort}):", render_text(t.tree))
 
-    # The structure map and its inverse, sort-aware: the plain ``out`` gives
-    # the children the sorts their positions ask for; ``i_out`` is the same
-    # map as a pair.
-    m = iunfold(c, "p")
-    label, children = out(m)
-    assert (label, children) == i_out(m)
-    print("out(p) =", label, "with child sorts", [ch.sort for ch in children])
-    back = i_into(base, "e", label, children)
+    # Corecursion and the structure map and its inverse are the plain calls,
+    # sort-aware: ``unfold`` gives the element its state's sort, ``out``
+    # gives the children the sorts their positions ask for, and ``into``
+    # assembles at the sort it is given, since sorts may share label names.
+    m = unfold(c, "p")
+    v = out(m)
+    print("out(p) =", v.label, "with child sorts", [ch.sort for ch in v.children])
+    back = into(base, v, m.sort)
     assert all(tree_equal(back.at(n), m.at(n)) for n in range(21))
     print("into(out(p)) = p to depth 20")
+    # ``i_out``/``i_into`` are the same maps with a (label, children) pair.
+    assert i_out(m) == tuple(v)
+    assert all(i_into(base, "e", *v).at(n) is back.at(n) for n in range(21))
 
     # Single-sort embedding: a plain coalgebra, viewed as indexed, produces
     # exactly the same approximations.

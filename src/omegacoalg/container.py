@@ -22,6 +22,7 @@ from .errors import (
     NeedsFiniteLabels,
     RaggedDepth,
     SizeBoundExceeded,
+    SortMismatch,
     UnknownLabel,
 )
 
@@ -61,7 +62,10 @@ class Container:
 
     def child_sorts(self, sort, label) -> Optional[tuple]:
         """The sorts of the children of a ``label`` node at ``sort``: none,
-        since a plain container has no sorts."""
+        since a plain container has no sorts; a sort other than None
+        raises :class:`SortMismatch`."""
+        if sort is not None:
+            raise SortMismatch(f"a plain container has no sorts, got sort {sort!r}")
         return None
 
 

@@ -8,16 +8,22 @@ whose transitions are sort-checked when admitted: ``transition`` returns a
 :class:`~omegacoalg.container.PValue` from the one transition cache, and
 the level table is the plain one.  So the plain observations, the depth
 oracle, the pair search, partition refinement, minimization and the
-finality probes run on it unchanged, and each indexed operation is a sort
-check plus the plain call.  Where bisimilarity compares two states, the
-sort joins the label (:meth:`IndexedCoalgebra._tag`), and a quotient is
-again indexed.  Ill-sorted inputs are rejected eagerly.
+finality probes run on it unchanged.  Where bisimilarity compares two
+states, the sort joins the label (:meth:`IndexedCoalgebra._tag`), and a
+quotient is again indexed.  Ill-sorted inputs are rejected eagerly.
 
 A sorted element is a plain :class:`~omegacoalg.mtype.MElement` that
-carries its sort, and the plain ``out`` serves it: the children take the
-sorts :meth:`IndexedContainer.child_sorts` gives.  :func:`i_out` is that
-``out`` as a ``(label, children)`` pair; :func:`iunfold` and the
-sort-checked :func:`i_into` give the element its sort.
+carries its sort.  The coalgebra names each state's sort
+(:meth:`IndexedCoalgebra._sort`), so the plain ``unfold``, ``out``,
+``into`` (given the sort), ``verify_morphism`` and ``uniqueness_probe``
+serve sorted elements, reading child sorts off
+:meth:`IndexedContainer.child_sorts`.  :func:`iunfold`,
+:func:`iapproximate_all`, :func:`i_out`, :func:`i_into`,
+:func:`iverify_morphism` and :func:`iuniqueness_probe` are one-line
+aliases of those calls, kept because callers import them.  :func:`ibounded_bisim` and
+:func:`ifirst_divergence_depth` stay wrappers: across sorts they raise
+:class:`SortMismatch`, where the plain depth oracle answers that the
+states differ at depth 1.
 """
 
 from __future__ import annotations
@@ -28,21 +34,16 @@ from typing import Iterable, Optional
 
 from .bisim import bounded_bisim, first_divergence_depth
 from .container import ApproxTree, PValue
-from .errors import (
-    ArityMismatch,
-    InvalidCoalgebra,
-    NotAMorphism,
-    SortMismatch,
-    UnknownLabel,
-)
+from .errors import ArityMismatch, InvalidCoalgebra, SortMismatch, UnknownLabel
 from .mtype import (
     Coalgebra,
     MElement,
     MorphismCandidate,
-    _FreeExtension,
     _level_entry,
     approximate_all,
+    into,
     out,
+    unfold,
     uniqueness_probe,
     verify_morphism,
 )
@@ -149,6 +150,11 @@ class IndexedCoalgebra(Coalgebra):
                     f"expected {want!r}"
                 )
 
+    def _sort(self, s):
+        """The sort of state ``s``, which :func:`~omegacoalg.mtype.unfold`
+        gives its element."""
+        return self.sort_of[s]
+
     def _tag(self, s, pv: PValue):
         """What bisimilarity compares at ``s`` besides its children: its
         sort and its label, so that states of different sorts are never
@@ -160,13 +166,6 @@ class IndexedCoalgebra(Coalgebra):
         of its sort here, stepping by ``gamma``."""
         sort_of = {s: self.sort_of[s] for s in states}
         return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
-
-    def _reassembled(self, s):
-        """As for a plain coalgebra, by :func:`iunfold` and :func:`i_into`."""
-        e = iunfold(self, s)
-        v = out(e)
-        m = i_into(self.container, e.sort, *v)
-        return m if out(m) == v else None
 
 
 @dataclass(frozen=True)
@@ -232,11 +231,9 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
 iapproximate_all = approximate_all
 
 
-def iunfold(c: IndexedCoalgebra, s) -> MElement:
-    """Corecursion into the indexed final coalgebra at sort_of(s): the
-    element pointed at ``(c, s)``, whose stage n is one read of ``c``'s
-    level table."""
-    return MElement(c.container, coalgebra=c, state=s, sort=c.sort_of[s])
+# Corecursion into the indexed final coalgebra is the plain one: the
+# element pointed at ``(c, s)`` carries the state's sort.
+iunfold = unfold
 
 
 def i_out(m: MElement) -> tuple:
@@ -248,26 +245,9 @@ def i_out(m: MElement) -> tuple:
 
 
 def i_into(ic: IndexedContainer, sort, label, children) -> MElement:
-    """Inverse of :func:`i_out`: assemble an element at ``sort`` from a
-    label and correctly sorted child elements.  The result is pointed at
-    the one-state free extension that steps to ``(label, children)``: stage
-    n is the label over the children's stage n-1, and :func:`i_out` gives
-    back ``(label, children)``."""
-    if label not in ic.labels(sort):
-        raise SortMismatch(f"label {label!r} is not available at sort {sort!r}")
-    key = (sort, label)
-    children = tuple(children)
-    if len(children) != ic.arity[key]:
-        raise ArityMismatch(
-            f"label {label!r} at sort {sort!r} has arity {ic.arity[key]}, "
-            f"got {len(children)} children"
-        )
-    for b, ch in enumerate(children):
-        if ch.sort != ic.child_sort[key][b]:
-            raise SortMismatch(
-                f"child {b} has sort {ch.sort!r}, expected {ic.child_sort[key][b]!r}"
-            )
-    return MElement(ic, coalgebra=_FreeExtension(label, children), state=None, sort=sort)
+    """Inverse of :func:`i_out`: :func:`omegacoalg.mtype.into` at
+    ``sort``, with the label and child elements as two arguments."""
+    return into(ic, PValue(label, tuple(children)), sort)
 
 
 def _same_sort(c: IndexedCoalgebra, s, t) -> None:
@@ -291,31 +271,14 @@ def ifirst_divergence_depth(c: IndexedCoalgebra, s, t, max_depth: int) -> Option
     return first_divergence_depth(c, s, t, max_depth)
 
 
-def _sorts_kept(c: IndexedCoalgebra, map_fn, states) -> bool:
-    """Whether ``map_fn`` sends every checked state to an element of the
-    state's own sort."""
-    return all(map_fn(s).sort == c.sort_of[s] for s in (c.states if states is None else states))
-
-
 def iverify_morphism(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """The morphism law for maps state -> sorted element: a sort check,
-    then :func:`omegacoalg.mtype.verify_morphism`, which first fills the
-    level table by one sweep when every state is checked
-    (``states=None``)."""
-    if states is not None:
-        states = tuple(states)
-    return _sorts_kept(c, map_fn, states) and verify_morphism(
-        MorphismCandidate(c, map_fn), depth, states
-    )
+    """:func:`omegacoalg.mtype.verify_morphism` of ``map_fn`` on ``c``; a
+    state sent to an element of another sort fails the law."""
+    return verify_morphism(MorphismCandidate(c, map_fn), depth, states)
 
 
 def iuniqueness_probe(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """Any verified indexed morphism agrees with iunfold: a sort check,
-    then :func:`omegacoalg.mtype.uniqueness_probe`."""
-    if states is not None:
-        states = tuple(states)
-    if not _sorts_kept(c, map_fn, states):
-        raise NotAMorphism("candidate fails the indexed morphism law: a state changes sort")
+    """:func:`omegacoalg.mtype.uniqueness_probe` of ``map_fn`` on ``c``."""
     return uniqueness_probe(c, MorphismCandidate(c, map_fn), depth, states)
 
 

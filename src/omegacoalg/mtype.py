@@ -5,11 +5,15 @@ holds a coalgebra and a state, its depth-n stage is the coalgebra's
 observation of the state, and ``out`` of it is the morphism law,
 ``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).  An
 element of an indexed container's final coalgebra is the same class
-carrying its sort, and ``out`` reads its children's sorts off the
-container (``child_sorts``).  ``unfold`` points at a coalgebra's level
-table, ``into`` at a one-state free extension, and a family of depth-n
-trees built by hand at :data:`~omegacoalg.chain.LIMITS`, the chain's limit
-as a coalgebra, whose transition is the paper's construction.
+carrying its sort.  ``unfold``, ``out``, ``into``, :func:`verify_morphism`
+and :func:`uniqueness_probe` are the one API for plain and indexed
+coalgebras alike: the coalgebra names each state's sort (none when
+plain), ``unfold`` gives it to the element, and ``out`` and ``into`` read
+the children's sorts off the container (``child_sorts``).  ``unfold``
+points at a coalgebra's level table, ``into`` at a one-state free
+extension, and a family of depth-n trees built by hand at
+:data:`~omegacoalg.chain.LIMITS`, the chain's limit as a coalgebra, whose
+transition is the paper's construction.
 :mod:`omegacoalg.chain` stays the reference semantics that the tests check
 ``out``/``into`` against, through every element's ``.limit`` view.
 Finality is witnessed observationally by :func:`verify_morphism`
@@ -34,6 +38,7 @@ from .errors import (
     NeedsFiniteStates,
     NotAMorphism,
     OmegaCoalgError,
+    SortMismatch,
 )
 
 DEFAULT_DEPTH_BOUND = 10**4
@@ -201,6 +206,11 @@ class Coalgebra:
                 f"got {len(pv.children)} children"
             )
 
+    def _sort(self, s):
+        """The sort of state ``s``: none, since a plain coalgebra has no
+        sorts."""
+        return None
+
     def _tag(self, s, pv: PValue):
         """What bisimilarity compares at ``s`` besides its children: here
         the label of its transition ``pv``."""
@@ -211,14 +221,6 @@ class Coalgebra:
         stepping by ``gamma``: how :func:`~omegacoalg.bisim.minimize`
         builds a quotient."""
         return Coalgebra(self.container, gamma, states, name)
-
-    def _reassembled(self, s):
-        """``into(out(e))`` for the element ``e`` unfolded at ``s``, or None
-        where ``out`` of it does not give back ``out(e)``: the roundtrip
-        that :func:`_table_laws` compares with the level table."""
-        v = out(unfold(self, s))
-        m = into(self.container, v)
-        return m if out(m) == v else None
 
 
 class MElement:
@@ -233,8 +235,7 @@ class MElement:
 
     ``sort`` is None over a plain container.  An element of an indexed
     container's final coalgebra carries its sort (``sort=``, as
-    :func:`~omegacoalg.indexed.iunfold` and
-    :func:`~omegacoalg.indexed.i_into` give it), and :func:`out` gives each
+    :func:`unfold` and :func:`into` give it), and :func:`out` gives each
     child the sort its position asks for.  ``base`` is the container.
 
     Equality and hash are by ``(coalgebra identity, state, sort)``, not by
@@ -304,14 +305,14 @@ class MElement:
 
 
 class _FreeExtension:
-    """The one-state free extension behind :func:`into` and
-    :func:`~omegacoalg.indexed.i_into`: the final coalgebra (its elements,
-    stepping by ``out``) plus one fresh state, ``None``, stepping to
-    ``label`` over the elements ``children``.  Its unfold sends an element
-    to itself and the fresh state to the assembled element, whose depth-n
-    stage is ``label`` over the children's depth-(n-1) stages.  The
-    extension keeps the stages it has built, so observing the assembled
-    element again at a depth it has reached costs a lookup.
+    """The one-state free extension behind :func:`into`, plain and indexed:
+    the final coalgebra (its elements, stepping by ``out``) plus one fresh
+    state, ``None``, stepping to ``label`` over the elements ``children``.
+    Its unfold sends an element to itself and the fresh state to the
+    assembled element, whose depth-n stage is ``label`` over the
+    children's depth-(n-1) stages.  The extension keeps the stages it has
+    built, so observing the assembled element again at a depth it has
+    reached costs a lookup.
     """
 
     __slots__ = ("label", "children", "_stages", "_nested")
@@ -401,9 +402,9 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     ``into`` and the transition.  Returns four verdicts:
 
     * compatible: truncating each depth-(k+1) entry gives the depth-k one;
-    * roundtrip: for every state, ``out`` of the element reassembled by
-      ``into`` gives back what it was assembled from, and the element's
-      stages are the state's entries (:meth:`Coalgebra._reassembled`);
+    * roundtrip: for every state ``s``, with ``e = unfold(c, s)``, ``out``
+      of ``into(out(e))``, assembled at ``e``'s sort, gives back ``out(e)``,
+      and its stages are the state's entries;
     * morphism: each depth-k entry, k >= 1, is the label of its state's
       transition over the children's depth-(k-1) entries;
     * unique: the morphism law and Trunc at depth 0, the induction that
@@ -417,8 +418,10 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     states = c.state_enumeration
     roundtrip = True
     for s in states:
-        m = c._reassembled(s)
-        if m is None or any(m.at(k) is not level[s] for k, level in enumerate(table)):
+        e = unfold(c, s)
+        v = out(e)
+        m = into(c.container, v, e.sort)
+        if out(m) != v or any(m.at(k) is not level[s] for k, level in enumerate(table)):
             roundtrip = False
             break
     steps = [c.transition(s) for s in states]
@@ -440,9 +443,10 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
 
 def unfold(c: Coalgebra, s) -> MElement:
     """The unique coalgebra morphism into the final coalgebra, evaluated at
-    ``s``: the element pointed at ``(c, s)``.  Stage n is
-    ``approximate(c, s, n)``, one read of ``c``'s level table."""
-    return MElement(c.container, coalgebra=c, state=s)
+    ``s``: the element pointed at ``(c, s)``, of the state's sort (none
+    when ``c`` is plain).  Stage n is ``approximate(c, s, n)``, one read of
+    ``c``'s level table."""
+    return MElement(c.container, coalgebra=c, state=s, sort=c._sort(s))
 
 
 def out(m: MElement) -> PValue:
@@ -453,8 +457,9 @@ def out(m: MElement) -> PValue:
     the transition of ``s`` with each child state ``t`` sent to the element
     pointed at ``(c, t)``, and ``out(into(c, v))`` is ``v``.  Each child
     takes the sort that ``m.container.child_sorts`` gives its position:
-    none over a plain container; over an indexed one, a root label that is
-    not available at ``m.sort`` raises :class:`SortMismatch`.  For an
+    none over a plain container, where an element with a sort raises
+    :class:`SortMismatch`; over an indexed one, so does a root label that
+    is not available at ``m.sort``.  For an
     element built by hand the transition is that of
     :data:`~omegacoalg.chain.LIMITS`, the paper's construction, which
     raises :class:`LabelDrift` on a family whose root label changes across
@@ -470,18 +475,29 @@ def out(m: MElement) -> PValue:
     return PValue(label, tuple(kids))
 
 
-def into(c: Container, v: PValue) -> MElement:
-    """Inverse of :func:`out`: assemble an element from a label and child
-    elements, pointed at the one-state free extension that steps to ``v``:
-    stage n is the label over the children's stage n-1, and ``out`` of it
-    gives back ``v``.
+def into(c: Container, v: PValue, sort=None) -> MElement:
+    """Inverse of :func:`out`: assemble an element of ``sort`` from a label
+    and child elements, pointed at the one-state free extension that steps
+    to ``v``: stage n is the label over the children's stage n-1, and
+    ``out`` of it gives back ``v``.
+
+    ``sort`` is None over a plain container; another value raises
+    :class:`SortMismatch`.  Over an indexed one it names
+    the element's sort, which the label alone does not fix, since sorts
+    share label names; the label must be available at it and each child
+    must have the sort its position asks for (``c.child_sorts``), else
+    :class:`SortMismatch`.  A wrong number of children raises
+    :class:`ArityMismatch`.
     """
-    if len(v.children) != c.arity_of(v.label):
-        raise ArityMismatch(
-            f"label {v.label!r} has arity {c.arity_of(v.label)}, "
-            f"got {len(v.children)} children"
-        )
-    return MElement(c, coalgebra=_FreeExtension(v.label, v.children), state=None)
+    label, children = v
+    sorts = c.child_sorts(sort, label)
+    arity = c.arity_of(label) if sorts is None else len(sorts)
+    if len(children) != arity:
+        raise ArityMismatch(f"label {label!r} has arity {arity}, got {len(children)} children")
+    for b, (ch, want) in enumerate(zip(children, sorts or ())):
+        if ch.sort != want:
+            raise SortMismatch(f"child {b} has sort {ch.sort!r}, expected {want!r}")
+    return MElement(c, coalgebra=_FreeExtension(label, children), state=None, sort=sort)
 
 
 def out_coalgebra(c: Container) -> Coalgebra:
@@ -500,14 +516,18 @@ def _check_states(mc: MorphismCandidate, states) -> Iterable:
 
 
 def morphism_violations(mc: MorphismCandidate, depth: int, states=None):
-    """Yield (state, stage) pairs where the morphism law fails.  Checking the
-    whole enumeration (``states=None``) first fills the source's level
-    table by one :func:`approximate_all` sweep."""
+    """Yield (state, stage) pairs where the morphism law fails.  A state
+    sent to an element of another sort fails at stage 0, the root's sort.
+    Checking the whole enumeration (``states=None``) first fills the
+    source's level table by one :func:`approximate_all` sweep."""
     checked = _check_states(mc, states)
     if states is None:
         approximate_all(mc.source, depth)
     for s in checked:
         m = mc.map(s)
+        if m.sort != mc.source._sort(s):
+            yield (s, 0)
+            continue
         for n in range(depth + 1):
             if m.at(n) is not approximate(mc.source, s, n):
                 yield (s, n)
@@ -525,7 +545,11 @@ def uniqueness_probe(c: Coalgebra, mc: MorphismCandidate, depth: int, states=Non
     """Executable shadow of contractibility: any verified morphism agrees
     with unfold at every checked state and stage.  Stage n of
     ``unfold(c, s)`` is ``c._observe(s, n)``, so ``c`` may be any
-    coalgebra with a level table, plain or indexed."""
+    coalgebra with a level table, plain or indexed.  ``states`` is read
+    once, so an iterator checks its states in both the law and the
+    agreement."""
+    if states is not None:
+        states = tuple(states)
     if not verify_morphism(mc, depth, states):
         raise NotAMorphism("candidate fails the morphism law; probe refused")
     for s in _check_states(mc, states):

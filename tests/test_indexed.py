@@ -34,7 +34,7 @@ from omegacoalg.indexed import (
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.mtype import MElement
-from omegacoalg.errors import InvalidCoalgebra, NotAMorphism, SortMismatch
+from omegacoalg.errors import ArityMismatch, InvalidCoalgebra, NotAMorphism, SortMismatch
 
 from conftest import (
     chain_into,
@@ -123,11 +123,15 @@ def test_iunfold_compatibility():
 
 
 def test_i_out_parity():
+    """The plain ``unfold`` gives the element its state's sort, so the
+    plain ``out`` of it is ``i_out``: E over one child of sort o."""
+    assert iunfold is unfold
     c = parity_coalgebra()
-    m = iunfold(c, "p")
-    label, children = i_out(m)
+    m = unfold(c, "p")
+    label, children = out(m)
+    assert (label, children) == i_out(m)
     assert label == "E"
-    assert children[0].sort == "o"
+    assert [ch.sort for ch in children] == ["o"]
     q = iunfold(c, "q")
     for n in range(6):
         assert tree_equal(children[0].at(n), q.at(n))
@@ -151,6 +155,24 @@ def test_i_into_sort_mismatch():
     wrong = iunfold(c, "p")  # sort e, but E expects an o child
     with pytest.raises(SortMismatch):
         i_into(PARITY, "e", "E", (wrong,))
+
+
+def test_into_over_an_indexed_container_checks_sort_and_arity():
+    """``into`` over an indexed container assembles at the sort it is
+    given.  No sort, a sort without the label and a wrongly sorted child
+    raise :class:`SortMismatch`, a wrong number of children
+    :class:`ArityMismatch`: library errors, not an ``AttributeError``."""
+    c = parity_coalgebra()
+    p, q = unfold(c, "p"), unfold(c, "q")
+    assert into(PARITY, out(p), "e").sort == "e"
+    for sort in (None, "o"):
+        with pytest.raises(SortMismatch):
+            into(PARITY, PValue("E", (q,)), sort)
+    with pytest.raises(SortMismatch):
+        into(PARITY, PValue("E", (p,)), "e")
+    for kids in ((), (q, q)):
+        with pytest.raises(ArityMismatch):
+            into(PARITY, PValue("E", kids), "e")
 
 
 def test_ibounded_bisim():
@@ -192,7 +214,7 @@ def test_indexed_operations_check_sorts_first():
     assert all(swapped(s).at(n) is iunfold(c, s).at(n) for s in "pq" for n in range(5))
     assert not iverify_morphism(c, swapped, 5, states=["p", "q"])
     assert not iverify_morphism(c, swapped, 5, states=iter(["p"]))
-    # Sorts kept, stages wrong: the states to check are read twice.
+    # Sorts kept, stages wrong, from an iterator of states.
     assert not iverify_morphism(c, lambda s: iunfold(c, "r"), 5, states=iter(["p"]))
     with pytest.raises(NotAMorphism):
         iuniqueness_probe(c, swapped, 5, states=["p", "q"])
@@ -254,7 +276,9 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
     ``into`` composition applied to the elements' ``limit`` views; ``i_out``
     and ``i_into`` of elements built by hand from those views agree too.
     The plain ``out`` of an unfolded, assembled or hand-built sorted
-    element is ``i_out`` of it, with the child sorts of ``child_sort``."""
+    element is ``i_out`` of it, with the child sorts of ``child_sort``;
+    the plain ``unfold`` gives the state's sort, and the plain ``into`` at
+    that sort is ``i_into``."""
     ic = c.base
 
     def plain_out(m):
@@ -265,6 +289,7 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
 
     for s in c.states:
         m = iunfold(c, s)
+        assert unfold(c, s) == m and m.sort == c.sort_of[s]
         plain_out(m)
         plain_out(SortedMElement(ic, m.sort, m.limit))
         label, children = i_out(m)
@@ -288,12 +313,14 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         views = tuple(ch.limit for ch in children)
         lit_back = chain_into(_at_sort(ic, m.sort), PValue(label, views))
         hand_back = i_into(ic, m.sort, hand_label, hand_children)
-        assert i_out(back) == (label, children)
+        plain_back = into(ic, out(m), m.sort)
+        assert i_out(back) == (label, children) == tuple(out(plain_back))
         plain_out(back)
         plain_out(hand_back)
-        assert back.sort == hand_back.sort == m.sort
+        assert back.sort == hand_back.sort == plain_back.sort == m.sort
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is lit_back.at(n) is hand_back.at(n) is m.at(n)
+            assert plain_back.at(n) is m.at(n)
 
 
 @settings(max_examples=300, deadline=None)

@@ -43,6 +43,7 @@ from omegacoalg.errors import (
     InvalidCoalgebra,
     LabelDrift,
     NotAMorphism,
+    SortMismatch,
 )
 from omegacoalg.indexed import (
     IndexedCoalgebra,
@@ -171,6 +172,13 @@ def test_into_arity_mismatch():
         into(c.container, PValue("b", (leaf,)))
 
 
+def test_into_plain_container_takes_no_sort():
+    c = fig1_coalgebra()
+    assert into(c.container, PValue("a", ())).sort is None
+    with pytest.raises(SortMismatch):
+        into(c.container, PValue("a", ()), "e")
+
+
 def test_verify_morphism_unfold():
     c = fig1_coalgebra()
     mc = MorphismCandidate(c, lambda s: unfold(c, s))
@@ -235,6 +243,17 @@ def test_uniqueness_probe_guards():
     mc = MorphismCandidate(alternating, lambda s: const7)
     with pytest.raises(NotAMorphism):
         uniqueness_probe(alternating, mc, 5)
+
+
+def test_uniqueness_probe_reads_states_once():
+    """An iterator of states is checked both for the law and for agreement
+    with unfold: x -> a(x) does not agree with unfold into x -> b(x)."""
+    c = Container(arity={"a": 1, "b": 1})
+    c1 = Coalgebra(c, {"x": ("a", ("x",))}, state_enumeration=("x",))
+    c2 = Coalgebra(c, {"x": ("b", ("x",))}, state_enumeration=("x",))
+    mc = MorphismCandidate(c1, lambda s: unfold(c1, s))
+    assert not uniqueness_probe(c2, mc, 5, states=["x"])
+    assert not uniqueness_probe(c2, mc, 5, states=iter(["x"]))
 
 
 def test_degenerate_container_collapses():
