@@ -202,23 +202,21 @@ def partition_refine(c: Coalgebra) -> Partition:
 
     Output ordering is canonical: blocks by the enumeration index of their
     earliest member, members in enumeration order.
+
+    The children of each state are read, as state numbers, from the table
+    that validating ``c`` built (:class:`~omegacoalg.mtype.Coalgebra`:
+    ``_kids`` and ``_koff``); refinement numbers no state itself.
     """
     states = _require_states(c)
     n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    # Flat tables over state indices: the children of i are
-    # kids[koff[i]:koff[i + 1]], its predecessors (with repeats)
-    # preds[poff[i]:poff[i + 1]].
-    koff = array("l", [0])
-    kids = array("l")
+    # The children of i are kids[koff[i]:koff[i + 1]], its predecessors
+    # (with repeats) preds[poff[i]:poff[i + 1]].
+    kids, koff = c._kids, c._koff
     block = array("l")
     label_block: dict = {}
     tag = c._tag
     for s in states:
-        pv = c.transition(s)
-        kids.extend(map(index.__getitem__, pv.children))
-        koff.append(len(kids))
-        block.append(label_block.setdefault(tag(s, pv), len(label_block)))
+        block.append(label_block.setdefault(tag(s, c.transition(s)), len(label_block)))
     poff = array("l", [0]) * (n + 1)
     for k in kids:
         poff[k + 1] += 1
@@ -248,18 +246,27 @@ def partition_refine(c: Coalgebra) -> Partition:
         end[b] += 1
     dirty = list(range(n))
     mark = bytearray(b"\x01") * n
+    block_of = block.__getitem__
     while dirty:
-        touched: dict = {}
+        # Dirty states grouped by block and signature at once: the key is
+        # the block followed by the children's blocks.
+        groups: dict = {}
         for i in dirty:
-            key = tuple(map(block.__getitem__, kids[koff[i] : koff[i + 1]]))
-            touched.setdefault(block[i], {}).setdefault(key, []).append(i)
+            key = (block_of(i), *map(block_of, kids[koff[i] : koff[i + 1]]))
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [i]
+            else:
+                members.append(i)
+        touched: dict = {}
+        for key, members in groups.items():
+            touched.setdefault(key[0], []).append(members)
         moved: list = []
-        for b, groups in touched.items():
+        for b, parts in touched.items():
             # The clean members of b share one signature, and it differs
             # from every dirty member's, which names a block created in the
             # previous round.  So the clean members form a part of their
             # own, listed as None: they are found only if that part moves.
-            parts = list(groups.values())
             sizes = list(map(len, parts))
             clean = end[b] - start[b] - sum(sizes)
             if clean:
@@ -275,15 +282,18 @@ def partition_refine(c: Coalgebra) -> Partition:
                     # The clean part is no larger than the largest part,
                     # which is dirty, so this scan costs O(dirty members).
                     members = [x for x in elems[start[b] : end[b]] if not mark[x]]
-                top = end[b]
+                # The part moves to the tail of b's segment, which becomes
+                # the segment of the new block.
+                top = e = end[b]
+                new = len(start)
                 for x in members:
-                    e = end[b] - 1
+                    e -= 1
                     y, p = elems[e], loc[x]
                     elems[p], loc[y] = y, p
                     elems[e], loc[x] = x, e
-                    end[b] = e
-                    block[x] = len(start)
-                start.append(end[b])
+                    block[x] = new
+                end[b] = e
+                start.append(e)
                 end.append(top)
                 moved.extend(members)
         for i in dirty:

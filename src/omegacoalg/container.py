@@ -124,17 +124,22 @@ def _tree(depth: int, label, children: tuple) -> ApproxTree:
 
 TRUNC = _tree(0, _TRUNC_LABEL, ())
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PValue:
     """A polynomial-functor value: a label with one payload per position."""
 
     label: object
     children: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.children, tuple):
-            object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, label, children):
+        # One value is made per loaded state and per ``out``: its fields
+        # are set directly, with no __post_init__ pass, and its slots keep
+        # it small.
+        _setattr(self, "label", label)
+        _setattr(self, "children", children if type(children) is tuple else tuple(children))
 
     def __iter__(self):
         """Unpack as ``label, children``, the shape of every transition."""

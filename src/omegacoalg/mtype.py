@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 import os
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -144,6 +145,15 @@ class Coalgebra:
     hashable.  When ``state_enumeration`` is present, the presentation is
     validated eagerly: every state must have a transition, which must be
     admitted (:meth:`_admit`) and must stay within the enumerated states.
+
+    That one validating pass also numbers the states, by their place in
+    the enumeration, and keeps the child table: the children of state i,
+    as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The table is built
+    once, at construction, and partition refinement reads it
+    (:func:`~omegacoalg.bisim.partition_refine`).  It costs 8 bytes per
+    state plus 8 bytes per edge; the state -> number dict that the
+    duplicate and closure checks use is dropped once they pass.  Without
+    an enumeration both arrays are None.
     """
 
     container: Container
@@ -152,6 +162,8 @@ class Coalgebra:
     name: str = ""
     _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _levels: list = field(default_factory=list, repr=False, compare=False)
+    _kids: Optional[array] = field(default=None, init=False, repr=False, compare=False)
+    _koff: Optional[array] = field(default=None, init=False, repr=False, compare=False)
 
     # How validation names a repeated state and the states a child must
     # stay among.
@@ -162,15 +174,25 @@ class Coalgebra:
         if self.state_enumeration is not None:
             states = tuple(self.state_enumeration)
             self.state_enumeration = states
-            pool = set(states)
-            if len(pool) != len(states):
+            index = {s: i for i, s in enumerate(states)}
+            if len(index) != len(states):
                 raise InvalidCoalgebra(self._duplicates)
+            number = index.__getitem__
+            step = self.transition
+            kids = array("l")
+            koff = array("l", [0])
             for s in states:
-                for ch in self.transition(s).children:
-                    if ch not in pool:
-                        raise InvalidCoalgebra(
-                            f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
-                        )
+                children = step(s).children
+                try:
+                    kids.extend(map(number, children))
+                except KeyError:
+                    for ch in children:
+                        if ch not in index:
+                            raise InvalidCoalgebra(
+                                f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
+                            ) from None
+                koff.append(len(kids))
+            self._kids, self._koff = kids, koff
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table, as pointed elements take it.
@@ -179,13 +201,14 @@ class Coalgebra:
     def transition(self, s) -> PValue:
         pv = self._gamma_cache.get(s)
         if pv is None:
-            if not isinstance(self.gamma, Mapping):
-                raw = self.gamma(s)
-            else:
+            gamma = self.gamma
+            if type(gamma) is dict or isinstance(gamma, Mapping):
                 try:
-                    raw = self.gamma[s]
+                    raw = gamma[s]
                 except KeyError:
                     raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
+            else:
+                raw = gamma(s)
             if isinstance(raw, PValue):
                 pv = raw
             else:
@@ -197,12 +220,16 @@ class Coalgebra:
 
     def _admit(self, s, pv: PValue) -> None:
         """Reject a transition the signature does not allow: here, one
-        whose label has another arity.  Called once per state, on the
-        first read of its transition."""
-        n = self.container.arity_of(pv.label)
+        whose label has another arity at the state's sort, read through
+        ``container.child_sorts`` as :func:`into` reads it.  Called once
+        per state, on the first read of its transition."""
+        label = pv.label
+        container = self.container
+        sorts = container.child_sorts(self._sort(s), label)
+        n = container.arity_of(label) if sorts is None else len(sorts)
         if len(pv.children) != n:
             raise ArityMismatch(
-                f"state {s!r}: label {pv.label!r} has arity {n}, "
+                f"state {s!r}: label {label!r} has arity {n}, "
                 f"got {len(pv.children)} children"
             )
 
@@ -500,9 +527,19 @@ def into(c: Container, v: PValue, sort=None) -> MElement:
     return MElement(c, coalgebra=_FreeExtension(label, children), state=None, sort=sort)
 
 
+class _OutCoalgebra(Coalgebra):
+    """The final coalgebra as a coalgebra over its own elements, stepping
+    by :func:`out`: each state is an element and has that element's
+    sort."""
+
+    def _sort(self, m):
+        return m.sort
+
+
 def out_coalgebra(c: Container) -> Coalgebra:
-    """The final coalgebra viewed as a coalgebra over its own elements."""
-    return Coalgebra(c, gamma=out, name="out")
+    """The final coalgebra viewed as a coalgebra over its own elements,
+    plain or indexed: a transition is admitted at its element's sort."""
+    return _OutCoalgebra(c, gamma=out, name="out")
 
 
 def _check_states(mc: MorphismCandidate, states) -> Iterable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .container import Container
+from .container import Container, PValue
 from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import IndexedCoalgebra, IndexedContainer
 from .mtype import Coalgebra
@@ -109,13 +109,14 @@ def _parse_coalgebra(container: Container, frag) -> Coalgebra:
     declared = set(container.labels)
     table = {}
     for s in states:
-        _require_str(s, "coalgebra.states")
-        label, children = _parse_entry(gamma, s)
-        if label not in declared:
+        if not isinstance(s, str):
+            _require_str(s, "coalgebra.states")
+        pv = _parse_entry(gamma, s)
+        if pv.label not in declared:
             raise SpecValidationError(
-                f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels"
+                f"coalgebra.gamma.{s}.label: {pv.label!r} is not in signature.labels"
             )
-        table[s] = (label, children)
+        table[s] = pv
     _require_declared(gamma, table)
     # After the transitions, so that one with an unlisted label is named
     # as such rather than by its arity entry.
@@ -127,27 +128,33 @@ def _parse_coalgebra(container: Container, frag) -> Coalgebra:
         raise SpecValidationError(f"coalgebra: {e}") from None
 
 
-def _parse_entry(gamma: dict, s: str) -> tuple:
-    """The ``(label, children)`` transition of state ``s`` in ``gamma``."""
-    _require(s in gamma, f"coalgebra.gamma.{s}: missing")
-    entry = gamma[s]
-    _require(isinstance(entry, dict), f"coalgebra.gamma.{s}: expected an object")
-    _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
-    label = entry["label"]
-    _require_str(label, f"coalgebra.gamma.{s}.label")
+def _parse_entry(gamma: dict, s: str) -> PValue:
+    """The transition of state ``s`` in ``gamma``, checked for shape only:
+    a label and an array of children, all strings.  Each check builds its
+    message only when it fails."""
+    entry = gamma.get(s)
+    if not isinstance(entry, dict):
+        _require(s in gamma, f"coalgebra.gamma.{s}: missing")
+        raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
+    label = entry.get("label")
+    if not isinstance(label, str):
+        _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
+        _require_str(label, f"coalgebra.gamma.{s}.label")
     children = entry.get("children")
-    _require(isinstance(children, list), f"coalgebra.gamma.{s}.children: expected an array")
+    if not isinstance(children, list):
+        raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
     for ch in children:
         if not isinstance(ch, str):
             _require_str(ch, f"coalgebra.gamma.{s}.children")
-    return label, tuple(children)
+    return PValue(label, children)
 
 
 def _require_declared(gamma: dict, table: dict):
     """Every key of ``gamma`` must name a declared state: an entry for an
     undeclared one would be dropped without a word."""
     for s in gamma:
-        _require(s in table, f"coalgebra.gamma.{s}: not a declared state")
+        if s not in table:
+            raise SpecValidationError(f"coalgebra.gamma.{s}: not a declared state")
 
 
 def _parse_indexed(frag) -> IndexedContainer:

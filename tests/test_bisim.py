@@ -231,6 +231,25 @@ def test_refinement_and_pair_search_match_oracle_property(c):
             assert divergence_depth(c, s, t) == first_divergence_depth(c, s, t, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_coalgebras())
+@example(SELF_LOOP)
+@example(LEAVES)
+def test_gamma_function_refines_as_its_mapping_property(c):
+    """A presentation given as a ``gamma`` function over the enumeration
+    validates to the same numbered table as the same presentation given as
+    a mapping, and refines and minimizes to the same result."""
+    table = dict(c.gamma)
+    as_function = Coalgebra(c.container, table.__getitem__, state_enumeration=c.state_enumeration)
+    assert (as_function._kids, as_function._koff) == (c._kids, c._koff)
+    assert partition_refine(as_function).blocks == partition_refine(c).blocks
+    m, mf = minimize(c), minimize(as_function)
+    assert mf.state_enumeration == m.state_enumeration
+    assert [mf.transition(s) for s in mf.state_enumeration] == [
+        m.transition(s) for s in m.state_enumeration
+    ]
+
+
 def run_bisim(path, s, t):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

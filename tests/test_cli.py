@@ -424,6 +424,29 @@ def test_spec_boundary_exits_2(tmp_path, doc, message):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "gamma, line",
+    [
+        (
+            {"q": {"label": "a", "children": [1]}, "r": {"label": "x", "children": []}},
+            "validation error: coalgebra.gamma.q.children: expected a string, got 1\n",
+        ),
+        (
+            {"q": {"label": "x", "children": []}, "r": {"label": "a", "children": [1]}},
+            "validation error: coalgebra.gamma.q.label: 'x' is not in signature.labels\n",
+        ),
+    ],
+    ids=["child-then-label", "label-then-child"],
+)
+def test_spec_with_two_faults_names_the_earlier_state(tmp_path, gamma, line):
+    """Of a non-string child and an undeclared label at two states, the
+    fault at the state listed first is the one reported."""
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(plain_doc(states=("q", "r"), gamma=gamma)))
+    r = run_cli("minimize", "--spec", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", line)
+
+
 def random_plain_doc(rng, n):
     labels = {"a": 0, "b": 1, "c": 2}
     states = [f"s{i}" for i in range(n)]

@@ -544,3 +544,107 @@ def test_gamma_mapping_missing_a_state_is_invalid():
         Coalgebra(fig1_signature(), {}, state_enumeration=("a",))
     with pytest.raises(InvalidCoalgebra, match="state 'q' has no transition"):
         IndexedCoalgebra(parity_container(), ("p", "q"), {"p": "e", "q": "o"}, {"p": ("E", ("q",))})
+
+
+def test_out_coalgebra_of_an_indexed_container_steps_by_out():
+    """The final coalgebra of an indexed container, viewed as a coalgebra
+    over its elements, admits each transition at its element's sort: it
+    steps by ``out``, and unfolding through it keeps sorts and stages."""
+    e = unfold(parity_coalgebra(), "p")
+    oc = out_coalgebra(parity_container())
+    assert oc.transition(e) == out(e)
+    child = out(e).children[0]
+    assert child.sort == "o" and oc.transition(child) == out(child)
+    m = unfold(oc, e)
+    assert m.sort == "e"
+    assert all(m.at(n) is e.at(n) for n in range(12))
+
+
+def _plain(states, gamma):
+    return lambda: Coalgebra(fig1_signature(), gamma, state_enumeration=states)
+
+
+def _parity(states, gamma):
+    sort_of = {"p": "e", "q": "o", "r": "e"}
+    return lambda: IndexedCoalgebra(parity_container(), states, sort_of, gamma)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # A child outside the enumeration, then a wrong arity; and the
+        # other way round.
+        (
+            _plain(("s", "t"), {"s": ("b", ("t", "x")), "t": ("a", ("s",))}),
+            InvalidCoalgebra,
+            "transition of 's' leaves the state enumeration: 'x'",
+        ),
+        (
+            _plain(("s", "t"), {"s": ("a", ("s",)), "t": ("b", ("t", "x"))}),
+            ArityMismatch,
+            "state 's': label 'a' has arity 0, got 1 children",
+        ),
+        (
+            _parity(("p", "q"), {"p": ("E", ("x",)), "q": ("O", ())}),
+            InvalidCoalgebra,
+            "transition of 'p' leaves the state set: 'x'",
+        ),
+        (
+            _parity(("p", "q"), {"p": ("E", ()), "q": ("O", ("x",))}),
+            ArityMismatch,
+            "state 'p': label 'E' has arity 1, got 0 children",
+        ),
+        # A missing gamma entry, then a child outside the enumeration; and
+        # the other way round.
+        (
+            _plain(("s", "t"), {"t": ("b", ("s", "x"))}),
+            InvalidCoalgebra,
+            "state 's' has no transition in gamma",
+        ),
+        (
+            _plain(("s", "t"), {"s": ("b", ("s", "x"))}),
+            InvalidCoalgebra,
+            "transition of 's' leaves the state enumeration: 'x'",
+        ),
+        (
+            _parity(("p", "q"), {"q": ("O", ("x",))}),
+            InvalidCoalgebra,
+            "state 'p' has no transition in gamma",
+        ),
+        (
+            _parity(("p", "q"), {"p": ("E", ("x",))}),
+            InvalidCoalgebra,
+            "transition of 'p' leaves the state set: 'x'",
+        ),
+        # A duplicate state is reported before any transition is read.
+        (
+            _plain(("s", "t", "s"), {"t": ("b", ("s", "x"))}),
+            InvalidCoalgebra,
+            "state enumeration contains duplicates",
+        ),
+        (
+            _parity(("p", "q", "p"), {"q": ("O", ("x",))}),
+            InvalidCoalgebra,
+            "duplicate states",
+        ),
+    ],
+    ids=[
+        "plain-leaves-then-arity",
+        "plain-arity-then-leaves",
+        "indexed-leaves-then-arity",
+        "indexed-arity-then-leaves",
+        "plain-missing-then-leaves",
+        "plain-leaves-then-missing",
+        "indexed-missing-then-leaves",
+        "indexed-leaves-then-missing",
+        "plain-duplicate-first",
+        "indexed-duplicate-first",
+    ],
+)
+def test_validation_reports_the_first_fault_in_enumeration_order(make, error, message):
+    """A presentation with two faults is rejected for the one at the
+    earlier state, plain and indexed alike, whichever the kinds of the two
+    faults."""
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
