@@ -60,11 +60,9 @@ from .indexed import (
     IndexedCoalgebra,
     IndexedContainer,
     SortedApproxTree,
-    SortedMElement,
     i_into,
     i_out,
     iapproximate,
-    iapproximate_all,
     ibounded_bisim,
     iunfold,
     well_sorted,

@@ -15,8 +15,8 @@ from operator import attrgetter
 
 from . import bisim as bs
 from . import catalog, specdoc
-from .errors import OmegaCoalgError, SpecValidationError
-from .indexed import SortedApproxTree, well_sorted_all
+from .errors import OmegaCoalgError, SortMismatch, SpecValidationError
+from .indexed import SortedApproxTree, _same_sort, well_sorted_all
 from .mtype import _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
@@ -285,15 +285,11 @@ def cmd_bisim(args) -> int:
         if s not in c.state_enumeration:
             print(f"unknown state: {s}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
-    if doc.kind == "indexed":
-        sorts = (c.sort_of[args.left], c.sort_of[args.right])
-        if sorts[0] != sorts[1]:
-            print(
-                f"sort mismatch: states {args.left!r} and {args.right!r} have "
-                f"sorts {sorts[0]!r} and {sorts[1]!r}",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
+    try:
+        _same_sort(c, args.left, args.right)
+    except SortMismatch as e:
+        print(f"sort mismatch: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     # Paired states of equal sort have equal sorts all the way down, so the
     # raw labels differ exactly where the sort-tagged ones do.
     if bounded:
@@ -343,7 +339,7 @@ def cmd_check(args) -> int:
         )
         table = approximate_all(c, args.depth)
         trees = (SortedApproxTree(c.sort_of[s], t) for level in table for s, t in level.items())
-        verdicts = (well_sorted_all(c.base, trees),) + verdicts
+        verdicts = (well_sorted_all(c.container, trees),) + verdicts
     for name, passed in zip(names, verdicts):
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if all(verdicts) else EXIT_CHECKS_FAILED

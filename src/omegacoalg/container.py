@@ -60,13 +60,13 @@ class Container:
         except KeyError:
             raise UnknownLabel(f"label {label!r} has no declared arity") from None
 
-    def child_sorts(self, sort, label) -> Optional[tuple]:
-        """The sorts of the children of a ``label`` node at ``sort``: none,
-        since a plain container has no sorts; a sort other than None
-        raises :class:`SortMismatch`."""
+    def child_sorts(self, sort, label) -> tuple:
+        """The sorts of the children of a ``label`` node at ``sort``: one
+        None per position, since a plain container is the one-sort case
+        whose sort is None; another sort raises :class:`SortMismatch`."""
         if sort is not None:
             raise SortMismatch(f"a plain container has no sorts, got sort {sort!r}")
-        return None
+        return (None,) * self.arity_of(label)
 
 
 class ApproxTree:

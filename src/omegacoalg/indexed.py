@@ -13,17 +13,16 @@ states, the sort joins the label (:meth:`IndexedCoalgebra._tag`), and a
 quotient is again indexed.  Ill-sorted inputs are rejected eagerly.
 
 A sorted element is a plain :class:`~omegacoalg.mtype.MElement` that
-carries its sort.  The coalgebra names each state's sort
-(:meth:`IndexedCoalgebra._sort`), so the plain ``unfold``, ``out``,
-``into`` (given the sort), ``verify_morphism`` and ``uniqueness_probe``
-serve sorted elements, reading child sorts off
-:meth:`IndexedContainer.child_sorts`.  :func:`iunfold`,
-:func:`iapproximate_all`, :func:`i_out`, :func:`i_into`,
-:func:`iverify_morphism` and :func:`iuniqueness_probe` are one-line
-aliases of those calls, kept because callers import them.  :func:`ibounded_bisim` and
-:func:`ifirst_divergence_depth` stay wrappers: across sorts they raise
-:class:`SortMismatch`, where the plain depth oracle answers that the
-states differ at depth 1.
+carries its sort (``sort=``).  The coalgebra names each state's sort
+(:meth:`IndexedCoalgebra._sort`), so the plain ``unfold``,
+``approximate_all``, ``out``, ``into`` (given the sort),
+``verify_morphism`` and ``uniqueness_probe`` serve sorted elements,
+reading child sorts off :meth:`IndexedContainer.child_sorts`.  The
+``i*`` names left add something or are the paper's: :func:`iunfold` is
+``unfold``; :func:`i_out`/:func:`i_into` take a ``(label, children)``
+pair; :func:`iapproximate` carries its sort; :func:`ibounded_bisim` and
+:func:`ifirst_divergence_depth` raise :class:`SortMismatch` across sorts,
+where the plain depth oracle answers that the states differ at depth 1.
 """
 
 from __future__ import annotations
@@ -34,19 +33,8 @@ from typing import Iterable, Optional
 
 from .bisim import bounded_bisim, first_divergence_depth
 from .container import ApproxTree, PValue
-from .errors import ArityMismatch, InvalidCoalgebra, SortMismatch, UnknownLabel
-from .mtype import (
-    Coalgebra,
-    MElement,
-    MorphismCandidate,
-    _level_entry,
-    approximate_all,
-    into,
-    out,
-    unfold,
-    uniqueness_probe,
-    verify_morphism,
-)
+from .errors import InvalidCoalgebra, SortMismatch, UnknownLabel
+from .mtype import Coalgebra, MElement, _level_entry, into, out, unfold
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +43,8 @@ class IndexedContainer:
 
     ``child_sort[(sort, label)]`` is the tuple of sorts of the children, one
     per position; its length must equal the arity.  Closure into ``sorts``
-    is validated at construction.
+    is validated at construction, which keeps ``child_sort`` as one tuple
+    per declared label (a leaf label may leave its entry out).
     """
 
     sorts: tuple
@@ -67,12 +56,13 @@ class IndexedContainer:
         pool = set(self.sorts)
         if len(pool) != len(self.sorts):
             raise InvalidCoalgebra("duplicate sorts")
+        table = {}
         for i in self.sorts:
             for a in self.labels_at.get(i, ()):
                 key = (i, a)
                 if key not in self.arity:
                     raise UnknownLabel(f"no arity for label {a!r} at sort {i!r}")
-                cs = tuple(self.child_sort.get(key, ()))
+                cs = table[key] = tuple(self.child_sort.get(key, ()))
                 if len(cs) != self.arity[key]:
                     raise InvalidCoalgebra(
                         f"label {a!r} at sort {i!r}: {len(cs)} child sorts, arity {self.arity[key]}"
@@ -82,6 +72,7 @@ class IndexedContainer:
                         raise InvalidCoalgebra(
                             f"label {a!r} at sort {i!r} has child sort {j!r} outside the sort list"
                         )
+        object.__setattr__(self, "child_sort", table)
 
     def labels(self, sort) -> tuple:
         return tuple(self.labels_at.get(sort, ()))
@@ -102,9 +93,8 @@ class IndexedCoalgebra(Coalgebra):
     state's sort and each child is a state of the sort its position asks
     for.  The transition cache, the level table and ``transition``, which
     returns a :class:`~omegacoalg.container.PValue`, are those of
-    :class:`~omegacoalg.mtype.Coalgebra`; ``base`` and ``states`` are
-    read-only views of ``container`` and ``state_enumeration``.  Finite
-    presentations are validated at construction."""
+    :class:`~omegacoalg.mtype.Coalgebra`.  Finite presentations are
+    validated at construction."""
 
     _duplicates = "duplicate states"
     _state_pool = "state set"
@@ -113,18 +103,10 @@ class IndexedCoalgebra(Coalgebra):
         self.sort_of = sort_of
         super().__init__(base, gamma, tuple(states), name)
 
-    @property
-    def base(self) -> IndexedContainer:
-        return self.container
-
-    @property
-    def states(self) -> tuple:
-        return self.state_enumeration
-
     def _admit(self, s, pv: PValue) -> None:
-        """The state's sort must be declared, the label must live at it,
-        and every child must be a state of the sort its position asks for
-        (read off the child-sort assignment)."""
+        """What sorts add to the plain arity check: the state's sort must be
+        declared, the label must live at it, and every child must be a
+        state of the sort its position asks for."""
         ic = self.container
         if s not in self.sort_of:
             raise InvalidCoalgebra(f"state {s!r} has no sort")
@@ -132,18 +114,13 @@ class IndexedCoalgebra(Coalgebra):
         if i not in ic.sorts:
             raise InvalidCoalgebra(f"state {s!r} has unknown sort {i!r}")
         label, children = pv
-        if label not in ic.labels(i):
+        sorts = ic.child_sort.get((i, label))
+        if sorts is None:
             raise UnknownLabel(f"state {s!r}: label {label!r} not at sort {i!r}")
-        key = (i, label)
-        if len(children) != ic.arity[key]:
-            raise ArityMismatch(
-                f"state {s!r}: label {label!r} has arity {ic.arity[key]}, "
-                f"got {len(children)} children"
-            )
-        for b, ch in enumerate(children):
+        super()._admit(s, pv)
+        for b, (ch, want) in enumerate(zip(children, sorts)):
             if ch not in self.sort_of:
                 raise InvalidCoalgebra(f"transition of {s!r} leaves the state set: {ch!r}")
-            want = ic.child_sort[key][b]
             if self.sort_of[ch] != want:
                 raise InvalidCoalgebra(
                     f"state {s!r}: child {b} has sort {self.sort_of[ch]!r}, "
@@ -176,16 +153,6 @@ class SortedApproxTree:
     sort: object
     tree: ApproxTree
 
-    @property
-    def depth(self):
-        return self.tree.depth
-
-
-def SortedMElement(base: IndexedContainer, sort, limit=None, *, coalgebra=None, state=None):
-    """An element of the indexed final coalgebra at ``sort``: the
-    :class:`~omegacoalg.mtype.MElement` that carries ``sort``."""
-    return MElement(base, limit, coalgebra=coalgebra, state=state, sort=sort)
-
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
     """Check labels and child sorts recursively against the container: the
@@ -209,13 +176,10 @@ def well_sorted_all(ic: IndexedContainer, trees: Iterable[SortedApproxTree]) -> 
             if mark in seen:
                 continue
             seen.add(mark)
-            if node.label not in ic.labels(sort):
+            sorts = ic.child_sort.get((sort, node.label))
+            if sorts is None or len(node.children) != len(sorts):
                 return False
-            key = (sort, node.label)
-            if len(node.children) != ic.arity[key]:
-                return False
-            for b, ch in enumerate(node.children):
-                stack.append((ic.child_sort[key][b], ch))
+            stack.extend(zip(sorts, node.children))
     return True
 
 
@@ -224,11 +188,6 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
     comes from the coalgebra's level table, filled by the same engine as
     :func:`omegacoalg.mtype.approximate`."""
     return SortedApproxTree(c.sort_of[s], _level_entry(c, s, n))
-
-
-# An indexed coalgebra's level table fills as a plain one's: every state at
-# every depth k <= n, returning the table up to depth n.
-iapproximate_all = approximate_all
 
 
 # Corecursion into the indexed final coalgebra is the plain one: the
@@ -250,11 +209,12 @@ def i_into(ic: IndexedContainer, sort, label, children) -> MElement:
     return into(ic, PValue(label, tuple(children)), sort)
 
 
-def _same_sort(c: IndexedCoalgebra, s, t) -> None:
-    if c.sort_of[s] != c.sort_of[t]:
-        raise SortMismatch(
-            f"states {s!r} and {t!r} have sorts {c.sort_of[s]!r} and {c.sort_of[t]!r}"
-        )
+def _same_sort(c: Coalgebra, s, t) -> None:
+    """Raise :class:`SortMismatch` unless states ``s`` and ``t`` of ``c``,
+    plain or indexed, have the same sort."""
+    i, j = c._sort(s), c._sort(t)
+    if i != j:
+        raise SortMismatch(f"states {s!r} and {t!r} have sorts {i!r} and {j!r}")
 
 
 def ibounded_bisim(c: IndexedCoalgebra, s, t, depth: int) -> bool:
@@ -269,17 +229,6 @@ def ifirst_divergence_depth(c: IndexedCoalgebra, s, t, max_depth: int) -> Option
     Within a sort the raw labels differ exactly where the sorted ones do."""
     _same_sort(c, s, t)
     return first_divergence_depth(c, s, t, max_depth)
-
-
-def iverify_morphism(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """:func:`omegacoalg.mtype.verify_morphism` of ``map_fn`` on ``c``; a
-    state sent to an element of another sort fails the law."""
-    return verify_morphism(MorphismCandidate(c, map_fn), depth, states)
-
-
-def iuniqueness_probe(c: IndexedCoalgebra, map_fn, depth: int, states=None) -> bool:
-    """:func:`omegacoalg.mtype.uniqueness_probe` of ``map_fn`` on ``c``."""
-    return uniqueness_probe(c, MorphismCandidate(c, map_fn), depth, states)
 
 
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:

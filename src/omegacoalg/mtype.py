@@ -3,13 +3,14 @@
 Elements of the final coalgebra are :class:`MElement`, each pointed: it
 holds a coalgebra and a state, its depth-n stage is the coalgebra's
 observation of the state, and ``out`` of it is the morphism law,
-``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).  An
-element of an indexed container's final coalgebra is the same class
-carrying its sort.  ``unfold``, ``out``, ``into``, :func:`verify_morphism`
-and :func:`uniqueness_probe` are the one API for plain and indexed
-coalgebras alike: the coalgebra names each state's sort (none when
-plain), ``unfold`` gives it to the element, and ``out`` and ``into`` read
-the children's sorts off the container (``child_sorts``).  ``unfold``
+``out(unfold(c, s)) = P(unfold(c))(c.transition(s))``, in O(arity).  A
+plain container is the one-sort case of an indexed one, whose sort is
+None, and an element of either is this class carrying its sort.  So
+``unfold``, :func:`approximate_all`, ``out``, ``into``,
+:func:`verify_morphism` and :func:`uniqueness_probe` are the one API for
+both: the coalgebra names each state's sort, ``unfold`` gives it to the
+element, and ``out``, ``into`` and :meth:`Coalgebra._admit` read the
+arity and the child sorts through one call, ``child_sorts``.  ``unfold``
 points at a coalgebra's level table, ``into`` at a one-state free
 extension, and a family of depth-n trees built by hand at
 :data:`~omegacoalg.chain.LIMITS`, the chain's limit as a coalgebra, whose
@@ -223,13 +224,10 @@ class Coalgebra:
         whose label has another arity at the state's sort, read through
         ``container.child_sorts`` as :func:`into` reads it.  Called once
         per state, on the first read of its transition."""
-        label = pv.label
-        container = self.container
-        sorts = container.child_sorts(self._sort(s), label)
-        n = container.arity_of(label) if sorts is None else len(sorts)
+        n = len(self.container.child_sorts(self._sort(s), pv.label))
         if len(pv.children) != n:
             raise ArityMismatch(
-                f"state {s!r}: label {label!r} has arity {n}, "
+                f"state {s!r}: label {pv.label!r} has arity {n}, "
                 f"got {len(pv.children)} children"
             )
 
@@ -263,7 +261,7 @@ class MElement:
     ``sort`` is None over a plain container.  An element of an indexed
     container's final coalgebra carries its sort (``sort=``, as
     :func:`unfold` and :func:`into` give it), and :func:`out` gives each
-    child the sort its position asks for.  ``base`` is the container.
+    child the sort its position asks for.
 
     Equality and hash are by ``(coalgebra identity, state, sort)``, not by
     object identity: the element pointed at a state is the same however it
@@ -293,10 +291,6 @@ class MElement:
         self.state = state
         self.sort = sort
         self._limit = None
-
-    @property
-    def base(self) -> Container:
-        return self.container
 
     def at(self, n: int):
         return self.coalgebra._observe(self.state, n)
@@ -486,7 +480,8 @@ def out(m: MElement) -> PValue:
     takes the sort that ``m.container.child_sorts`` gives its position:
     none over a plain container, where an element with a sort raises
     :class:`SortMismatch`; over an indexed one, so does a root label that
-    is not available at ``m.sort``.  For an
+    is not available at ``m.sort``.  A transition with another number of
+    children than positions raises :class:`ArityMismatch`.  For an
     element built by hand the transition is that of
     :data:`~omegacoalg.chain.LIMITS`, the paper's construction, which
     raises :class:`LabelDrift` on a family whose root label changes across
@@ -497,7 +492,9 @@ def out(m: MElement) -> PValue:
         return PValue(c.label, c.children)
     label, children = c.transition(m.state)
     container = m.container
-    sorts = container.child_sorts(m.sort, label) or (None,) * len(children)
+    sorts = container.child_sorts(m.sort, label)
+    if len(children) != len(sorts):
+        raise ArityMismatch(f"label {label!r} has arity {len(sorts)}, got {len(children)} children")
     kids = [MElement(container, coalgebra=c, state=t, sort=j) for j, t in zip(sorts, children)]
     return PValue(label, tuple(kids))
 
@@ -508,20 +505,19 @@ def into(c: Container, v: PValue, sort=None) -> MElement:
     to ``v``: stage n is the label over the children's stage n-1, and
     ``out`` of it gives back ``v``.
 
-    ``sort`` is None over a plain container; another value raises
-    :class:`SortMismatch`.  Over an indexed one it names
-    the element's sort, which the label alone does not fix, since sorts
-    share label names; the label must be available at it and each child
-    must have the sort its position asks for (``c.child_sorts``), else
-    :class:`SortMismatch`.  A wrong number of children raises
-    :class:`ArityMismatch`.
+    ``sort`` is None over a plain container, where every child must have
+    no sort; another value raises :class:`SortMismatch`.  Over an indexed
+    one it names the element's sort, which the label alone does not fix,
+    since sorts share label names.  Either way the label must be
+    available at it and each child must have the sort its position asks
+    for (``c.child_sorts``), else :class:`SortMismatch`.  A wrong number
+    of children raises :class:`ArityMismatch`.
     """
     label, children = v
     sorts = c.child_sorts(sort, label)
-    arity = c.arity_of(label) if sorts is None else len(sorts)
-    if len(children) != arity:
-        raise ArityMismatch(f"label {label!r} has arity {arity}, got {len(children)} children")
-    for b, (ch, want) in enumerate(zip(children, sorts or ())):
+    if len(children) != len(sorts):
+        raise ArityMismatch(f"label {label!r} has arity {len(sorts)}, got {len(children)} children")
+    for b, (ch, want) in enumerate(zip(children, sorts)):
         if ch.sort != want:
             raise SortMismatch(f"child {b} has sort {ch.sort!r}, expected {want!r}")
     return MElement(c, coalgebra=_FreeExtension(label, children), state=None, sort=sort)
@@ -552,30 +548,23 @@ def _check_states(mc: MorphismCandidate, states) -> Iterable:
     return states
 
 
-def morphism_violations(mc: MorphismCandidate, depth: int, states=None):
-    """Yield (state, stage) pairs where the morphism law fails.  A state
-    sent to an element of another sort fails at stage 0, the root's sort.
-    Checking the whole enumeration (``states=None``) first fills the
-    source's level table by one :func:`approximate_all` sweep."""
+def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
+    """Depth-bounded morphism law: out(map(s)) agrees with the transition
+    pushed through the map, equivalently ``map(s).at(n)`` equals the depth-n
+    observation of ``s``, for every checked state and n <= depth.  A state
+    sent to an element of another sort fails.  Checking the whole
+    enumeration (``states=None``) first fills the source's level table by
+    one :func:`approximate_all` sweep."""
     checked = _check_states(mc, states)
     if states is None:
         approximate_all(mc.source, depth)
     for s in checked:
         m = mc.map(s)
         if m.sort != mc.source._sort(s):
-            yield (s, 0)
-            continue
-        for n in range(depth + 1):
-            if m.at(n) is not approximate(mc.source, s, n):
-                yield (s, n)
-                break
-
-
-def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
-    """Depth-bounded morphism law: out(map(s)) agrees with the transition
-    pushed through the map, equivalently ``map(s).at(n)`` equals the depth-n
-    observation of ``s``, for every checked state and n <= depth."""
-    return next(iter(morphism_violations(mc, depth, states)), None) is None
+            return False
+        if any(m.at(n) is not approximate(mc.source, s, n) for n in range(depth + 1)):
+            return False
+    return True
 
 
 def uniqueness_probe(c: Coalgebra, mc: MorphismCandidate, depth: int, states=None) -> bool:

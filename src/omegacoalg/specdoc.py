@@ -246,7 +246,7 @@ def plain_document(coalgebra: Coalgebra) -> dict:
 
 def indexed_document(c: IndexedCoalgebra) -> dict:
     """Serialize a finitely presented indexed coalgebra back to a document."""
-    ic = c.base
+    ic = c.container
     return {
         "schema_version": SCHEMA_VERSION,
         "indexed": {
@@ -262,7 +262,7 @@ def indexed_document(c: IndexedCoalgebra) -> dict:
                 for i in ic.sorts
             },
         },
-        "coalgebra": {"states": {s: c.sort_of[s] for s in c.states}, "gamma": _gamma(c)},
+        "coalgebra": {"states": {s: c.sort_of[s] for s in c.state_enumeration}, "gamma": _gamma(c)},
     }
 
 

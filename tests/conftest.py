@@ -106,14 +106,14 @@ def tagged_plain(c: IndexedCoalgebra) -> Coalgebra:
     label is tagged with its state's sort, so that plain bisimilarity keeps
     states of different sorts apart.  The library compares sorts itself;
     its answers on ``c`` are checked against the plain ones on this copy."""
-    ic = c.base
+    ic = c.container
     labels = tuple((i, a) for i in ic.sorts for a in ic.labels(i))
     container = Container(arity={key: ic.arity[key] for key in labels}, labels=labels)
     gamma = {}
-    for s in c.states:
+    for s in c.state_enumeration:
         label, children = c.transition(s)
         gamma[s] = PValue((c.sort_of[s], label), children)
-    return Coalgebra(container, gamma, state_enumeration=c.states, name="tagged")
+    return Coalgebra(container, gamma, state_enumeration=c.state_enumeration, name="tagged")
 
 
 def two_sorts_sharing_a_label() -> IndexedCoalgebra:

@@ -244,12 +244,12 @@ def test_criterion_9_counting_oracle():
 def test_criterion_10_indexed_coherence():
     start = time.monotonic()
     for c in indexed_corpus(50):
-        for s in c.states:
+        for s in c.state_enumeration:
             for n in range(31):
-                assert well_sorted(c.base, iapproximate(c, s, n))
+                assert well_sorted(c.container, iapproximate(c, s, n))
             m = iunfold(c, s)
             label, children = i_out(m)
-            back = i_into(c.base, m.sort, label, children)
+            back = i_into(c.container, m.sort, label, children)
             for n in range(31):
                 assert tree_equal(back.at(n), m.at(n))
     rng = random.Random(1010)

@@ -29,7 +29,12 @@ from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
 from omegacoalg.indexed import ifirst_divergence_depth
 
-from conftest import random_coalgebra, small_coalgebras, small_indexed_coalgebras
+from conftest import (
+    random_coalgebra,
+    small_coalgebras,
+    small_indexed_coalgebras,
+    two_sorts_sharing_a_label,
+)
 
 
 def constant_cycle(last_label="x"):
@@ -250,6 +255,18 @@ def test_gamma_function_refines_as_its_mapping_property(c):
     ]
 
 
+def test_cli_bisim_across_sorts_output(tmp_path):
+    """bisim across sorts is a validation error: exit 2, nothing on stdout,
+    and one line on stderr naming both states and both sorts."""
+    path = tmp_path / "two.json"
+    path.write_text(specdoc.dump_document(specdoc.indexed_document(two_sorts_sharing_a_label())))
+    assert run_bisim(str(path), "p", "q") == (
+        2,
+        "",
+        "sort mismatch: states 'p' and 'q' have sorts 'x' and 'y'\n",
+    )
+
+
 def run_bisim(path, s, t):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -260,16 +277,18 @@ def run_bisim(path, s, t):
 @settings(max_examples=100, deadline=None)
 @given(small_indexed_coalgebras())
 def test_indexed_cli_bisim_matches_oracle_property(c):
-    n = len(c.states)
+    n = len(c.state_enumeration)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
         with open(path, "w") as fh:
             fh.write(specdoc.dump_document(specdoc.indexed_document(c)))
-        for s in c.states:
-            for t in c.states:
+        for s in c.state_enumeration:
+            for t in c.state_enumeration:
                 code, out, err = run_bisim(path, s, t)
                 if c.sort_of[s] != c.sort_of[t]:
-                    assert (code, out) == (2, "") and "sort mismatch" in err
+                    sorts = f"sorts {c.sort_of[s]!r} and {c.sort_of[t]!r}"
+                    assert (code, out) == (2, "")
+                    assert err == f"sort mismatch: states {s!r} and {t!r} have {sorts}\n"
                     continue
                 k = ifirst_divergence_depth(c, s, t, n)
                 if k is None:

@@ -790,17 +790,17 @@ def test_indexed_minimize_property(tmp_path, c):
     assert code == 0, err
     q = specdoc.parse_spec(json.loads(out)).coalgebra
     assert isinstance(q, IndexedCoalgebra)
-    n = len(c.states)
+    n = len(c.state_enumeration)
     rep = {
         s: next(
             r
-            for r in c.states
+            for r in c.state_enumeration
             if c.sort_of[r] == c.sort_of[s] and ifirst_divergence_depth(c, r, s, n) is None
         )
-        for s in c.states
+        for s in c.state_enumeration
     }
-    assert set(q.states) == set(rep.values())
-    for r in q.states:
+    assert set(q.state_enumeration) == set(rep.values())
+    for r in q.state_enumeration:
         assert q.sort_of[r] == c.sort_of[r]
         label, children = c.transition(r)
         assert q.transition(r) == PValue(label, tuple(rep[ch] for ch in children))

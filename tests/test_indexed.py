@@ -19,7 +19,6 @@ from omegacoalg.bisim import (
 from omegacoalg.indexed import (
     IndexedCoalgebra,
     SortedApproxTree,
-    SortedMElement,
     embed_plain,
     i_into,
     i_out,
@@ -27,13 +26,11 @@ from omegacoalg.indexed import (
     ibounded_bisim,
     ifirst_divergence_depth,
     iunfold,
-    iuniqueness_probe,
-    iverify_morphism,
     well_sorted,
     well_sorted_all,
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
-from omegacoalg.mtype import MElement
+from omegacoalg.mtype import MElement, MorphismCandidate, uniqueness_probe, verify_morphism
 from omegacoalg.errors import ArityMismatch, InvalidCoalgebra, NotAMorphism, SortMismatch
 
 from conftest import (
@@ -68,7 +65,7 @@ def test_well_sorted_rejects_wrong_child_sort():
 
 def test_well_sorted_all_one_walk_over_a_family():
     c = parity_coalgebra()
-    good = [iapproximate(c, s, n) for s in c.states for n in range(8)]
+    good = [iapproximate(c, s, n) for s in c.state_enumeration for n in range(8)]
     inner = iapproximate(c, "p", 1).tree
     bad = SortedApproxTree("e", _tree(2, "E", (inner,)))  # E(E(Trunc)) at sort e
     assert well_sorted_all(PARITY, good)
@@ -86,11 +83,11 @@ def test_well_sorted_all_matches_per_tree_property(c, data):
     """Trees re-rooted at drawn sorts, often the wrong ones: the family
     check agrees with checking each tree on its own."""
     trees = [
-        SortedApproxTree(data.draw(st.sampled_from(c.base.sorts)), iapproximate(c, s, n).tree)
-        for s in c.states
+        SortedApproxTree(data.draw(st.sampled_from(c.container.sorts)), iapproximate(c, s, n).tree)
+        for s in c.state_enumeration
         for n in range(5)
     ]
-    assert well_sorted_all(c.base, trees) == all(well_sorted(c.base, t) for t in trees)
+    assert well_sorted_all(c.container, trees) == all(well_sorted(c.container, t) for t in trees)
 
 
 def test_well_sorted_trunc():
@@ -212,38 +209,39 @@ def test_indexed_operations_check_sorts_first():
     c = IndexedCoalgebra(two, ("p", "q", "r"), {"p": "e", "q": "o", "r": "e"}, gamma)
     swapped = lambda s: iunfold(c, {"p": "q", "q": "p"}[s])
     assert all(swapped(s).at(n) is iunfold(c, s).at(n) for s in "pq" for n in range(5))
-    assert not iverify_morphism(c, swapped, 5, states=["p", "q"])
-    assert not iverify_morphism(c, swapped, 5, states=iter(["p"]))
+    assert not verify_morphism(MorphismCandidate(c, swapped), 5, states=["p", "q"])
+    assert not verify_morphism(MorphismCandidate(c, swapped), 5, states=iter(["p"]))
     # Sorts kept, stages wrong, from an iterator of states.
-    assert not iverify_morphism(c, lambda s: iunfold(c, "r"), 5, states=iter(["p"]))
+    stale = MorphismCandidate(c, lambda s: iunfold(c, "r"))
+    assert not verify_morphism(stale, 5, states=iter(["p"]))
     with pytest.raises(NotAMorphism):
-        iuniqueness_probe(c, swapped, 5, states=["p", "q"])
+        uniqueness_probe(c, MorphismCandidate(c, swapped), 5, states=["p", "q"])
     with pytest.raises(SortMismatch):
         ifirst_divergence_depth(c, "p", "q", 5)
     assert ifirst_divergence_depth(c, "p", "p", 5) is None
     with pytest.raises(SortMismatch):
-        i_out(SortedMElement(PARITY, "o", iunfold(parity_coalgebra(), "p").limit))
+        i_out(MElement(PARITY, iunfold(parity_coalgebra(), "p").limit, sort="o"))
     with pytest.raises(SortMismatch):
-        out(SortedMElement(PARITY, "o", iunfold(parity_coalgebra(), "p").limit))
+        out(MElement(PARITY, iunfold(parity_coalgebra(), "p").limit, sort="o"))
 
 
 def test_indexed_corpus_well_sorted_everywhere():
     for c in indexed_corpus(20):
-        for s in c.states:
+        for s in c.state_enumeration:
             for n in range(11):
-                assert well_sorted(c.base, iapproximate(c, s, n))
+                assert well_sorted(c.container, iapproximate(c, s, n))
             m = iunfold(c, s)
             label, children = i_out(m)
-            back = i_into(c.base, m.sort, label, children)
+            back = i_into(c.container, m.sort, label, children)
             for n in range(11):
                 assert tree_equal(back.at(n), m.at(n))
 
 
 def test_indexed_finality_probes_on_corpus():
     for c in indexed_corpus(20):
-        f = lambda s, c=c: iunfold(c, s)
-        assert iverify_morphism(c, f, 30)
-        assert iuniqueness_probe(c, f, 30)
+        mc = MorphismCandidate(c, lambda s, c=c: iunfold(c, s))
+        assert verify_morphism(mc, 30)
+        assert uniqueness_probe(c, mc, 30)
 
 
 def test_singleton_index_embedding_agrees_with_plain():
@@ -279,7 +277,7 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
     element is ``i_out`` of it, with the child sorts of ``child_sort``;
     the plain ``unfold`` gives the state's sort, and the plain ``into`` at
     that sort is ``i_into``."""
-    ic = c.base
+    ic = c.container
 
     def plain_out(m):
         v = out(m)
@@ -287,15 +285,15 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
         assert tuple(ch.sort for ch in v.children) == ic.child_sort[(m.sort, v.label)]
         return v
 
-    for s in c.states:
+    for s in c.state_enumeration:
         m = iunfold(c, s)
         assert unfold(c, s) == m and m.sort == c.sort_of[s]
         plain_out(m)
-        plain_out(SortedMElement(ic, m.sort, m.limit))
+        plain_out(MElement(ic, m.limit, sort=m.sort))
         label, children = i_out(m)
         ref = out(MElement(_at_sort(ic, m.sort), m.limit))
         lit = chain_out(_at_sort(ic, m.sort), m.limit)
-        hand_label, hand_children = i_out(SortedMElement(ic, m.sort, m.limit))
+        hand_label, hand_children = i_out(MElement(ic, m.limit, sort=m.sort))
         assert label == ref.label == lit.label == hand_label == c.transition(s).label
         assert tuple(ch.sort for ch in children) == ic.child_sort[(m.sort, label)]
         assert tuple(ch.sort for ch in hand_children) == ic.child_sort[(m.sort, label)]
@@ -332,13 +330,13 @@ def test_bisimilarity_matches_tagged_reference_property(c):
     ref = tagged_plain(c)
     p, p_ref = partition_refine(c), partition_refine(ref)
     assert p.blocks == p_ref.blocks
-    for s in c.states:
-        for t in c.states:
+    for s in c.state_enumeration:
+        for t in c.state_enumeration:
             assert divergence_depth(c, s, t) == divergence_depth(ref, s, t)
     q, q_ref = minimize(c), minimize(ref)
     assert isinstance(q, IndexedCoalgebra)
-    assert q.states == q_ref.state_enumeration
-    for s in q.states:
+    assert q.state_enumeration == q_ref.state_enumeration
+    for s in q.state_enumeration:
         assert q.sort_of[s] == c.sort_of[s]
         (_, label), children = q_ref.transition(s)
         assert q.transition(s) == PValue(label, children)
@@ -356,7 +354,7 @@ def test_two_sorts_sharing_a_label_name_stay_apart():
     assert divergence_depth(c, "p", "r") is None
     q = minimize(c)
     assert isinstance(q, IndexedCoalgebra)
-    assert q.states == ("p", "q")
+    assert q.state_enumeration == ("p", "q")
     assert q.sort_of == {"p": "x", "q": "y"}
     assert q.transition("q") == PValue("a", ())
     across = BisimWitness(frozenset({("p", "q")}), {("p", "q"): ("a", ())})
@@ -379,9 +377,9 @@ def test_depth_oracle_tells_sorts_apart():
 @settings(max_examples=300, deadline=None)
 @given(small_indexed_coalgebras())
 def test_depth_oracle_matches_pair_search_property(c):
-    n = len(c.states)
-    for s in c.states:
-        for t in c.states:
+    n = len(c.state_enumeration)
+    for s in c.state_enumeration:
+        for t in c.state_enumeration:
             assert first_divergence_depth(c, s, t, n) == divergence_depth(c, s, t)
 
 
@@ -396,4 +394,4 @@ def test_verify_bisim_on_parity():
     assert verify_bisim(c, witness_from_partition(c, partition_refine(c)))
     q = minimize(c)
     assert isinstance(q, IndexedCoalgebra)
-    assert (q.states, q.sort_of) == (c.states, c.sort_of)
+    assert (q.state_enumeration, q.sort_of) == (c.state_enumeration, c.sort_of)

@@ -44,17 +44,15 @@ from omegacoalg.errors import (
     LabelDrift,
     NotAMorphism,
     SortMismatch,
+    UnknownLabel,
 )
 from omegacoalg.indexed import (
     IndexedCoalgebra,
-    SortedMElement,
+    IndexedContainer,
     i_into,
     i_out,
     iapproximate,
-    iapproximate_all,
     iunfold,
-    iuniqueness_probe,
-    iverify_morphism,
 )
 
 from conftest import (
@@ -177,6 +175,33 @@ def test_into_plain_container_takes_no_sort():
     assert into(c.container, PValue("a", ())).sort is None
     with pytest.raises(SortMismatch):
         into(c.container, PValue("a", ()), "e")
+
+
+def test_into_plain_container_rejects_sorted_children():
+    """A plain container is the one-sort case whose sort is None: each
+    position asks for a child of no sort, so elements of an indexed
+    container's final coalgebra are rejected."""
+    parity = parity_coalgebra()
+    kids = (unfold(parity, "p"), unfold(parity, "q"))
+    with pytest.raises(SortMismatch, match="child 0 has sort 'e', expected None"):
+        into(fig1_signature(), PValue("b", kids))
+
+
+def test_out_of_a_hand_built_element_checks_the_root_arity():
+    """A family of ternary b nodes built over another container, taken as
+    an element under fig1's signature, where b is binary: ``out`` raises
+    rather than return more or fewer children than b has positions."""
+    ternary = Container(arity={"b": 3})
+
+    def by_hand(n):
+        t = TRUNC
+        for _ in range(n):
+            t = make_node(ternary, "b", [t] * 3)
+        return t
+
+    m = MElement(fig1_signature(), LimitElement(w_chain(ternary), by_hand))
+    with pytest.raises(ArityMismatch, match="label 'b' has arity 2, got 3 children"):
+        out(m)
 
 
 def test_verify_morphism_unfold():
@@ -326,10 +351,10 @@ def test_level_fill_adds_only_what_its_root_needs_property(c, data):
 @settings(max_examples=200, deadline=None)
 @given(small_indexed_coalgebras(), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
-    table = iapproximate_all(c, depth)
+    table = approximate_all(c, depth)
     assert len(table) == depth + 1
-    fresh = IndexedCoalgebra(c.base, c.states, c.sort_of, c.gamma)
-    queries = [(s, n) for s in c.states for n in range(depth + 1)]
+    fresh = IndexedCoalgebra(c.container, c.state_enumeration, c.sort_of, c.gamma)
+    queries = [(s, n) for s in c.state_enumeration for n in range(depth + 1)]
     rnd.shuffle(queries)
     memo = {}
     for s, n in queries:
@@ -357,7 +382,7 @@ def element_laws(c, depth: int) -> tuple:
         m = element(s)
         if indexed:
             v = i_out(m)
-            back = i_into(c.base, m.sort, *v)
+            back = i_into(c.container, m.sort, *v)
             again = i_out(back)
         else:
             v = out(m)
@@ -365,13 +390,6 @@ def element_laws(c, depth: int) -> tuple:
             again = out(back)
         roundtrip = roundtrip and again == v
         roundtrip = roundtrip and all(back.at(n) is m.at(n) for n in range(depth + 1))
-    if indexed:
-        return (
-            compatible,
-            roundtrip,
-            iverify_morphism(c, element, depth),
-            iuniqueness_probe(c, element, depth),
-        )
     mc = MorphismCandidate(c, element)
     return compatible, roundtrip, verify_morphism(mc, depth), uniqueness_probe(c, mc, depth)
 
@@ -464,7 +482,7 @@ def test_negative_depth_on_every_element():
         "hand-built-tail": tail(hand),
         "iunfold": p,
         "i_out-child": children[0],
-        "i_into": i_into(p.base, "e", label, children),
+        "i_into": i_into(p.container, "e", label, children),
     }
     for m in elements.values():
         for n in (-1, -3):
@@ -490,8 +508,8 @@ def test_elements_compare_by_coalgebra_and_state():
     assert into(c.container, v) != into(c.container, v)
     p = parity_coalgebra()
     assert iunfold(p, "p") == iunfold(p, "p") != MElement(None, coalgebra=p, state="p")
-    assert SortedMElement(p.base, "e", coalgebra=p, state="p") != SortedMElement(
-        p.base, "o", coalgebra=p, state="p"
+    assert MElement(p.container, coalgebra=p, state="p", sort="e") != MElement(
+        p.container, coalgebra=p, state="p", sort="o"
     )
     with pytest.raises(TypeError):
         MElement(c.container, family, coalgebra=c, state=1)
@@ -569,6 +587,18 @@ def _parity(states, gamma):
     return lambda: IndexedCoalgebra(parity_container(), states, sort_of, gamma)
 
 
+def _two_sorts(gamma):
+    """p of sort x, whose label b has children of sorts x and y, and q of
+    sort y, whose label a is a leaf."""
+    base = IndexedContainer(
+        sorts=("x", "y"),
+        labels_at={"x": ("b",), "y": ("a",)},
+        arity={("x", "b"): 2, ("y", "a"): 0},
+        child_sort={("x", "b"): ("x", "y"), ("y", "a"): ()},
+    )
+    return lambda: IndexedCoalgebra(base, ("p", "q"), {"p": "x", "q": "y"}, gamma)
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [
@@ -627,6 +657,30 @@ def _parity(states, gamma):
             InvalidCoalgebra,
             "duplicate states",
         ),
+        # Two faults in one indexed state: a child outside the state set
+        # and a child of the wrong sort, in both position orders; a label
+        # not at the state's sort with the wrong arity; a wrong arity and
+        # a child outside the state set.
+        (
+            _two_sorts({"p": ("b", ("zz", "p")), "q": ("a", ())}),
+            InvalidCoalgebra,
+            "transition of 'p' leaves the state set: 'zz'",
+        ),
+        (
+            _two_sorts({"p": ("b", ("q", "zz")), "q": ("a", ())}),
+            InvalidCoalgebra,
+            "state 'p': child 0 has sort 'y', expected 'x'",
+        ),
+        (
+            _two_sorts({"p": ("b", ("p", "q")), "q": ("b", ("q",))}),
+            UnknownLabel,
+            "state 'q': label 'b' not at sort 'y'",
+        ),
+        (
+            _two_sorts({"p": ("b", ("zz",)), "q": ("a", ())}),
+            ArityMismatch,
+            "state 'p': label 'b' has arity 2, got 1 children",
+        ),
     ],
     ids=[
         "plain-leaves-then-arity",
@@ -639,6 +693,10 @@ def _parity(states, gamma):
         "indexed-leaves-then-missing",
         "plain-duplicate-first",
         "indexed-duplicate-first",
+        "indexed-leaves-then-wrong-sort-in-one-state",
+        "indexed-wrong-sort-then-leaves-in-one-state",
+        "indexed-label-not-at-sort-and-arity",
+        "indexed-arity-then-leaves-in-one-state",
     ],
 )
 def test_validation_reports_the_first_fault_in_enumeration_order(make, error, message):

@@ -99,7 +99,7 @@ def test_emitters_match_recursive_reference_property(c, depth, names):
 @settings(max_examples=200, deadline=None)
 @given(small_indexed_coalgebras(), st.integers(0, 8))
 def test_indexed_emitters_match_recursive_reference_property(c, depth):
-    for s in c.states:
+    for s in c.state_enumeration:
         assert_renders_like_reference(iapproximate(c, s, depth).tree)
 
 
