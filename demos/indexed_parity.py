@@ -6,10 +6,19 @@ alternate, so every well-sorted tree alternates E and O labels.  A plain
 container is the special case with a single sort.
 """
 
-from omegacoalg import approximate, into, out, tree_equal, unfold
+from omegacoalg import (
+    PValue,
+    approximate,
+    bounded_bisim,
+    divergence_depth,
+    into,
+    out,
+    tree_equal,
+    unfold,
+)
 from omegacoalg.catalog import fig1_coalgebra, parity_coalgebra, parity_container
 from omegacoalg.cli import render_text
-from omegacoalg.indexed import embed_plain, i_into, i_out, iapproximate, well_sorted
+from omegacoalg.indexed import embed_plain, iapproximate, well_sorted
 
 
 def main():
@@ -32,9 +41,13 @@ def main():
     back = into(base, v, m.sort)
     assert all(tree_equal(back.at(n), m.at(n)) for n in range(21))
     print("into(out(p)) = p to depth 20")
-    # ``i_out``/``i_into`` are the same maps with a (label, children) pair.
-    assert i_out(m) == tuple(v)
-    assert all(i_into(base, "e", *v).at(n) is back.at(n) for n in range(21))
+    label, children = v
+    assert all(into(base, PValue(label, children), "e").at(n) is back.at(n) for n in range(21))
+
+    # Bisimilarity is the plain one: it compares each state's sort beside
+    # its label, so states of different sorts differ at depth 1.
+    assert bounded_bisim(c, "p", "p", 20) and divergence_depth(c, "p", "q") == 1
+    print("p and q, of sorts e and o, differ at depth 1")
 
     # Single-sort embedding: a plain coalgebra, viewed as indexed, produces
     # exactly the same approximations.

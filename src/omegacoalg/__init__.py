@@ -60,11 +60,7 @@ from .indexed import (
     IndexedCoalgebra,
     IndexedContainer,
     SortedApproxTree,
-    i_into,
-    i_out,
     iapproximate,
-    ibounded_bisim,
-    iunfold,
     well_sorted,
     well_sorted_all,
 )

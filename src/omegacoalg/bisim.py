@@ -6,10 +6,11 @@ label and the positionwise child pairs; verification checks the commuting
 squares clause by clause.
 
 Bisimilarity is decided on the finite coalgebra itself, with no depth-n
-observation built: :func:`partition_refine` refines the label partition by
-successor blocks to a fixpoint in O(m log n) for m edges, and
+observation built: :func:`partition_refine` refines the partition by sort
+and label by successor blocks to a fixpoint in O(m log n) for m edges, and
 :func:`divergence_depth` answers one pair by a union-find search over child
-pairs in O(n r alpha(n)) for n states of arity at most r.
+pairs in O(n r alpha(n)) for n states of arity at most r.  Sorts enter
+through :meth:`~omegacoalg.mtype.Coalgebra._sort` alone (None when plain).
 Related-in-a-block then coincides with equality of all finite-depth
 observations.  :func:`first_divergence_depth` and :func:`bounded_bisim`
 compare those observations directly up to a depth bound; they are the
@@ -82,12 +83,15 @@ def bisim_violations(c: Coalgebra, w: BisimWitness):
             continue
         label, ps = w.alpha[pair]
         gs, gt = c.transition(s), c.transition(t)
-        tag_s, tag_t = c._tag(s, gs), c._tag(t, gt)
-        if gs.label != label or gt.label != label or tag_s != tag_t:
+        if gs.label != label or gt.label != label:
             yield (
                 f"pair {pair!r}: alpha label {label!r} vs transitions "
-                f"{tag_s!r} / {tag_t!r}"
+                f"{gs.label!r} / {gt.label!r}"
             )
+            continue
+        i, j = c._sort(s), c._sort(t)
+        if i != j:
+            yield f"pair {pair!r}: states of sorts {i!r} and {j!r}"
             continue
         if len(ps) != len(gs.children):
             yield f"pair {pair!r}: alpha has {len(ps)} positions, arity is {len(gs.children)}"
@@ -112,13 +116,13 @@ def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> Optional[int]:
 
     The depth oracle: it builds the depth-n observations for n = 0, 1, ...,
     which costs up to O(max_depth * |S| * arity).  Observations carry
-    labels, not tags (:meth:`~omegacoalg.mtype.Coalgebra._tag`), so the
-    roots' tags are compared first: in an indexed coalgebra, roots of
+    labels, not sorts (:meth:`~omegacoalg.mtype.Coalgebra._sort`), so the
+    roots' sorts are compared first: in an indexed coalgebra, roots of
     different sorts differ at depth 1 even where their labels agree.  Below
     roots of equal sort and label the child sorts agree position by
-    position, so deeper observations need no tags.  With max_depth >= |S|
+    position, so deeper observations need no sorts.  With max_depth >= |S|
     it agrees with :func:`divergence_depth`."""
-    if max_depth >= 1 and c._tag(s, c.transition(s)) != c._tag(t, c.transition(t)):
+    if max_depth >= 1 and c._sort(s) != c._sort(t):
         return 1
     for n in range(max_depth + 1):
         if approximate(c, s, n) is not approximate(c, t, n):
@@ -138,9 +142,10 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
 
     Breadth-first search over child pairs, starting from (s, t); every
     enqueued pair is merged in a union-find, and a pair whose states already
-    share a root is skipped.  The first pair at BFS level l with different
-    tags (:meth:`~omegacoalg.mtype.Coalgebra._tag`: the labels, and in an
-    indexed coalgebra the sorts) gives depth l + 1.  Skipping is sound
+    share a root is skipped.  Roots of different sorts differ at depth 1;
+    below them, the first pair at BFS level l with different labels gives
+    depth l + 1, since children paired under equal sorts and labels have
+    equal sorts.  Skipping is sound
     because depth-n agreement is an equivalence relation: a skipped pair is
     linked by enqueued pairs of no greater level, each of which agrees at
     least as deep.  Every expanded pair made a merge, so at most |S| pairs
@@ -148,7 +153,8 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
     depth-n observation built.
     """
     _require_states(c)
-    tag = c._tag
+    if c._sort(s) != c._sort(t):
+        return 1
     parent: dict = {}
 
     def find(x):
@@ -175,7 +181,7 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
         following = []
         for x, y in level:
             px, py = c.transition(x), c.transition(y)
-            if tag(x, px) != tag(y, py):
+            if px.label != py.label:
                 return depth
             for a, b in zip(px.children, py.children):
                 if merge(a, b):
@@ -188,9 +194,8 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
 def partition_refine(c: Coalgebra) -> Partition:
     """Compute the coarsest bisimulation partition.
 
-    Start from the partition by tag
-    (:meth:`~omegacoalg.mtype.Coalgebra._tag`: the label, and in an indexed
-    coalgebra the sort too) and refine by signatures, the tuple of child
+    Start from the partition by sort and label, so that states of different
+    sorts are never merged, and refine by signatures, the tuple of child
     block ids, until stable.  Round k yields the partition into equal
     depth-(k+1) observations.  A round recomputes signatures only for dirty
     states, those with a child that changed block in the previous round; all
@@ -214,9 +219,9 @@ def partition_refine(c: Coalgebra) -> Partition:
     kids, koff = c._kids, c._koff
     block = array("l")
     label_block: dict = {}
-    tag = c._tag
+    step, sort = c.transition, c._sort
     for s in states:
-        block.append(label_block.setdefault(tag(s, c.transition(s)), len(label_block)))
+        block.append(label_block.setdefault((sort(s), step(s).label), len(label_block)))
     poff = array("l", [0]) * (n + 1)
     for k in kids:
         poff[k + 1] += 1

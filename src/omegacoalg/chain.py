@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .container import Container, PValue, pmap
-from .errors import CannotTruncateUnit, ConeLawViolation, LabelDrift
+from .container import Container, PValue, _no_stage, pmap
+from .errors import ConeLawViolation, LabelDrift
 
 DEFAULT_CONE_CHECK_DEPTH = 16
 DEFAULT_LABEL_CHECK_DEPTH = 8
@@ -180,10 +180,6 @@ def poly_limit_from(
         return LimitElement(base, fn, provenance=f"poly_limit_from[{b}]")
 
     return PValue(label, tuple(child(b) for b in range(len(first.children))))
-
-
-def _no_stage(n: int) -> CannotTruncateUnit:
-    return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
 
 
 class LimitCoalgebra:

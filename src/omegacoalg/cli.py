@@ -15,8 +15,8 @@ from operator import attrgetter
 
 from . import bisim as bs
 from . import catalog, specdoc
-from .errors import OmegaCoalgError, SortMismatch, SpecValidationError
-from .indexed import SortedApproxTree, _same_sort, well_sorted_all
+from .errors import OmegaCoalgError, SpecValidationError
+from .indexed import SortedApproxTree, well_sorted_all
 from .mtype import _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
@@ -285,13 +285,11 @@ def cmd_bisim(args) -> int:
         if s not in c.state_enumeration:
             print(f"unknown state: {s}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
-    try:
-        _same_sort(c, args.left, args.right)
-    except SortMismatch as e:
-        print(f"sort mismatch: {e}", file=sys.stderr)
+    i, j = c._sort(args.left), c._sort(args.right)
+    if i != j:
+        states = f"states {args.left!r} and {args.right!r}"
+        print(f"sort mismatch: {states} have sorts {i!r} and {j!r}", file=sys.stderr)
         return EXIT_VALIDATION
-    # Paired states of equal sort have equal sorts all the way down, so the
-    # raw labels differ exactly where the sort-tagged ones do.
     if bounded:
         k = bs.first_divergence_depth(c, args.left, args.right, args.depth)
     else:

@@ -12,7 +12,7 @@ by the truncation maps :func:`truncate`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -40,6 +40,7 @@ class Container:
 
     arity: Mapping | Callable[[object], int]
     labels: Optional[tuple] = None
+    _child_sorts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.labels is not None:
@@ -51,6 +52,7 @@ class Container:
                 n = self.arity_of(a)
                 if n < 0:
                     raise UnknownLabel(f"negative arity for label {a!r}")
+                self._child_sorts[a] = (None,) * n
 
     def arity_of(self, label) -> int:
         if callable(self.arity):
@@ -63,10 +65,12 @@ class Container:
     def child_sorts(self, sort, label) -> tuple:
         """The sorts of the children of a ``label`` node at ``sort``: one
         None per position, since a plain container is the one-sort case
-        whose sort is None; another sort raises :class:`SortMismatch`."""
+        whose sort is None; another sort raises :class:`SortMismatch`.  The
+        tuple of an enumerated label is built once, and no other is kept."""
         if sort is not None:
             raise SortMismatch(f"a plain container has no sorts, got sort {sort!r}")
-        return (None,) * self.arity_of(label)
+        sorts = self._child_sorts.get(label)
+        return (None,) * self.arity_of(label) if sorts is None else sorts
 
 
 class ApproxTree:
@@ -182,6 +186,10 @@ def make_node(c: Container, a, cs: Sequence[ApproxTree], depth: Optional[int] = 
     return _tree(d, a, cs)
 
 
+def _no_stage(n: int) -> CannotTruncateUnit:
+    return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
+
+
 _truncate_cache: dict = {}
 
 
@@ -219,7 +227,10 @@ def _truncate(t: ApproxTree) -> ApproxTree:
 
 
 def truncate_to(c: Container, t: ApproxTree, m: int) -> ApproxTree:
-    """Project ``t`` down to stage ``m`` by composing truncations."""
+    """Project ``t`` down to stage ``m`` by composing truncations.  A
+    negative ``m`` raises :class:`CannotTruncateUnit`."""
+    if m < 0:
+        raise _no_stage(m)
     if m > t.depth:
         raise DepthTooLarge(f"cannot raise depth {t.depth} to {m}")
     while t.depth > m:
@@ -242,8 +253,11 @@ def enumerate_w(
 
     Requires a finite label enumeration.  Sizes follow the recurrence
     |W_0| = 1, |W_{n+1}| = sum_a |W_n|^arity(a); the enumeration is aborted
-    if any stage would exceed ``bound`` trees.
+    if any stage would exceed ``bound`` trees.  A negative ``n`` raises
+    :class:`CannotTruncateUnit`.
     """
+    if n < 0:
+        raise _no_stage(n)
     if c.labels is None:
         raise NeedsFiniteLabels("enumerate_w needs a finite label enumeration")
     arities = [c.arity_of(a) for a in c.labels]

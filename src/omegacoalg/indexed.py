@@ -8,33 +8,30 @@ whose transitions are sort-checked when admitted: ``transition`` returns a
 :class:`~omegacoalg.container.PValue` from the one transition cache, and
 the level table is the plain one.  So the plain observations, the depth
 oracle, the pair search, partition refinement, minimization and the
-finality probes run on it unchanged.  Where bisimilarity compares two
-states, the sort joins the label (:meth:`IndexedCoalgebra._tag`), and a
-quotient is again indexed.  Ill-sorted inputs are rejected eagerly.
+finality probes run on it unchanged.  A sort is all it adds: the
+coalgebra names each state's sort (:meth:`IndexedCoalgebra._sort`), which
+bisimilarity compares beside the label, and a quotient is again indexed.
+Ill-sorted inputs are rejected eagerly.
 
 A sorted element is a plain :class:`~omegacoalg.mtype.MElement` that
-carries its sort (``sort=``).  The coalgebra names each state's sort
-(:meth:`IndexedCoalgebra._sort`), so the plain ``unfold``,
-``approximate_all``, ``out``, ``into`` (given the sort),
+carries its sort (``sort=``).  The plain ``unfold`` gives it the state's
+sort, and ``approximate_all``, ``out``, ``into`` (given the sort),
 ``verify_morphism`` and ``uniqueness_probe`` serve sorted elements,
-reading child sorts off :meth:`IndexedContainer.child_sorts`.  The
-``i*`` names left add something or are the paper's: :func:`iunfold` is
-``unfold``; :func:`i_out`/:func:`i_into` take a ``(label, children)``
-pair; :func:`iapproximate` carries its sort; :func:`ibounded_bisim` and
-:func:`ifirst_divergence_depth` raise :class:`SortMismatch` across sorts,
-where the plain depth oracle answers that the states differ at depth 1.
+reading child sorts off :meth:`IndexedContainer.child_sorts`; so do
+``bounded_bisim`` and ``first_divergence_depth``, which answer that
+states of different sorts differ at depth 1.  :func:`iapproximate` is
+``approximate`` carrying its sort.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .bisim import bounded_bisim, first_divergence_depth
 from .container import ApproxTree, PValue
 from .errors import InvalidCoalgebra, SortMismatch, UnknownLabel
-from .mtype import Coalgebra, MElement, _level_entry, into, out, unfold
+from .mtype import Coalgebra, _level_entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +105,7 @@ class IndexedCoalgebra(Coalgebra):
         declared, the label must live at it, and every child must be a
         state of the sort its position asks for."""
         ic = self.container
-        if s not in self.sort_of:
-            raise InvalidCoalgebra(f"state {s!r} has no sort")
-        i = self.sort_of[s]
+        i = self._sort(s)
         if i not in ic.sorts:
             raise InvalidCoalgebra(f"state {s!r} has unknown sort {i!r}")
         label, children = pv
@@ -129,14 +124,12 @@ class IndexedCoalgebra(Coalgebra):
 
     def _sort(self, s):
         """The sort of state ``s``, which :func:`~omegacoalg.mtype.unfold`
-        gives its element."""
-        return self.sort_of[s]
-
-    def _tag(self, s, pv: PValue):
-        """What bisimilarity compares at ``s`` besides its children: its
-        sort and its label, so that states of different sorts are never
-        related, even where they carry the same label name."""
-        return (self.sort_of[s], pv.label)
+        gives its element; a state with none raises
+        :class:`InvalidCoalgebra`."""
+        try:
+            return self.sort_of[s]
+        except KeyError:
+            raise InvalidCoalgebra(f"state {s!r} has no sort") from None
 
     def _like(self, states: tuple, gamma: Mapping, name: str) -> "IndexedCoalgebra":
         """An indexed coalgebra over the same signature on ``states``, each
@@ -187,48 +180,7 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
     """Depth-n observation of an indexed state, carrying its sort.  The tree
     comes from the coalgebra's level table, filled by the same engine as
     :func:`omegacoalg.mtype.approximate`."""
-    return SortedApproxTree(c.sort_of[s], _level_entry(c, s, n))
-
-
-# Corecursion into the indexed final coalgebra is the plain one: the
-# element pointed at ``(c, s)`` carries the state's sort.
-iunfold = unfold
-
-
-def i_out(m: MElement) -> tuple:
-    """:func:`omegacoalg.mtype.out` as a ``(label, children)`` pair: the
-    children take the sorts of the child-sort assignment, and a root label
-    that is not available at the element's sort raises
-    :class:`SortMismatch`."""
-    return tuple(out(m))
-
-
-def i_into(ic: IndexedContainer, sort, label, children) -> MElement:
-    """Inverse of :func:`i_out`: :func:`omegacoalg.mtype.into` at
-    ``sort``, with the label and child elements as two arguments."""
-    return into(ic, PValue(label, tuple(children)), sort)
-
-
-def _same_sort(c: Coalgebra, s, t) -> None:
-    """Raise :class:`SortMismatch` unless states ``s`` and ``t`` of ``c``,
-    plain or indexed, have the same sort."""
-    i, j = c._sort(s), c._sort(t)
-    if i != j:
-        raise SortMismatch(f"states {s!r} and {t!r} have sorts {i!r} and {j!r}")
-
-
-def ibounded_bisim(c: IndexedCoalgebra, s, t, depth: int) -> bool:
-    """Depth-wise observational equality, only meaningful within a sort:
-    :func:`omegacoalg.bisim.bounded_bisim` after a sort check."""
-    _same_sort(c, s, t)
-    return bounded_bisim(c, s, t, depth)
-
-
-def ifirst_divergence_depth(c: IndexedCoalgebra, s, t, max_depth: int) -> Optional[int]:
-    """:func:`omegacoalg.bisim.first_divergence_depth` after a sort check.
-    Within a sort the raw labels differ exactly where the sorted ones do."""
-    _same_sort(c, s, t)
-    return first_divergence_depth(c, s, t, max_depth)
+    return SortedApproxTree(c._sort(s), _level_entry(c, s, n))
 
 
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:

@@ -31,8 +31,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .chain import LIMITS, Chain, LimitElement, _no_stage
-from .container import TRUNC, Container, PValue, _tree, _truncate
+from .chain import LIMITS, Chain, LimitElement
+from .container import TRUNC, Container, PValue, _no_stage, _tree, _truncate
 from .errors import (
     ArityMismatch,
     DepthBoundExceeded,
@@ -235,11 +235,6 @@ class Coalgebra:
         """The sort of state ``s``: none, since a plain coalgebra has no
         sorts."""
         return None
-
-    def _tag(self, s, pv: PValue):
-        """What bisimilarity compares at ``s`` besides its children: here
-        the label of its transition ``pv``."""
-        return pv.label
 
     def _like(self, states: tuple, gamma: Mapping, name: str) -> "Coalgebra":
         """A coalgebra of this one's kind and signature on ``states``,

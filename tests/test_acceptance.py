@@ -39,7 +39,7 @@ from omegacoalg import (
 )
 from omegacoalg.container import TRUNC, make_node
 from omegacoalg.mtype import MElement
-from omegacoalg.indexed import embed_plain, i_into, i_out, iapproximate, iunfold, well_sorted
+from omegacoalg.indexed import embed_plain, iapproximate, well_sorted
 from omegacoalg.catalog import (
     cons,
     fig1_coalgebra,
@@ -247,9 +247,8 @@ def test_criterion_10_indexed_coherence():
         for s in c.state_enumeration:
             for n in range(31):
                 assert well_sorted(c.container, iapproximate(c, s, n))
-            m = iunfold(c, s)
-            label, children = i_out(m)
-            back = i_into(c.container, m.sort, label, children)
+            m = unfold(c, s)
+            back = into(c.container, out(m), m.sort)
             for n in range(31):
                 assert tree_equal(back.at(n), m.at(n))
     rng = random.Random(1010)

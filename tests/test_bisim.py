@@ -25,9 +25,9 @@ from omegacoalg import (
     witness_from_partition,
 )
 from omegacoalg import cli, specdoc
+from omegacoalg.bisim import bisim_violations
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
-from omegacoalg.indexed import ifirst_divergence_depth
 
 from conftest import (
     random_coalgebra,
@@ -256,8 +256,9 @@ def test_gamma_function_refines_as_its_mapping_property(c):
 
 
 def test_cli_bisim_across_sorts_output(tmp_path):
-    """bisim across sorts is a validation error: exit 2, nothing on stdout,
-    and one line on stderr naming both states and both sorts."""
+    """bisim across sorts is a validation error under either algorithm:
+    exit 2, nothing on stdout, and one line on stderr naming both states
+    and both sorts.  Within a sort the bounded oracle answers."""
     path = tmp_path / "two.json"
     path.write_text(specdoc.dump_document(specdoc.indexed_document(two_sorts_sharing_a_label())))
     assert run_bisim(str(path), "p", "q") == (
@@ -265,12 +266,35 @@ def test_cli_bisim_across_sorts_output(tmp_path):
         "",
         "sort mismatch: states 'p' and 'q' have sorts 'x' and 'y'\n",
     )
+    bounded = ("--algorithm", "bounded", "--depth", "3")
+    assert run_bisim(str(path), "p", "q", *bounded) == run_bisim(str(path), "p", "q")
+    assert run_bisim(str(path), "p", "r", *bounded) == (0, "bisimilar\n", "")
 
 
-def run_bisim(path, s, t):
+def test_bisim_violations_messages():
+    """A label clash names the alpha label and both transition labels; a
+    pair across sorts names both sorts, and ``coinduction_transfer``
+    refuses the witness with that message."""
+    c = Coalgebra(
+        Container(arity={"a": 0, "b": 0}, labels=("a", "b")),
+        {"s": ("a", ()), "t": ("b", ())},
+        state_enumeration=("s", "t"),
+    )
+    w = BisimWitness(frozenset({("s", "t")}), {("s", "t"): ("a", ())})
+    assert list(bisim_violations(c, w)) == [
+        "pair ('s', 't'): alpha label 'a' vs transitions 'a' / 'b'"
+    ]
+    two = two_sorts_sharing_a_label()
+    w = BisimWitness(frozenset({("p", "q")}), {("p", "q"): ("a", ())})
+    assert list(bisim_violations(two, w)) == ["pair ('p', 'q'): states of sorts 'x' and 'y'"]
+    with pytest.raises(InvalidWitness, match=r"states of sorts 'x' and 'y'"):
+        coinduction_transfer(two, w, "p", "q", 3)
+
+
+def run_bisim(path, s, t, *options):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["bisim", "--spec", path, "--left", s, "--right", t])
+        code = cli.main(["bisim", "--spec", path, "--left", s, "--right", t, *options])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -290,7 +314,7 @@ def test_indexed_cli_bisim_matches_oracle_property(c):
                     assert (code, out) == (2, "")
                     assert err == f"sort mismatch: states {s!r} and {t!r} have {sorts}\n"
                     continue
-                k = ifirst_divergence_depth(c, s, t, n)
+                k = first_divergence_depth(c, s, t, n)
                 if k is None:
                     assert (code, out) == (0, "bisimilar\n")
                 else:

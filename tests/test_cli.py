@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from omegacoalg import PValue, cli, mtype, specdoc
 from omegacoalg.container import _tree
-from omegacoalg.indexed import IndexedCoalgebra, ifirst_divergence_depth
+from omegacoalg.bisim import first_divergence_depth
+from omegacoalg.indexed import IndexedCoalgebra
 
 from conftest import small_indexed_coalgebras
 
@@ -795,7 +796,7 @@ def test_indexed_minimize_property(tmp_path, c):
         s: next(
             r
             for r in c.state_enumeration
-            if c.sort_of[r] == c.sort_of[s] and ifirst_divergence_depth(c, r, s, n) is None
+            if first_divergence_depth(c, r, s, n) is None
         )
         for s in c.state_enumeration
     }

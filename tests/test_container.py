@@ -15,7 +15,7 @@ from omegacoalg import (
     truncate,
     truncate_to,
 )
-from omegacoalg.container import well_formed
+from omegacoalg.container import TRUNC, _truncate_cache, well_formed
 from omegacoalg.catalog import conat_coalgebra, fig1_coalgebra, fig1_signature
 from omegacoalg.errors import (
     ArityMismatch,
@@ -116,6 +116,23 @@ def test_tree_equal_examples():
     partial = make_node(FIG1, "b", [make_trunc(), make_trunc()])
     assert not tree_equal(leaf, partial)
     assert tree_equal(partial, truncate_to(FIG1, partial, partial.depth))
+
+
+def test_negative_depth_raises_before_any_cache_write():
+    """``truncate_to`` below stage 0 and ``enumerate_w`` of a negative
+    stage raise :class:`CannotTruncateUnit`, and the truncation cache gets
+    no entry on the way, under Trunc or any other key."""
+    t = approximate(fig1_coalgebra(), "t", 3)
+    truncate_to(FIG1, t, 0)
+    had, size = _truncate_cache.get(TRUNC), len(_truncate_cache)
+    for m in (-1, -5):
+        with pytest.raises(CannotTruncateUnit):
+            truncate_to(FIG1, t, m)
+        with pytest.raises(CannotTruncateUnit):
+            truncate_to(FIG1, TRUNC, m)
+        with pytest.raises(CannotTruncateUnit):
+            enumerate_w(FIG1, m)
+    assert _truncate_cache.get(TRUNC) is had and len(_truncate_cache) == size
 
 
 def test_enumerate_w_unit_stage():

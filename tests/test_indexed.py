@@ -20,12 +20,7 @@ from omegacoalg.indexed import (
     IndexedCoalgebra,
     SortedApproxTree,
     embed_plain,
-    i_into,
-    i_out,
     iapproximate,
-    ibounded_bisim,
-    ifirst_divergence_depth,
-    iunfold,
     well_sorted,
     well_sorted_all,
 )
@@ -108,7 +103,7 @@ def test_iapproximate_parity():
 
 def test_iunfold_compatibility():
     c = parity_coalgebra()
-    m = iunfold(c, "p")
+    m = unfold(c, "p")
     t3 = m.at(3)
     assert [t3.label, t3.children[0].label, t3.children[0].children[0].label] == [
         "E",
@@ -121,27 +116,25 @@ def test_iunfold_compatibility():
 
 def test_i_out_parity():
     """The plain ``unfold`` gives the element its state's sort, so the
-    plain ``out`` of it is ``i_out``: E over one child of sort o."""
-    assert iunfold is unfold
+    plain ``out`` of it is E over one child of sort o."""
     c = parity_coalgebra()
     m = unfold(c, "p")
     label, children = out(m)
-    assert (label, children) == i_out(m)
     assert label == "E"
     assert [ch.sort for ch in children] == ["o"]
-    q = iunfold(c, "q")
+    q = unfold(c, "q")
     for n in range(6):
         assert tree_equal(children[0].at(n), q.at(n))
 
 
 def test_i_into_round_trips():
     c = parity_coalgebra()
-    m = iunfold(c, "p")
-    label, children = i_out(m)
-    back = i_into(PARITY, "e", label, children)
+    m = unfold(c, "p")
+    label, children = out(m)
+    back = into(PARITY, PValue(label, children), "e")
     for n in range(10):
         assert tree_equal(back.at(n), m.at(n))
-    label2, children2 = i_out(back)
+    label2, children2 = out(back)
     assert label2 == label
     for n in range(10):
         assert tree_equal(children2[0].at(n), children[0].at(n))
@@ -149,9 +142,9 @@ def test_i_into_round_trips():
 
 def test_i_into_sort_mismatch():
     c = parity_coalgebra()
-    wrong = iunfold(c, "p")  # sort e, but E expects an o child
+    wrong = unfold(c, "p")  # sort e, but E expects an o child
     with pytest.raises(SortMismatch):
-        i_into(PARITY, "e", "E", (wrong,))
+        into(PARITY, PValue("E", (wrong,)), "e")
 
 
 def test_into_over_an_indexed_container_checks_sort_and_arity():
@@ -172,11 +165,29 @@ def test_into_over_an_indexed_container_checks_sort_and_arity():
             into(PARITY, PValue("E", kids), "e")
 
 
-def test_ibounded_bisim():
+def test_a_state_without_sort_is_an_invalid_coalgebra():
+    """Reading the sort of a state outside ``sort_of`` raises
+    :class:`InvalidCoalgebra` with the message validation uses, wherever
+    the sort is read: ``unfold``, ``iapproximate`` and the pair search."""
     c = parity_coalgebra()
-    assert ibounded_bisim(c, "p", "p", 10)
-    with pytest.raises(SortMismatch):
-        ibounded_bisim(c, "p", "q", 1)
+    calls = (
+        lambda: unfold(c, "ghost"),
+        lambda: iapproximate(c, "ghost", 2),
+        lambda: divergence_depth(c, "ghost", "p"),
+        lambda: first_divergence_depth(c, "p", "ghost", 3),
+    )
+    for call in calls:
+        with pytest.raises(InvalidCoalgebra, match=r"^state 'ghost' has no sort$"):
+            call()
+
+
+def test_ibounded_bisim():
+    """The plain oracle on an indexed coalgebra: states of different sorts
+    differ at depth 1."""
+    c = parity_coalgebra()
+    assert bounded_bisim(c, "p", "p", 10)
+    assert not bounded_bisim(c, "p", "q", 1)
+    assert first_divergence_depth(c, "p", "q", 1) == divergence_depth(c, "p", "q") == 1
 
 
 def test_ibounded_bisim_same_alternation():
@@ -188,15 +199,15 @@ def test_ibounded_bisim_same_alternation():
         sort_of={"p": "e", "p2": "e", "q": "o"},
         gamma={"p": ("E", ("q",)), "p2": ("E", ("q",)), "q": ("O", ("p",))},
     )
-    assert ibounded_bisim(c, "p", "p2", 20)
+    assert bounded_bisim(c, "p", "p2", 20)
 
 
 def test_indexed_operations_check_sorts_first():
     """The indexed operations are the plain ones behind a sort check: a map
     that sends a state to an element of another sort fails the morphism
-    law even where every stage agrees, states of different sorts are not
-    compared, and a family whose root label is not at its sort has no
-    ``i_out`` and no ``out``."""
+    law even where every stage agrees, states of different sorts differ at
+    depth 1 even where their labels agree, and a family whose root label
+    is not at its sort has no ``out``."""
     from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
     two = IndexedContainer(
@@ -207,22 +218,20 @@ def test_indexed_operations_check_sorts_first():
     )
     gamma = {"p": ("X", ()), "q": ("X", ()), "r": ("Y", ())}
     c = IndexedCoalgebra(two, ("p", "q", "r"), {"p": "e", "q": "o", "r": "e"}, gamma)
-    swapped = lambda s: iunfold(c, {"p": "q", "q": "p"}[s])
-    assert all(swapped(s).at(n) is iunfold(c, s).at(n) for s in "pq" for n in range(5))
+    swapped = lambda s: unfold(c, {"p": "q", "q": "p"}[s])
+    assert all(swapped(s).at(n) is unfold(c, s).at(n) for s in "pq" for n in range(5))
     assert not verify_morphism(MorphismCandidate(c, swapped), 5, states=["p", "q"])
     assert not verify_morphism(MorphismCandidate(c, swapped), 5, states=iter(["p"]))
     # Sorts kept, stages wrong, from an iterator of states.
-    stale = MorphismCandidate(c, lambda s: iunfold(c, "r"))
+    stale = MorphismCandidate(c, lambda s: unfold(c, "r"))
     assert not verify_morphism(stale, 5, states=iter(["p"]))
     with pytest.raises(NotAMorphism):
         uniqueness_probe(c, MorphismCandidate(c, swapped), 5, states=["p", "q"])
+    assert first_divergence_depth(c, "p", "q", 5) == divergence_depth(c, "p", "q") == 1
+    assert bounded_bisim(c, "p", "q", 0) and not bounded_bisim(c, "p", "q", 1)
+    assert first_divergence_depth(c, "p", "p", 5) is None
     with pytest.raises(SortMismatch):
-        ifirst_divergence_depth(c, "p", "q", 5)
-    assert ifirst_divergence_depth(c, "p", "p", 5) is None
-    with pytest.raises(SortMismatch):
-        i_out(MElement(PARITY, iunfold(parity_coalgebra(), "p").limit, sort="o"))
-    with pytest.raises(SortMismatch):
-        out(MElement(PARITY, iunfold(parity_coalgebra(), "p").limit, sort="o"))
+        out(MElement(PARITY, unfold(parity_coalgebra(), "p").limit, sort="o"))
 
 
 def test_indexed_corpus_well_sorted_everywhere():
@@ -230,16 +239,15 @@ def test_indexed_corpus_well_sorted_everywhere():
         for s in c.state_enumeration:
             for n in range(11):
                 assert well_sorted(c.container, iapproximate(c, s, n))
-            m = iunfold(c, s)
-            label, children = i_out(m)
-            back = i_into(c.container, m.sort, label, children)
+            m = unfold(c, s)
+            back = into(c.container, out(m), m.sort)
             for n in range(11):
                 assert tree_equal(back.at(n), m.at(n))
 
 
 def test_indexed_finality_probes_on_corpus():
     for c in indexed_corpus(20):
-        mc = MorphismCandidate(c, lambda s, c=c: iunfold(c, s))
+        mc = MorphismCandidate(c, lambda s, c=c: unfold(c, s))
         assert verify_morphism(mc, 30)
         assert uniqueness_probe(c, mc, 30)
 
@@ -255,7 +263,7 @@ def test_singleton_index_embedding_agrees_with_plain():
                     iapproximate(ic, s, n).tree, approximate(plain, s, n)
                 )
             m_plain = unfold(plain, s)
-            m_idx = iunfold(ic, s)
+            m_idx = unfold(ic, s)
             for n in range(31):
                 assert tree_equal(m_idx.at(n), m_plain.at(n))
 
@@ -269,34 +277,28 @@ def _at_sort(ic, sort):
 @settings(max_examples=200, deadline=None)
 @given(small_indexed_coalgebras(), st.integers(0, 8))
 def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
-    """``i_out``/``i_into`` on unfolded elements give the same child sorts
-    and the same stages, as the same objects, as the chain.py ``out``/
-    ``into`` composition applied to the elements' ``limit`` views; ``i_out``
-    and ``i_into`` of elements built by hand from those views agree too.
-    The plain ``out`` of an unfolded, assembled or hand-built sorted
-    element is ``i_out`` of it, with the child sorts of ``child_sort``;
-    the plain ``unfold`` gives the state's sort, and the plain ``into`` at
-    that sort is ``i_into``."""
+    """The plain ``out``/``into`` on unfolded sorted elements give the same
+    child sorts and the same stages, as the same objects, as the chain.py
+    ``out``/``into`` composition applied to the elements' ``limit`` views;
+    ``out`` and ``into`` of elements built by hand from those views agree
+    too.  The plain ``out`` of an unfolded, assembled or hand-built sorted
+    element gives its children the sorts of ``child_sort``; the plain
+    ``unfold`` gives the state's sort, and ``into`` assembles at it."""
     ic = c.container
 
     def plain_out(m):
         v = out(m)
-        assert tuple(v) == i_out(m)
         assert tuple(ch.sort for ch in v.children) == ic.child_sort[(m.sort, v.label)]
         return v
 
     for s in c.state_enumeration:
-        m = iunfold(c, s)
-        assert unfold(c, s) == m and m.sort == c.sort_of[s]
-        plain_out(m)
-        plain_out(MElement(ic, m.limit, sort=m.sort))
-        label, children = i_out(m)
+        m = unfold(c, s)
+        assert m.sort == c.sort_of[s]
+        label, children = plain_out(m)
         ref = out(MElement(_at_sort(ic, m.sort), m.limit))
         lit = chain_out(_at_sort(ic, m.sort), m.limit)
-        hand_label, hand_children = i_out(MElement(ic, m.limit, sort=m.sort))
+        hand_label, hand_children = plain_out(MElement(ic, m.limit, sort=m.sort))
         assert label == ref.label == lit.label == hand_label == c.transition(s).label
-        assert tuple(ch.sort for ch in children) == ic.child_sort[(m.sort, label)]
-        assert tuple(ch.sort for ch in hand_children) == ic.child_sort[(m.sort, label)]
         kids = c.transition(s).children
         for ch, ref_ch, lit_ch, hand_ch, t in zip(
             children, ref.children, lit.children, hand_children, kids
@@ -305,20 +307,18 @@ def test_pointed_i_out_i_into_match_chain_reference_property(c, depth):
                 got = ch.at(n)
                 assert got is ref_ch.at(n) is lit_ch.at(n) is hand_ch.at(n)
                 assert got is iapproximate(c, t, n).tree
-        back = i_into(ic, m.sort, label, children)
+        back = into(ic, PValue(label, children), m.sort)
         by_hand = tuple(MElement(_at_sort(ic, ch.sort), ch.limit) for ch in children)
         ref_back = into(_at_sort(ic, m.sort), PValue(label, by_hand))
         views = tuple(ch.limit for ch in children)
         lit_back = chain_into(_at_sort(ic, m.sort), PValue(label, views))
-        hand_back = i_into(ic, m.sort, hand_label, hand_children)
-        plain_back = into(ic, out(m), m.sort)
-        assert i_out(back) == (label, children) == tuple(out(plain_back))
+        hand_back = into(ic, PValue(hand_label, hand_children), m.sort)
+        assert tuple(out(back)) == (label, children)
         plain_out(back)
         plain_out(hand_back)
-        assert back.sort == hand_back.sort == plain_back.sort == m.sort
+        assert back.sort == hand_back.sort == m.sort
         for n in range(depth + 1):
             assert back.at(n) is ref_back.at(n) is lit_back.at(n) is hand_back.at(n) is m.at(n)
-            assert plain_back.at(n) is m.at(n)
 
 
 @settings(max_examples=300, deadline=None)

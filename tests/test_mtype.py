@@ -49,10 +49,7 @@ from omegacoalg.errors import (
 from omegacoalg.indexed import (
     IndexedCoalgebra,
     IndexedContainer,
-    i_into,
-    i_out,
     iapproximate,
-    iunfold,
 )
 
 from conftest import (
@@ -367,11 +364,10 @@ def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
 def element_laws(c, depth: int) -> tuple:
     """The four laws of ``_table_laws``, read through element objects as
     the library offers them: per-element compatibility, ``out``/``into``
-    (``i_out``/``i_into`` when indexed), and the morphism probes with the
-    ``unfold`` candidate."""
-    indexed = isinstance(c, IndexedCoalgebra)
+    (at the element's sort), and the morphism probes with the ``unfold``
+    candidate."""
     states = c.state_enumeration
-    element = (lambda s: iunfold(c, s)) if indexed else (lambda s: unfold(c, s))
+    element = lambda s: unfold(c, s)
     compatible = all(
         truncate(None, element(s).at(n + 1)) is element(s).at(n)
         for s in states
@@ -380,14 +376,9 @@ def element_laws(c, depth: int) -> tuple:
     roundtrip = True
     for s in states:
         m = element(s)
-        if indexed:
-            v = i_out(m)
-            back = i_into(c.container, m.sort, *v)
-            again = i_out(back)
-        else:
-            v = out(m)
-            back = into(c.container, v)
-            again = out(back)
+        v = out(m)
+        back = into(c.container, v, m.sort)
+        again = out(back)
         roundtrip = roundtrip and again == v
         roundtrip = roundtrip and all(back.at(n) is m.at(n) for n in range(depth + 1))
     mc = MorphismCandidate(c, element)
@@ -467,8 +458,8 @@ def test_negative_depth_on_every_element():
         return t
 
     hand = MElement(sc, LimitElement(w_chain(sc), by_hand, provenance="by-hand"))
-    p = iunfold(parity_coalgebra(), "p")
-    label, children = i_out(p)
+    p = unfold(parity_coalgebra(), "p")
+    label, children = out(p)
     elements = {
         "unfold": s7,
         "out-child": out(conat_infinity()).children[0],
@@ -480,9 +471,9 @@ def test_negative_depth_on_every_element():
         "hand-built-out-child": out(hand).children[0],
         "hand-built-cons": cons(7, hand),
         "hand-built-tail": tail(hand),
-        "iunfold": p,
-        "i_out-child": children[0],
-        "i_into": i_into(p.container, "e", label, children),
+        "unfold-sorted": p,
+        "out-child-sorted": children[0],
+        "into-sorted": into(p.container, PValue(label, children), "e"),
     }
     for m in elements.values():
         for n in (-1, -3):
@@ -507,7 +498,7 @@ def test_elements_compare_by_coalgebra_and_state():
     v = out(unfold(c, 2))
     assert into(c.container, v) != into(c.container, v)
     p = parity_coalgebra()
-    assert iunfold(p, "p") == iunfold(p, "p") != MElement(None, coalgebra=p, state="p")
+    assert unfold(p, "p") == unfold(p, "p") != MElement(None, coalgebra=p, state="p")
     assert MElement(p.container, coalgebra=p, state="p", sort="e") != MElement(
         p.container, coalgebra=p, state="p", sort="o"
     )
