@@ -51,9 +51,12 @@ def main():
             assert (p.block_of(s) is p.block_of(t)) == bounded_bisim(c, s, t, n)
     print("partition agrees with the depth-bounded oracle")
 
-    # The final partition is itself a bisimulation.
+    # The final partition is itself a bisimulation.  Its witness relates
+    # each state to the first state of its block, one pair per state, and
+    # is checked up to the equivalence those pairs generate.
     w = witness_from_partition(c, p)
     assert verify_bisim(c, w)
+    assert len(w.relation) == len(c.state_enumeration)
     print("witness relation:", sorted(w.relation))
 
     # Quotient: the minimal coalgebra identifies a, b, c.

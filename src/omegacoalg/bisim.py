@@ -1,9 +1,13 @@
 """Bisimulation witnesses, depth-bounded bisimilarity, and partition
 refinement for finite coalgebras.
 
-A witness equips a relation on states with, per related pair, the shared
-label and the positionwise child pairs; verification checks the commuting
-squares clause by clause.
+A witness is a bare relation on states.  The transitions fix the coalgebra
+structure a bisimulation carries over a container functor, so verification
+reads each related pair's labels, sorts and successors off them, and it
+checks the relation up to equivalence (Hopcroft & Karp, 1971): successor
+pairs need only lie in the equivalence that the relation generates, which
+is then itself a bisimulation.  A partition is witnessed by one pair per
+state.
 
 Bisimilarity is decided on the finite coalgebra itself, with no depth-n
 observation built: :func:`partition_refine` refines the partition by sort
@@ -20,7 +24,6 @@ reference oracle the fast procedures are tested against.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -35,14 +38,12 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class BisimWitness:
-    """A relation with per-pair coalgebra structure.
-
-    ``alpha`` maps each related pair (s, t) to ``(label, pairs)`` where
-    ``pairs[b]`` is the pair of position-b successors.
-    """
+    """A relation on states, as a frozenset of pairs (s, t).  It witnesses
+    bisimilarity of every pair in the equivalence it generates when each
+    related pair agrees in label and sort and its position-b successors lie
+    in that equivalence (:func:`verify_bisim`)."""
 
     relation: frozenset
-    alpha: Mapping
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,40 +75,59 @@ def diagonal_bisim(c: Coalgebra) -> BisimWitness:
     return witness_from_partition(c, Partition(tuple((s,) for s in _require_states(c))))
 
 
+def find(parent: dict, x):
+    """The root of ``x`` in the union-find forest ``parent``, halving the
+    path on the way; a state absent from ``parent`` is its own root."""
+    while True:
+        p = parent.get(x, x)
+        if p == x:
+            return x
+        g = parent.get(p, p)
+        parent[x] = g
+        x = g
+
+
+def _merge(parent: dict, x, y) -> bool:
+    """Join the classes of ``x`` and ``y``; False if they were one already."""
+    rx, ry = find(parent, x), find(parent, y)
+    if rx == ry:
+        return False
+    parent[rx] = ry
+    return True
+
+
+def _classes(relation) -> dict:
+    """The union-find forest of the equivalence ``relation`` generates."""
+    parent: dict = {}
+    for s, t in relation:
+        _merge(parent, s, t)
+    return parent
+
+
 def bisim_violations(c: Coalgebra, w: BisimWitness):
-    """Yield human-readable reasons the witness fails, if any."""
+    """Yield human-readable reasons the witness fails, if any: a related
+    pair whose labels or sorts differ, or whose successors at some position
+    lie outside the equivalence the relation generates."""
+    parent = _classes(w.relation)
     for pair in w.relation:
         s, t = pair
-        if pair not in w.alpha:
-            yield f"pair {pair!r} has no alpha structure"
-            continue
-        label, ps = w.alpha[pair]
         gs, gt = c.transition(s), c.transition(t)
-        if gs.label != label or gt.label != label:
-            yield (
-                f"pair {pair!r}: alpha label {label!r} vs transitions "
-                f"{gs.label!r} / {gt.label!r}"
-            )
+        if gs.label != gt.label:
+            yield f"pair {pair!r}: labels {gs.label!r} and {gt.label!r}"
             continue
         i, j = c._sort(s), c._sort(t)
         if i != j:
             yield f"pair {pair!r}: states of sorts {i!r} and {j!r}"
             continue
-        if len(ps) != len(gs.children):
-            yield f"pair {pair!r}: alpha has {len(ps)} positions, arity is {len(gs.children)}"
-            continue
-        for b, (x, y) in enumerate(ps):
-            if (x, y) != (gs.children[b], gt.children[b]):
-                yield f"pair {pair!r}: position {b} pairs {(x, y)!r}, transitions give {(gs.children[b], gt.children[b])!r}"
-                break
-            if (x, y) not in w.relation:
-                yield f"pair {pair!r}: successor pair {(x, y)!r} at position {b} not related"
+        for b, (x, y) in enumerate(zip(gs.children, gt.children)):
+            if find(parent, x) != find(parent, y):
+                yield f"pair {pair!r}: successor pair {(x, y)!r} at position {b} not related up to equivalence"
                 break
 
 
 def verify_bisim(c: Coalgebra, w: BisimWitness) -> bool:
     """True iff every witness clause holds for every related pair."""
-    return next(iter(bisim_violations(c, w)), None) is None
+    return next(bisim_violations(c, w), None) is None
 
 
 def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> Optional[int]:
@@ -156,24 +176,7 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
     if c._sort(s) != c._sort(t):
         return 1
     parent: dict = {}
-
-    def find(x):
-        while True:
-            p = parent.get(x, x)
-            if p == x:
-                return x
-            g = parent.get(p, p)
-            parent[x] = g
-            x = g
-
-    def merge(x, y) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-        return True
-
-    if not merge(s, t):
+    if not _merge(parent, s, t):
         return None
     level = [(s, t)]
     depth = 1
@@ -184,7 +187,7 @@ def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
             if px.label != py.label:
                 return depth
             for a, b in zip(px.children, py.children):
-                if merge(a, b):
+                if _merge(parent, a, b):
                     following.append((a, b))
         level = following
         depth += 1
@@ -316,28 +319,24 @@ def partition_refine(c: Coalgebra) -> Partition:
 
 
 def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> bool:
-    """Executable instance of the coinduction principle: states related by a
-    verified witness have equal observations at every tested depth."""
-    if not verify_bisim(c, w):
-        raise InvalidWitness(next(iter(bisim_violations(c, w))))
-    if (s, t) not in w.relation:
-        raise PairNotRelated(f"pair {(s, t)!r} not in the witness relation")
+    """Executable instance of the coinduction principle: states related by
+    the equivalence a verified witness generates, which is a bisimulation,
+    have equal observations at every tested depth.  Any pair in that
+    equivalence is accepted, ``(s, s)`` included."""
+    for violation in bisim_violations(c, w):
+        raise InvalidWitness(violation)
+    parent = _classes(w.relation)
+    if find(parent, s) != find(parent, t):
+        raise PairNotRelated(f"pair {(s, t)!r} not in the equivalence the witness generates")
     return bounded_bisim(c, s, t, depth)
 
 
 def witness_from_partition(c: Coalgebra, p: Partition) -> BisimWitness:
-    """The full relation within each block, with the forced alpha structure
-    read off the transitions."""
-    alpha = {}
-    for block in p.blocks:
-        for s in block:
-            for t in block:
-                pv_s, pv_t = c.transition(s), c.transition(t)
-                alpha[(s, t)] = (
-                    pv_s.label,
-                    tuple(zip(pv_s.children, pv_t.children)),
-                )
-    return BisimWitness(frozenset(alpha), alpha)
+    """One pair per state, relating it to the first state of its block.  The
+    equivalence these pairs generate is the partition, so the witness
+    verifies up to equivalence exactly when the partition is
+    bisimulation-closed, and it has as many pairs as ``c`` has states."""
+    return BisimWitness(frozenset((s, block[0]) for block in p.blocks for s in block))
 
 
 def minimize(c: Coalgebra) -> Coalgebra:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .container import Container, PValue, _no_stage, pmap
-from .errors import ConeLawViolation, LabelDrift
+from .errors import CannotTruncateUnit, ConeLawViolation, LabelDrift
 
 DEFAULT_CONE_CHECK_DEPTH = 16
 DEFAULT_LABEL_CHECK_DEPTH = 8
@@ -77,30 +77,29 @@ class Cone:
 
 
 def check_compat(l: LimitElement, upto: int) -> bool:
-    """Verify ``project(n, at(n+1)) == at(n)`` for all n < upto."""
+    """Verify ``project(n, at(n+1)) == at(n)`` for all n < upto.  A stage
+    the projection refuses (Trunc at a stage above 0) is a failure."""
     chain = l.chain
-    for n in range(upto):
-        if chain.project(n, l.at(n + 1)) != l.at(n):
-            return False
-    return True
+    try:
+        return all(chain.project(n, l.at(n + 1)) == l.at(n) for n in range(upto))
+    except CannotTruncateUnit:
+        return False
 
 
-def cone_to_map(
-    chain: Chain, c: Cone, check_depth: int = DEFAULT_CONE_CHECK_DEPTH
-) -> Callable[[object], LimitElement]:
+def cone_to_map(chain: Chain, c: Cone) -> Callable[[object], LimitElement]:
     """Turn a cone into the induced map apex -> limit.
 
-    The cone law is verified on ``c.apex_samples`` up to ``check_depth``;
-    violations raise :class:`ConeLawViolation`.
+    The cone law is the compatibility of each apex's family of legs; it is
+    verified on ``c.apex_samples`` below stage ``DEFAULT_CONE_CHECK_DEPTH``,
+    and a violation raises :class:`ConeLawViolation`.
     """
-    for x in c.apex_samples:
-        for n in range(check_depth):
-            if chain.project(n, c.legs(n + 1, x)) != c.legs(n, x):
-                raise ConeLawViolation(f"cone law fails at stage {n} for apex {x!r}")
 
     def h(x):
         return LimitElement(chain, lambda n, x=x: c.legs(n, x), provenance="cone")
 
+    for x in c.apex_samples:
+        if not check_compat(h(x), DEFAULT_CONE_CHECK_DEPTH):
+            raise ConeLawViolation(f"cone law fails below stage {DEFAULT_CONE_CHECK_DEPTH} for apex {x!r}")
     return h
 
 
@@ -150,21 +149,16 @@ def poly_limit_to(c: Container, base: Chain, v: PValue) -> LimitElement:
     )
 
 
-def poly_limit_from(
-    c: Container,
-    base: Chain,
-    l: LimitElement,
-    check_depth: int = DEFAULT_LABEL_CHECK_DEPTH,
-) -> PValue:
+def poly_limit_from(c: Container, base: Chain, l: LimitElement) -> PValue:
     """Inverse of :func:`poly_limit_to`.
 
     Compatibility forces every stage of ``l`` to carry the same root label;
     disagreement (a corrupt hand-built family) raises :class:`LabelDrift`,
-    eagerly up to ``check_depth`` stages and lazily beyond.
+    eagerly below stage ``DEFAULT_LABEL_CHECK_DEPTH`` and lazily beyond.
     """
     first = l.at(0)
     label = first.label
-    for n in range(1, check_depth):
+    for n in range(1, DEFAULT_LABEL_CHECK_DEPTH):
         if l.at(n).label != label:
             raise LabelDrift(f"stage {n} has label {l.at(n).label!r}, stage 0 has {label!r}")
 

@@ -200,16 +200,19 @@ def truncate(c: Container, t: ApproxTree) -> ApproxTree:
     truncate each child.  The container argument is accepted for signature
     uniformity and not otherwise consulted.
     """
-    if t.depth == 0:
-        raise CannotTruncateUnit("Trunc has no stage below it")
     return _truncate(t)
 
 
 def _truncate(t: ApproxTree) -> ApproxTree:
+    """:func:`truncate`, the projection of the approximation chain.  Trunc
+    is refused before either cache is written: it is never a key of the
+    truncation cache, so the check costs nothing on a cache hit."""
     cache = _truncate_cache
     got = cache.get(t)
     if got is not None:
         return got
+    if t.depth == 0:
+        raise CannotTruncateUnit("Trunc has no stage below it")
     stack = [t]
     while stack:
         cur = stack[-1]

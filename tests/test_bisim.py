@@ -7,6 +7,7 @@ import time
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegacoalg import (
     BisimWitness,
@@ -66,7 +67,6 @@ def test_diagonal_bisim_single_state():
     c = Coalgebra(sc, {"inf": ("S", ("inf",))}, state_enumeration=("inf",))
     w = diagonal_bisim(c)
     assert w.relation == frozenset({("inf", "inf")})
-    assert w.alpha[("inf", "inf")] == ("S", (("inf", "inf"),))
 
 
 def test_diagonal_bisim_empty_coalgebra():
@@ -87,7 +87,7 @@ def test_diagonal_needs_finite_states():
 def test_verify_bisim_rejects_label_clash():
     c = fig1_coalgebra()
     alpha = {("t", "u"): ("b", (("u", "u"), ("t", "u")))}
-    w = BisimWitness(frozenset(alpha), alpha)
+    w = BisimWitness(frozenset(alpha))
     assert not verify_bisim(c, w)
 
 
@@ -131,7 +131,7 @@ def test_coinduction_transfer():
 def test_coinduction_transfer_guards():
     c = fig1_coalgebra()
     alpha = {("t", "u"): ("b", (("u", "u"), ("t", "u")))}
-    bad = BisimWitness(frozenset(alpha), alpha)
+    bad = BisimWitness(frozenset(alpha))
     with pytest.raises(InvalidWitness):
         coinduction_transfer(c, bad, "t", "u", 5)
     with pytest.raises(PairNotRelated):
@@ -272,23 +272,68 @@ def test_cli_bisim_across_sorts_output(tmp_path):
 
 
 def test_bisim_violations_messages():
-    """A label clash names the alpha label and both transition labels; a
-    pair across sorts names both sorts, and ``coinduction_transfer``
-    refuses the witness with that message."""
+    """A label clash names both transition labels; a pair across sorts
+    names both sorts, and ``coinduction_transfer`` refuses the witness with
+    that message."""
     c = Coalgebra(
         Container(arity={"a": 0, "b": 0}, labels=("a", "b")),
         {"s": ("a", ()), "t": ("b", ())},
         state_enumeration=("s", "t"),
     )
-    w = BisimWitness(frozenset({("s", "t")}), {("s", "t"): ("a", ())})
-    assert list(bisim_violations(c, w)) == [
-        "pair ('s', 't'): alpha label 'a' vs transitions 'a' / 'b'"
-    ]
+    w = BisimWitness(frozenset({("s", "t")}))
+    assert list(bisim_violations(c, w)) == ["pair ('s', 't'): labels 'a' and 'b'"]
     two = two_sorts_sharing_a_label()
-    w = BisimWitness(frozenset({("p", "q")}), {("p", "q"): ("a", ())})
+    w = BisimWitness(frozenset({("p", "q")}))
     assert list(bisim_violations(two, w)) == ["pair ('p', 'q'): states of sorts 'x' and 'y'"]
     with pytest.raises(InvalidWitness, match=r"states of sorts 'x' and 'y'"):
         coinduction_transfer(two, w, "p", "q", 3)
+
+
+def test_bisim_violations_up_to_equivalence():
+    """Successors are checked up to the equivalence the relation generates.
+    On the cycle s0 -> s1 -> s2 -> s0, {(s0, s1), (s1, s2)} verifies
+    although it holds no successor pair of (s1, s2), and every pair of its
+    equivalence is accepted, as is (s, s) under the empty relation.  When
+    s2 carries another label, the successor pair of (s0, s1) lies outside
+    the equivalence of {(s0, s1)}, and the message names its position."""
+    cycle = constant_cycle()
+    w = BisimWitness(frozenset({("s0", "s1"), ("s1", "s2")}))
+    assert list(bisim_violations(cycle, w)) == []
+    for s in cycle.state_enumeration:
+        for t in cycle.state_enumeration:
+            assert coinduction_transfer(cycle, w, s, t, 10)
+    marked = constant_cycle("y")
+    assert coinduction_transfer(marked, BisimWitness(frozenset()), "s2", "s2", 3)
+    w = BisimWitness(frozenset({("s0", "s1")}))
+    assert list(bisim_violations(marked, w)) == [
+        "pair ('s0', 's1'): successor pair ('s1', 's2') at position 0 not related up to equivalence"
+    ]
+    with pytest.raises(InvalidWitness, match=r"not related up to equivalence"):
+        coinduction_transfer(marked, w, "s0", "s1", 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_coalgebras(), small_indexed_coalgebras()), st.data())
+def test_verified_relations_lie_within_blocks_property(c, data):
+    """Checking up to equivalence is sound: a drawn relation that verifies
+    relates only states of one ``partition_refine`` block.  The partition's
+    witness verifies with one pair per state, and ``coinduction_transfer``
+    accepts exactly the pairs that share a block."""
+    states = c.state_enumeration
+    n = len(states)
+    pairs = [(s, t) for s in states for t in states]
+    relation = frozenset(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    p = partition_refine(c)
+    if verify_bisim(c, BisimWitness(relation)):
+        assert all(p.block_of(s) is p.block_of(t) for s, t in relation)
+    w = witness_from_partition(c, p)
+    assert verify_bisim(c, w) and len(w.relation) == n
+    for s, t in pairs:
+        if p.block_of(s) is p.block_of(t):
+            assert coinduction_transfer(c, w, s, t, n)
+        else:
+            with pytest.raises(PairNotRelated):
+                coinduction_transfer(c, w, s, t, n)
 
 
 def run_bisim(path, s, t, *options):
@@ -321,10 +366,11 @@ def test_indexed_cli_bisim_matches_oracle_property(c):
                     assert (code, out) == (1, f"distinguishable at depth {k}\n")
 
 
-def marker_cycle(n):
-    """c0 -> c1 -> ... -> c(n-1) -> c0, all labelled a except the marker c0."""
+def marker_cycle(n, marker="m"):
+    """c0 -> c1 -> ... -> c(n-1) -> c0, all labelled a except the marker c0
+    (a one-label cycle, and one block, with ``marker="a"``)."""
     states = tuple(f"c{i}" for i in range(n))
-    gamma = {s: ("m" if i == 0 else "a", (states[(i + 1) % n],)) for i, s in enumerate(states)}
+    gamma = {s: (marker if i == 0 else "a", (states[(i + 1) % n],)) for i, s in enumerate(states)}
     return Coalgebra(
         Container(arity={"a": 1, "m": 1}, labels=("a", "m")), gamma, state_enumeration=states
     )
@@ -345,3 +391,20 @@ def test_marker_cycle_scaling():
     k = divergence_depth(c, f"c{i}", f"c{j}")
     assert time.monotonic() - start < 2
     assert k == min(n - i, n - j) + 1
+
+
+def test_partition_witness_scaling():
+    """A partition is witnessed by one pair per state, not by every pair of
+    each block: a one-label cycle is one block, and its witness stays
+    linear in the states, as does its verification."""
+    small = marker_cycle(300, marker="a")
+    assert len(witness_from_partition(small, partition_refine(small)).relation) == 300
+    n = 20000
+    c = marker_cycle(n, marker="a")
+    p = partition_refine(c)
+    assert len(p.blocks) == 1
+    w = witness_from_partition(c, p)
+    assert len(w.relation) == n
+    start = time.monotonic()
+    assert verify_bisim(c, w)
+    assert time.monotonic() - start < 2
