@@ -24,9 +24,7 @@ reference oracle the fast procedures are tested against.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .mtype import Coalgebra, approximate
 from .errors import (
@@ -36,22 +34,22 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class BisimWitness:
     """A relation on states, as a frozenset of pairs (s, t).  It witnesses
     bisimilarity of every pair in the equivalence it generates when each
     related pair agrees in label and sort and its position-b successors lie
     in that equivalence (:func:`verify_bisim`)."""
 
-    relation: frozenset
+    def __init__(self, relation: frozenset):
+        self.relation = relation
 
 
-@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint nonempty blocks covering the state enumeration; after
     refinement, two states share a block iff they are bisimilar."""
 
-    blocks: tuple
+    def __init__(self, blocks: tuple):
+        self.blocks = blocks
 
     @cached_property
     def _block_index(self) -> dict:
@@ -130,7 +128,7 @@ def verify_bisim(c: Coalgebra, w: BisimWitness) -> bool:
     return next(bisim_violations(c, w), None) is None
 
 
-def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> Optional[int]:
+def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> int | None:
     """Smallest n <= max_depth at which the observations of s and t differ,
     or None if none exists within the bound.
 
@@ -156,7 +154,7 @@ def bounded_bisim(c: Coalgebra, s, t, depth: int) -> bool:
     return first_divergence_depth(c, s, t, depth) is None
 
 
-def divergence_depth(c: Coalgebra, s, t) -> Optional[int]:
+def divergence_depth(c: Coalgebra, s, t) -> int | None:
     """The exact smallest depth at which the observations of s and t
     differ, or None if s and t are bisimilar.
 
@@ -211,20 +209,20 @@ def partition_refine(c: Coalgebra) -> Partition:
     Output ordering is canonical: blocks by the enumeration index of their
     earliest member, members in enumeration order.
 
-    The children of each state are read, as state numbers, from the table
-    that validating ``c`` built (:class:`~omegacoalg.mtype.Coalgebra`:
-    ``_kids`` and ``_koff``); refinement numbers no state itself.
+    The first partition and the children of each state, as state numbers,
+    are read from the columns that validating ``c`` built
+    (:class:`~omegacoalg.mtype.Coalgebra`: ``_class``, ``_kids`` and
+    ``_koff``); refinement reads no transition and numbers no state
+    itself.
     """
     states = _require_states(c)
     n = len(states)
     # The children of i are kids[koff[i]:koff[i + 1]], its predecessors
     # (with repeats) preds[poff[i]:poff[i + 1]].
     kids, koff = c._kids, c._koff
-    block = array("l")
-    label_block: dict = {}
-    step, sort = c.transition, c._sort
-    for s in states:
-        block.append(label_block.setdefault((sort(s), step(s).label), len(label_block)))
+    # The first partition is the class column: block i holds the states of
+    # the i-th (sort, label) pair.
+    block = c._class[:]
     poff = array("l", [0]) * (n + 1)
     for k in kids:
         poff[k + 1] += 1
@@ -238,7 +236,7 @@ def partition_refine(c: Coalgebra) -> Partition:
             fill[k] += 1
     # Every block is a segment elems[start[b]:end[b]]; loc[i] is the
     # position of state i in elems.
-    start = array("l", [0]) * len(label_block)
+    start = array("l", [0]) * (max(block, default=-1) + 1)
     for b in block:
         start[b] += 1
     top = 0

@@ -5,14 +5,14 @@ three-label demonstration signature, and the parity indexed example.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .container import Container, PValue
 from .indexed import IndexedCoalgebra, IndexedContainer
 from .mtype import Coalgebra, MElement, into, out, unfold
 
 
-def stream_container(labels: Optional[tuple] = None) -> Container:
+def stream_container(labels: tuple | None = None) -> Container:
     """The stream signature over a base label domain: every label has
     exactly one child.  ``labels`` may be None for infinite domains
     (enumeration is only needed by oracles)."""
@@ -96,7 +96,7 @@ def conat_container() -> Container:
     return Container(arity={"Z": 0, "S": 1}, labels=("Z", "S"))
 
 
-def conat_coalgebra(k: Optional[int] = None) -> Coalgebra:
+def conat_coalgebra(k: int | None = None) -> Coalgebra:
     """States 0..k plus the non-wellfounded point 'inf'; k may be None for
     the one-state loop only."""
     states = ["inf"] + list(range(k + 1) if k is not None else ())

@@ -14,8 +14,7 @@ map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .container import Container, PValue, _no_stage, pmap
 from .errors import CannotTruncateUnit, ConeLawViolation, LabelDrift
@@ -24,12 +23,12 @@ DEFAULT_CONE_CHECK_DEPTH = 16
 DEFAULT_LABEL_CHECK_DEPTH = 8
 
 
-@dataclass(frozen=True, eq=False)
 class Chain:
     """Stage projections: ``project(n, v)`` maps a stage-(n+1) value ``v``
     to stage n.  Stage values compare with ``==``."""
 
-    project: Callable[[int, object], object]
+    def __init__(self, project: Callable[[int, object], object]):
+        self.project = project
 
 
 def shifted(chain: Chain) -> Chain:
@@ -66,14 +65,14 @@ class LimitElement:
         return f"LimitElement({self.provenance or 'anonymous'})"
 
 
-@dataclass(frozen=True, eq=False)
 class Cone:
     """A family of legs from an apex into every stage, commuting with the
     projections.  ``apex_samples`` are the apex values used when the cone
     law is verified at construction of the induced map."""
 
-    legs: Callable[[int, object], object]
-    apex_samples: tuple = ()
+    def __init__(self, legs: Callable[[int, object], object], apex_samples: tuple = ()):
+        self.legs = legs
+        self.apex_samples = apex_samples
 
 
 def check_compat(l: LimitElement, upto: int) -> bool:

@@ -12,8 +12,7 @@ by the truncation maps :func:`truncate`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -29,23 +28,20 @@ from .errors import (
 DEFAULT_ENUMERATION_BOUND = 10**6
 
 
-@dataclass(frozen=True, eq=False)
 class Container:
     """A signature: an arity per label, optionally with a finite label list.
 
     ``arity`` is either a mapping from labels to non-negative integers or a
     total function on the label domain.  ``labels`` is required by operations
     that enumerate (and by the CLI profile); it must be duplicate-free.
+    Containers compare by identity.
     """
 
-    arity: Mapping | Callable[[object], int]
-    labels: Optional[tuple] = None
-    _child_sorts: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
+    def __init__(self, arity: Mapping | Callable[[object], int], labels: tuple | None = None):
+        self.arity = arity
+        self.labels = labels = None if labels is None else tuple(labels)
+        self._child_sorts = {}
+        if labels is not None:
             if len(set(labels)) != len(labels):
                 raise UnknownLabel("label enumeration contains duplicates")
             for a in labels:
@@ -128,20 +124,51 @@ def _tree(depth: int, label, children: tuple) -> ApproxTree:
 
 TRUNC = _tree(0, _TRUNC_LABEL, ())
 
+
+class _Frozen:
+    """An immutable value whose fields are its slots: equality, hash and
+    repr read the fields, and assignment is refused.  Instances are built
+    with ``_setattr``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 _setattr = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class PValue:
-    """A polynomial-functor value: a label with one payload per position."""
+class PValue(_Frozen):
+    """A polynomial-functor value: a label with one payload per position.
+    Immutable, and equal and hashed by ``(label, children)``."""
 
-    label: object
-    children: tuple
+    # One value is made per loaded state and per ``out``: its fields are
+    # set directly, and its slots keep it small.
+    __slots__ = ("label", "children")
 
     def __init__(self, label, children):
-        # One value is made per loaded state and per ``out``: its fields
-        # are set directly, with no __post_init__ pass, and its slots keep
-        # it small.
         _setattr(self, "label", label)
         _setattr(self, "children", children if type(children) is tuple else tuple(children))
 
@@ -161,7 +188,7 @@ def make_trunc() -> ApproxTree:
     return TRUNC
 
 
-def make_node(c: Container, a, cs: Sequence[ApproxTree], depth: Optional[int] = None) -> ApproxTree:
+def make_node(c: Container, a, cs: Sequence[ApproxTree], depth: int | None = None) -> ApproxTree:
     """Build a node labelled ``a`` with children ``cs``.
 
     Children must all have the same depth d; the node sits at depth d+1.

@@ -25,51 +25,47 @@ states of different sorts differ at depth 1.  :func:`iapproximate` is
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable, Mapping
 
-from .container import ApproxTree, PValue
+from .container import ApproxTree, PValue, _Frozen, _setattr
 from .errors import InvalidCoalgebra, SortMismatch, UnknownLabel
 from .mtype import Coalgebra, _level_entry
 
 
-@dataclass(frozen=True, eq=False)
 class IndexedContainer:
     """Sorts, labels per sort, arities, and the child-sort assignment.
 
     ``child_sort[(sort, label)]`` is the tuple of sorts of the children, one
     per position; its length must equal the arity.  Closure into ``sorts``
     is validated at construction, which keeps ``child_sort`` as one tuple
-    per declared label (a leaf label may leave its entry out).
+    per declared label (a leaf label may leave its entry out).  Indexed
+    containers compare by identity.
     """
 
-    sorts: tuple
-    labels_at: Mapping
-    arity: Mapping
-    child_sort: Mapping
-
-    def __post_init__(self):
-        pool = set(self.sorts)
-        if len(pool) != len(self.sorts):
+    def __init__(self, sorts: tuple, labels_at: Mapping, arity: Mapping, child_sort: Mapping):
+        pool = set(sorts)
+        if len(pool) != len(sorts):
             raise InvalidCoalgebra("duplicate sorts")
         table = {}
-        for i in self.sorts:
-            for a in self.labels_at.get(i, ()):
+        for i in sorts:
+            for a in labels_at.get(i, ()):
                 key = (i, a)
-                if key not in self.arity:
+                if key not in arity:
                     raise UnknownLabel(f"no arity for label {a!r} at sort {i!r}")
-                cs = table[key] = tuple(self.child_sort.get(key, ()))
-                if len(cs) != self.arity[key]:
+                cs = table[key] = tuple(child_sort.get(key, ()))
+                if len(cs) != arity[key]:
                     raise InvalidCoalgebra(
-                        f"label {a!r} at sort {i!r}: {len(cs)} child sorts, arity {self.arity[key]}"
+                        f"label {a!r} at sort {i!r}: {len(cs)} child sorts, arity {arity[key]}"
                     )
                 for j in cs:
                     if j not in pool:
                         raise InvalidCoalgebra(
                             f"label {a!r} at sort {i!r} has child sort {j!r} outside the sort list"
                         )
-        object.__setattr__(self, "child_sort", table)
+        self.sorts = sorts
+        self.labels_at = labels_at
+        self.arity = arity
+        self.child_sort = table
 
     def labels(self, sort) -> tuple:
         return tuple(self.labels_at.get(sort, ()))
@@ -138,13 +134,16 @@ class IndexedCoalgebra(Coalgebra):
         return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
 
 
-@dataclass(frozen=True)
-class SortedApproxTree:
+class SortedApproxTree(_Frozen):
     """An approximation tree together with the sort of its root; the sorts
-    of all subtrees are determined by the child-sort assignment."""
+    of all subtrees are determined by the child-sort assignment.  Immutable,
+    and equal and hashed by ``(sort, tree)``."""
 
-    sort: object
-    tree: ApproxTree
+    __slots__ = ("sort", "tree")
+
+    def __init__(self, sort, tree: ApproxTree):
+        _setattr(self, "sort", sort)
+        _setattr(self, "tree", tree)
 
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:

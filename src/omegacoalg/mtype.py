@@ -27,9 +27,7 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from collections.abc import Callable, Iterable, Mapping
 
 from .chain import LIMITS, Chain, LimitElement
 from .container import TRUNC, Container, PValue, _no_stage, _tree, _truncate
@@ -137,7 +135,6 @@ def _level_entry(c, s, n: int):
     return levels[n][s]
 
 
-@dataclass(eq=False)
 class Coalgebra:
     """A state domain with a transition ``state -> PValue`` of states.
 
@@ -146,54 +143,83 @@ class Coalgebra:
     hashable.  When ``state_enumeration`` is present, the presentation is
     validated eagerly: every state must have a transition, which must be
     admitted (:meth:`_admit`) and must stay within the enumerated states.
+    Coalgebras compare by identity.
 
     That one validating pass also numbers the states, by their place in
-    the enumeration, and keeps the child table: the children of state i,
-    as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The table is built
-    once, at construction, and partition refinement reads it
-    (:func:`~omegacoalg.bisim.partition_refine`).  It costs 8 bytes per
+    the enumeration, and keeps two columns.  The child table: the children
+    of state i, as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The
+    class column: ``_class[i]`` numbers the pair of state i's sort and
+    label, in order of first appearance.  Both are built once, at
+    construction, and partition refinement reads them
+    (:func:`~omegacoalg.bisim.partition_refine`).  They cost 16 bytes per
     state plus 8 bytes per edge; the state -> number dict that the
     duplicate and closure checks use is dropped once they pass.  Without
-    an enumeration both arrays are None.
-    """
+    an enumeration all three arrays are None.
 
-    container: Container
-    gamma: Mapping | Callable[[object], PValue]
-    state_enumeration: Optional[tuple] = None
-    name: str = ""
-    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _levels: list = field(default_factory=list, repr=False, compare=False)
-    _kids: Optional[array] = field(default=None, init=False, repr=False, compare=False)
-    _koff: Optional[array] = field(default=None, init=False, repr=False, compare=False)
+    Admitted transitions are kept in ``_gamma_cache``.  A ``gamma`` dict
+    that holds a :class:`PValue` for exactly the enumerated states, as the
+    spec loader builds, is that store itself: the validating pass admits
+    each entry where it is, and later changes to the dict are not checked.
+    """
 
     # How validation names a repeated state and the states a child must
     # stay among.
     _duplicates = "state enumeration contains duplicates"
     _state_pool = "state enumeration"
 
-    def __post_init__(self):
-        if self.state_enumeration is not None:
-            states = tuple(self.state_enumeration)
-            self.state_enumeration = states
-            index = {s: i for i, s in enumerate(states)}
-            if len(index) != len(states):
-                raise InvalidCoalgebra(self._duplicates)
-            number = index.__getitem__
-            step = self.transition
-            kids = array("l")
-            koff = array("l", [0])
-            for s in states:
-                children = step(s).children
-                try:
-                    kids.extend(map(number, children))
-                except KeyError:
-                    for ch in children:
-                        if ch not in index:
-                            raise InvalidCoalgebra(
-                                f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
-                            ) from None
-                koff.append(len(kids))
-            self._kids, self._koff = kids, koff
+    def __init__(
+        self,
+        container: Container,
+        gamma: Mapping | Callable[[object], PValue],
+        state_enumeration: tuple | None = None,
+        name: str = "",
+    ):
+        self.container = container
+        self.gamma = gamma
+        self.state_enumeration = state_enumeration
+        self.name = name
+        self._gamma_cache = {}
+        self._levels = []
+        self._kids = self._koff = self._class = None
+        if state_enumeration is not None:
+            self._validate(tuple(state_enumeration))
+
+    def _validate(self, states: tuple) -> None:
+        """The validating pass over the enumeration ``states``: admit every
+        transition and build the child table and the class column."""
+        self.state_enumeration = states
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
+            raise InvalidCoalgebra(self._duplicates)
+        number = index.__getitem__
+        gamma = self.gamma
+        step = self.transition
+        if (
+            type(gamma) is dict
+            and len(gamma) == len(states)
+            and all(type(pv) is PValue for pv in gamma.values())
+        ):
+            self._gamma_cache = gamma
+            step = self._read
+        sort = self._sort
+        kids = array("l")
+        koff = array("l", [0])
+        column = array("l")
+        classes: dict = {}
+        for s in states:
+            pv = step(s)
+            column.append(classes.setdefault((sort(s), pv.label), len(classes)))
+            children = pv.children
+            try:
+                kids.extend(map(number, children))
+            except KeyError:
+                for ch in children:
+                    if ch not in index:
+                        raise InvalidCoalgebra(
+                            f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
+                        ) from None
+            koff.append(len(kids))
+        self._kids, self._koff, self._class = kids, koff, column
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table, as pointed elements take it.
@@ -202,21 +228,26 @@ class Coalgebra:
     def transition(self, s) -> PValue:
         pv = self._gamma_cache.get(s)
         if pv is None:
-            gamma = self.gamma
-            if type(gamma) is dict or isinstance(gamma, Mapping):
-                try:
-                    raw = gamma[s]
-                except KeyError:
-                    raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
-            else:
-                raw = gamma(s)
-            if isinstance(raw, PValue):
-                pv = raw
-            else:
-                label, children = raw
-                pv = PValue(label, tuple(children))
-            self._admit(s, pv)
-            self._gamma_cache[s] = pv
+            pv = self._gamma_cache[s] = self._read(s)
+        return pv
+
+    def _read(self, s) -> PValue:
+        """The transition of ``s`` as ``gamma`` gives it, as a
+        :class:`PValue`, admitted; :meth:`transition` keeps it."""
+        gamma = self.gamma
+        if type(gamma) is dict or isinstance(gamma, Mapping):
+            try:
+                raw = gamma[s]
+            except KeyError:
+                raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
+        else:
+            raw = gamma(s)
+        if isinstance(raw, PValue):
+            pv = raw
+        else:
+            label, children = raw
+            pv = PValue(label, tuple(children))
+        self._admit(s, pv)
         return pv
 
     def _admit(self, s, pv: PValue) -> None:
@@ -271,7 +302,7 @@ class MElement:
     def __init__(
         self,
         container: Container,
-        limit: Optional[LimitElement] = None,
+        limit: LimitElement | None = None,
         *,
         coalgebra=None,
         state=None,
@@ -373,13 +404,13 @@ class _FreeExtension:
         return got
 
 
-@dataclass(frozen=True, eq=False)
 class MorphismCandidate:
     """A map from a coalgebra's states into the final coalgebra, to be
     checked against the morphism law by :func:`verify_morphism`."""
 
-    source: Coalgebra
-    map: Callable[[object], MElement]
+    def __init__(self, source: Coalgebra, map: Callable[[object], MElement]):
+        self.source = source
+        self.map = map
 
 
 def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":

@@ -8,7 +8,6 @@ must validate against it (arities, state closure, sorts).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .container import Container, PValue
 from .errors import OmegaCoalgError, SpecValidationError
@@ -18,13 +17,13 @@ from .mtype import Coalgebra
 SCHEMA_VERSION = "1"
 
 
-@dataclass(eq=False)
 class SpecDocument:
     """A loaded document: its coalgebra, plain or indexed, and the parsed
     JSON it came from."""
 
-    coalgebra: Coalgebra
-    raw: dict
+    def __init__(self, coalgebra: Coalgebra, raw: dict):
+        self.coalgebra = coalgebra
+        self.raw = raw
 
     @property
     def kind(self) -> str:

@@ -242,11 +242,13 @@ def test_refinement_and_pair_search_match_oracle_property(c):
 @example(LEAVES)
 def test_gamma_function_refines_as_its_mapping_property(c):
     """A presentation given as a ``gamma`` function over the enumeration
-    validates to the same numbered table as the same presentation given as
-    a mapping, and refines and minimizes to the same result."""
+    validates to the same numbered table and class column as the same
+    presentation given as a mapping, and refines and minimizes to the same
+    result."""
     table = dict(c.gamma)
     as_function = Coalgebra(c.container, table.__getitem__, state_enumeration=c.state_enumeration)
-    assert (as_function._kids, as_function._koff) == (c._kids, c._koff)
+    columns = (as_function._kids, as_function._koff, as_function._class)
+    assert columns == (c._kids, c._koff, c._class)
     assert partition_refine(as_function).blocks == partition_refine(c).blocks
     m, mf = minimize(c), minimize(as_function)
     assert mf.state_enumeration == m.state_enumeration

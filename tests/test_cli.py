@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -791,6 +793,8 @@ def test_indexed_minimize_property(tmp_path, c):
     assert code == 0, err
     q = specdoc.parse_spec(json.loads(out)).coalgebra
     assert isinstance(q, IndexedCoalgebra)
+    # The loader's table of transitions is the coalgebra's one store.
+    assert q._gamma_cache is q.gamma
     n = len(c.state_enumeration)
     rep = {
         s: next(
@@ -807,3 +811,22 @@ def test_indexed_minimize_property(tmp_path, c):
         assert q.transition(r) == PValue(label, tuple(rep[ch] for ch in children))
     path.write_text(out)
     assert _run_in_process(["minimize", "--spec", str(path)]) == (0, out, "")
+
+
+def test_import_budget():
+    """Importing the CLI, which every command does first, loads none of
+    ``dataclasses``, ``inspect`` or ``typing``: together they once took
+    most of the package's import time.  ``-S`` keeps a site hook from
+    importing them first.  It reads module names only and times nothing."""
+    code = (
+        "import omegacoalg.cli, sys; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "\n", "")

@@ -1,11 +1,14 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from omegacoalg import (
+    Coalgebra,
     Container,
     PValue,
+    SortedApproxTree,
     approximate,
     enumerate_w,
     make_node,
@@ -32,8 +35,56 @@ FIG1 = fig1_signature()
 
 
 def test_pmap_identity():
+    """The identity map gives an equal value, of equal hash; a value unpacks
+    as ``label, children``, reads back by its repr, and refuses assignment
+    and deletion of its fields."""
     v = PValue("b", ("s0", "s1"))
-    assert pmap(lambda x: x, v) == v
+    w = pmap(lambda x: x, v)
+    assert w == v and w is not v and hash(w) == hash(v)
+    label, children = v
+    assert (label, children) == ("b", ("s0", "s1")) != v
+    assert repr(v) == "PValue(label='b', children=('s0', 's1'))"
+    assert eval(repr(v)) == v
+    with pytest.raises(AttributeError):
+        v.label = "a"
+    with pytest.raises(AttributeError):
+        del v.children
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert (v.label, v.children) == ("b", ("s0", "s1"))
+
+
+@pytest.mark.parametrize(
+    "make, other, field",
+    [
+        (lambda: PValue("b", ["s0", "s1"]), PValue("b", ("s1", "s0")), "label"),
+        (lambda: SortedApproxTree("e", TRUNC), SortedApproxTree("o", TRUNC), "sort"),
+    ],
+)
+def test_values_compare_and_hash_by_fields(make, other, field):
+    """Functor values and sorted trees are equal, and hash alike, when their
+    fields are; they are immutable, and a copy is equal."""
+    x, y = make(), make()
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != other and other not in {x}
+    assert copy.copy(x) == x
+    with pytest.raises(AttributeError):
+        setattr(x, field, None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Container(arity={"a": 0}, labels=("a",)),
+        lambda: Coalgebra(FIG1, {"s": ("a", ())}, state_enumeration=("s",)),
+        lambda: Coalgebra(FIG1, lambda s: ("a", ())),
+    ],
+)
+def test_signatures_and_coalgebras_compare_by_identity(make):
+    """Two containers, or coalgebras, built alike are still different
+    objects: they compare and hash by identity."""
+    x, y = make(), make()
+    assert x == x and x != y and len({x, y}) == 2
 
 
 def test_pmap_rename():

@@ -672,6 +672,24 @@ def _two_sorts(gamma):
             ArityMismatch,
             "state 'p': label 'b' has arity 2, got 1 children",
         ),
+        # A table of PValues for exactly the enumerated states, as the spec
+        # loader builds, is kept as the transition store: each entry is
+        # still admitted, and a missing one still named.
+        (
+            _plain(("s", "t"), {"s": PValue("a", ("s",)), "t": PValue("b", ("t", "x"))}),
+            ArityMismatch,
+            "state 's': label 'a' has arity 0, got 1 children",
+        ),
+        (
+            _parity(("p", "q"), {"p": PValue("E", ("x",)), "q": PValue("O", ())}),
+            InvalidCoalgebra,
+            "transition of 'p' leaves the state set: 'x'",
+        ),
+        (
+            _plain(("s", "t"), {"t": PValue("b", ("s", "x")), "u": PValue("a", ())}),
+            InvalidCoalgebra,
+            "state 's' has no transition in gamma",
+        ),
     ],
     ids=[
         "plain-leaves-then-arity",
@@ -688,6 +706,9 @@ def _two_sorts(gamma):
         "indexed-wrong-sort-then-leaves-in-one-state",
         "indexed-label-not-at-sort-and-arity",
         "indexed-arity-then-leaves-in-one-state",
+        "plain-table-arity-then-leaves",
+        "indexed-table-leaves-then-arity",
+        "plain-table-missing-then-leaves",
     ],
 )
 def test_validation_reports_the_first_fault_in_enumeration_order(make, error, message):
