@@ -26,6 +26,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 
+from .container import PValue
 from .mtype import Coalgebra, approximate
 from .errors import (
     InvalidWitness,
@@ -42,6 +43,9 @@ class BisimWitness:
 
     def __init__(self, relation: frozenset):
         self.relation = relation
+        # Per coalgebra it verified on: the relation verified, by identity,
+        # and the union-find of its equivalence (:func:`_verified_classes`).
+        self._verified = {}
 
 
 class Partition:
@@ -106,8 +110,13 @@ def bisim_violations(c: Coalgebra, w: BisimWitness):
     """Yield human-readable reasons the witness fails, if any: a related
     pair whose labels or sorts differ, or whose successors at some position
     lie outside the equivalence the relation generates."""
-    parent = _classes(w.relation)
-    for pair in w.relation:
+    yield from _violations(c, w.relation, _classes(w.relation))
+
+
+def _violations(c: Coalgebra, relation, parent: dict):
+    """:func:`bisim_violations` of ``relation``, given the union-find
+    ``parent`` of the equivalence it generates."""
+    for pair in relation:
         s, t = pair
         gs, gt = c.transition(s), c.transition(t)
         if gs.label != gt.label:
@@ -320,13 +329,29 @@ def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> boo
     """Executable instance of the coinduction principle: states related by
     the equivalence a verified witness generates, which is a bisimulation,
     have equal observations at every tested depth.  Any pair in that
-    equivalence is accepted, ``(s, s)`` included."""
-    for violation in bisim_violations(c, w):
-        raise InvalidWitness(violation)
-    parent = _classes(w.relation)
+    equivalence is accepted, ``(s, s)`` included.  The witness is verified
+    on the first call for ``c`` and its relation, and refused with
+    :class:`InvalidWitness` on every call while it fails."""
+    parent = _verified_classes(c, w)
     if find(parent, s) != find(parent, t):
         raise PairNotRelated(f"pair {(s, t)!r} not in the equivalence the witness generates")
     return bounded_bisim(c, s, t, depth)
+
+
+def _verified_classes(c: Coalgebra, w: BisimWitness) -> dict:
+    """The union-find of the equivalence ``w`` generates, once ``w`` has
+    verified on ``c``.  It is built and verified once per coalgebra and
+    relation, and kept on the witness; a replaced ``relation`` is verified
+    again, and a witness that fails is not kept."""
+    relation = w.relation
+    kept = w._verified.get(c)
+    if kept is not None and kept[0] is relation:
+        return kept[1]
+    parent = _classes(relation)
+    for violation in _violations(c, relation, parent):
+        raise InvalidWitness(violation)
+    w._verified[c] = (relation, parent)
+    return parent
 
 
 def witness_from_partition(c: Coalgebra, p: Partition) -> BisimWitness:
@@ -343,8 +368,10 @@ def minimize(c: Coalgebra) -> Coalgebra:
 
     Block states are named by their earliest member in the enumeration;
     transitions factor through the blocks (well-defined because blocks are
-    bisimulation-closed).  The blocks come from :func:`partition_refine`,
-    so the cost is O(m log n) for n states and m edges.
+    bisimulation-closed).  They are built as ``PValue`` objects, as the
+    spec loader builds them, so the quotient's ``gamma`` is its transition
+    store.  The blocks come from :func:`partition_refine`, so the cost is
+    O(m log n) for n states and m edges.
     """
     p = partition_refine(c)
     rep = {}
@@ -354,7 +381,7 @@ def minimize(c: Coalgebra) -> Coalgebra:
     gamma = {}
     for block in p.blocks:
         pv = c.transition(block[0])
-        gamma[block[0]] = (pv.label, tuple(rep[ch] for ch in pv.children))
+        gamma[block[0]] = PValue(pv.label, tuple([rep[ch] for ch in pv.children]))
     name = f"min({c.name})" if c.name else "min"
     return c._like(tuple(block[0] for block in p.blocks), gamma, name)
 

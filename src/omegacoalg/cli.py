@@ -16,7 +16,7 @@ from operator import attrgetter
 from . import bisim as bs
 from . import catalog, specdoc
 from .errors import OmegaCoalgError, SpecValidationError
-from .indexed import SortedApproxTree, well_sorted_all
+from .indexed import well_sorted_all
 from .mtype import _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
@@ -336,7 +336,7 @@ def cmd_check(args) -> int:
             "iunfold-uniqueness",
         )
         table = approximate_all(c, args.depth)
-        trees = (SortedApproxTree(c.sort_of[s], t) for level in table for s, t in level.items())
+        trees = ((c._sort(s), t) for level in table for s, t in level.items())
         verdicts = (well_sorted_all(c.container, trees),) + verdicts
     for name, passed in zip(names, verdicts):
         print(f"{name}: {'PASS' if passed else 'FAIL'}")

@@ -40,15 +40,14 @@ class Container:
     def __init__(self, arity: Mapping | Callable[[object], int], labels: tuple | None = None):
         self.arity = arity
         self.labels = labels = None if labels is None else tuple(labels)
-        self._child_sorts = {}
+        # One entry per enumerated label, None until a transition uses it.
+        self._child_sorts = dict.fromkeys(labels or ())
         if labels is not None:
-            if len(set(labels)) != len(labels):
+            if len(self._child_sorts) != len(labels):
                 raise UnknownLabel("label enumeration contains duplicates")
             for a in labels:
-                n = self.arity_of(a)
-                if n < 0:
+                if self.arity_of(a) < 0:
                     raise UnknownLabel(f"negative arity for label {a!r}")
-                self._child_sorts[a] = (None,) * n
 
     def arity_of(self, label) -> int:
         if callable(self.arity):
@@ -58,15 +57,27 @@ class Container:
         except KeyError:
             raise UnknownLabel(f"label {label!r} has no declared arity") from None
 
+    def _arity(self, sort, label) -> int:
+        """The number of children of a ``label`` node at ``sort``, as
+        :meth:`child_sorts` counts them, with no tuple built."""
+        if sort is not None:
+            raise SortMismatch(f"a plain container has no sorts, got sort {sort!r}")
+        return self.arity_of(label)
+
     def child_sorts(self, sort, label) -> tuple:
         """The sorts of the children of a ``label`` node at ``sort``: one
         None per position, since a plain container is the one-sort case
         whose sort is None; another sort raises :class:`SortMismatch`.  The
-        tuple of an enumerated label is built once, and no other is kept."""
-        if sort is not None:
-            raise SortMismatch(f"a plain container has no sorts, got sort {sort!r}")
-        sorts = self._child_sorts.get(label)
-        return (None,) * self.arity_of(label) if sorts is None else sorts
+        tuple of an enumerated label is built on first use and kept, and no
+        other is kept."""
+        if sort is None:
+            sorts = self._child_sorts.get(label)
+            if sorts is not None:
+                return sorts
+        sorts = (None,) * self._arity(sort, label)
+        if label in self._child_sorts:
+            self._child_sorts[label] = sorts
+        return sorts
 
 
 class ApproxTree:

@@ -79,6 +79,11 @@ class IndexedContainer:
             raise SortMismatch(f"root label {label!r} is not available at sort {sort!r}")
         return sorts
 
+    def _arity(self, sort, label) -> int:
+        """The number of children of a ``label`` node at ``sort``: the
+        length of its stored child-sort tuple."""
+        return len(self.child_sorts(sort, label))
+
 
 class IndexedCoalgebra(Coalgebra):
     """A coalgebra whose states have a sort each and whose transitions are
@@ -145,6 +150,11 @@ class SortedApproxTree(_Frozen):
         _setattr(self, "sort", sort)
         _setattr(self, "tree", tree)
 
+    def __iter__(self):
+        """Unpack as ``sort, tree``, the shape :func:`well_sorted_all`
+        reads."""
+        return iter((self.sort, self.tree))
+
 
 def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
     """Check labels and child sorts recursively against the container: the
@@ -152,14 +162,15 @@ def well_sorted(ic: IndexedContainer, t: SortedApproxTree) -> bool:
     return well_sorted_all(ic, (t,))
 
 
-def well_sorted_all(ic: IndexedContainer, trees: Iterable[SortedApproxTree]) -> bool:
-    """Check every tree of ``trees`` as :func:`well_sorted` does, in one
-    walk: trees are interned, so a (sort, subtree) pair checks the same way
-    on every path and in every tree, and each distinct pair is checked once
+def well_sorted_all(ic: IndexedContainer, trees: Iterable) -> bool:
+    """Check every tree of ``trees``, each a ``(sort, tree)`` pair or a
+    :class:`SortedApproxTree`, as :func:`well_sorted` does, in one walk:
+    trees are interned, so a (sort, subtree) pair checks the same way on
+    every path and in every tree, and each distinct pair is checked once
     across the whole family, however much the trees share."""
     seen = set()
-    for t in trees:
-        stack = [(t.sort, t.tree)]
+    for sort, tree in trees:
+        stack = [(sort, tree)]
         while stack:
             sort, node = stack.pop()
             if node.is_trunc:

@@ -9,12 +9,13 @@ None, and an element of either is this class carrying its sort.  So
 ``unfold``, :func:`approximate_all`, ``out``, ``into``,
 :func:`verify_morphism` and :func:`uniqueness_probe` are the one API for
 both: the coalgebra names each state's sort, ``unfold`` gives it to the
-element, and ``out``, ``into`` and :meth:`Coalgebra._admit` read the
-arity and the child sorts through one call, ``child_sorts``.  ``unfold``
-points at a coalgebra's level table, ``into`` at a one-state free
-extension, and a family of depth-n trees built by hand at
-:data:`~omegacoalg.chain.LIMITS`, the chain's limit as a coalgebra, whose
-transition is the paper's construction.
+element, ``out`` and ``into`` read the arity and the child sorts through
+one call, ``child_sorts``, and :meth:`Coalgebra._admit` counts the same
+positions without building them.  ``unfold`` points at a coalgebra's
+level table, ``into`` at a one-state free extension, and a family of
+depth-n trees built by hand at :data:`~omegacoalg.chain.LIMITS`, the
+chain's limit as a coalgebra, whose transition is the paper's
+construction.
 :mod:`omegacoalg.chain` stays the reference semantics that the tests check
 ``out``/``into`` against, through every element's ``.limit`` view.
 Finality is witnessed observationally by :func:`verify_morphism`
@@ -252,10 +253,11 @@ class Coalgebra:
 
     def _admit(self, s, pv: PValue) -> None:
         """Reject a transition the signature does not allow: here, one
-        whose label has another arity at the state's sort, read through
-        ``container.child_sorts`` as :func:`into` reads it.  Called once
-        per state, on the first read of its transition."""
-        n = len(self.container.child_sorts(self._sort(s), pv.label))
+        whose label has another arity at the state's sort, counted as
+        ``container.child_sorts`` counts it, with no tuple built, so a
+        wrong count is refused without allocating the declared arity.
+        Called once per state, on the first read of its transition."""
+        n = self.container._arity(self._sort(s), pv.label)
         if len(pv.children) != n:
             raise ArityMismatch(
                 f"state {s!r}: label {pv.label!r} has arity {n}, "
@@ -449,28 +451,22 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     ``into`` and the transition.  Returns four verdicts:
 
     * compatible: truncating each depth-(k+1) entry gives the depth-k one;
-    * roundtrip: for every state ``s``, with ``e = unfold(c, s)``, ``out``
-      of ``into(out(e))``, assembled at ``e``'s sort, gives back ``out(e)``,
-      and its stages are the state's entries;
+    * roundtrip: :func:`verify_morphism` of ``into . out . unfold``, the
+      second morphism that finality says must agree with ``unfold``: for
+      every state ``s``, the stages of ``into(out(unfold(c, s)))``,
+      assembled at the state's sort, are its entries;
     * morphism: each depth-k entry, k >= 1, is the label of its state's
       transition over the children's depth-(k-1) entries;
     * unique: the morphism law and Trunc at depth 0, the induction that
       forces any morphism into the final coalgebra to equal ``unfold``.
 
-    The roundtrip reads one state's entries at a time and holds one
-    reassembled element; the other laws are one sweep per level, with no
-    element objects.
+    The roundtrip holds one reassembled element at a time; the other laws
+    are one sweep per level, with no element objects.
     """
     table = approximate_all(c, depth)
     states = c.state_enumeration
-    roundtrip = True
-    for s in states:
-        e = unfold(c, s)
-        v = out(e)
-        m = into(c.container, v, e.sort)
-        if out(m) != v or any(m.at(k) is not level[s] for k, level in enumerate(table)):
-            roundtrip = False
-            break
+    back = MorphismCandidate(c, lambda s: into(c.container, out(unfold(c, s)), c._sort(s)))
+    roundtrip = verify_morphism(back, depth, states)
     steps = [c.transition(s) for s in states]
     row = [table[0][s] for s in states]
     base = all(t is TRUNC for t in row)
@@ -588,7 +584,7 @@ def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
         m = mc.map(s)
         if m.sort != mc.source._sort(s):
             return False
-        if any(m.at(n) is not approximate(mc.source, s, n) for n in range(depth + 1)):
+        if any(m.at(n) is not mc.source._observe(s, n) for n in range(depth + 1)):
             return False
     return True
 

@@ -25,7 +25,7 @@ from omegacoalg import (
     verify_bisim,
     witness_from_partition,
 )
-from omegacoalg import cli, specdoc
+from omegacoalg import bisim, cli, specdoc
 from omegacoalg.bisim import bisim_violations
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
@@ -136,6 +136,45 @@ def test_coinduction_transfer_guards():
         coinduction_transfer(c, bad, "t", "u", 5)
     with pytest.raises(PairNotRelated):
         coinduction_transfer(c, diagonal_bisim(c), "t", "u", 5)
+
+
+def test_coinduction_transfer_verifies_a_witness_once(monkeypatch):
+    """Asking many pairs of one witness verifies it once per coalgebra and
+    relation.  A witness whose relation is replaced is verified again, and
+    one that fails is refused, and verified, on every call."""
+    verified = []
+    violations = bisim._violations
+
+    def counted(c, relation, parent):
+        verified.append(c)
+        return violations(c, relation, parent)
+
+    monkeypatch.setattr(bisim, "_violations", counted)
+    c, other = constant_cycle(), constant_cycle()
+    w = full_relation_witness(c)
+    for s, t in 10 * [("s0", "s1"), ("s2", "s0")]:
+        assert coinduction_transfer(c, w, s, t, 5)
+    assert verified == [c]
+    assert coinduction_transfer(other, w, "s1", "s2", 5)
+    assert coinduction_transfer(c, w, "s1", "s2", 5)
+    assert verified == [c, other]
+    w.relation = w.relation | {("s0", "s0")}
+    assert coinduction_transfer(c, w, "s1", "s2", 5)
+    assert verified == [c, other, c]
+    f = fig1_coalgebra()
+    bad = BisimWitness(frozenset({("t", "u")}))
+    for _ in range(3):
+        with pytest.raises(InvalidWitness):
+            coinduction_transfer(f, bad, "t", "u", 5)
+    assert verified == [c, other, c, f, f, f]
+
+
+def test_quotient_gamma_is_its_transition_store():
+    """``minimize`` builds its quotient's transitions as ``PValue``s, so the
+    quotient keeps one store, ``gamma``, plain and indexed."""
+    for c in (constant_cycle(), two_sorts_sharing_a_label()):
+        q = minimize(c)
+        assert q._gamma_cache is q.gamma
 
 
 def test_minimize_cycle_to_self_loop():

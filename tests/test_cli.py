@@ -450,6 +450,46 @@ def test_spec_with_two_faults_names_the_earlier_state(tmp_path, gamma, line):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", line)
 
 
+HUGE_ARITY = 10**11
+HUGE_UNUSED = plain_doc(
+    labels=("a", "b"),
+    arity={"a": HUGE_ARITY, "b": 0},
+    gamma={"q": {"label": "b", "children": []}},
+)
+HUGE_USED = plain_doc(arity={"a": HUGE_ARITY}, gamma={"q": {"label": "a", "children": []}})
+
+
+def test_unused_huge_arity_allocates_nothing(tmp_path):
+    """A declared arity allocates nothing until a transition uses it: a
+    label of arity 10^11 that no state uses passes ``check``, and
+    ``minimize`` prints the quotient with the arity kept."""
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps(HUGE_UNUSED))
+    r = run_cli("check", "--spec", str(path), "--depth", "3")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == [
+        "compatibility: PASS",
+        "out-into-roundtrip: PASS",
+        "unfold-is-morphism: PASS",
+        "unfold-uniqueness: PASS",
+    ]
+    r = run_cli("minimize", "--spec", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["signature"]["arity"] == {"a": HUGE_ARITY, "b": 0}
+
+
+@pytest.mark.parametrize("command", ["check", "minimize"])
+def test_used_huge_arity_with_too_few_children_exits_2(tmp_path, command):
+    """A transition with the wrong number of children for a label of arity
+    10^11 is refused by its count, without allocating the arity."""
+    path = tmp_path / "used.json"
+    path.write_text(json.dumps(HUGE_USED))
+    r = run_cli(command, "--spec", str(path))
+    message = "label 'a' has arity 100000000000, got 0 children"
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"validation error: coalgebra: state 'q': {message}\n"
+
+
 def random_plain_doc(rng, n):
     labels = {"a": 0, "b": 1, "c": 2}
     states = [f"s{i}" for i in range(n)]

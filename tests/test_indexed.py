@@ -72,6 +72,19 @@ def test_well_sorted_all_one_walk_over_a_family():
     assert not well_sorted_all(PARITY, [SortedApproxTree("o", good[3].tree)] + good)
 
 
+def test_well_sorted_all_reads_sort_tree_pairs():
+    """A sorted tree unpacks as ``(sort, tree)``, and the family check reads
+    plain pairs, as ``check`` gives them, as it reads sorted trees."""
+    c = parity_coalgebra()
+    good = [iapproximate(c, s, n) for s in c.state_enumeration for n in range(8)]
+    pairs = [(c._sort(s), c._levels[n][s]) for s in c.state_enumeration for n in range(8)]
+    assert pairs == [tuple(t) for t in good]
+    sort, tree = good[3]
+    assert (sort, tree) == (good[3].sort, good[3].tree)
+    assert well_sorted_all(PARITY, pairs)
+    assert not well_sorted_all(PARITY, pairs + [("o", good[3].tree)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_indexed_coalgebras(), st.data())
 def test_well_sorted_all_matches_per_tree_property(c, data):
