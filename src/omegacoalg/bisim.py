@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 
-from .container import PValue
 from .mtype import Coalgebra, approximate
 from .errors import (
     InvalidWitness,
@@ -50,10 +49,15 @@ class BisimWitness:
 
 class Partition:
     """Disjoint nonempty blocks covering the state enumeration; after
-    refinement, two states share a block iff they are bisimilar."""
+    refinement, two states share a block iff they are bisimilar.
 
-    def __init__(self, blocks: tuple):
+    A partition that :func:`partition_refine` computed also keeps
+    ``numbers``, an ``array('l')`` whose entry i is the place in ``blocks``
+    of the block of state number i; it is None otherwise."""
+
+    def __init__(self, blocks: tuple, numbers: array | None = None):
         self.blocks = blocks
+        self.numbers = numbers
 
     @cached_property
     def _block_index(self) -> dict:
@@ -319,10 +323,13 @@ def partition_refine(c: Coalgebra) -> Partition:
                 if not mark[p]:
                     mark[p] = 1
                     dirty.append(p)
-    groups_by_block: dict = {}
-    for i, s in enumerate(states):
-        groups_by_block.setdefault(block[i], []).append(s)
-    return Partition(tuple(tuple(g) for g in groups_by_block.values()))
+    # Blocks are renumbered in order of their earliest member.
+    order: dict = {}
+    numbers = array("l", [order.setdefault(b, len(order)) for b in block])
+    groups: list = [[] for _ in order]
+    for s, b in zip(states, numbers):
+        groups[b].append(s)
+    return Partition(tuple(map(tuple, groups)), numbers)
 
 
 def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> bool:
@@ -368,20 +375,31 @@ def minimize(c: Coalgebra) -> Coalgebra:
 
     Block states are named by their earliest member in the enumeration;
     transitions factor through the blocks (well-defined because blocks are
-    bisimulation-closed).  They are built as ``PValue`` objects, as the
-    spec loader builds them, so the quotient's ``gamma`` is its transition
-    store.  The blocks come from :func:`partition_refine`, so the cost is
-    O(m log n) for n states and m edges.
+    bisimulation-closed).  The quotient is built from state numbers: each
+    block's row of the child table and of the class column is its earliest
+    member's, with every child renumbered by its block, and its store is
+    read off those tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`), so
+    no transition of ``c`` is read and no ``PValue`` is made.  The blocks
+    come from :func:`partition_refine`, so the cost is O(m log n) for n
+    states and m edges.
     """
     p = partition_refine(c)
-    rep = {}
-    for block in p.blocks:
-        for s in block:
-            rep[s] = block[0]
-    gamma = {}
-    for block in p.blocks:
-        pv = c.transition(block[0])
-        gamma[block[0]] = PValue(pv.label, tuple([rep[ch] for ch in pv.children]))
-    name = f"min({c.name})" if c.name else "min"
-    return c._like(tuple(block[0] for block in p.blocks), gamma, name)
-
+    numbers = p.numbers
+    kids, koff, column, tags = c._kids, c._koff, c._class, c._tags
+    n = len(numbers)
+    # The earliest member of each block: written last, going backwards.
+    first = dict(zip(reversed(numbers), range(n - 1, -1, -1)))
+    qkids = array("l")
+    qkoff = array("l", [0])
+    qcolumn = array("l")
+    qtags: dict = {}
+    for b in range(len(p.blocks)):
+        i = first[b]
+        qkids.extend([numbers[k] for k in kids[koff[i] : koff[i + 1]]])
+        qkoff.append(len(qkids))
+        qcolumn.append(qtags.setdefault(tags[column[i]], len(qtags)))
+    states = tuple(block[0] for block in p.blocks)
+    q = c._like(states, f"min({c.name})" if c.name else "min")
+    q._adopt(states, qkids, qkoff, qcolumn, tuple(qtags))
+    q.gamma = q._gamma_fragment()
+    return q

@@ -92,14 +92,15 @@ class IndexedCoalgebra(Coalgebra):
     for.  The transition cache, the level table and ``transition``, which
     returns a :class:`~omegacoalg.container.PValue`, are those of
     :class:`~omegacoalg.mtype.Coalgebra`.  Finite presentations are
-    validated at construction."""
+    validated at construction; with ``states`` None there is no
+    enumeration, as for a plain coalgebra."""
 
     _duplicates = "duplicate states"
     _state_pool = "state set"
 
     def __init__(self, base: IndexedContainer, states, sort_of: Mapping, gamma, name: str = ""):
         self.sort_of = sort_of
-        super().__init__(base, gamma, tuple(states), name)
+        super().__init__(base, gamma, None if states is None else tuple(states), name)
 
     def _admit(self, s, pv: PValue) -> None:
         """What sorts add to the plain arity check: the state's sort must be
@@ -132,11 +133,11 @@ class IndexedCoalgebra(Coalgebra):
         except KeyError:
             raise InvalidCoalgebra(f"state {s!r} has no sort") from None
 
-    def _like(self, states: tuple, gamma: Mapping, name: str) -> "IndexedCoalgebra":
-        """An indexed coalgebra over the same signature on ``states``, each
-        of its sort here, stepping by ``gamma``."""
+    def _like(self, states: tuple, name: str) -> "IndexedCoalgebra":
+        """An indexed coalgebra over the same signature for ``states``,
+        each of its sort here, with no store or tables yet."""
         sort_of = {s: self.sort_of[s] for s in states}
-        return IndexedCoalgebra(self.container, states, sort_of, gamma, name)
+        return IndexedCoalgebra(self.container, None, sort_of, None, name)
 
 
 class SortedApproxTree(_Frozen):

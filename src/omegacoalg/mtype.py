@@ -9,9 +9,10 @@ None, and an element of either is this class carrying its sort.  So
 ``unfold``, :func:`approximate_all`, ``out``, ``into``,
 :func:`verify_morphism` and :func:`uniqueness_probe` are the one API for
 both: the coalgebra names each state's sort, ``unfold`` gives it to the
-element, ``out`` and ``into`` read the arity and the child sorts through
-one call, ``child_sorts``, and :meth:`Coalgebra._admit` counts the same
-positions without building them.  ``unfold`` points at a coalgebra's
+element, and ``out``, ``into`` and :meth:`Coalgebra._admit` count a
+label's positions at a sort without building them (``_arity``), so a
+wrong count is refused before ``out`` and ``into`` read the child sorts
+(``child_sorts``).  ``unfold`` points at a coalgebra's
 level table, ``into`` at a one-state free extension, and a family of
 depth-n trees built by hand at :data:`~omegacoalg.chain.LIMITS`, the
 chain's limit as a coalgebra, whose transition is the paper's
@@ -147,20 +148,28 @@ class Coalgebra:
     Coalgebras compare by identity.
 
     That one validating pass also numbers the states, by their place in
-    the enumeration, and keeps two columns.  The child table: the children
+    the enumeration, and keeps the tables.  The child table: the children
     of state i, as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The
     class column: ``_class[i]`` numbers the pair of state i's sort and
-    label, in order of first appearance.  Both are built once, at
-    construction, and partition refinement reads them
-    (:func:`~omegacoalg.bisim.partition_refine`).  They cost 16 bytes per
-    state plus 8 bytes per edge; the state -> number dict that the
-    duplicate and closure checks use is dropped once they pass.  Without
-    an enumeration all three arrays are None.
+    label, in order of first appearance, and ``_tags[k]`` is the pair that
+    k numbers.  Partition refinement reads them
+    (:func:`~omegacoalg.bisim.partition_refine`), and so do
+    :func:`~omegacoalg.bisim.minimize` and the document writers, which read
+    no transition.  They cost 16 bytes per state plus 8 bytes per edge;
+    the state -> number dict that the duplicate and closure checks use is
+    dropped once they pass.  Without an enumeration they are all None.
 
-    Admitted transitions are kept in ``_gamma_cache``.  A ``gamma`` dict
-    that holds a :class:`PValue` for exactly the enumerated states, as the
-    spec loader builds, is that store itself: the validating pass admits
-    each entry where it is, and later changes to the dict are not checked.
+    The transition store.  A transition read through ``gamma`` is admitted
+    and kept in ``_gamma_cache``, so the validating pass leaves every
+    state's :class:`PValue` there.  A pass elsewhere that validates a
+    presentation and builds its tables itself hands them over through
+    :meth:`_adopt`: the spec loader's pass over a document, and
+    ``minimize`` for its quotient.  ``gamma`` is then a document's
+    ``gamma`` fragment, a dict from each state to ``{"label": ...,
+    "children": [...]}``, and it is the one store: a state's ``PValue`` is
+    made from its entry on the first :meth:`transition`, with no second
+    admission, and none is made before.  Later changes to that dict are
+    not checked.
     """
 
     # How validation names a repeated state and the states a child must
@@ -181,27 +190,21 @@ class Coalgebra:
         self.name = name
         self._gamma_cache = {}
         self._levels = []
-        self._kids = self._koff = self._class = None
+        self._kids = self._koff = self._class = self._tags = None
+        # True once _adopt has taken tables whose pass admitted every entry
+        # of gamma, a document fragment.
+        self._adopted = False
         if state_enumeration is not None:
             self._validate(tuple(state_enumeration))
 
     def _validate(self, states: tuple) -> None:
         """The validating pass over the enumeration ``states``: admit every
-        transition and build the child table and the class column."""
-        self.state_enumeration = states
+        transition and build the tables."""
         index = {s: i for i, s in enumerate(states)}
         if len(index) != len(states):
             raise InvalidCoalgebra(self._duplicates)
         number = index.__getitem__
-        gamma = self.gamma
         step = self.transition
-        if (
-            type(gamma) is dict
-            and len(gamma) == len(states)
-            and all(type(pv) is PValue for pv in gamma.values())
-        ):
-            self._gamma_cache = gamma
-            step = self._read
         sort = self._sort
         kids = array("l")
         koff = array("l", [0])
@@ -210,17 +213,48 @@ class Coalgebra:
         for s in states:
             pv = step(s)
             column.append(classes.setdefault((sort(s), pv.label), len(classes)))
-            children = pv.children
             try:
-                kids.extend(map(number, children))
+                kids.extend(map(number, pv.children))
             except KeyError:
-                for ch in children:
-                    if ch not in index:
-                        raise InvalidCoalgebra(
-                            f"transition of {s!r} leaves the {self._state_pool}: {ch!r}"
-                        ) from None
+                raise self._fault(s, pv, index) from None
             koff.append(len(kids))
-        self._kids, self._koff, self._class = kids, koff, column
+        self.state_enumeration = states
+        self._kids, self._koff, self._class, self._tags = kids, koff, column, tuple(classes)
+
+    def _fault(self, s, pv: PValue, index) -> OmegaCoalgError | None:
+        """What validation refuses in the transition ``pv`` of ``s``: the
+        fault :meth:`_admit` raises, else the first child that ``index``,
+        the numbered states, lacks; None if there is none.  The validating
+        passes name a fault through it, this one and the spec loader's."""
+        try:
+            self._admit(s, pv)
+        except OmegaCoalgError as e:
+            return e
+        for ch in pv.children:
+            if ch not in index:
+                return InvalidCoalgebra(f"transition of {s!r} leaves the {self._state_pool}: {ch!r}")
+        return None
+
+    def _adopt(self, states: tuple, kids, koff, column, tags: tuple) -> None:
+        """Take the enumeration ``states`` and its tables from a pass that
+        has validated every entry of ``gamma``, a document fragment (see
+        the class docstring): reads then admit nothing."""
+        self.state_enumeration = states
+        self._kids, self._koff, self._class, self._tags = kids, koff, column, tags
+        self._adopted = True
+
+    def _gamma_fragment(self) -> dict:
+        """Each state's transition as a document entry, ``{"label": ...,
+        "children": [...]}``, read off the tables: no transition is read
+        and no :class:`PValue` made."""
+        states = self.state_enumeration
+        koff = self._koff
+        names = list(map(states.__getitem__, self._kids))
+        labels = [label for _, label in self._tags]
+        return {
+            s: {"label": labels[k], "children": names[koff[i] : koff[i + 1]]}
+            for i, (s, k) in enumerate(zip(states, self._class))
+        }
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table, as pointed elements take it.
@@ -234,7 +268,8 @@ class Coalgebra:
 
     def _read(self, s) -> PValue:
         """The transition of ``s`` as ``gamma`` gives it, as a
-        :class:`PValue`, admitted; :meth:`transition` keeps it."""
+        :class:`PValue`; :meth:`transition` keeps it.  It is admitted here,
+        unless :meth:`_adopt` took the store."""
         gamma = self.gamma
         if type(gamma) is dict or isinstance(gamma, Mapping):
             try:
@@ -243,6 +278,8 @@ class Coalgebra:
                 raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
         else:
             raw = gamma(s)
+        if self._adopted:
+            return PValue(raw["label"], raw["children"])
         if isinstance(raw, PValue):
             pv = raw
         else:
@@ -269,11 +306,12 @@ class Coalgebra:
         sorts."""
         return None
 
-    def _like(self, states: tuple, gamma: Mapping, name: str) -> "Coalgebra":
-        """A coalgebra of this one's kind and signature on ``states``,
-        stepping by ``gamma``: how :func:`~omegacoalg.bisim.minimize`
-        builds a quotient."""
-        return Coalgebra(self.container, gamma, states, name)
+    def _like(self, states: tuple, name: str) -> "Coalgebra":
+        """A coalgebra of this one's kind and signature for the states
+        ``states``, with no store or tables yet: how
+        :func:`~omegacoalg.bisim.minimize` starts a quotient, which then
+        adopts its tables (:meth:`_adopt`)."""
+        return Coalgebra(self.container, None, None, name)
 
 
 class MElement:
@@ -492,6 +530,18 @@ def unfold(c: Coalgebra, s) -> MElement:
     return MElement(c.container, coalgebra=c, state=s, sort=c._sort(s))
 
 
+def _child_sorts(c: Container, sort, label, children) -> tuple:
+    """The sorts of the positions of a ``label`` node at ``sort`` over
+    ``c``, once ``children`` is known to have one child per position: the
+    count is compared first, through ``c._arity``, so a wrong count is
+    refused with :class:`ArityMismatch` before the declared arity is
+    allocated."""
+    n = c._arity(sort, label)
+    if len(children) != n:
+        raise ArityMismatch(f"label {label!r} has arity {n}, got {len(children)} children")
+    return c.child_sorts(sort, label)
+
+
 def out(m: MElement) -> PValue:
     """The final coalgebra's structure map: expose the root label and the
     child elements, in O(arity).
@@ -514,9 +564,7 @@ def out(m: MElement) -> PValue:
         return PValue(c.label, c.children)
     label, children = c.transition(m.state)
     container = m.container
-    sorts = container.child_sorts(m.sort, label)
-    if len(children) != len(sorts):
-        raise ArityMismatch(f"label {label!r} has arity {len(sorts)}, got {len(children)} children")
+    sorts = _child_sorts(container, m.sort, label, children)
     kids = [MElement(container, coalgebra=c, state=t, sort=j) for j, t in zip(sorts, children)]
     return PValue(label, tuple(kids))
 
@@ -536,9 +584,7 @@ def into(c: Container, v: PValue, sort=None) -> MElement:
     of children raises :class:`ArityMismatch`.
     """
     label, children = v
-    sorts = c.child_sorts(sort, label)
-    if len(children) != len(sorts):
-        raise ArityMismatch(f"label {label!r} has arity {len(sorts)}, got {len(children)} children")
+    sorts = _child_sorts(c, sort, label, children)
     for b, (ch, want) in enumerate(zip(children, sorts)):
         if ch.sort != want:
             raise SortMismatch(f"child {b} has sort {ch.sort!r}, expected {want!r}")

@@ -1,16 +1,29 @@
-"""Loading and validation of JSON spec documents.
+"""Loading, validation and writing of JSON spec documents.
 
 A document carries a schema version, exactly one of a plain ``signature``
 or an ``indexed`` container fragment, and a ``coalgebra`` fragment that
 must validate against it (arities, state closure, sorts).
+
+The coalgebra fragment, plain or indexed, is validated in one pass over
+the states, which also numbers them and writes the coalgebra's tables
+(:meth:`~omegacoalg.mtype.Coalgebra._adopt`).  A fault of the document's
+shape is raised where it is found; the first fault the coalgebra refuses
+is held until the whole document's shape has passed.  The loaded
+coalgebra keeps the document's ``gamma`` fragment as its transition
+store, and :attr:`SpecDocument.raw` is the parsed document.  The writers
+read a coalgebra's tables, and :func:`dump_document` writes a spec
+document directly, byte for byte as ``json.dumps`` with sorted keys and
+an indent of 2 does.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import accumulate, chain
 
 from .container import Container, PValue
-from .errors import OmegaCoalgError, SpecValidationError
+from .errors import InvalidCoalgebra, OmegaCoalgError, SpecValidationError
 from .indexed import IndexedCoalgebra, IndexedContainer
 from .mtype import Coalgebra
 
@@ -19,7 +32,8 @@ SCHEMA_VERSION = "1"
 
 class SpecDocument:
     """A loaded document: its coalgebra, plain or indexed, and the parsed
-    JSON it came from."""
+    JSON it came from, whose ``gamma`` fragment the coalgebra reads its
+    transitions from."""
 
     def __init__(self, coalgebra: Coalgebra, raw: dict):
         self.coalgebra = coalgebra
@@ -75,10 +89,10 @@ def parse_spec(doc: dict) -> SpecDocument:
     )
     _require("coalgebra" in doc, "coalgebra: missing")
     if has_sig:
-        coalgebra = _parse_coalgebra(_parse_signature(doc["signature"]), doc["coalgebra"])
+        container = _parse_signature(doc["signature"])
     else:
-        coalgebra = _parse_icoalgebra(_parse_indexed(doc["indexed"]), doc["coalgebra"])
-    return SpecDocument(coalgebra, doc)
+        container = _parse_indexed(doc["indexed"])
+    return SpecDocument(_parse_coalgebra(container, doc["coalgebra"]), doc)
 
 
 def _parse_signature(sig) -> Container:
@@ -99,61 +113,117 @@ def _parse_signature(sig) -> Container:
         raise SpecValidationError(f"signature: {e}") from None
 
 
-def _parse_coalgebra(container: Container, frag) -> Coalgebra:
+def _parse_coalgebra(container, frag) -> Coalgebra:
+    """The coalgebra fragment against ``container``, plain or indexed, in
+    one pass over the states that checks each entry and numbers the states
+    into the tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`); the
+    document's ``gamma`` fragment is the coalgebra's store.
+
+    A fault of shape (a name that is not a string, a missing or malformed
+    entry, a plain label outside ``signature.labels``, an undeclared
+    ``gamma`` key) is raised where it is found.  A fault the coalgebra
+    refuses (a repeated state, then the first transition in enumeration
+    order with a wrong arity, sort or label at its sort, or a child
+    outside the states) is held until the whole document's shape has
+    passed, and named as the coalgebra names it
+    (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each entry is first
+    screened by a cheap test (its child count, and for an indexed spec
+    its children's sorts); only one that fails it is checked in full.
+    The children are numbered after the pass, all at once, and only when
+    one is not a state are the states searched for it.
+    """
     _require(isinstance(frag, dict), "coalgebra: expected an object")
     states = frag.get("states")
     gamma = frag.get("gamma")
-    _require(isinstance(states, list), "coalgebra.states: expected an array")
+    plain = not isinstance(container, IndexedContainer)
+    if plain:
+        _require(isinstance(states, list), "coalgebra.states: expected an array")
+        c = Coalgebra(container, gamma)
+        # Each listed label's arity; an arity entry of no listed label is
+        # named after the pass.
+        arity = {a: container.arity[a] for a in container.labels}
+    else:
+        _require(
+            isinstance(states, dict),
+            "coalgebra.states: expected an object mapping state to sort",
+        )
+        c = IndexedCoalgebra(container, None, states, gamma)
+        child_sort = container.child_sort
+        sort_of = states.get
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
-    declared = set(container.labels)
-    table = {}
-    for s in states:
-        if not isinstance(s, str):
-            _require_str(s, "coalgebra.states")
-        pv = _parse_entry(gamma, s)
-        if pv.label not in declared:
-            raise SpecValidationError(
-                f"coalgebra.gamma.{s}.label: {pv.label!r} is not in signature.labels"
-            )
-        table[s] = pv
-    _require_declared(gamma, table)
-    # After the transitions, so that one with an unlisted label is named
-    # as such rather than by its arity entry.
-    for a in container.arity:
-        _require(a in declared, f"signature.arity.{a}: not in signature.labels")
     try:
-        return Coalgebra(container, table, state_enumeration=tuple(states))
-    except OmegaCoalgError as e:
-        raise SpecValidationError(f"coalgebra: {e}") from None
-
-
-def _parse_entry(gamma: dict, s: str) -> PValue:
-    """The transition of state ``s`` in ``gamma``, checked for shape only:
-    a label and an array of children, all strings.  Each check builds its
-    message only when it fails."""
-    entry = gamma.get(s)
-    if not isinstance(entry, dict):
-        _require(s in gamma, f"coalgebra.gamma.{s}: missing")
-        raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
-    label = entry.get("label")
-    if not isinstance(label, str):
-        _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
-        _require_str(label, f"coalgebra.gamma.{s}.label")
-    children = entry.get("children")
-    if not isinstance(children, list):
-        raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
-    for ch in children:
-        if not isinstance(ch, str):
-            _require_str(ch, f"coalgebra.gamma.{s}.children")
-    return PValue(label, children)
-
-
-def _require_declared(gamma: dict, table: dict):
-    """Every key of ``gamma`` must name a declared state: an entry for an
-    undeclared one would be dropped without a word."""
-    for s in gamma:
-        if s not in table:
-            raise SpecValidationError(f"coalgebra.gamma.{s}: not a declared state")
+        index = dict(zip(states, range(len(states))))
+    except TypeError:
+        # A state that is not a string, which the pass names.
+        index = {}
+    # The first fault the coalgebra refuses, and the place of its state
+    # (-1 for a repeated state, which outranks every transition's fault).
+    held, held_at = None, len(states)
+    if len(index) != len(states):
+        held, held_at = InvalidCoalgebra(c._duplicates), -1
+    column = array("l")
+    classes: dict = {}
+    lists = []
+    sort = None
+    for i, s in enumerate(states):
+        if plain:
+            if not isinstance(s, str):
+                _require_str(s, "coalgebra.states")
+        else:
+            sort = states[s]
+            if not isinstance(sort, str):
+                _require_str(sort, f"coalgebra.states.{s}")
+        entry = gamma.get(s)
+        if not isinstance(entry, dict):
+            _require(s in gamma, f"coalgebra.gamma.{s}: missing")
+            raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
+        label = entry.get("label")
+        if not isinstance(label, str):
+            _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
+            _require_str(label, f"coalgebra.gamma.{s}.label")
+        children = entry.get("children")
+        if not isinstance(children, list):
+            raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
+        for ch in children:
+            if not isinstance(ch, str):
+                _require_str(ch, f"coalgebra.gamma.{s}.children")
+        if plain:
+            n = arity.get(label)
+            if n is None:
+                raise SpecValidationError(
+                    f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels"
+                )
+            suspect = len(children) != n
+        else:
+            suspect = child_sort.get((sort, label)) != tuple(map(sort_of, children))
+        column.append(classes.setdefault((sort, label), len(classes)))
+        lists.append(children)
+        if suspect and held is None:
+            held, held_at = c._fault(s, PValue(label, children), index), i
+    if len(gamma) != len(index):
+        for s in gamma:
+            _require(s in index, f"coalgebra.gamma.{s}: not a declared state")
+    if plain:
+        # After the transitions, so that one with an unlisted label is
+        # named as such rather than by its arity entry.
+        for a in container.arity:
+            _require(a in arity, f"signature.arity.{a}: not in signature.labels")
+    # Every child is numbered in one pass; a child that is not a state is
+    # then sought only among the states before the held fault's.
+    try:
+        kids = array("l", map(index.__getitem__, chain.from_iterable(lists)))
+    except KeyError:
+        for i, (s, children) in enumerate(zip(states, lists)):
+            if i >= held_at:
+                break
+            if not all(map(index.__contains__, children)):
+                held = c._fault(s, PValue(gamma[s]["label"], children), index)
+                break
+    if held is not None:
+        raise SpecValidationError(f"coalgebra: {held}")
+    koff = array("l", accumulate(map(len, lists), initial=0))
+    c._adopt(tuple(states), kids, koff, column, tuple(classes))
+    return c
 
 
 def _parse_indexed(frag) -> IndexedContainer:
@@ -198,40 +268,9 @@ def _parse_indexed(frag) -> IndexedContainer:
         raise SpecValidationError(f"indexed: {e}") from None
 
 
-def _parse_icoalgebra(ic: IndexedContainer, frag) -> IndexedCoalgebra:
-    _require(isinstance(frag, dict), "coalgebra: expected an object")
-    states = frag.get("states")
-    gamma = frag.get("gamma")
-    _require(
-        isinstance(states, dict),
-        "coalgebra.states: expected an object mapping state to sort",
-    )
-    _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
-    table = {}
-    for s, sort in states.items():
-        _require_str(sort, f"coalgebra.states.{s}")
-        table[s] = _parse_entry(gamma, s)
-    _require_declared(gamma, table)
-    try:
-        return IndexedCoalgebra(
-            ic, states=tuple(states), sort_of=dict(states), gamma=table
-        )
-    except OmegaCoalgError as e:
-        raise SpecValidationError(f"coalgebra: {e}") from None
-
-
-def _gamma(c: Coalgebra) -> dict:
-    """The ``gamma`` fragment of a finitely presented coalgebra, plain or
-    indexed: each state's transition, read once."""
-    gamma = {}
-    for s in c.state_enumeration:
-        label, children = c.transition(s)
-        gamma[s] = {"label": label, "children": list(children)}
-    return gamma
-
-
 def plain_document(coalgebra: Coalgebra) -> dict:
-    """Serialize a finitely presented plain coalgebra back to a document."""
+    """Serialize a finitely presented plain coalgebra back to a document,
+    read off its tables."""
     container = coalgebra.container
     return {
         "schema_version": SCHEMA_VERSION,
@@ -239,12 +278,13 @@ def plain_document(coalgebra: Coalgebra) -> dict:
             "labels": list(container.labels),
             "arity": {a: container.arity_of(a) for a in container.labels},
         },
-        "coalgebra": {"states": list(coalgebra.state_enumeration), "gamma": _gamma(coalgebra)},
+        "coalgebra": {"states": list(coalgebra.state_enumeration), "gamma": coalgebra._gamma_fragment()},
     }
 
 
 def indexed_document(c: IndexedCoalgebra) -> dict:
-    """Serialize a finitely presented indexed coalgebra back to a document."""
+    """Serialize a finitely presented indexed coalgebra back to a document,
+    read off its tables."""
     ic = c.container
     return {
         "schema_version": SCHEMA_VERSION,
@@ -261,9 +301,91 @@ def indexed_document(c: IndexedCoalgebra) -> dict:
                 for i in ic.sorts
             },
         },
-        "coalgebra": {"states": {s: c.sort_of[s] for s in c.state_enumeration}, "gamma": _gamma(c)},
+        "coalgebra": {"states": {s: c.sort_of[s] for s in c.state_enumeration}, "gamma": c._gamma_fragment()},
     }
 
 
+# The stdlib's string encoder, as ``json.dumps`` calls it (in C where the
+# accelerator is built).
+_string = json.encoder.encode_basestring_ascii
+
+
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text of ``doc``, byte for byte ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"``.
+
+    With ``indent`` set, the stdlib encodes in pure Python, one call per
+    value.  A spec document, as :func:`plain_document` and
+    :func:`indexed_document` make it, is written here instead: its
+    ``gamma`` fragment and its states, nearly all of its bytes, directly,
+    every name through the stdlib's own string encoder; every other part
+    through ``json.dumps``.  A document of another shape, or with a name
+    that is not a string, is handed to ``json.dumps`` whole.
+    """
+    try:
+        return _object(doc, "", {"coalgebra": _coalgebra_text}) + "\n"
+    except (TypeError, KeyError):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _object(obj: dict, pad: str, writers: dict) -> str:
+    """The indented text of the object ``obj`` opened on a line indented by
+    ``pad``: each value by the writer ``writers`` names for its key, else
+    by ``json.dumps``, whose lines are shifted to this depth."""
+    if type(obj) is not dict:
+        raise TypeError("not an object")
+    if not obj:
+        return "{}"
+    key = "\n" + pad + "  "
+    items = []
+    for k in sorted(obj):
+        write = writers.get(k)
+        if write is None:
+            text = json.dumps(obj[k], sort_keys=True, indent=2).replace("\n", key)
+        else:
+            text = write(obj[k], pad + "  ")
+        items.append(_string(k) + ": " + text)
+    return "{" + key + ("," + key).join(items) + "\n" + pad + "}"
+
+
+def _coalgebra_text(frag: dict, pad: str) -> str:
+    return _object(frag, pad, {"gamma": _gamma_text, "states": _states_text})
+
+
+def _states_text(states, pad: str) -> str:
+    """A plain spec's list of states, or an indexed one's map from state to
+    sort."""
+    if type(states) is list:
+        items, brackets = list(map(_string, states)), "[]"
+    elif type(states) is dict:
+        items, brackets = [_string(s) + ": " + _string(states[s]) for s in sorted(states)], "{}"
+    else:
+        raise TypeError("not a state list or map")
+    if not items:
+        return brackets
+    key = "\n" + pad + "  "
+    return brackets[0] + key + ("," + key).join(items) + "\n" + pad + brackets[1]
+
+
+def _gamma_text(gamma: dict, pad: str) -> str:
+    """A ``gamma`` fragment: each state's entry, with exactly a ``label``
+    and a list of ``children``."""
+    if type(gamma) is not dict:
+        raise TypeError("not a gamma fragment")
+    if not gamma:
+        return "{}"
+    key = "\n" + pad + "  "
+    field = key + "  "
+    child = field + "  "
+    head = ": {" + field + '"children": '
+    mid = "," + field + '"label": '
+    tail = key + "}"
+    entries = []
+    for s in sorted(gamma):
+        entry = gamma[s]
+        children = entry["children"]
+        if len(entry) != 2 or type(children) is not list:
+            raise TypeError("not a spec entry")
+        kids = "[" + child + ("," + child).join(map(_string, children)) + field + "]" if children else "[]"
+        entries.append(_string(s) + head + kids + mid + _string(entry["label"]) + tail)
+    return "{" + key + ("," + key).join(entries) + "\n" + pad + "}"

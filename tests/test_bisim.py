@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import random
 import tempfile
@@ -13,6 +14,7 @@ from omegacoalg import (
     BisimWitness,
     Coalgebra,
     Container,
+    PValue,
     approximate,
     bounded_bisim,
     coinduction_transfer,
@@ -29,6 +31,7 @@ from omegacoalg import bisim, cli, specdoc
 from omegacoalg.bisim import bisim_violations
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
+from omegacoalg.indexed import IndexedCoalgebra
 
 from conftest import (
     random_coalgebra,
@@ -169,12 +172,34 @@ def test_coinduction_transfer_verifies_a_witness_once(monkeypatch):
     assert verified == [c, other, c, f, f, f]
 
 
-def test_quotient_gamma_is_its_transition_store():
-    """``minimize`` builds its quotient's transitions as ``PValue``s, so the
-    quotient keeps one store, ``gamma``, plain and indexed."""
+def test_quotient_gamma_is_its_transition_store(monkeypatch):
+    """``minimize`` builds its quotient from state numbers, plain and
+    indexed, and no second copy of the transitions is held: loading a spec
+    makes no ``PValue``, minimizing it makes at most one per block (here
+    none), and the quotient's ``gamma``, read off its tables, is its one
+    store, from which each ``PValue`` is made on the first read."""
+    made = []
+    make = PValue.__init__
+
+    def counted(self, label, children):
+        made.append(label)
+        make(self, label, children)
+
     for c in (constant_cycle(), two_sorts_sharing_a_label()):
-        q = minimize(c)
-        assert q._gamma_cache is q.gamma
+        document = specdoc.indexed_document if isinstance(c, IndexedCoalgebra) else specdoc.plain_document
+        text = specdoc.dump_document(document(c))
+        monkeypatch.setattr(PValue, "__init__", counted)
+        loaded = specdoc.parse_spec(json.loads(text)).coalgebra
+        assert (made, loaded._gamma_cache) == ([], {})
+        q = minimize(loaded)
+        assert len(made) <= len(q.state_enumeration)
+        assert q._gamma_cache == {}
+        assert q.gamma == q._gamma_fragment()
+        steps = [q.transition(s) for s in q.state_enumeration]
+        monkeypatch.undo()
+        assert q._gamma_cache == dict(zip(q.state_enumeration, steps))
+        assert steps == [minimize(c).transition(s) for s in q.state_enumeration]
+        made.clear()
 
 
 def test_minimize_cycle_to_self_loop():

@@ -450,6 +450,102 @@ def test_spec_with_two_faults_names_the_earlier_state(tmp_path, gamma, line):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", line)
 
 
+LOOP = {"label": "a", "children": ["q"]}
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (
+            plain_doc(
+                states=("q", "r"),
+                gamma={"q": {"label": "a", "children": []}, "r": {"label": "a", "children": [1]}},
+            ),
+            "validation error: coalgebra.gamma.r.children: expected a string, got 1\n",
+        ),
+        (
+            plain_doc(
+                states=("q", "r"),
+                gamma={"q": {"label": "a", "children": ["zz"]}, "r": {"label": "x", "children": []}},
+            ),
+            "validation error: coalgebra.gamma.r.label: 'x' is not in signature.labels\n",
+        ),
+        (
+            plain_doc(gamma={"q": {"label": "a", "children": ["zz"]}, "ghost": LOOP}),
+            "validation error: coalgebra.gamma.ghost: not a declared state\n",
+        ),
+        (
+            plain_doc(states=("q", "q", "r"), gamma={"q": LOOP, "r": {"label": "a", "children": [1]}}),
+            "validation error: coalgebra.gamma.r.children: expected a string, got 1\n",
+        ),
+        (
+            parity_doc(
+                sorts=("e", "o"),
+                states={"q": "e", "r": "e", "p": "o"},
+                gamma={
+                    "q": {"label": "E", "children": ["p"]},
+                    "r": {"label": "E", "children": [1]},
+                    "p": {"label": "E", "children": ["p"]},
+                },
+            ),
+            "validation error: coalgebra.gamma.r.children: expected a string, got 1\n",
+        ),
+    ],
+    ids=[
+        "arity-then-child",
+        "dangling-then-label",
+        "dangling-then-ghost-key",
+        "duplicate-then-child",
+        "indexed-child-sort-then-child",
+    ],
+)
+def test_shape_fault_outranks_an_earlier_coalgebra_fault(tmp_path, doc, line):
+    """A fault of the document's shape is reported even where a fault that
+    the coalgebra refuses (an arity, a dangling child, a repeated state, a
+    child of the wrong sort) sits at an earlier state: the coalgebra's
+    fault is held until the whole document's shape has passed."""
+    path = tmp_path / "cross-phase.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("minimize", "--spec", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", line)
+
+
+@pytest.mark.parametrize(
+    "states, gamma, fault",
+    [
+        (
+            ("q", "r"),
+            {"q": {"label": "a", "children": ["zz"]}, "r": {"label": "a", "children": []}},
+            "transition of 'q' leaves the state enumeration: 'zz'",
+        ),
+        (
+            ("q", "r"),
+            {"q": {"label": "a", "children": []}, "r": {"label": "a", "children": ["zz"]}},
+            "state 'q': label 'a' has arity 1, got 0 children",
+        ),
+        (
+            ("q",),
+            {"q": {"label": "a", "children": ["zz", "q"]}},
+            "state 'q': label 'a' has arity 1, got 2 children",
+        ),
+        (
+            ("q", "r", "q"),
+            {"q": {"label": "a", "children": ["zz"]}, "r": {"label": "a", "children": []}},
+            "state enumeration contains duplicates",
+        ),
+    ],
+    ids=["dangling-then-arity", "arity-then-dangling", "arity-and-dangling", "duplicate-and-dangling"],
+)
+def test_first_coalgebra_fault_in_state_order(tmp_path, states, gamma, fault):
+    """Of the faults the coalgebra refuses, a repeated state is named first,
+    then the first state in enumeration order whose transition has one,
+    its arity before a child outside the states."""
+    path = tmp_path / "coalgebra-faults.json"
+    path.write_text(json.dumps(plain_doc(states=states, gamma=gamma)))
+    r = run_cli("minimize", "--spec", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"validation error: coalgebra: {fault}\n")
+
+
 HUGE_ARITY = 10**11
 HUGE_UNUSED = plain_doc(
     labels=("a", "b"),
@@ -831,10 +927,13 @@ def test_indexed_minimize_property(tmp_path, c):
     path.write_text(specdoc.dump_document(specdoc.indexed_document(c)))
     code, out, err = _run_in_process(["minimize", "--spec", str(path)])
     assert code == 0, err
-    q = specdoc.parse_spec(json.loads(out)).coalgebra
+    doc = json.loads(out)
+    q = specdoc.parse_spec(doc).coalgebra
     assert isinstance(q, IndexedCoalgebra)
-    # The loader's table of transitions is the coalgebra's one store.
-    assert q._gamma_cache is q.gamma
+    # The document's gamma fragment is the coalgebra's one store: no
+    # PValue is held before the first read, and one per state after it.
+    assert q.gamma is doc["coalgebra"]["gamma"]
+    assert q._gamma_cache == {}
     n = len(c.state_enumeration)
     rep = {
         s: next(
@@ -849,8 +948,31 @@ def test_indexed_minimize_property(tmp_path, c):
         assert q.sort_of[r] == c.sort_of[r]
         label, children = c.transition(r)
         assert q.transition(r) == PValue(label, tuple(rep[ch] for ch in children))
+    assert len(q._gamma_cache) == len(q.state_enumeration)
     path.write_text(out)
     assert _run_in_process(["minimize", "--spec", str(path)]) == (0, out, "")
+
+
+@pytest.mark.parametrize("make", [random_plain_doc, random_indexed_doc], ids=["plain", "indexed"])
+def test_check_reads_each_transition_once(tmp_path, monkeypatch, make):
+    """``check`` of a loaded spec makes one transition ``PValue`` per state:
+    the loader makes none, and each state's is made on its first read
+    (``Coalgebra._read``) and kept, however often the laws read it."""
+    doc = make(random.Random(7), 40)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    reads = []
+    read = mtype.Coalgebra._read
+
+    def counted(self, s):
+        if self._adopted:  # the loaded spec, not a demo the parser builds
+            reads.append(s)
+        return read(self, s)
+
+    monkeypatch.setattr(mtype.Coalgebra, "_read", counted)
+    code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "6"])
+    assert (code, err) == (0, ""), out
+    assert sorted(reads) == sorted(doc["coalgebra"]["states"])
 
 
 def test_import_budget():

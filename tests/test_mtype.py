@@ -201,6 +201,28 @@ def test_out_of_a_hand_built_element_checks_the_root_arity():
         out(m)
 
 
+HUGE = 10**11
+
+
+def test_into_counts_children_before_building_child_sorts():
+    """A label of arity 10^11: ``into`` with no children is refused by its
+    count, not by allocating a child-sort tuple of that length."""
+    huge = Container({"a": HUGE}, ("a",))
+    with pytest.raises(ArityMismatch, match=f"label 'a' has arity {HUGE}, got 0 children"):
+        into(huge, PValue("a", ()))
+
+
+def test_out_counts_children_before_building_child_sorts():
+    """A hand-built family of leaves ``a``, taken as an element under a
+    signature where ``a`` has arity 10^11: ``out`` is refused by the
+    count."""
+    leaf = Container(arity={"a": 0})
+    family = LimitElement(w_chain(leaf), lambda n: TRUNC if n == 0 else make_node(leaf, "a", [], depth=n))
+    m = MElement(Container({"a": HUGE}, ("a",)), family)
+    with pytest.raises(ArityMismatch, match=f"label 'a' has arity {HUGE}, got 0 children"):
+        out(m)
+
+
 def test_verify_morphism_unfold():
     c = fig1_coalgebra()
     mc = MorphismCandidate(c, lambda s: unfold(c, s))
