@@ -377,11 +377,12 @@ def minimize(c: Coalgebra) -> Coalgebra:
     transitions factor through the blocks (well-defined because blocks are
     bisimulation-closed).  The quotient is built from state numbers: each
     block's row of the child table and of the class column is its earliest
-    member's, with every child renumbered by its block, and its store is
-    read off those tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`), so
-    no transition of ``c`` is read and no ``PValue`` is made.  The blocks
-    come from :func:`partition_refine`, so the cost is O(m log n) for n
-    states and m edges.
+    member's, with every child renumbered by its block.  Those tables are
+    the quotient's one store (:meth:`~omegacoalg.mtype.Coalgebra._adopt`):
+    no transition of ``c`` is read, and a ``PValue`` of the quotient is
+    made only when its transition is first read.  The blocks come from
+    :func:`partition_refine`, so the cost is O(m log n) for n states and
+    m edges.
     """
     p = partition_refine(c)
     numbers = p.numbers
@@ -401,5 +402,4 @@ def minimize(c: Coalgebra) -> Coalgebra:
     states = tuple(block[0] for block in p.blocks)
     q = c._like(states, f"min({c.name})" if c.name else "min")
     q._adopt(states, qkids, qkoff, qcolumn, tuple(qtags))
-    q.gamma = q._gamma_fragment()
     return q

@@ -17,7 +17,7 @@ from . import bisim as bs
 from . import catalog, specdoc
 from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import well_sorted_all
-from .mtype import _table_laws, approximate, approximate_all
+from .mtype import Coalgebra, _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
 EXIT_DISTINGUISHABLE = 1
@@ -209,41 +209,25 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--depth", type=_depth, default=30)
 
     demo = sub.add_parser("demo", help="print a built-in example spec")
-    demo.add_argument("name", choices=sorted(demo_documents()))
+    demo.add_argument("name", choices=sorted(DEMOS))
     return p
 
 
-def demo_documents() -> dict:
-    stream = {
-        "schema_version": specdoc.SCHEMA_VERSION,
-        "signature": {"labels": ["0", "1"], "arity": {"0": 1, "1": 1}},
-        "coalgebra": {
-            "states": ["lo", "hi"],
-            "gamma": {
-                "lo": {"label": "0", "children": ["hi"]},
-                "hi": {"label": "1", "children": ["lo"]},
-            },
-        },
-    }
-    conat = {
-        "schema_version": specdoc.SCHEMA_VERSION,
-        "signature": {"labels": ["Z", "S"], "arity": {"Z": 0, "S": 1}},
-        "coalgebra": {
-            "states": ["inf", "two", "one", "zero"],
-            "gamma": {
-                "inf": {"label": "S", "children": ["inf"]},
-                "two": {"label": "S", "children": ["one"]},
-                "one": {"label": "S", "children": ["zero"]},
-                "zero": {"label": "Z", "children": []},
-            },
-        },
-    }
-    return {
-        "stream": stream,
-        "conat": conat,
-        "fig1": specdoc.plain_document(catalog.fig1_coalgebra()),
-        "parity": specdoc.indexed_document(catalog.parity_coalgebra()),
-    }
+# The built-in example specs, each made when its name is asked for.
+DEMOS = {
+    "stream": lambda: Coalgebra(
+        catalog.stream_container(("0", "1")),
+        {"lo": ("0", ("hi",)), "hi": ("1", ("lo",))},
+        state_enumeration=("lo", "hi"),
+    ),
+    "conat": lambda: Coalgebra(
+        catalog.conat_container(),
+        {"inf": ("S", ("inf",)), "two": ("S", ("one",)), "one": ("S", ("zero",)), "zero": ("Z", ())},
+        state_enumeration=("inf", "two", "one", "zero"),
+    ),
+    "fig1": catalog.fig1_coalgebra,
+    "parity": catalog.parity_coalgebra,
+}
 
 
 def cmd_approx(args) -> int:
@@ -306,10 +290,8 @@ def cmd_minimize(args) -> int:
     kind, by partition refinement in O(m log n).  An indexed coalgebra is
     refined with the sort joining the label in the first partition, so
     that states of different sorts are never merged."""
-    doc = specdoc.load_spec(args.spec)
-    quotient = bs.minimize(doc.coalgebra)
-    document = specdoc.plain_document if doc.kind == "plain" else specdoc.indexed_document
-    print(specdoc.dump_document(document(quotient)), end="")
+    quotient = bs.minimize(specdoc.load_spec(args.spec).coalgebra)
+    print(specdoc.dump_document(quotient), end="")
     return EXIT_OK
 
 
@@ -344,7 +326,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    print(specdoc.dump_document(demo_documents()[args.name]), end="")
+    print(specdoc.dump_document(DEMOS[args.name]()), end="")
     return EXIT_OK
 
 

@@ -141,7 +141,8 @@ class Coalgebra:
     """A state domain with a transition ``state -> PValue`` of states.
 
     ``gamma`` is a pure function or, for finite presentations, a mapping
-    ``state -> PValue`` or ``state -> (label, children)``.  States must be
+    ``state -> PValue`` or ``state -> (label, children)``, or None for a
+    coalgebra whose tables are its store (below).  States must be
     hashable.  When ``state_enumeration`` is present, the presentation is
     validated eagerly: every state must have a transition, which must be
     admitted (:meth:`_admit`) and must stay within the enumerated states.
@@ -154,22 +155,21 @@ class Coalgebra:
     label, in order of first appearance, and ``_tags[k]`` is the pair that
     k numbers.  Partition refinement reads them
     (:func:`~omegacoalg.bisim.partition_refine`), and so do
-    :func:`~omegacoalg.bisim.minimize` and the document writers, which read
-    no transition.  They cost 16 bytes per state plus 8 bytes per edge;
-    the state -> number dict that the duplicate and closure checks use is
-    dropped once they pass.  Without an enumeration they are all None.
+    :func:`~omegacoalg.bisim.minimize` and the spec writer
+    (:func:`~omegacoalg.specdoc.dump_document`), which read no transition.
+    They cost 16 bytes per state plus 8 bytes per edge; the state ->
+    number dict that the duplicate and closure checks use is dropped once
+    they pass.  Without an enumeration they are all None.
 
     The transition store.  A transition read through ``gamma`` is admitted
     and kept in ``_gamma_cache``, so the validating pass leaves every
     state's :class:`PValue` there.  A pass elsewhere that validates a
     presentation and builds its tables itself hands them over through
-    :meth:`_adopt`: the spec loader's pass over a document, and
-    ``minimize`` for its quotient.  ``gamma`` is then a document's
-    ``gamma`` fragment, a dict from each state to ``{"label": ...,
-    "children": [...]}``, and it is the one store: a state's ``PValue`` is
-    made from its entry on the first :meth:`transition`, with no second
-    admission, and none is made before.  Later changes to that dict are
-    not checked.
+    :meth:`_adopt`, with ``gamma`` None: the spec loader's pass over a
+    document, and ``minimize`` for its quotient.  The tables are then the
+    one store: a state's ``PValue`` is read off them on its first
+    :meth:`transition`, with no second admission, and kept; the state ->
+    number dict that this read needs is built on the first one.
     """
 
     # How validation names a repeated state and the states a child must
@@ -180,7 +180,7 @@ class Coalgebra:
     def __init__(
         self,
         container: Container,
-        gamma: Mapping | Callable[[object], PValue],
+        gamma: Mapping | Callable[[object], PValue] | None,
         state_enumeration: tuple | None = None,
         name: str = "",
     ):
@@ -191,9 +191,8 @@ class Coalgebra:
         self._gamma_cache = {}
         self._levels = []
         self._kids = self._koff = self._class = self._tags = None
-        # True once _adopt has taken tables whose pass admitted every entry
-        # of gamma, a document fragment.
-        self._adopted = False
+        # State -> number, for reading a transition off the tables.
+        self._index = None
         if state_enumeration is not None:
             self._validate(tuple(state_enumeration))
 
@@ -218,8 +217,7 @@ class Coalgebra:
             except KeyError:
                 raise self._fault(s, pv, index) from None
             koff.append(len(kids))
-        self.state_enumeration = states
-        self._kids, self._koff, self._class, self._tags = kids, koff, column, tuple(classes)
+        self._adopt(states, kids, koff, column, tuple(classes))
 
     def _fault(self, s, pv: PValue, index) -> OmegaCoalgError | None:
         """What validation refuses in the transition ``pv`` of ``s``: the
@@ -237,24 +235,10 @@ class Coalgebra:
 
     def _adopt(self, states: tuple, kids, koff, column, tags: tuple) -> None:
         """Take the enumeration ``states`` and its tables from a pass that
-        has validated every entry of ``gamma``, a document fragment (see
-        the class docstring): reads then admit nothing."""
+        has validated them; with ``gamma`` None they are the store (see
+        the class docstring)."""
         self.state_enumeration = states
         self._kids, self._koff, self._class, self._tags = kids, koff, column, tags
-        self._adopted = True
-
-    def _gamma_fragment(self) -> dict:
-        """Each state's transition as a document entry, ``{"label": ...,
-        "children": [...]}``, read off the tables: no transition is read
-        and no :class:`PValue` made."""
-        states = self.state_enumeration
-        koff = self._koff
-        names = list(map(states.__getitem__, self._kids))
-        labels = [label for _, label in self._tags]
-        return {
-            s: {"label": labels[k], "children": names[koff[i] : koff[i + 1]]}
-            for i, (s, k) in enumerate(zip(states, self._class))
-        }
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table, as pointed elements take it.
@@ -268,9 +252,12 @@ class Coalgebra:
 
     def _read(self, s) -> PValue:
         """The transition of ``s`` as ``gamma`` gives it, as a
-        :class:`PValue`; :meth:`transition` keeps it.  It is admitted here,
-        unless :meth:`_adopt` took the store."""
+        :class:`PValue`, admitted here; :meth:`transition` keeps it.  With
+        ``gamma`` None it is read off the tables, which a validating pass
+        built, and admitted no second time."""
         gamma = self.gamma
+        if gamma is None:
+            return self._row(s)
         if type(gamma) is dict or isinstance(gamma, Mapping):
             try:
                 raw = gamma[s]
@@ -278,8 +265,6 @@ class Coalgebra:
                 raise InvalidCoalgebra(f"state {s!r} has no transition in gamma") from None
         else:
             raw = gamma(s)
-        if self._adopted:
-            return PValue(raw["label"], raw["children"])
         if isinstance(raw, PValue):
             pv = raw
         else:
@@ -287,6 +272,20 @@ class Coalgebra:
             pv = PValue(label, tuple(children))
         self._admit(s, pv)
         return pv
+
+    def _row(self, s) -> PValue:
+        """The transition of ``s`` read off the tables: the label its class
+        names over its row of the child table."""
+        states = self.state_enumeration
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(states, range(len(states))))
+        i = index.get(s)
+        if i is None:
+            raise InvalidCoalgebra(f"state {s!r} has no transition in gamma")
+        koff = self._koff
+        children = tuple([states[k] for k in self._kids[koff[i] : koff[i + 1]]])
+        return PValue(self._tags[self._class[i]][1], children)
 
     def _admit(self, s, pv: PValue) -> None:
         """Reject a transition the signature does not allow: here, one

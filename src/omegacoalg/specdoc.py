@@ -1,4 +1,5 @@
-"""Loading, validation and writing of JSON spec documents.
+"""The spec document format: loading, validation and writing of JSON spec
+documents.  No other module reads or writes its shape.
 
 A document carries a schema version, exactly one of a plain ``signature``
 or an ``indexed`` container fragment, and a ``coalgebra`` fragment that
@@ -9,11 +10,11 @@ the states, which also numbers them and writes the coalgebra's tables
 (:meth:`~omegacoalg.mtype.Coalgebra._adopt`).  A fault of the document's
 shape is raised where it is found; the first fault the coalgebra refuses
 is held until the whole document's shape has passed.  The loaded
-coalgebra keeps the document's ``gamma`` fragment as its transition
-store, and :attr:`SpecDocument.raw` is the parsed document.  The writers
-read a coalgebra's tables, and :func:`dump_document` writes a spec
-document directly, byte for byte as ``json.dumps`` with sorted keys and
-an indent of 2 does.
+coalgebra has no ``gamma``: its tables are its one store, and a state's
+transition is read off them when it is first asked for.  The writer,
+:func:`dump_document`, prints a coalgebra's document straight from its
+tables, byte for byte as ``json.dumps`` with sorted keys and an indent of
+2 does.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ SCHEMA_VERSION = "1"
 
 
 class SpecDocument:
-    """A loaded document: its coalgebra, plain or indexed, and the parsed
-    JSON it came from, whose ``gamma`` fragment the coalgebra reads its
-    transitions from."""
+    """A loaded document: its coalgebra, plain or indexed, and ``raw``, the
+    parsed JSON it came from.  The coalgebra does not read ``raw``; it is
+    kept only because the benchmark's tracer (``perfbench/tracer.py``)
+    counts the states and edges of a load from it."""
 
     def __init__(self, coalgebra: Coalgebra, raw: dict):
         self.coalgebra = coalgebra
@@ -53,7 +55,7 @@ def _require(cond: bool, msg: str):
 def _require_str(value, where: str):
     """State names, sorts, labels and children are JSON strings."""
     if not isinstance(value, str):
-        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(value)}")
+        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(value, default=repr)}")
 
 
 def _is_arity(n) -> bool:
@@ -116,8 +118,8 @@ def _parse_signature(sig) -> Container:
 def _parse_coalgebra(container, frag) -> Coalgebra:
     """The coalgebra fragment against ``container``, plain or indexed, in
     one pass over the states that checks each entry and numbers the states
-    into the tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`); the
-    document's ``gamma`` fragment is the coalgebra's store.
+    into the tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`), which
+    are the coalgebra's store.
 
     A fault of shape (a name that is not a string, a missing or malformed
     entry, a plain label outside ``signature.labels``, an undeclared
@@ -138,7 +140,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     plain = not isinstance(container, IndexedContainer)
     if plain:
         _require(isinstance(states, list), "coalgebra.states: expected an array")
-        c = Coalgebra(container, gamma)
+        c = Coalgebra(container, None)
         # Each listed label's arity; an arity entry of no listed label is
         # named after the pass.
         arity = {a: container.arity[a] for a in container.labels}
@@ -147,7 +149,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
             isinstance(states, dict),
             "coalgebra.states: expected an object mapping state to sort",
         )
-        c = IndexedCoalgebra(container, None, states, gamma)
+        c = IndexedCoalgebra(container, None, states, None)
         child_sort = container.child_sort
         sort_of = states.get
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
@@ -268,124 +270,97 @@ def _parse_indexed(frag) -> IndexedContainer:
         raise SpecValidationError(f"indexed: {e}") from None
 
 
-def plain_document(coalgebra: Coalgebra) -> dict:
-    """Serialize a finitely presented plain coalgebra back to a document,
-    read off its tables."""
-    container = coalgebra.container
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "signature": {
-            "labels": list(container.labels),
-            "arity": {a: container.arity_of(a) for a in container.labels},
-        },
-        "coalgebra": {"states": list(coalgebra.state_enumeration), "gamma": coalgebra._gamma_fragment()},
-    }
-
-
-def indexed_document(c: IndexedCoalgebra) -> dict:
-    """Serialize a finitely presented indexed coalgebra back to a document,
-    read off its tables."""
-    ic = c.container
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "indexed": {
-            "sorts": list(ic.sorts),
-            "labels": {
-                i: {
-                    a: {
-                        "arity": ic.arity[(i, a)],
-                        "child_sorts": list(ic.child_sort[(i, a)]),
-                    }
-                    for a in ic.labels(i)
-                }
-                for i in ic.sorts
-            },
-        },
-        "coalgebra": {"states": {s: c.sort_of[s] for s in c.state_enumeration}, "gamma": c._gamma_fragment()},
-    }
-
-
 # The stdlib's string encoder, as ``json.dumps`` calls it (in C where the
 # accelerator is built).
 _string = json.encoder.encode_basestring_ascii
 
 
-def dump_document(doc: dict) -> str:
-    """The text of ``doc``, byte for byte ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\\n"``.
+def _require_strs(values, where: str):
+    for value in values:
+        if not isinstance(value, str):
+            _require_str(value, where)
+
+
+def dump_document(c: Coalgebra) -> str:
+    """The spec document of the finitely presented coalgebra ``c``, plain
+    or indexed, as text, written straight from its tables: byte for byte
+    what ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes for
+    the document ``doc`` with ``c``'s container, its states (in
+    enumeration order, or for an indexed ``c`` as a map from each state to
+    its sort) and a ``gamma`` entry ``{"children": [...], "label": ...}``
+    per state.
 
     With ``indent`` set, the stdlib encodes in pure Python, one call per
-    value.  A spec document, as :func:`plain_document` and
-    :func:`indexed_document` make it, is written here instead: its
-    ``gamma`` fragment and its states, nearly all of its bytes, directly,
-    every name through the stdlib's own string encoder; every other part
-    through ``json.dumps``.  A document of another shape, or with a name
-    that is not a string, is handed to ``json.dumps`` whole.
+    value.  Here only the container fragment, whose size is the
+    signature's, goes through ``json.dumps``; the states and ``gamma``,
+    nearly all of the bytes, are written directly, every name through the
+    stdlib's own string encoder, with no ``PValue`` made.  What no
+    document can hold raises :class:`SpecValidationError`: a coalgebra
+    without a state enumeration, a plain container without a label list,
+    and a state name, label or sort that is not a string, the first one
+    named.
     """
-    try:
-        return _object(doc, "", {"coalgebra": _coalgebra_text}) + "\n"
-    except (TypeError, KeyError):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _object(obj: dict, pad: str, writers: dict) -> str:
-    """The indented text of the object ``obj`` opened on a line indented by
-    ``pad``: each value by the writer ``writers`` names for its key, else
-    by ``json.dumps``, whose lines are shifted to this depth."""
-    if type(obj) is not dict:
-        raise TypeError("not an object")
-    if not obj:
-        return "{}"
-    key = "\n" + pad + "  "
-    items = []
-    for k in sorted(obj):
-        write = writers.get(k)
-        if write is None:
-            text = json.dumps(obj[k], sort_keys=True, indent=2).replace("\n", key)
-        else:
-            text = write(obj[k], pad + "  ")
-        items.append(_string(k) + ": " + text)
-    return "{" + key + ("," + key).join(items) + "\n" + pad + "}"
-
-
-def _coalgebra_text(frag: dict, pad: str) -> str:
-    return _object(frag, pad, {"gamma": _gamma_text, "states": _states_text})
-
-
-def _states_text(states, pad: str) -> str:
-    """A plain spec's list of states, or an indexed one's map from state to
-    sort."""
-    if type(states) is list:
-        items, brackets = list(map(_string, states)), "[]"
-    elif type(states) is dict:
-        items, brackets = [_string(s) + ": " + _string(states[s]) for s in sorted(states)], "{}"
+    states = c.state_enumeration
+    _require(states is not None, "coalgebra.states: the coalgebra enumerates no states")
+    container = c.container
+    indexed = isinstance(c, IndexedCoalgebra)
+    if indexed:
+        _require_strs(container.sorts, "indexed.sorts")
+        for i in container.sorts:
+            _require_strs(container.labels(i), f"indexed.labels.{i}")
+        key, fragment = "indexed", {
+            "sorts": list(container.sorts),
+            "labels": {
+                i: {
+                    a: {"arity": container.arity[(i, a)], "child_sorts": list(container.child_sort[(i, a)])}
+                    for a in container.labels(i)
+                }
+                for i in container.sorts
+            },
+        }
     else:
-        raise TypeError("not a state list or map")
+        labels = container.labels
+        _require(labels is not None, "signature.labels: the container enumerates no labels")
+        _require_strs(labels, "signature.labels")
+        key, fragment = "signature", {
+            "labels": list(labels),
+            "arity": {a: container.arity_of(a) for a in labels},
+        }
+    # A state's sort is one of the sorts, and its label one of the labels
+    # at its sort; only a plain label outside the listed ones is left.
+    _require_strs(states, "coalgebra.states")
+    for k, (_, label) in enumerate(c._tags):
+        if not isinstance(label, str):
+            _require_str(label, f"coalgebra.gamma.{states[c._class.index(k)]}.label")
+    names = list(map(_string, states))
+    order = sorted(range(len(states)), key=states.__getitem__)
+    if indexed:
+        sort_of = c.sort_of
+        listed = _block([names[i] + ": " + _string(sort_of[states[i]]) for i in order], "    ", "{}")
+    else:
+        listed = _block(names, "    ", "[]")
+    # A gamma entry, indented three levels, with its children a fourth.
+    head = ': {\n        "children": '
+    mid = ',\n        "label": '
+    labels = [_string(label) for _, label in c._tags]
+    kids, koff, column = c._kids, c._koff, c._class
+    entries = []
+    for i in order:
+        children = _block([names[k] for k in kids[koff[i] : koff[i + 1]]], "        ", "[]")
+        entries.append(names[i] + head + children + mid + labels[column[i]] + "\n      }")
+    parts = {
+        "coalgebra": "{\n    \"gamma\": " + _block(entries, "    ", "{}") + ",\n    \"states\": " + listed + "\n  }",
+        key: json.dumps(fragment, sort_keys=True, indent=2).replace("\n", "\n  "),
+        "schema_version": _string(SCHEMA_VERSION),
+    }
+    return _block([_string(k) + ": " + parts[k] for k in sorted(parts)], "", "{}") + "\n"
+
+
+def _block(items: list, pad: str, brackets: str) -> str:
+    """The written ``items`` between ``brackets``, one per line indented
+    one level deeper than ``pad``, as ``json.dumps`` lays out an array or
+    object whose own line is indented by ``pad``."""
     if not items:
         return brackets
-    key = "\n" + pad + "  "
-    return brackets[0] + key + ("," + key).join(items) + "\n" + pad + brackets[1]
-
-
-def _gamma_text(gamma: dict, pad: str) -> str:
-    """A ``gamma`` fragment: each state's entry, with exactly a ``label``
-    and a list of ``children``."""
-    if type(gamma) is not dict:
-        raise TypeError("not a gamma fragment")
-    if not gamma:
-        return "{}"
-    key = "\n" + pad + "  "
-    field = key + "  "
-    child = field + "  "
-    head = ": {" + field + '"children": '
-    mid = "," + field + '"label": '
-    tail = key + "}"
-    entries = []
-    for s in sorted(gamma):
-        entry = gamma[s]
-        children = entry["children"]
-        if len(entry) != 2 or type(children) is not list:
-            raise TypeError("not a spec entry")
-        kids = "[" + child + ("," + child).join(map(_string, children)) + field + "]" if children else "[]"
-        entries.append(_string(s) + head + kids + mid + _string(entry["label"]) + tail)
-    return "{" + key + ("," + key).join(entries) + "\n" + pad + "}"
+    line = "\n" + pad + "  "
+    return brackets[0] + line + ("," + line).join(items) + "\n" + pad + brackets[1]

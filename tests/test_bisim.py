@@ -31,7 +31,6 @@ from omegacoalg import bisim, cli, specdoc
 from omegacoalg.bisim import bisim_violations
 from omegacoalg.catalog import fig1_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
-from omegacoalg.indexed import IndexedCoalgebra
 
 from conftest import (
     random_coalgebra,
@@ -176,7 +175,7 @@ def test_quotient_gamma_is_its_transition_store(monkeypatch):
     """``minimize`` builds its quotient from state numbers, plain and
     indexed, and no second copy of the transitions is held: loading a spec
     makes no ``PValue``, minimizing it makes at most one per block (here
-    none), and the quotient's ``gamma``, read off its tables, is its one
+    none), and the quotient has no ``gamma``: its tables are its one
     store, from which each ``PValue`` is made on the first read."""
     made = []
     make = PValue.__init__
@@ -186,15 +185,14 @@ def test_quotient_gamma_is_its_transition_store(monkeypatch):
         make(self, label, children)
 
     for c in (constant_cycle(), two_sorts_sharing_a_label()):
-        document = specdoc.indexed_document if isinstance(c, IndexedCoalgebra) else specdoc.plain_document
-        text = specdoc.dump_document(document(c))
+        text = specdoc.dump_document(c)
         monkeypatch.setattr(PValue, "__init__", counted)
         loaded = specdoc.parse_spec(json.loads(text)).coalgebra
         assert (made, loaded._gamma_cache) == ([], {})
         q = minimize(loaded)
         assert len(made) <= len(q.state_enumeration)
         assert q._gamma_cache == {}
-        assert q.gamma == q._gamma_fragment()
+        assert q.gamma is None
         steps = [q.transition(s) for s in q.state_enumeration]
         monkeypatch.undo()
         assert q._gamma_cache == dict(zip(q.state_enumeration, steps))
@@ -326,7 +324,7 @@ def test_cli_bisim_across_sorts_output(tmp_path):
     exit 2, nothing on stdout, and one line on stderr naming both states
     and both sorts.  Within a sort the bounded oracle answers."""
     path = tmp_path / "two.json"
-    path.write_text(specdoc.dump_document(specdoc.indexed_document(two_sorts_sharing_a_label())))
+    path.write_text(specdoc.dump_document(two_sorts_sharing_a_label()))
     assert run_bisim(str(path), "p", "q") == (
         2,
         "",
@@ -416,7 +414,7 @@ def test_indexed_cli_bisim_matches_oracle_property(c):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
         with open(path, "w") as fh:
-            fh.write(specdoc.dump_document(specdoc.indexed_document(c)))
+            fh.write(specdoc.dump_document(c))
         for s in c.state_enumeration:
             for t in c.state_enumeration:
                 code, out, err = run_bisim(path, s, t)

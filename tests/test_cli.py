@@ -649,7 +649,7 @@ def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, ch
     assert 1 <= len(reads) <= 2
 
 
-STREAM_DOC = cli.demo_documents()["stream"]
+STREAM_DOC = json.loads(specdoc.dump_document(cli.DEMOS["stream"]()))
 # The parity demo with a second label F at the even sort, of E's arity and
 # child sort, so that a table entry relabelled E -> F stays well sorted.
 PARITY_TWO_LABELS = {
@@ -842,8 +842,8 @@ def mutated_demos(draw):
     """A demo spec with one position replaced by a drawn value (a JSON
     value, or a name or list of names from the spec) or, in an object,
     deleted; also returns the names to draw states from."""
-    name = draw(st.sampled_from(sorted(cli.demo_documents())))
-    doc = json.loads(json.dumps(cli.demo_documents()[name]))
+    name = draw(st.sampled_from(sorted(cli.DEMOS)))
+    doc = json.loads(specdoc.dump_document(cli.DEMOS[name]()))
     names = _names(doc)
     path = draw(st.sampled_from(list(_paths(doc))[1:]))
     parent = doc
@@ -909,7 +909,7 @@ def test_every_command_keeps_the_exit_code_contract(tmp_path, spec, data):
         if code == 1:
             assert command[0] in ("bisim", "check"), (command, out)
             assert out.startswith("distinguishable at depth") or ": FAIL" in out, (command, out)
-    demo = st.sampled_from(sorted(cli.demo_documents())) | states
+    demo = st.sampled_from(sorted(cli.DEMOS)) | states
     code, out, err = _run_in_process(["demo", data.draw(demo)])
     assert code in (0, 2) and "Traceback" not in err
 
@@ -924,15 +924,15 @@ def test_indexed_minimize_property(tmp_path, c):
     sort, stepping to the representatives of its children; minimizing it
     again prints the same bytes."""
     path = tmp_path / "spec.json"
-    path.write_text(specdoc.dump_document(specdoc.indexed_document(c)))
+    path.write_text(specdoc.dump_document(c))
     code, out, err = _run_in_process(["minimize", "--spec", str(path)])
     assert code == 0, err
     doc = json.loads(out)
     q = specdoc.parse_spec(doc).coalgebra
     assert isinstance(q, IndexedCoalgebra)
-    # The document's gamma fragment is the coalgebra's one store: no
-    # PValue is held before the first read, and one per state after it.
-    assert q.gamma is doc["coalgebra"]["gamma"]
+    # The tables are the coalgebra's one store: no PValue is held before
+    # the first read, and one per state after it.
+    assert q.gamma is None
     assert q._gamma_cache == {}
     n = len(c.state_enumeration)
     rep = {
@@ -965,7 +965,7 @@ def test_check_reads_each_transition_once(tmp_path, monkeypatch, make):
     read = mtype.Coalgebra._read
 
     def counted(self, s):
-        if self._adopted:  # the loaded spec, not a demo the parser builds
+        if self.gamma is None:  # the loaded spec, whose tables are its store
             reads.append(s)
         return read(self, s)
 
