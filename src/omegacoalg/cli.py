@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from operator import attrgetter
 
 from . import bisim as bs
 from . import catalog, specdoc
 from .errors import OmegaCoalgError, SpecValidationError
-from .indexed import well_sorted_all
+from .indexed import IndexedCoalgebra, well_sorted_all
 from .mtype import Coalgebra, _table_laws, approximate, approximate_all
 
 EXIT_OK = 0
@@ -259,12 +260,11 @@ def cmd_bisim(args) -> int:
     :func:`omegacoalg.bisim.divergence_depth`; bounded is the depth oracle,
     which compares observations up to --depth only.
     """
-    doc = specdoc.load_spec(args.spec)
+    c = specdoc.load_spec(args.spec).coalgebra
     bounded = args.algorithm == "bounded"
     if bounded and args.depth is None:
         print("--depth is required with --algorithm bounded", file=sys.stderr)
         return EXIT_VALIDATION
-    c = doc.coalgebra
     for s in (args.left, args.right):
         if s not in c.state_enumeration:
             print(f"unknown state: {s}", file=sys.stderr)
@@ -302,14 +302,13 @@ def cmd_check(args) -> int:
     The level table of every state up to --depth is built once, level by
     level, in O(|S| depth r) for |S| states of arity at most r; each law is
     then read off it against truncation, ``out``/``into`` or the
-    transition (:func:`omegacoalg.mtype._table_laws`).
+    transition (:func:`omegacoalg.mtype._table_laws`).  An indexed spec is
+    also checked well sorted on that same table, with each state's sort
+    read once.
     """
-    doc = specdoc.load_spec(args.spec)
-    c = doc.coalgebra
+    c = specdoc.load_spec(args.spec).coalgebra
     verdicts = _table_laws(c, args.depth)
-    if doc.kind == "plain":
-        names = ("compatibility", "out-into-roundtrip", "unfold-is-morphism", "unfold-uniqueness")
-    else:
+    if isinstance(c, IndexedCoalgebra):
         names = (
             "well-sorted",
             "compatibility",
@@ -317,9 +316,13 @@ def cmd_check(args) -> int:
             "iunfold-is-morphism",
             "iunfold-uniqueness",
         )
+        states = c.state_enumeration
+        sorts = list(map(c._sort, states))
         table = approximate_all(c, args.depth)
-        trees = ((c._sort(s), t) for level in table for s, t in level.items())
+        trees = chain.from_iterable(zip(sorts, map(level.__getitem__, states)) for level in table)
         verdicts = (well_sorted_all(c.container, trees),) + verdicts
+    else:
+        names = ("compatibility", "out-into-roundtrip", "unfold-is-morphism", "unfold-uniqueness")
     for name, passed in zip(names, verdicts):
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if all(verdicts) else EXIT_CHECKS_FAILED

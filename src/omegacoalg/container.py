@@ -12,7 +12,9 @@ by the truncation maps :func:`truncate`.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Callable, Mapping, Sequence
+from itertools import chain, compress, repeat, starmap
 
 from .errors import (
     ArityMismatch,
@@ -131,6 +133,19 @@ def _tree(depth: int, label, children: tuple) -> ApproxTree:
         t = ApproxTree(depth, label, children)
         _interned[key] = t
     return t
+
+
+def _intern_all(keys: list) -> list:
+    """:func:`_tree` of every ``(depth, label, children)`` key of ``keys``,
+    in order.  The lookups are one ``map``; only the missing trees are made,
+    one per distinct missing key, so a key repeated in the batch gives one
+    tree."""
+    got = list(map(_interned.get, keys))
+    if None in got:
+        new = dict.fromkeys(compress(keys, map(operator.is_, got, repeat(None))))
+        _interned.update(zip(new, starmap(ApproxTree, new)))
+        got = list(map(_interned.__getitem__, keys))
+    return got
 
 
 TRUNC = _tree(0, _TRUNC_LABEL, ())
@@ -265,6 +280,44 @@ def _truncate(t: ApproxTree) -> ApproxTree:
         cache[cur] = _tree(cur.depth - 1, cur.label, tuple(kids))
         stack.pop()
     return cache[t]
+
+
+_depth_of = operator.attrgetter("depth")
+_label_of = operator.attrgetter("label")
+_children_of = operator.attrgetter("children")
+
+
+def _truncates_to(row: list, lower: list) -> bool:
+    """Whether :func:`_truncate` of each tree of ``row`` is the tree at the
+    same place in ``lower``, as for two rows of a level table, depths k and
+    k-1.  When every tree of ``row`` is deeper than 1 and every child's
+    truncation is cached, as for the rows of a table read upwards, it is
+    one batch of list comparisons over the distinct pairs: the truncation
+    of a node is the interned node one lower with the same label over its
+    children's truncations, so it is the tree ``u`` exactly when ``u`` has
+    that depth, that label and those children.  The row's truncations are
+    then cached.  Otherwise each tree goes through :func:`_truncate`."""
+    cache = _truncate_cache
+    pairs = dict(zip(row, lower))
+    trees = list(pairs)
+    depths = list(map(_depth_of, trees))
+    kids = list(map(_children_of, trees))
+    flat = list(chain.from_iterable(kids))
+    if min(depths, default=2) < 2 or not all(map(cache.__contains__, flat)):
+        return all(map(operator.is_, map(_truncate, row), lower))
+    if len(trees) < len(row) and not all(map(operator.is_, map(pairs.__getitem__, row), lower)):
+        return False
+    lower = list(pairs.values())
+    below = list(map(_children_of, lower))
+    same = (
+        list(map(operator.sub, depths, repeat(1))) == list(map(_depth_of, lower))
+        and list(map(_label_of, trees)) == list(map(_label_of, lower))
+        and list(map(len, kids)) == list(map(len, below))
+        and list(map(cache.__getitem__, flat)) == list(chain.from_iterable(below))
+    )
+    if same:
+        cache.update(pairs)
+    return same
 
 
 def truncate_to(c: Container, t: ApproxTree, m: int) -> ApproxTree:

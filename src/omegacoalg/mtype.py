@@ -29,10 +29,22 @@ from __future__ import annotations
 import operator
 import os
 from array import array
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
+from itertools import filterfalse, repeat
 
 from .chain import LIMITS, Chain, LimitElement
-from .container import TRUNC, Container, PValue, _no_stage, _tree, _truncate
+from .container import (
+    TRUNC,
+    Container,
+    PValue,
+    _intern_all,
+    _interned,
+    _no_stage,
+    _tree,
+    _truncate,
+    _truncates_to,
+)
 from .errors import (
     ArityMismatch,
     DepthBoundExceeded,
@@ -190,6 +202,8 @@ class Coalgebra:
         self.name = name
         self._gamma_cache = {}
         self._levels = []
+        # Every enumerated state is in the level table up to this depth.
+        self._full = -1
         self._kids = self._koff = self._class = self._tags = None
         # State -> number, for reading a transition off the tables.
         self._index = None
@@ -397,8 +411,16 @@ class _FreeExtension:
     Its unfold sends an element to itself and the fresh state to the
     assembled element, whose depth-n stage is ``label`` over the
     children's depth-(n-1) stages.  The extension keeps the stages it has
-    built, so observing the assembled element again at a depth it has
-    reached costs a lookup.
+    built in ``_stages``, so observing the assembled element again at a
+    depth it has reached costs a lookup.
+
+    Stages are built in batches (:meth:`_build`): for a list of depths, each
+    child's stages one lower are read as one column (:func:`_stages_of`),
+    off a level table in one pass when the child is unfolded from one, and
+    the nodes are interned in one :func:`~omegacoalg.container._intern_all`.
+    An observation builds its one stage; a stage column, which the morphism
+    checks read, builds every missing stage of a range at once.  An
+    extension over assembled children builds one stage at a time.
     """
 
     __slots__ = ("label", "children", "_stages", "_nested")
@@ -433,14 +455,77 @@ class _FreeExtension:
                     stack.extend(todo)
                     continue
                 stack.pop()
-                ext._stage(k)
-        return self._stage(n)
+                ext._build((k,))
+        self._build((n,))
+        return self._stages[n]
 
-    def _stage(self, k: int):
-        """Build stage k >= 1 from the children's stages k-1, with every
-        nested extension's already built."""
-        got = self._stages[k] = _tree(k, self.label, tuple([ch.at(k - 1) for ch in self.children]))
-        return got
+    def _build(self, ks) -> None:
+        """Build the stages at the depths ``ks``, each >= 1, from the
+        children's stages one lower, with every nested extension's already
+        built: one stage is one :func:`~omegacoalg.container._tree`, more
+        are read as columns and interned in one batch."""
+        label, stages = self.label, self._stages
+        if len(ks) == 1:
+            k = ks[0]
+            stages[k] = _tree(k, label, tuple([ch.at(k - 1) for ch in self.children]))
+            return
+        below = [k - 1 for k in ks]
+        columns = [_stages_of(ch.coalgebra, ch.state, below) for ch in self.children]
+        kids = zip(*columns) if columns else repeat((), len(below))
+        stages.update(zip(ks, _intern_all(list(zip(ks, repeat(label), kids)))))
+
+
+def _stages_of(c, s, ks) -> list:
+    """Stages ``ks`` of the state ``s`` of ``c``, the same objects as
+    ``c._observe(s, k)``: for a coalgebra whose observations are its level
+    table's entries (:func:`_on_table`), read off the table in one pass
+    when it holds them all; for a free extension over no assembled child,
+    read off its ``_stages`` after building the missing ones in one batch
+    (:meth:`_FreeExtension._build`); else one observation per depth."""
+    if type(c) is _FreeExtension:
+        if not c._nested:
+            stages = c._stages
+            missing = list(filterfalse(stages.__contains__, ks))
+            if missing:
+                c._build(missing)
+            return list(map(stages.__getitem__, ks))
+    elif _on_table(c):
+        levels = c._levels
+        try:
+            return [levels[k][s] for k in ks]
+        except (IndexError, KeyError):
+            pass
+    return list(map(c._observe, repeat(s, len(ks)), ks))
+
+
+def _on_table(c) -> bool:
+    """Whether ``c``'s observations are the entries of its level table."""
+    return getattr(type(c), "_observe", None) is _level_entry
+
+
+def _tabled(m: MElement) -> bool:
+    """Whether the stages of ``m`` come from level tables alone: ``m`` is
+    unfolded from a coalgebra whose observations are its table, or is
+    ``into`` over such elements.  Reading them interns trees and reads no
+    hand-built family, so they may be read as one column."""
+    c = m.coalgebra
+    if type(c) is _FreeExtension:
+        return all([_on_table(ch.coalgebra) for ch in c.children])
+    return _on_table(c)
+
+
+def _agrees(m: MElement, c, s, depth: int) -> bool:
+    """Whether stages 0..depth of ``m`` are ``c``'s observations of ``s``.
+    An element whose stages come from level tables is compared as one
+    column (``==`` on lists of interned trees compares identities, in C).
+    Any other element, such as one built by hand, is compared stage by
+    stage, so the first differing stage ends the check before a deeper
+    stage, which may drift (:class:`~omegacoalg.errors.LabelDrift`), is
+    read."""
+    ks = range(depth + 1)
+    if _tabled(m):
+        return _stages_of(m.coalgebra, m.state, ks) == _stages_of(c, s, ks)
+    return all(m.at(n) is c._observe(s, n) for n in ks)
 
 
 class MorphismCandidate:
@@ -465,21 +550,86 @@ def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
 
 def approximate_all(c: Coalgebra, n: int) -> list:
     """Fill the level table with every enumerated state at every depth
-    k <= n, one level at a time: O(|S| n r) for |S| states of arity at most
-    r.  Returns the table up to depth n: entry k maps each state to its
-    depth-k observation, so ``approximate(c, s, k)`` is then a lookup."""
-    states = c.state_enumeration
-    if states is None:
+    k <= n: O(|S| n r) for |S| states of arity at most r.  Returns the
+    table up to depth n: entry k maps each state to its depth-k
+    observation, so ``approximate(c, s, k)`` is then a lookup.
+
+    The table is filled in rows (:func:`_fill_rows`), one level at a time,
+    from the coalgebra's class column and child table; an entry already in
+    the table stays, and the entries above it are built over it.  The
+    coalgebra keeps the depth up to which its table is full, so a second
+    call up to that depth returns in O(n).
+    """
+    if c.state_enumeration is None:
         raise NeedsFiniteStates("approximate_all needs a state enumeration")
-    # The enumeration is closed under children, so each level is filled
-    # from the one below, with no walk down.
     levels = c._levels
     _grow(levels, n)
-    steps = [(s, c.transition(s)) for s in states]
-    for k in range(n + 1):
-        here = levels[k]
-        _build_level(levels, k, [p for p in steps if p[0] not in here])
+    if n > c._full:
+        _fill_rows(c, n)
+        c._full = n
     return levels[: n + 1]
+
+
+# The most keys that one batch of the fill holds at once.  A batch's keys
+# live until it is interned; a batch that outlives a few young collections
+# is promoted, and at 10^5 states the full collections that this brings on
+# cost more than the batch saves.
+_BATCH = 1024
+
+
+def _fill_rows(c: Coalgebra, n: int) -> None:
+    """Fill levels ``c._full + 1`` to ``n`` of the level table as whole rows.
+
+    The states are grouped once by class (``_class``): the members of one
+    class share a label and an arity, and position b of the class has one
+    column, the b-th child of each member, numbered by the child's place in
+    a row.  A row holds one level's entries in that order, so level k is,
+    class by class, the label over ``zip`` of the columns read through row
+    k-1, interned in batches of at most ``_BATCH`` keys
+    (:func:`~omegacoalg.container._intern_all`).  Python loops over
+    classes, batches and levels, and over the trees that are new; no table
+    of all levels is built beside the level dicts.
+    """
+    klass, kids, koff, tags = c._class, c._kids, c._koff, c._tags
+    order = sorted(range(len(klass)), key=klass.__getitem__)
+    place = sorted(range(len(order)), key=order.__getitem__)
+    states = list(map(c.state_enumeration.__getitem__, order))
+    classes = []
+    start = 0
+    for j, size in sorted(Counter(klass).items()):
+        members = order[start : start + size]
+        start += size
+        first = list(map(koff.__getitem__, members))
+        arity = koff[members[0] + 1] - first[0]
+        columns = [
+            array("l", map(place.__getitem__, map(kids.__getitem__, map(operator.add, first, repeat(b)))))
+            for b in range(arity)
+        ]
+        classes.append((tags[j][1], size, columns))
+    levels = c._levels
+    lo = c._full + 1
+    row = list(map(levels[lo - 1].__getitem__, states)) if lo else None
+    for k in range(lo, n + 1):
+        if k == 0:
+            built = [TRUNC] * len(states)
+        else:
+            built = []
+            for label, size, columns in classes:
+                for i in range(0, size, _BATCH):
+                    end = min(i + _BATCH, size)
+                    below = [map(row.__getitem__, col[i:end]) for col in columns]
+                    children = zip(*below) if below else repeat((), end - i)
+                    built += _intern_all(list(zip(repeat(k), repeat(label), children)))
+        level = levels[k]
+        if level:
+            # An entry already in the table stays.
+            fresh = dict(zip(states, built))
+            fresh.update(level)
+            level.update(fresh)
+            built = list(map(level.__getitem__, states))
+        else:
+            level.update(zip(states, built))
+        row = built
 
 
 def _table_laws(c: Coalgebra, depth: int) -> tuple:
@@ -497,28 +647,58 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     * unique: the morphism law and Trunc at depth 0, the induction that
       forces any morphism into the final coalgebra to equal ``unfold``.
 
-    The roundtrip holds one reassembled element at a time; the other laws
-    are one sweep per level, with no element objects.
+    Each law runs in row kernels: Python loops over states, levels and
+    groups, and each level's entries go through C-level ``map``/``zip``.
+    The roundtrip makes one reassembled element per state and compares its
+    stage column, built in one batch from its children's table columns,
+    with the state's column of the table.  Compatibility reads the levels
+    upwards as rows, each compared with the row below as one batch
+    (:func:`~omegacoalg.container._truncates_to`).  The morphism law groups
+    the states by the label and arity of their transitions, as
+    ``c.transition`` gives them, not by the tables the fill read: a level's
+    expected entries of a group are the interned trees looked up by their
+    keys, one ``map`` over the level below, and compared with the level's
+    entries by identity; a key that is not interned names no tree, so it
+    matches no entry.
     """
     table = approximate_all(c, depth)
     states = c.state_enumeration
     back = MorphismCandidate(c, lambda s: into(c.container, out(unfold(c, s)), c._sort(s)))
     roundtrip = verify_morphism(back, depth, states)
-    steps = [c.transition(s) for s in states]
-    row = [table[0][s] for s in states]
-    base = all(t is TRUNC for t in row)
-    compatible = morphism = True
-    for k in range(1, depth + 1):
-        below, level = table[k - 1], table[k]
-        lower, row = row, [level[s] for s in states]
-        compatible = compatible and all(map(operator.is_, map(_truncate, row), lower))
-        morphism = morphism and all(
-            t.depth == k
-            and t.label == pv.label
-            and t.children == tuple([below[ch] for ch in pv.children])
-            for t, pv in zip(row, steps)
-        )
+    lower = list(map(table[0].__getitem__, states))
+    base = all(map(operator.is_, lower, repeat(TRUNC)))
+    compatible = True
+    for level in table[1:]:
+        row = list(map(level.__getitem__, states))
+        if not _truncates_to(row, lower):
+            compatible = False
+            break
+        lower = row
+    morphism = _morphism_law(c, table)
     return compatible, roundtrip, morphism, morphism and base
+
+
+def _morphism_law(c: Coalgebra, table: list) -> bool:
+    """The morphism law of :func:`_table_laws`, per group of transitions of
+    one label and arity."""
+    groups: dict = {}
+    for s in c.state_enumeration:
+        label, children = c.transition(s)
+        group = groups.get((label, len(children)))
+        if group is None:
+            group = groups[label, len(children)] = ([], [])
+        group[0].append(s)
+        group[1].append(children)
+    rows = [(label, members, list(zip(*kids))) for (label, _), (members, kids) in groups.items()]
+    for k in range(1, len(table)):
+        below, level = table[k - 1], table[k]
+        for label, members, columns in rows:
+            read = [map(below.__getitem__, col) for col in columns]
+            children = zip(*read) if read else repeat((), len(members))
+            want = map(_interned.get, zip(repeat(k), repeat(label), children))
+            if not all(map(operator.is_, want, map(level.__getitem__, members))):
+                return False
+    return True
 
 
 def unfold(c: Coalgebra, s) -> MElement:
@@ -621,15 +801,19 @@ def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
     observation of ``s``, for every checked state and n <= depth.  A state
     sent to an element of another sort fails.  Checking the whole
     enumeration (``states=None``) first fills the source's level table by
-    one :func:`approximate_all` sweep."""
+    one :func:`approximate_all` sweep.
+
+    Stages 0..depth of an element unfolded from a level table, or assembled
+    by ``into`` over such elements, are compared with the state's as one
+    column; any other element's one stage at a time, stopping at the first
+    that differs (see :func:`_agrees`)."""
     checked = _check_states(mc, states)
+    source = mc.source
     if states is None:
-        approximate_all(mc.source, depth)
+        approximate_all(source, depth)
     for s in checked:
         m = mc.map(s)
-        if m.sort != mc.source._sort(s):
-            return False
-        if any(m.at(n) is not mc.source._observe(s, n) for n in range(depth + 1)):
+        if m.sort != source._sort(s) or not _agrees(m, source, s, depth):
             return False
     return True
 
@@ -640,14 +824,10 @@ def uniqueness_probe(c: Coalgebra, mc: MorphismCandidate, depth: int, states=Non
     ``unfold(c, s)`` is ``c._observe(s, n)``, so ``c`` may be any
     coalgebra with a level table, plain or indexed.  ``states`` is read
     once, so an iterator checks its states in both the law and the
-    agreement."""
+    agreement.  Stages are compared as :func:`verify_morphism` compares
+    them."""
     if states is not None:
         states = tuple(states)
     if not verify_morphism(mc, depth, states):
         raise NotAMorphism("candidate fails the morphism law; probe refused")
-    for s in _check_states(mc, states):
-        m = mc.map(s)
-        for n in range(depth + 1):
-            if m.at(n) is not c._observe(s, n):
-                return False
-    return True
+    return all(_agrees(mc.map(s), c, s, depth) for s in _check_states(mc, states))

@@ -649,6 +649,47 @@ def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, ch
     assert 1 <= len(reads) <= 2
 
 
+def test_check_reads_no_stage_per_state_and_depth(tmp_path, monkeypatch):
+    """``check`` reads the laws off whole level rows and stage columns, not
+    one ``MElement.at`` call per (state, depth): on a 1500-state random spec
+    at depth 20 it makes fewer than 2 calls per state, where a per-stage
+    read makes |S| (depth + 1) for the roundtrip alone.  It counts calls
+    and times nothing."""
+    doc = random_plain_doc(random.Random(3), 1500)
+    calls = []
+    at = mtype.MElement.at
+
+    def counted(self, n):
+        calls.append(n)
+        return at(self, n)
+
+    monkeypatch.setattr(mtype.MElement, "at", counted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "20"])
+    assert (code, out.count(": PASS\n"), err) == (0, 4, "")
+    assert len(calls) < 2 * len(doc["coalgebra"]["states"])
+
+
+def test_indexed_check_fills_the_table_once(tmp_path, monkeypatch):
+    """An indexed ``check`` checks well-sortedness on the table that the
+    laws filled: one sweep of the level table for the whole command."""
+    doc = random_indexed_doc(random.Random(5), 60)
+    sweeps = []
+    fill = mtype._fill_rows
+
+    def counted(c, n):
+        sweeps.append(n)
+        fill(c, n)
+
+    monkeypatch.setattr(mtype, "_fill_rows", counted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "8"])
+    assert (code, out.count(": PASS\n"), err) == (0, 5, "")
+    assert sweeps == [8]
+
+
 STREAM_DOC = json.loads(specdoc.dump_document(cli.DEMOS["stream"]()))
 # The parity demo with a second label F at the even sort, of E's arity and
 # child sort, so that a table entry relabelled E -> F stays well sorted.

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from omegacoalg import (
     verify_morphism,
     w_chain,
 )
-from omegacoalg.container import TRUNC, _tree, make_node
-from omegacoalg.mtype import MElement, _table_laws
+from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node
+from omegacoalg import mtype
+from omegacoalg.mtype import MElement, _stages_of, _table_laws
 from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
     conat_coalgebra,
@@ -347,6 +349,49 @@ def test_level_sweep_matches_demand_driven_property(c, depth, rnd):
         assert got is unrolled(c.transition, s, n, memo)
 
 
+def test_full_table_is_returned_without_a_sweep(monkeypatch):
+    """Once every state is in the table up to depth n, ``approximate_all``
+    up to n returns the table with no sweep; a deeper call sweeps only the
+    new levels and keeps the dicts of the old ones."""
+    c = fig1_coalgebra()
+    table = approximate_all(c, 6)
+    sweeps = []
+    fill = mtype._fill_rows
+
+    def counted(c, n):
+        sweeps.append((c._full, n))
+        fill(c, n)
+
+    monkeypatch.setattr(mtype, "_fill_rows", counted)
+    assert approximate_all(c, 6) == table and approximate_all(c, 3) == table[:4]
+    assert sweeps == []
+    deeper = approximate_all(c, 9)
+    assert sweeps == [(6, 9)]
+    assert all(map(operator.is_, deeper[:7], table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(0, 8),
+    st.integers(1, 3),
+)
+def test_level_sweep_in_small_batches_property(c, depth, batch):
+    """The level sweep gives the same table however many keys one batch
+    of a class holds: with batches of 1-3 keys, as with one batch per
+    class, every entry is the depth-n observation by direct recursion."""
+    kept = mtype._BATCH
+    mtype._BATCH = batch
+    try:
+        table = approximate_all(c, depth)
+    finally:
+        mtype._BATCH = kept
+    memo = {}
+    for s in c.state_enumeration:
+        for n in range(depth + 1):
+            assert table[n][s] is unrolled(c.transition, s, n, memo)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_coalgebras(), st.data())
 def test_level_fill_adds_only_what_its_root_needs_property(c, data):
@@ -430,6 +475,32 @@ def test_table_laws_match_element_library_and_catch_a_wrong_entry_property(c, de
     compatible, roundtrip, morphism, unique = _table_laws(c, depth)
     assert compatible == (k == depth == 1)
     assert not roundtrip and not morphism and not unique
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_row_truncation_matches_per_tree_truncation_property(c, depth, rnd):
+    """Compatibility's row kernel, ``_truncates_to(row, lower)``, says what
+    truncating each tree of ``row`` on its own says: whether it gives the
+    tree at the same place in ``lower``, for the table's rows read upwards,
+    for rows paired with a shuffled row below, and for rows below with one
+    tree relabelled over the same children."""
+    states = c.state_enumeration
+    table = approximate_all(c, depth)
+    rows = [[table[k][s] for s in states] for k in range(depth + 1)]
+    for k in range(1, depth + 1):
+        lower = list(rows[k - 1])
+        if rnd.random() < 0.5:
+            rnd.shuffle(lower)
+        if k > 1 and rnd.random() < 0.5:
+            i = rnd.randrange(len(lower))
+            lower[i] = _tree(k - 1, ("other", lower[i].label), lower[i].children)
+        got = _truncates_to(rows[k], lower)
+        assert got == all(truncate(None, t) is u for t, u in zip(rows[k], lower))
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,6 +620,80 @@ def test_hand_built_out_detects_label_drift():
     assert child.at(18).label == 5
     with pytest.raises(LabelDrift):
         child.at(19)
+
+
+def sevens(sc, n):
+    """Stage n of the hand-built stream of 7s over ``sc``."""
+    t = TRUNC
+    for d in range(1, n + 1):
+        t = make_node(sc, 7, [t], depth=d)
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(0, 8),
+    st.lists(st.integers(0, 8), max_size=3),
+    st.data(),
+)
+def test_stage_column_is_the_stages_property(c, n, seen, data):
+    """The stage column that the morphism checks compare, stages 0..n of
+    ``m`` read by ``_stages_of``, is ``[m.at(k) for k in range(n + 1)]``,
+    the same objects, for an unfolded element, ``into`` of its ``out``,
+    ``into`` over such ``into`` children, and ``cons`` over a hand-built
+    family; whether the element and its table are fresh or some of their
+    stages were read first."""
+    s = data.draw(st.sampled_from(c.state_enumeration))
+    sc = stream_container((3, 7))
+    hand = MElement(sc, LimitElement(w_chain(sc), lambda k: sevens(sc, k)))
+
+    def elements():
+        m = unfold(c, s)
+        label, children = out(m)
+        inner = tuple(into(c.container, out(ch), ch.sort) for ch in children)
+        return {
+            "unfold": m,
+            "into": into(c.container, PValue(label, children), m.sort),
+            "into-over-into": into(c.container, PValue(label, inner), m.sort),
+            "cons-over-hand-built": cons(3, hand),
+            "cons-over-hand-built-child": cons(3, out(hand).children[0]),
+        }
+
+    columns = {}
+    for name, m in elements().items():
+        for k in seen:
+            m.at(k)
+        columns[name] = _stages_of(m.coalgebra, m.state, range(n + 1))
+        assert all(map(operator.is_, columns[name], [m.at(k) for k in range(n + 1)])), name
+    for name, m in elements().items():
+        assert len(columns[name]) == n + 1, name
+        assert all(map(operator.is_, columns[name], [m.at(k) for k in range(n + 1)])), name
+
+
+def test_hand_built_candidate_that_differs_early_is_refused_before_it_drifts():
+    """A hand-built candidate whose stage 1 differs from the state's, and
+    whose deeper stages drift, fails the morphism law: the first differing
+    stage ends the check, so no drifting stage is read and no
+    :class:`LabelDrift` escapes.  So does ``cons`` over it."""
+    sc = stream_container()
+    c = Coalgebra(sc, {"s": (7, ("s",))}, state_enumeration=("s",))
+
+    def drifting(n):
+        t = TRUNC
+        for d in range(1, n + 1):
+            t = make_node(sc, 5 if d < 20 else 6, [t], depth=d)
+        return t
+
+    child = out(MElement(sc, LimitElement(w_chain(sc), drifting))).children[0]
+    with pytest.raises(LabelDrift):
+        child.at(19)
+    for candidate in (child, cons(5, child)):
+        mc = MorphismCandidate(c, lambda s: candidate)
+        assert not verify_morphism(mc, 30)
+        assert not verify_morphism(mc, 30, states=["s"])
+        with pytest.raises(NotAMorphism):
+            uniqueness_probe(c, mc, 30)
 
 
 def test_assembled_element_keeps_its_stages():
