@@ -11,9 +11,11 @@ state.
 
 Bisimilarity is decided on the finite coalgebra itself, with no depth-n
 observation built: :func:`partition_refine` refines the partition by sort
-and label by successor blocks to a fixpoint in O(m log n) for m edges, and
-:func:`divergence_depth` answers one pair by a union-find search over child
-pairs in O(n r alpha(n)) for n states of arity at most r.  Sorts enter
+and label by successor blocks to a fixpoint, in whole-row rounds and then,
+for a refinement that stays deep, dirty-set rounds, in O((n + m) log n)
+for n states and m edges, and :func:`divergence_depth` answers one pair by
+a union-find search over child pairs in O(n r alpha(n)) for arity at most
+r.  Sorts enter
 through :meth:`~omegacoalg.mtype.Coalgebra._sort` alone (None when plain).
 Related-in-a-block then coincides with equality of all finite-depth
 observations.  :func:`first_divergence_depth` and :func:`bounded_bisim`
@@ -23,10 +25,13 @@ reference oracle the fast procedures are tested against.
 
 from __future__ import annotations
 
+import operator
 from array import array
+from collections import Counter, deque
 from functools import cached_property
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
 
-from .mtype import Coalgebra, approximate
+from .mtype import Coalgebra, _class_columns, approximate
 from .errors import (
     InvalidWitness,
     NeedsFiniteStates,
@@ -209,15 +214,25 @@ def partition_refine(c: Coalgebra) -> Partition:
     """Compute the coarsest bisimulation partition.
 
     Start from the partition by sort and label, so that states of different
-    sorts are never merged, and refine by signatures, the tuple of child
-    block ids, until stable.  Round k yields the partition into equal
-    depth-(k+1) observations.  A round recomputes signatures only for dirty
-    states, those with a child that changed block in the previous round; all
-    of a round's signatures are computed before any split.  When a block
-    splits, its largest part keeps the block id and only the smaller parts
-    get new ids, so each state moves O(log n) times and the signature work
-    is O(m log n).  Clean members keep the signature they share and are
-    never visited, unless they are the part that moves.
+    sorts are never merged, and refine by signatures, a state's block
+    followed by its children's blocks, until stable.  Round k yields the
+    partition into equal depth-(k+1) observations.
+
+    The first rounds are whole-row rounds (Moore, 1956), in the row layout
+    that the level fill uses (:func:`~omegacoalg.mtype._class_columns`):
+    the block row is kept in class order, and a round gives, class by
+    class, each tuple of child blocks one id through ``map(ids.setdefault,
+    zip(*children), fresh)``, all at C level, with one id dict per class.
+    Within a class the children's blocks decide the state's own block, as
+    the previous round computed it from the same class and the children's
+    older blocks, so the key needs no own block; at arity 1 it is the
+    child's block itself.  One counter ``fresh`` serves the whole round, so
+    a block's id is the place of its first member, and blocks of different
+    classes never share one.  The partition is stable when a round makes
+    no new block.  A round costs O(n + m) for n states and m edges, and at
+    most ceil(log2(n + 1)) + 1 of them run.  Refinement that is still
+    splitting then goes on in dirty-set rounds (:func:`_dirty_rounds`),
+    O((n + m) log n) in all, so the whole stays O((n + m) log n).
 
     Output ordering is canonical: blocks by the enumeration index of their
     earliest member, members in enumeration order.
@@ -230,43 +245,96 @@ def partition_refine(c: Coalgebra) -> Partition:
     """
     states = _require_states(c)
     n = len(states)
+    order, place, classes = _class_columns(c)
+    # row[p] is the block of state order[p]; the first partition is the
+    # class column.
+    row = list(map(c._class.__getitem__, order))
+    blocks = len(classes)
+    for _ in range(n.bit_length() + 1):
+        get = row.__getitem__
+        fresh = count()
+        new: list = []
+        made = 0
+        for start, end, columns in classes:
+            if len(columns) == 1:
+                keys = map(get, columns[0])
+            elif columns:
+                keys = zip(*[map(get, col) for col in columns])
+            else:
+                keys = repeat((), end - start)
+            ids: dict = {}
+            new += map(ids.setdefault, keys, fresh)
+            made += len(ids)
+        if made == blocks:
+            block = list(map(row.__getitem__, place))
+            break
+        row, last, blocks = new, row, made
+    else:
+        block = _dirty_rounds(c, row, last, place)
+    # Blocks are renumbered in order of their earliest member.
+    canon = dict(zip(dict.fromkeys(block), count()))
+    numbers = array("l", map(canon.__getitem__, block))
+    groups: list = [[] for _ in canon]
+    deque(map(list.append, map(groups.__getitem__, numbers), states), 0)
+    return Partition(tuple(map(tuple, groups)), numbers)
+
+
+def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:
+    """Refinement from the whole-row partition ``row``, which split
+    ``last``, both in the place order of ``place``, to the fixpoint in
+    dirty-set rounds (Hopcroft's "all but the largest", 1971); returns
+    each state number's block.
+
+    Hand-over: in each block of ``last``, the largest part in ``row``
+    keeps an id and the other parts, whose states moved, get new ones.
+    A round recomputes signatures only for dirty states, those with a
+    child that moved in the previous round; all of a round's signatures
+    are computed before any split.  When a block splits, its largest part
+    keeps the block id and only the smaller parts get new ids, so each
+    state moves O(log n) times and the signature work is O(m log n).
+    Clean members keep the signature they share and are never visited,
+    unless they are the part that moves.
+    """
+    n = len(place)
+    # Hand-over: the largest part of each block of `last` keeps an id below
+    # `kept`, and every other part gets an id of its own above it.
+    parent = dict(zip(row, last))
+    size = Counter(row)
+    keep: dict = {}
+    for b in sorted(parent, key=size.__getitem__, reverse=True):
+        keep.setdefault(parent[b], b)
+    label = dict(zip(keep.values(), count()))
+    kept = len(label)
+    label.update(zip(list(filterfalse(label.__contains__, parent)), count(kept)))
+    block = array("l", map(label.__getitem__, map(row.__getitem__, place)))
+    moved = list(compress(range(n), map(operator.ge, block, repeat(kept))))
     # The children of i are kids[koff[i]:koff[i + 1]], its predecessors
-    # (with repeats) preds[poff[i]:poff[i + 1]].
+    # (with repeats) preds[poff[i]:poff[i + 1]]: the owners of the edges,
+    # sorted by target.
     kids, koff = c._kids, c._koff
-    # The first partition is the class column: block i holds the states of
-    # the i-th (sort, label) pair.
-    block = c._class[:]
-    poff = array("l", [0]) * (n + 1)
-    for k in kids:
-        poff[k + 1] += 1
-    for i in range(n):
-        poff[i + 1] += poff[i]
-    fill = poff[:n]
-    preds = array("l", [0]) * len(kids)
-    for i in range(n):
-        for k in kids[koff[i] : koff[i + 1]]:
-            preds[fill[k]] = i
-            fill[k] += 1
+    owner = array("l", chain.from_iterable(map(repeat, range(n), map(operator.sub, koff[1:], koff))))
+    preds = array("l", map(owner.__getitem__, sorted(range(len(kids)), key=kids.__getitem__)))
+    indegree = Counter(kids)
+    poff = array("l", accumulate(map(indegree.get, range(n), repeat(0)), initial=0))
     # Every block is a segment elems[start[b]:end[b]]; loc[i] is the
     # position of state i in elems.
-    start = array("l", [0]) * (max(block, default=-1) + 1)
-    for b in block:
-        start[b] += 1
-    top = 0
-    for b in range(len(start)):
-        start[b], top = top, top + start[b]
-    end = start[:]
-    elems = array("l", [0]) * n
-    loc = array("l", [0]) * n
-    for i in range(n):
-        b = block[i]
-        elems[end[b]] = i
-        loc[i] = end[b]
-        end[b] += 1
-    dirty = list(range(n))
-    mark = bytearray(b"\x01") * n
+    elems = array("l", sorted(range(n), key=block.__getitem__))
+    loc = array("l", sorted(range(n), key=elems.__getitem__))
+    sizes = Counter(block)
+    start = array("l", accumulate(map(sizes.__getitem__, range(len(label))), initial=0))
+    end = start[1:]
+    del start[-1]
+    mark = bytearray(n)
     block_of = block.__getitem__
-    while dirty:
+    while True:
+        dirty = []
+        for x in moved:
+            for p in preds[poff[x] : poff[x + 1]]:
+                if not mark[p]:
+                    mark[p] = 1
+                    dirty.append(p)
+        if not dirty:
+            return block
         # Dirty states grouped by block and signature at once: the key is
         # the block followed by the children's blocks.
         groups: dict = {}
@@ -280,7 +348,7 @@ def partition_refine(c: Coalgebra) -> Partition:
         touched: dict = {}
         for key, members in groups.items():
             touched.setdefault(key[0], []).append(members)
-        moved: list = []
+        moved = []
         for b, parts in touched.items():
             # The clean members of b share one signature, and it differs
             # from every dirty member's, which names a block created in the
@@ -317,19 +385,6 @@ def partition_refine(c: Coalgebra) -> Partition:
                 moved.extend(members)
         for i in dirty:
             mark[i] = 0
-        dirty = []
-        for x in moved:
-            for p in preds[poff[x] : poff[x + 1]]:
-                if not mark[p]:
-                    mark[p] = 1
-                    dirty.append(p)
-    # Blocks are renumbered in order of their earliest member.
-    order: dict = {}
-    numbers = array("l", [order.setdefault(b, len(order)) for b in block])
-    groups: list = [[] for _ in order]
-    for s, b in zip(states, numbers):
-        groups[b].append(s)
-    return Partition(tuple(map(tuple, groups)), numbers)
 
 
 def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> bool:
@@ -380,26 +435,28 @@ def minimize(c: Coalgebra) -> Coalgebra:
     member's, with every child renumbered by its block.  Those tables are
     the quotient's one store (:meth:`~omegacoalg.mtype.Coalgebra._adopt`):
     no transition of ``c`` is read, and a ``PValue`` of the quotient is
-    made only when its transition is first read.  The blocks come from
-    :func:`partition_refine`, so the cost is O(m log n) for n states and
-    m edges.
+    made only when its transition is first read.  The blocks and the
+    earliest members come from the numbering ``numbers`` that
+    :func:`partition_refine` returns, and the tables are built in C-level
+    passes over it, so the cost is O((n + m) log n) for n states and m
+    edges.
     """
-    p = partition_refine(c)
-    numbers = p.numbers
+    numbers = partition_refine(c).numbers
     kids, koff, column, tags = c._kids, c._koff, c._class, c._tags
     n = len(numbers)
     # The earliest member of each block: written last, going backwards.
     first = dict(zip(reversed(numbers), range(n - 1, -1, -1)))
-    qkids = array("l")
-    qkoff = array("l", [0])
-    qcolumn = array("l")
-    qtags: dict = {}
-    for b in range(len(p.blocks)):
-        i = first[b]
-        qkids.extend([numbers[k] for k in kids[koff[i] : koff[i + 1]]])
-        qkoff.append(len(qkids))
-        qcolumn.append(qtags.setdefault(tags[column[i]], len(qtags)))
-    states = tuple(block[0] for block in p.blocks)
+    firsts = list(map(first.__getitem__, range(len(first))))
+    lo = list(map(koff.__getitem__, firsts))
+    hi = list(map(koff.__getitem__, map((1).__add__, firsts)))
+    qkids = array("l", map(numbers.__getitem__, chain.from_iterable(map(kids.__getitem__, map(slice, lo, hi)))))
+    qkoff = array("l", accumulate(map(operator.sub, hi, lo), initial=0))
+    # The classes that the blocks' rows use, renumbered in order of first
+    # use.
+    klass = list(map(column.__getitem__, firsts))
+    renumber = dict(zip(dict.fromkeys(klass), count()))
+    qcolumn = array("l", map(renumber.__getitem__, klass))
+    states = tuple(map(c.state_enumeration.__getitem__, firsts))
     q = c._like(states, f"min({c.name})" if c.name else "min")
-    q._adopt(states, qkids, qkoff, qcolumn, tuple(qtags))
+    q._adopt(states, qkids, qkoff, qcolumn, tuple(map(tags.__getitem__, renumber)))
     return q

@@ -319,7 +319,9 @@ def cmd_check(args) -> int:
         states = c.state_enumeration
         sorts = list(map(c._sort, states))
         table = approximate_all(c, args.depth)
-        trees = chain.from_iterable(zip(sorts, map(level.__getitem__, states)) for level in table)
+        # Each distinct (sort, entry) pair of a level once: entries are
+        # interned, so states that agree to that depth share one.
+        trees = chain.from_iterable(dict.fromkeys(zip(sorts, map(level.__getitem__, states))) for level in table)
         verdicts = (well_sorted_all(c.container, trees),) + verdicts
     else:
         names = ("compatibility", "out-into-roundtrip", "unfold-is-morphism", "unfold-uniqueness")

@@ -577,35 +577,57 @@ def approximate_all(c: Coalgebra, n: int) -> list:
 _BATCH = 1024
 
 
-def _fill_rows(c: Coalgebra, n: int) -> None:
-    """Fill levels ``c._full + 1`` to ``n`` of the level table as whole rows.
+def _class_columns(c: Coalgebra) -> tuple:
+    """The states of ``c`` grouped by class (``_class``), with one column
+    of child places per position of each class: the layout of a row, which
+    the fill (:func:`_fill_rows`) and partition refinement
+    (:func:`~omegacoalg.bisim.partition_refine`) both work in.
 
-    The states are grouped once by class (``_class``): the members of one
-    class share a label and an arity, and position b of the class has one
-    column, the b-th child of each member, numbered by the child's place in
-    a row.  A row holds one level's entries in that order, so level k is,
-    class by class, the label over ``zip`` of the columns read through row
-    k-1, interned in batches of at most ``_BATCH`` keys
-    (:func:`~omegacoalg.container._intern_all`).  Python loops over
-    classes, batches and levels, and over the trees that are new; no table
-    of all levels is built beside the level dicts.
-    """
-    klass, kids, koff, tags = c._class, c._kids, c._koff, c._tags
+    Returns ``(order, place, classes)``.  ``order`` lists the state
+    numbers sorted by class, in enumeration order within a class, and
+    ``place[i]`` is the place of state i in ``order``.  ``classes[j]`` is
+    ``(start, end, columns)`` for class j: its members fill places
+    ``start`` to ``end``, and ``columns[b]`` is an ``array('l')`` of the
+    places of their b-th children.  The members of a class share a label
+    and an arity, so a row indexed by place is read one class at a time
+    through its columns, all at C level.  O(n log n + m) for n states and
+    m edges."""
+    klass, kids, koff = c._class, c._kids, c._koff
     order = sorted(range(len(klass)), key=klass.__getitem__)
     place = sorted(range(len(order)), key=order.__getitem__)
-    states = list(map(c.state_enumeration.__getitem__, order))
     classes = []
     start = 0
-    for j, size in sorted(Counter(klass).items()):
-        members = order[start : start + size]
-        start += size
-        first = list(map(koff.__getitem__, members))
-        arity = koff[members[0] + 1] - first[0]
+    for _, size in sorted(Counter(klass).items()):
+        end = start + size
+        first = list(map(koff.__getitem__, order[start:end]))
+        arity = koff[order[start] + 1] - first[0]
         columns = [
             array("l", map(place.__getitem__, map(kids.__getitem__, map(operator.add, first, repeat(b)))))
             for b in range(arity)
         ]
-        classes.append((tags[j][1], size, columns))
+        classes.append((start, end, columns))
+        start = end
+    return order, place, classes
+
+
+def _fill_rows(c: Coalgebra, n: int) -> None:
+    """Fill levels ``c._full + 1`` to ``n`` of the level table as whole rows.
+
+    A row holds one level's entries in the order of
+    :func:`_class_columns`, so level k is, class by class, the label over
+    ``zip`` of the class's columns read through row k-1, interned in
+    batches of at most ``_BATCH`` keys
+    (:func:`~omegacoalg.container._intern_all`).  A level is a round of
+    partition refinement (:func:`~omegacoalg.bisim.partition_refine`)
+    whose block ids are interned trees: in a plain coalgebra, two states
+    share their level-k entry, k >= 1, exactly when they share a block
+    after k - 1 rounds.  Python loops over classes, batches and levels,
+    and over the trees that are new; no table of all levels is built
+    beside the level dicts.
+    """
+    order, _, layout = _class_columns(c)
+    states = list(map(c.state_enumeration.__getitem__, order))
+    classes = [(label, end - start, columns) for (start, end, columns), (_, label) in zip(layout, c._tags)]
     levels = c._levels
     lo = c._full + 1
     row = list(map(levels[lo - 1].__getitem__, states)) if lo else None

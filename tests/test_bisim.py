@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from omegacoalg import (
     Container,
     PValue,
     approximate,
+    approximate_all,
     bounded_bisim,
     coinduction_transfer,
     diagonal_bisim,
@@ -296,6 +298,65 @@ def test_refinement_and_pair_search_match_oracle_property(c):
         for t in c.state_enumeration:
             assert (block[s] == block[t]) == bounded_bisim(c, s, t, n)
             assert divergence_depth(c, s, t) == first_divergence_depth(c, s, t, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_coalgebras())
+@example(SELF_LOOP)
+@example(LEAVES)
+def test_blocks_are_the_level_fill_entries_property(c):
+    """Refinement and the level fill are one engine seen from two sides:
+    two states share a block exactly when their depth-|S| entries in the
+    table that ``approximate_all`` fills are the same object."""
+    states = c.state_enumeration
+    top = approximate_all(c, len(states))[-1]
+    p = partition_refine(c)
+    for s in states:
+        for t in states:
+            assert (p.block_of(s) == p.block_of(t)) == (top[s] is top[t])
+
+
+@st.composite
+def blown_up_marker_cycles(draw):
+    """A marker cycle of 12-24 states, all labelled a but the marker m,
+    with each cycle state blown up into 1-3 copies: a copy steps to a drawn
+    copy of the cycle state's successor, and the enumeration is a drawn
+    permutation.  Copies of one cycle state are bisimilar, and telling the
+    cycle states apart takes one splitting round per state but the marker's
+    predecessor, more than the ceil(log2(n + 1)) + 1 whole-row rounds of
+    :func:`partition_refine` for n <= 72 states."""
+    length = draw(st.integers(12, 24))
+    copies = [[f"c{i}_{k}" for k in range(draw(st.integers(1, 3)))] for i in range(length)]
+    gamma = {
+        s: ("m" if i == 0 else "a", (draw(st.sampled_from(copies[(i + 1) % length])),))
+        for i, group in enumerate(copies)
+        for s in group
+    }
+    states = draw(st.permutations([s for group in copies for s in group]))
+    return Coalgebra(
+        Container(arity={"a": 1, "m": 1}, labels=("a", "m")), gamma, state_enumeration=tuple(states)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(blown_up_marker_cycles())
+def test_deep_refinement_matches_oracle_property(c):
+    """Refinement that outlasts the whole-row rounds goes on in dirty-set
+    rounds, and its blocks, their canonical order and ``numbers`` still
+    match the depth oracle."""
+    with mock.patch.object(bisim, "_dirty_rounds", wraps=bisim._dirty_rounds) as tail:
+        p = partition_refine(c)
+    assert tail.called
+    states = c.state_enumeration
+    n = len(states)
+    order = states.index
+    assert sorted(s for b in p.blocks for s in b) == sorted(states)
+    assert [b[0] for b in p.blocks] == sorted((b[0] for b in p.blocks), key=order)
+    assert all(list(b) == sorted(b, key=order) for b in p.blocks)
+    assert list(p.numbers) == [p.blocks.index(p.block_of(s)) for s in states]
+    for i, s in enumerate(states):
+        for t in states[i:]:
+            assert (p.block_of(s) == p.block_of(t)) == (first_divergence_depth(c, s, t, n) is None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -366,6 +366,60 @@ def parity_doc(sorts=("e",), child_sorts=("e",), states=None, gamma=None):
     }
 
 
+def _step(label, *children):
+    return {"label": label, "children": list(children)}
+
+
+EMPTY_PLAIN = {
+    "schema_version": "1",
+    "signature": {"labels": ["a"], "arity": {"a": 1}},
+    "coalgebra": {"states": [], "gamma": {}},
+}
+EMPTY_INDEXED = {
+    "schema_version": "1",
+    "indexed": {"sorts": ["e"], "labels": {"e": {"E": {"arity": 1, "child_sorts": ["e"]}}}},
+    "coalgebra": {"states": {}, "gamma": {}},
+}
+# Two classes, a and b, that are already stable: the first refinement round
+# splits nothing, and p2 and q2 merge into p1 and q1.
+STABLE_CLASSES = {
+    "schema_version": "1",
+    "signature": {"labels": ["a", "b"], "arity": {"a": 1, "b": 1}},
+    "coalgebra": {
+        "states": ["p1", "q1", "p2", "q2"],
+        "gamma": {"p1": _step("a", "q1"), "q1": _step("b", "p2"), "p2": _step("a", "q2"), "q2": _step("b", "p1")},
+    },
+}
+STABLE_QUOTIENT = {
+    "schema_version": "1",
+    "signature": {"labels": ["a", "b"], "arity": {"a": 1, "b": 1}},
+    "coalgebra": {"states": ["p1", "q1"], "gamma": {"p1": _step("a", "q1"), "q1": _step("b", "p1")}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, quotient",
+    [
+        (EMPTY_PLAIN, EMPTY_PLAIN),
+        (EMPTY_INDEXED, EMPTY_INDEXED),
+        (plain_doc(), plain_doc()),
+        (parity_doc(), parity_doc()),
+        (STABLE_CLASSES, STABLE_QUOTIENT),
+    ],
+    ids=["empty-plain", "empty-indexed", "one-state-plain", "one-state-indexed", "stable-classes"],
+)
+def test_minimize_edge_cases(tmp_path, doc, quotient):
+    """No state, one state, and classes that are already the fixpoint (no
+    round splits a block): ``minimize`` prints the quotient document, in
+    the stdlib's sorted text, and it is a fixed point."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    text = json.dumps(quotient, sort_keys=True, indent=2) + "\n"
+    assert _run_in_process(["minimize", "--spec", str(path)]) == (0, text, "")
+    path.write_text(text)
+    assert _run_in_process(["minimize", "--spec", str(path)]) == (0, text, "")
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -766,6 +820,34 @@ def test_check_fails_on_a_wrong_table_entry(tmp_path, monkeypatch, doc, state, r
     monkeypatch.setattr(specdoc, "load_spec", corrupted)
     code, out, err = _run_in_process(argv)
     assert (code, out.splitlines(), err) == (1, expected, "")
+
+
+INDEXED_LAWS = ("well-sorted", "compatibility", "i-out-i-into-roundtrip", "iunfold-is-morphism", "iunfold-uniqueness")
+
+
+@pytest.mark.parametrize("depth", [3, 6])
+def test_indexed_check_fails_well_sorted_on_a_wrong_sort_entry(tmp_path, monkeypatch, depth):
+    """A table entry of the wrong sort fails ``well-sorted``: the parity
+    demo's state p, of sort e, gets at depth ``depth`` an entry labelled O,
+    a label only sort o declares, over its right children.  Every other
+    state and level is well sorted, and their pairs repeat."""
+    load = specdoc.load_spec
+
+    def corrupted(path):
+        loaded = load(path)
+        c = loaded.coalgebra
+        mtype.approximate(c, "p", depth)
+        below = c._levels[depth - 1]
+        c._levels[depth]["p"] = _tree(depth, "O", (below["q"],))
+        return loaded
+
+    path = tmp_path / "parity.json"
+    path.write_text(specdoc.dump_document(cli.DEMOS["parity"]()))
+    argv = ["check", "--spec", str(path), "--depth", "8"]
+    assert _run_in_process(argv) == (0, "".join(f"{name}: PASS\n" for name in INDEXED_LAWS), "")
+    monkeypatch.setattr(specdoc, "load_spec", corrupted)
+    code, out, err = _run_in_process(argv)
+    assert (code, out.splitlines()[0], err) == (1, "well-sorted: FAIL", "")
 
 
 PLAIN_GHOST = plain_doc(
