@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping
 
 from .container import ApproxTree, PValue, _Frozen, _setattr
 from .errors import InvalidCoalgebra, SortMismatch, UnknownLabel
-from .mtype import Coalgebra, _level_entry
+from .mtype import Coalgebra, approximate
 
 
 class IndexedContainer:
@@ -191,7 +191,7 @@ def iapproximate(c: IndexedCoalgebra, s, n: int) -> SortedApproxTree:
     """Depth-n observation of an indexed state, carrying its sort.  The tree
     comes from the coalgebra's level table, filled by the same engine as
     :func:`omegacoalg.mtype.approximate`."""
-    return SortedApproxTree(c._sort(s), _level_entry(c, s, n))
+    return SortedApproxTree(c._sort(s), approximate(c, s, n))
 
 
 def embed_plain(container, coalgebra) -> IndexedCoalgebra:

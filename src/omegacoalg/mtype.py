@@ -91,21 +91,6 @@ def _grow(levels: list, hi: int) -> None:
         levels.extend({} for _ in range(hi + 1 - len(levels)))
 
 
-def _build_level(levels: list, k: int, steps) -> None:
-    """Add the depth-k entry of every state in ``steps``, an iterable of
-    ``(state, transition)`` pairs: Trunc at depth 0, else the transition's
-    label over the children's depth-(k-1) entries, which must be in the
-    table."""
-    here = levels[k]
-    if k == 0:
-        for t, _ in steps:
-            here[t] = TRUNC
-        return
-    below = levels[k - 1]
-    for t, pv in steps:
-        here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
-
-
 def _fill_levels(c, s, n: int) -> None:
     """The level-table engine behind every depth-n observation, plain and
     indexed: afterwards ``c._levels[n][s]`` holds.
@@ -114,7 +99,8 @@ def _fill_levels(c, s, n: int) -> None:
     depth k needs only its children's entries at depth k-1, so the walk
     down collects the missing entries level by level, from ``s`` at depth
     n, and stops at the first level where none is missing; the entries are
-    then built bottom-up, level by level (:func:`_build_level`).  The cost
+    then built bottom-up, level by level: Trunc at depth 0, else the
+    transition's label over the children's depth-(k-1) entries.  The cost
     is proportional to the entries added (times the arity), not to ``n``.
     """
     levels = c._levels
@@ -130,14 +116,27 @@ def _fill_levels(c, s, n: int) -> None:
         missing.append((k, steps))
         wanted = [ch for _, pv in steps for ch in pv.children]
     for k, steps in reversed(missing):
-        _build_level(levels, k, steps)
+        here = levels[k]
+        if k == 0:
+            for t, _ in steps:
+                here[t] = TRUNC
+            continue
+        below = levels[k - 1]
+        for t, pv in steps:
+            here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
 
 
-def _level_entry(c, s, n: int):
-    """``approximate`` for a coalgebra ``c``, plain or indexed, read from
-    its level table ``c._levels``: a table hit returns at once; a miss runs
-    :func:`_fill_levels` from ``s``.  A negative ``n`` raises
-    :class:`CannotTruncateUnit`."""
+def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
+    """The depth-n observation of state ``s``: Trunc at depth 0, otherwise
+    the transition's label over the children's depth-(n-1) observations.
+
+    Read from the level table ``c._levels`` of a coalgebra ``c``, plain or
+    indexed, shared across states and depths: a hit returns at once,
+    without reading the depth bound; a miss runs :func:`_fill_levels` from
+    ``s``, which builds the missing entry together with the missing entries
+    below it.  This is :meth:`Coalgebra._observe`.  A negative ``n`` raises
+    :class:`CannotTruncateUnit`.
+    """
     levels = c._levels
     if 0 <= n < len(levels):
         got = levels[n].get(s)
@@ -255,8 +254,8 @@ class Coalgebra:
         self._kids, self._koff, self._class, self._tags = kids, koff, column, tags
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
-    # level table, as pointed elements take it.
-    _observe = _level_entry
+    # level table (:func:`approximate`), as pointed elements take it.
+    _observe = approximate
 
     def transition(self, s) -> PValue:
         pv = self._gamma_cache.get(s)
@@ -499,8 +498,10 @@ def _stages_of(c, s, ks) -> list:
 
 
 def _on_table(c) -> bool:
-    """Whether ``c``'s observations are the entries of its level table."""
-    return getattr(type(c), "_observe", None) is _level_entry
+    """Whether ``c``'s observations are the entries of its level table.
+    Compared with the class attribute, not the module-level name
+    ``approximate``, which a caller may rebind to a wrapper."""
+    return getattr(type(c), "_observe", None) is Coalgebra._observe
 
 
 def _tabled(m: MElement) -> bool:
@@ -535,17 +536,6 @@ class MorphismCandidate:
     def __init__(self, source: Coalgebra, map: Callable[[object], MElement]):
         self.source = source
         self.map = map
-
-
-def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
-    """The depth-n observation of state ``s``: Trunc at depth 0, otherwise
-    the transition's label over the children's depth-(n-1) observations.
-
-    Read from the coalgebra's level table, shared across states and depths;
-    a missing entry is built by the level engine together with the missing
-    entries below it.  A hit returns without reading the depth bound.
-    """
-    return _level_entry(c, s, n)
 
 
 def approximate_all(c: Coalgebra, n: int) -> list:

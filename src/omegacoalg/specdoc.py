@@ -41,11 +41,6 @@ class SpecDocument:
         self.coalgebra = coalgebra
         self.raw = raw
 
-    @property
-    def kind(self) -> str:
-        """``"indexed"`` or ``"plain"``, by the coalgebra's type."""
-        return "indexed" if isinstance(self.coalgebra, IndexedCoalgebra) else "plain"
-
 
 def _require(cond: bool, msg: str):
     if not cond:

@@ -703,12 +703,34 @@ def test_check_reads_depth_bound_per_table_growth(tmp_path, monkeypatch, doc, ch
     assert 1 <= len(reads) <= 2
 
 
-def test_check_reads_no_stage_per_state_and_depth(tmp_path, monkeypatch):
+def _wrap_approximate(monkeypatch):
+    """Rebind ``mtype.approximate`` to a pass-through wrapper in every
+    ``omegacoalg`` module namespace that holds it, as the bench tracer's
+    ``install`` (``perfbench/tracer.py``) does."""
+    original = mtype.approximate
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("omegacoalg"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    assert mtype.approximate is wrapper and mtype.Coalgebra._observe is original
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_check_reads_no_stage_per_state_and_depth(tmp_path, monkeypatch, traced):
     """``check`` reads the laws off whole level rows and stage columns, not
     one ``MElement.at`` call per (state, depth): on a 1500-state random spec
     at depth 20 it makes fewer than 2 calls per state, where a per-stage
     read makes |S| (depth + 1) for the roundtrip alone.  It counts calls
-    and times nothing."""
+    and times nothing.  The bound holds too with ``approximate`` rebound
+    to a wrapper, as in a traced bench run: the stage-column path is
+    chosen by the class's ``_observe``, not by that name."""
+    if traced:
+        _wrap_approximate(monkeypatch)
     doc = random_plain_doc(random.Random(3), 1500)
     calls = []
     at = mtype.MElement.at
@@ -1115,3 +1137,36 @@ def test_import_budget():
         env={**os.environ, "PYTHONPATH": "src"},
     )
     assert (r.returncode, r.stdout, r.stderr) == (0, "\n", "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--spec", "{spec}", "--depth", "5"],
+        ["bisim", "--spec", "{spec}", "--left", "p", "--right", "p"],
+        ["minimize", "--spec", "{spec}"],
+    ],
+    ids=["check", "bisim", "minimize"],
+)
+def test_bench_tracer_runs(tmp_path, command):
+    """The bench tracer (``perfbench/tracer.py``) wraps library functions
+    by name and reads ``SpecDocument.raw`` and ``Partition.blocks``, so a
+    deleted or renamed name that it pins fails here, as it fails CI's
+    "Bench tracer" step: each command exits 0 and writes its spans file."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    spec = tmp_path / "parity.json"
+    spec.write_text(run_cli("demo", "parity", env=env).stdout)
+    spans = tmp_path / "spans.json"
+    argv = [arg.format(spec=spec) for arg in command]
+    r = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "0", "--", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    record = json.loads(spans.read_text())
+    assert record["stats"][f"cli.cmd_{command[0]}"][0] == 1 and record["spans"]
+    assert record["counts"]["states"] > 0

@@ -713,6 +713,34 @@ def test_assembled_element_keeps_its_stages():
     assert seen == [8]
 
 
+def test_an_overridden_observe_is_read_through_not_off_the_table():
+    """A subclass that overrides ``_observe`` is observed through it by
+    ``verify_morphism`` and ``uniqueness_probe``, never off its level
+    table, even where the table holds every entry they compare.  Here each
+    state is observed as the other one, so the map that swaps the states
+    is the morphism, and the identity, which the table would confirm, is
+    not."""
+    seen = []
+
+    class Swapped(Coalgebra):
+        def _observe(self, s, n):
+            seen.append(n)
+            return approximate(self, 1 - s, n)
+
+    gamma = {0: (1, (0,)), 1: (2, (1,))}
+    c = Swapped(stream_container(), gamma, state_enumeration=(0, 1))
+    plain = Coalgebra(stream_container(), gamma, state_enumeration=(0, 1))
+    swap = MorphismCandidate(c, lambda s: unfold(plain, 1 - s))
+    same = MorphismCandidate(c, lambda s: unfold(plain, s))
+    assert verify_morphism(swap, 6) and verify_morphism(swap, 6, states=[1, 0])
+    assert uniqueness_probe(c, swap, 6)
+    assert seen
+    assert all(c._levels[n][s] is approximate(plain, s, n) for s in (0, 1) for n in range(7))
+    assert not verify_morphism(same, 6) and not verify_morphism(same, 6, states=[0])
+    with pytest.raises(NotAMorphism):
+        uniqueness_probe(c, same, 6)
+
+
 def test_gamma_mapping_missing_a_state_is_invalid():
     """A ``gamma`` mapping without an entry for an enumerated state is an
     invalid presentation that names the state, for both kinds."""
