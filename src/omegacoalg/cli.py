@@ -9,6 +9,7 @@ Exit codes: 0 success / bisimilar, 1 distinguishable or failed checks,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import chain
@@ -360,5 +361,25 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> None:
+    """The process entry of ``python -m omegacoalg`` and of the
+    ``omegacoalg`` console script: run :func:`main` without the cyclic
+    garbage collector and exit with its code.
+
+    A command's heap is interned trees, their key tuples and level dicts,
+    which hold no bulk reference cycles, so the collector would only walk
+    it: during the command, and again in the full collections that
+    interpreter shutdown runs.  It is turned off for the command, and the
+    heap is frozen (``gc.freeze``) before the exit, which keeps it out of
+    those last collections.  Shutdown still flushes stdout and runs atexit
+    handlers, so the output and the exit code are those of :func:`main`,
+    which itself leaves the collector as it found it.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

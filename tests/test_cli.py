@@ -1,8 +1,11 @@
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -946,6 +949,39 @@ def test_internal_error_exits_2(monkeypatch):
     assert err.getvalue() == "internal error: KeyError: 'boom'\n"
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(fig1_spec, tmp_path, monkeypatch, enabled):
+    """Only the process entry (``cli.run``) turns the cyclic collector off
+    and freezes the heap: ``cli.main``, which tests and the bench tracer
+    call in-process, leaves both as it found them, on every exit code and
+    on the internal-error path."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    commands = {
+        0: [["check", "--spec", fig1_spec, "--depth", "5"], ["demo", "stream"]],
+        1: [["bisim", "--spec", fig1_spec, "--left", "t", "--right", "u"]],
+        2: [["check", "--spec", str(bad)]],
+        3: [["approx", "--spec", fig1_spec, "--state", "zz", "--depth", "1"]],
+    }
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = (gc.isenabled(), gc.get_freeze_count())
+        for code, argvs in commands.items():
+            for argv in argvs:
+                assert _run_in_process(argv)[0] == code, argv
+                assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+        def broken(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "cmd_demo", broken)
+        assert _run_in_process(["demo", "stream"]) == (2, "", "internal error: KeyError: 'boom'\n")
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -1137,6 +1173,94 @@ def test_import_budget():
         env={**os.environ, "PYTHONPATH": "src"},
     )
     assert (r.returncode, r.stdout, r.stderr) == (0, "\n", "")
+
+
+def test_process_entry_keeps_the_byte_contract(fig1_spec, tmp_path):
+    """``python -m omegacoalg`` runs ``cli.run``, which turns the collector
+    off and freezes the heap before the exit: on one command per exit code
+    it prints what ``cli.main`` prints in-process, byte for byte, with the
+    same code."""
+    commands = [
+        ["check", "--spec", fig1_spec, "--depth", "5"],
+        ["bisim", "--spec", fig1_spec, "--left", "t", "--right", "u"],
+        ["bisim", "--spec", fig1_spec, "--left", "t", "--right", "u", "--algorithm", "bounded"],
+        ["approx", "--spec", fig1_spec, "--state", "zz", "--depth", "1"],
+    ]
+    for code, argv in enumerate(commands):
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout, r.stderr) == _run_in_process(argv), argv
+        assert r.returncode == code, argv
+
+
+def test_process_entry_writes_a_large_output_whole(tmp_path):
+    """The 10 MB JSON of the stream at depth 1000 arrives whole through a
+    pipe: the entry exits through ``sys.exit``, so shutdown flushes stdout
+    (an exit by ``os._exit`` would drop what is still buffered).  The child
+    runs with stdout buffered, as it is by default."""
+    stream = cli.DEMOS["stream"]()
+    path = tmp_path / "stream.json"
+    path.write_text(specdoc.dump_document(stream))
+    argv = ["approx", "--spec", str(path), "--state", "lo", "--depth", "1000", "--format", "json"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    r = subprocess.run(PKG + argv, capture_output=True, env=env)
+    expected = cli.tree_json(mtype.approximate(stream, "lo", 1000)).encode()
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert len(r.stdout) == len(expected)
+    assert r.stdout == expected
+
+
+def test_process_entry_into_a_closed_pipe(tmp_path):
+    """A reader that closes the pipe after one byte ends the command inside
+    the exit-code contract, without a traceback."""
+    path = tmp_path / "stream.json"
+    path.write_text(specdoc.dump_document(cli.DEMOS["stream"]()))
+    argv = ["approx", "--spec", str(path), "--state", "lo", "--depth", "1000", "--format", "json"]
+    with subprocess.Popen(PKG + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+        assert p.stdout.read(1) == b"{"
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        code = p.wait(timeout=60)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_process_entry_runs_atexit_handlers():
+    """The entry leaves the collector off and the heap frozen, and still
+    exits through ``sys.exit``, so atexit handlers (``coverage run``, for
+    one) run after the command's output."""
+    code = (
+        "import atexit, gc, sys; from omegacoalg import cli; "
+        "atexit.register(lambda: print('atexit', gc.isenabled(), gc.get_freeze_count() > 0)); "
+        "sys.argv = ['omegacoalg', 'demo', 'stream']; cli.run()"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == specdoc.dump_document(cli.DEMOS["stream"]()) + "atexit False True\n"
+
+
+def test_both_launchers_share_one_entry():
+    """The console script of ``pyproject.toml`` and ``python -m omegacoalg``
+    call the same function.  The file is read as text: Python 3.10 has no
+    ``tomllib``."""
+    root = Path(__file__).resolve().parent.parent
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [(name, target)] = re.findall(r'^(\S+) = "(\S+)"$', scripts, re.M)
+    assert name == "omegacoalg"
+    module = ast.parse((root / "src" / "omegacoalg" / "__main__.py").read_text())
+    imported = {
+        alias.asname or alias.name: f"omegacoalg.{node.module}:{alias.name}"
+        for node in module.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    called = [
+        imported.get(node.value.func.id)
+        for node in module.body
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+    ]
+    assert called == [target]
+    module_name, _, function = target.partition(":")
+    assert module_name == "omegacoalg.cli" and callable(getattr(cli, function))
 
 
 @pytest.mark.parametrize(
