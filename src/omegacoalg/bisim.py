@@ -26,6 +26,7 @@ reference oracle the fast procedures are tested against.
 from __future__ import annotations
 
 import operator
+import weakref
 from array import array
 from collections import Counter, deque
 from functools import cached_property
@@ -49,7 +50,8 @@ class BisimWitness:
         self.relation = relation
         # Per coalgebra it verified on: the relation verified, by identity,
         # and the union-find of its equivalence (:func:`_verified_classes`).
-        self._verified = {}
+        # Weak keys, so that the witness does not keep a coalgebra alive.
+        self._verified = weakref.WeakKeyDictionary()
 
 
 class Partition:
@@ -294,6 +296,13 @@ def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:
     state moves O(log n) times and the signature work is O(m log n).
     Clean members keep the signature they share and are never visited,
     unless they are the part that moves.
+
+    Each block keeps its members as a set, or None when it has one state.
+    A part that moves leaves that set for a set of its own.  The clean
+    part is listed only when it moves, as the block's set less the dirty
+    states; it is then no larger than the largest part, which is dirty, so
+    listing it costs at most twice the block's dirty members and the
+    bound stands.
     """
     n = len(place)
     # Hand-over: the largest part of each block of `last` keeps an id below
@@ -316,23 +325,16 @@ def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:
     preds = array("l", map(owner.__getitem__, sorted(range(len(kids)), key=kids.__getitem__)))
     indegree = Counter(kids)
     poff = array("l", accumulate(map(indegree.get, range(n), repeat(0)), initial=0))
-    # Every block is a segment elems[start[b]:end[b]]; loc[i] is the
-    # position of state i in elems.
-    elems = array("l", sorted(range(n), key=block.__getitem__))
-    loc = array("l", sorted(range(n), key=elems.__getitem__))
-    sizes = Counter(block)
-    start = array("l", accumulate(map(sizes.__getitem__, range(len(label))), initial=0))
-    end = start[1:]
-    del start[-1]
-    mark = bytearray(n)
+    # members[b] is the set of the states of block b, or None when b has
+    # one state and so can never split.
+    members: list = [set() for _ in label]
+    deque(map(set.add, map(members.__getitem__, block), range(n)), 0)
+    members = [m if len(m) > 1 else None for m in members]
     block_of = block.__getitem__
     while True:
-        dirty = []
+        dirty = set()
         for x in moved:
-            for p in preds[poff[x] : poff[x + 1]]:
-                if not mark[p]:
-                    mark[p] = 1
-                    dirty.append(p)
+            dirty.update(preds[poff[x] : poff[x + 1]])
         if not dirty:
             return block
         # Dirty states grouped by block and signature at once: the key is
@@ -340,51 +342,42 @@ def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:
         groups: dict = {}
         for i in dirty:
             key = (block_of(i), *map(block_of, kids[koff[i] : koff[i + 1]]))
-            members = groups.get(key)
-            if members is None:
+            part = groups.get(key)
+            if part is None:
                 groups[key] = [i]
             else:
-                members.append(i)
+                part.append(i)
         touched: dict = {}
-        for key, members in groups.items():
-            touched.setdefault(key[0], []).append(members)
+        for key, part in groups.items():
+            touched.setdefault(key[0], []).append(part)
         moved = []
         for b, parts in touched.items():
+            rest = members[b]
+            if rest is None:
+                continue
             # The clean members of b share one signature, and it differs
             # from every dirty member's, which names a block created in the
             # previous round.  So the clean members form a part of their
             # own, listed as None: they are found only if that part moves.
-            sizes = list(map(len, parts))
-            clean = end[b] - start[b] - sum(sizes)
+            clean = len(rest) - sum(map(len, parts))
             if clean:
                 parts.append(None)
-                sizes.append(clean)
-            if len(parts) == 1:
-                continue
-            largest = max(range(len(parts)), key=sizes.__getitem__)
-            for k, members in enumerate(parts):
-                if k == largest:
+            largest = max(parts, key=lambda part: clean if part is None else len(part))
+            for part in parts:
+                if part is largest:
                     continue
-                if members is None:
+                if part is None:
                     # The clean part is no larger than the largest part,
-                    # which is dirty, so this scan costs O(dirty members).
-                    members = [x for x in elems[start[b] : end[b]] if not mark[x]]
-                # The part moves to the tail of b's segment, which becomes
-                # the segment of the new block.
-                top = e = end[b]
-                new = len(start)
-                for x in members:
-                    e -= 1
-                    y, p = elems[e], loc[x]
-                    elems[p], loc[y] = y, p
-                    elems[e], loc[x] = x, e
-                    block[x] = new
-                end[b] = e
-                start.append(e)
-                end.append(top)
-                moved.extend(members)
-        for i in dirty:
-            mark[i] = 0
+                    # which is dirty, so this costs O(|b|), at most twice
+                    # the dirty members of b.
+                    part = rest - dirty
+                # The part leaves b for the new block numbered len(members).
+                rest.difference_update(part)
+                deque(map(block.__setitem__, part, repeat(len(members))), 0)
+                members.append(set(part) if len(part) > 1 else None)
+                moved += part
+            if len(rest) == 1:
+                members[b] = None
 
 
 def coinduction_transfer(c: Coalgebra, w: BisimWitness, s, t, depth: int) -> bool:

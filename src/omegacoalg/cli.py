@@ -347,7 +347,15 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: not a fault of the command.  The failed
+        # write or flush drops what stdout held, so the flush at shutdown
+        # fails no second time.
+        print("error: stdout closed", file=sys.stderr)
+        return EXIT_VALIDATION
     except SpecValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -373,7 +381,9 @@ def run() -> None:
     heap is frozen (``gc.freeze``) before the exit, which keeps it out of
     those last collections.  Shutdown still flushes stdout and runs atexit
     handlers, so the output and the exit code are those of :func:`main`,
-    which itself leaves the collector as it found it.
+    which itself leaves the collector as it found it.  A command's output
+    is flushed inside :func:`main`, so a reader that closed stdout is
+    answered there, and the flush at shutdown has nothing left to write.
     """
     gc.disable()
     code = main()

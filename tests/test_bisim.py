@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import random
 import tempfile
 import time
+import weakref
 from unittest import mock
 
 import pytest
@@ -171,6 +173,34 @@ def test_coinduction_transfer_verifies_a_witness_once(monkeypatch):
         with pytest.raises(InvalidWitness):
             coinduction_transfer(f, bad, "t", "u", 5)
     assert verified == [c, other, c, f, f, f]
+
+
+def test_a_witness_keeps_no_coalgebra_alive(monkeypatch):
+    """The verified relations a witness keeps are keyed weakly: once the
+    caller drops a coalgebra, the witness does not keep it, its tables and
+    its level table alive.  A live coalgebra is still verified once."""
+    calls = []
+    violations = bisim._violations
+
+    def counted(c, relation, parent):
+        calls.append(None)
+        return violations(c, relation, parent)
+
+    monkeypatch.setattr(bisim, "_violations", counted)
+    c = constant_cycle()
+    w = full_relation_witness(c)
+    for s, t in 5 * [("s0", "s1"), ("s2", "s0")]:
+        assert coinduction_transfer(c, w, s, t, 5)
+    assert len(calls) == 1
+    gone = weakref.ref(c)
+    del c
+    gc.collect()
+    assert gone() is None
+    assert w.relation
+    other = constant_cycle()
+    assert coinduction_transfer(other, w, "s1", "s2", 5)
+    assert coinduction_transfer(other, w, "s2", "s0", 5)
+    assert len(calls) == 2
 
 
 def test_quotient_gamma_is_its_transition_store(monkeypatch):
@@ -357,6 +387,56 @@ def test_deep_refinement_matches_oracle_property(c):
     for i, s in enumerate(states):
         for t in states[i:]:
             assert (p.block_of(s) == p.block_of(t)) == (first_divergence_depth(c, s, t, n) is None)
+
+
+def clocked_cycle(extra):
+    """The marker cycle c0 -> c1 -> ... -> c47 -> c0 (c0 labelled m, the
+    rest a) and the ``extra`` states, of labels b (arity 1) and w (arity 2),
+    that point into it.  The cycle is a clock: ci splits off the cycle's
+    block in round 48 - i or so, long after the ceil(log2(n + 1)) + 1 =
+    7 whole-row rounds, so every split of an extra state's block happens in
+    a dirty-set round."""
+    gamma = {f"c{i}": ("m" if i == 0 else "a", (f"c{(i + 1) % 48}",)) for i in range(48)}
+    gamma.update(extra)
+    return Coalgebra(
+        Container(arity={"a": 1, "m": 1, "b": 1, "w": 2}, labels=("a", "m", "b", "w")),
+        gamma,
+        state_enumeration=tuple(gamma),
+    )
+
+
+def _refines_as_the_oracle(c):
+    with mock.patch.object(bisim, "_dirty_rounds", wraps=bisim._dirty_rounds) as tail:
+        p = partition_refine(c)
+    assert tail.called
+    states = c.state_enumeration
+    for i, s in enumerate(states):
+        for t in states[i:]:
+            assert (p.block_of(s) == p.block_of(t)) == (first_divergence_depth(c, s, t, len(states)) is None)
+    return p
+
+
+def test_dirty_round_moves_the_clean_part():
+    """The b-states are one block until c24 splits off the cycle's block.
+    In the next round y1, y2 and y3, which step to c24, are dirty and form
+    the largest part; z, which steps to c1, is the clean part, smaller, so
+    it is the part that moves, listed as the block less the dirty states."""
+    extra = {y: ("b", ("c24",)) for y in ("y1", "y2", "y3")}
+    extra["z"] = ("b", ("c1",))
+    p = _refines_as_the_oracle(clocked_cycle(extra))
+    assert p.block_of("y1") == ("y1", "y2", "y3")
+    assert p.block_of("z") == ("z",)
+
+
+def test_dirty_round_touches_a_one_state_block():
+    """The w-states are one block until c36 splits off the cycle's block.
+    In the next round v, which steps to c36 and c24, is dirty and w, which
+    steps to c1 twice, is clean; the two parts are equal, so w moves and
+    each is left a one-state block.  When c24 splits off, a later round
+    finds v dirty again, in a block that cannot split."""
+    extra = {"v": ("w", ("c36", "c24")), "w": ("w", ("c1", "c1"))}
+    p = _refines_as_the_oracle(clocked_cycle(extra))
+    assert len(p.blocks) == 50
 
 
 @settings(max_examples=200, deadline=None)

@@ -484,6 +484,89 @@ def test_spec_boundary_exits_2(tmp_path, doc, message):
     assert "Traceback" not in r.stderr
 
 
+def sorted_doc(sorts=("x",), arity=1, child_sorts=("x",), states=None):
+    """An indexed spec with the one label a at sort x, and one state p."""
+    return {
+        "schema_version": "1",
+        "indexed": {
+            "sorts": list(sorts),
+            "labels": {"x": {"a": {"arity": arity, "child_sorts": list(child_sorts)}}},
+        },
+        "coalgebra": {"states": states or {"p": "x"}, "gamma": {"p": {"label": "a", "children": ["p"]}}},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, command, code, err",
+    [
+        (None, ["bisim", "--left", "zz", "--right", "t"], 3, "unknown state: zz"),
+        (None, ["bisim", "--left", "t", "--right", "zz"], 3, "unknown state: zz"),
+        (sorted_doc(sorts=("x", "x")), [], 2, "validation error: indexed: duplicate sorts"),
+        (
+            sorted_doc(arity=2),
+            [],
+            2,
+            "validation error: indexed: label 'a' at sort 'x': 1 child sorts, arity 2",
+        ),
+        (
+            sorted_doc(child_sorts=("zz",)),
+            [],
+            2,
+            "validation error: indexed: label 'a' at sort 'x' has child sort 'zz' outside the sort list",
+        ),
+        (
+            sorted_doc(states={"p": "zz"}),
+            [],
+            2,
+            "validation error: coalgebra: state 'p' has unknown sort 'zz'",
+        ),
+        (
+            plain_doc(labels=("a", "a")),
+            [],
+            2,
+            "validation error: signature: label enumeration contains duplicates",
+        ),
+        (plain_doc(states=("p",)), [], 2, "validation error: coalgebra.gamma.p: missing"),
+        (
+            plain_doc(states=("p",), gamma={"p": 1}),
+            [],
+            2,
+            "validation error: coalgebra.gamma.p: expected an object",
+        ),
+        (
+            plain_doc(states=("p",), gamma={"p": {"label": "a", "children": "p"}}),
+            [],
+            2,
+            "validation error: coalgebra.gamma.p.children: expected an array",
+        ),
+    ],
+    ids=[
+        "bisim-unknown-left",
+        "bisim-unknown-right",
+        "indexed-duplicate-sorts",
+        "indexed-arity-against-child-sorts",
+        "indexed-child-sort-outside-sorts",
+        "indexed-state-of-unknown-sort",
+        "plain-duplicate-labels",
+        "gamma-entry-missing",
+        "gamma-entry-not-an-object",
+        "gamma-children-not-an-array",
+    ],
+)
+def test_rare_input_branches(tmp_path, fig1_spec, doc, command, code, err):
+    """Inputs that the other tests never reach: each gives its exit code
+    and exactly one line on stderr, and nothing on stdout.  Without a
+    document the command runs on fig1; without a command it is check."""
+    if doc is None:
+        path = fig1_spec
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+    command = command or ["check", "--depth", "2"]
+    r = run_cli(command[0], "--spec", str(path), *command[1:])
+    assert (r.returncode, r.stdout, r.stderr) == (code, "", err + "\n")
+
+
 @pytest.mark.parametrize(
     "gamma, line",
     [
@@ -1209,19 +1292,53 @@ def test_process_entry_writes_a_large_output_whole(tmp_path):
     assert r.stdout == expected
 
 
-def test_process_entry_into_a_closed_pipe(tmp_path):
-    """A reader that closes the pipe after one byte ends the command inside
-    the exit-code contract, without a traceback."""
+def _stream_approx_argv(tmp_path, depth):
     path = tmp_path / "stream.json"
     path.write_text(specdoc.dump_document(cli.DEMOS["stream"]()))
-    argv = ["approx", "--spec", str(path), "--state", "lo", "--depth", "1000", "--format", "json"]
+    return ["approx", "--spec", str(path), "--state", "lo", "--depth", str(depth), "--format", "json"]
+
+
+def test_process_entry_into_a_closed_pipe(tmp_path):
+    """A reader that closes the pipe after one byte of the 10 MB JSON of
+    the stream at depth 1000: the command exits 2 with the one line
+    ``error: stdout closed``, with no traceback and no "Exception ignored"
+    from the flush at shutdown."""
+    argv = _stream_approx_argv(tmp_path, 1000)
     with subprocess.Popen(PKG + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
         assert p.stdout.read(1) == b"{"
         p.stdout.close()
         err = p.stderr.read().decode()
         code = p.wait(timeout=60)
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert (code, err) == (2, "error: stdout closed\n")
+
+
+def test_stdout_closed_before_reading_is_one_line(tmp_path):
+    """A pipe whose reader has closed before the command writes: the
+    command exits 2 with the one line ``error: stdout closed``, not an
+    internal error, and shutdown adds nothing (no "Exception ignored", no
+    exit 120)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run(PKG + _stream_approx_argv(tmp_path, 3), stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (2, b"error: stdout closed\n")
+
+
+def test_stdout_whose_write_fails_is_one_line(monkeypatch):
+    """In-process, a stdout whose ``write`` raises ``BrokenPipeError`` is
+    reported by :func:`cli.main` as ``error: stdout closed``, exit 2."""
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", Closed())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert cli.main(["demo", "stream"]) == 2
+    assert err.getvalue() == "error: stdout closed\n"
 
 
 def test_process_entry_runs_atexit_handlers():
