@@ -3,7 +3,7 @@ the invariant checks, and print the built-in demo specs.
 
 All output is deterministic (sorted JSON keys, canonical block naming).
 Exit codes: 0 success / bisimilar, 1 distinguishable or failed checks,
-2 validation or internal error, 3 unknown state.
+2 validation error, out of memory or internal error, 3 unknown state.
 """
 
 from __future__ import annotations
@@ -362,11 +362,17 @@ def main(argv=None) -> int:
     except OmegaCoalgError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        # Answered below, once the exception is dropped: its traceback holds
+        # the command's frames, and with them what the command built.
+        pass
     except Exception as e:
         # Python's own exit code for an uncaught exception, 1, would read
         # as "distinguishable".
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def run() -> None:

@@ -180,7 +180,8 @@ class Coalgebra:
     document, and ``minimize`` for its quotient.  The tables are then the
     one store: a state's ``PValue`` is read off them on its first
     :meth:`transition`, with no second admission, and kept; the state ->
-    number dict that this read needs is built on the first one.
+    number dict that this read needs (:meth:`_numbers`) is built on the
+    first one, and the laws of ``check`` read the same dict.
     """
 
     # How validation names a repeated state and the states a child must
@@ -286,14 +287,20 @@ class Coalgebra:
         self._admit(s, pv)
         return pv
 
+    def _numbers(self) -> dict:
+        """The enumerated states' numbers, state -> place in the
+        enumeration, built on the first call and kept."""
+        index = self._index
+        if index is None:
+            states = self.state_enumeration
+            index = self._index = dict(zip(states, range(len(states))))
+        return index
+
     def _row(self, s) -> PValue:
         """The transition of ``s`` read off the tables: the label its class
         names over its row of the child table."""
         states = self.state_enumeration
-        index = self._index
-        if index is None:
-            index = self._index = dict(zip(states, range(len(states))))
-        i = index.get(s)
+        i = self._numbers().get(s)
         if i is None:
             raise InvalidCoalgebra(f"state {s!r} has no transition in gamma")
         koff = self._koff
@@ -650,66 +657,120 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     ``into`` and the transition.  Returns four verdicts:
 
     * compatible: truncating each depth-(k+1) entry gives the depth-k one;
-    * roundtrip: :func:`verify_morphism` of ``into . out . unfold``, the
-      second morphism that finality says must agree with ``unfold``: for
-      every state ``s``, the stages of ``into(out(unfold(c, s)))``,
-      assembled at the state's sort, are its entries;
+    * roundtrip: the verdict of :func:`verify_morphism` on ``into . out .
+      unfold``, the second morphism that finality says must agree with
+      ``unfold``: for every state ``s``, the stages of
+      ``into(out(unfold(c, s)))``, assembled at the state's sort, are its
+      entries;
     * morphism: each depth-k entry, k >= 1, is the label of its state's
       transition over the children's depth-(k-1) entries;
     * unique: the morphism law and Trunc at depth 0, the induction that
       forces any morphism into the final coalgebra to equal ``unfold``.
 
-    Each law runs in row kernels: Python loops over states, levels and
-    groups, and each level's entries go through C-level ``map``/``zip``.
-    The roundtrip makes one reassembled element per state and compares its
-    stage column, built in one batch from its children's table columns,
-    with the state's column of the table.  Compatibility reads the levels
-    upwards as rows, each compared with the row below as one batch
-    (:func:`~omegacoalg.container._truncates_to`).  The morphism law groups
-    the states by the label and arity of their transitions, as
-    ``c.transition`` gives them, not by the tables the fill read: a level's
-    expected entries of a group are the interned trees looked up by their
-    keys, one ``map`` over the level below, and compared with the level's
-    entries by identity; a key that is not interned names no tree, so it
-    matches no entry.
+    Each law runs in row kernels.  The levels are read upwards, each once,
+    as a row indexed by state number; Python loops over states, levels and
+    groups, and each row goes through C-level ``map``/``zip``.
+    Compatibility compares each row with the row below as one batch
+    (:func:`~omegacoalg.container._truncates_to`).  The morphism law and
+    the roundtrip are one kernel (:func:`_level_holds`) over two groupings
+    of the states by label and arity (:func:`_grouped`): of their
+    transitions, as ``c.transition`` gives them, not the tables the fill
+    read; and of the elements that ``into`` assembles, one per state, whose
+    stage 0 is Trunc (:func:`_roundtrip_groups`).  When ``into`` gives back
+    each state's label over its children, the two groupings are equal, so
+    the kernel's answer at each level is the same for both laws, and it is
+    asked once.
     """
     table = approximate_all(c, depth)
     states = c.state_enumeration
-    back = MorphismCandidate(c, lambda s: into(c.container, out(unfold(c, s)), c._sort(s)))
-    roundtrip = verify_morphism(back, depth, states)
+    assembled = _roundtrip_groups(c, depth)
+    transitions = enumerate(map(c.transition, states))
+    steps = _grouped(((i, pv.label, pv.children) for i, pv in transitions), c._numbers())
+    if assembled == steps:
+        assembled = steps
     lower = list(map(table[0].__getitem__, states))
     base = all(map(operator.is_, lower, repeat(TRUNC)))
-    compatible = True
-    for level in table[1:]:
-        row = list(map(level.__getitem__, states))
-        if not _truncates_to(row, lower):
-            compatible = False
+    compatible = morphism = True
+    roundtrip = assembled is not None and base
+    for k in range(1, depth + 1):
+        if not (compatible or roundtrip or morphism):
             break
+        row = list(map(table[k].__getitem__, states))
+        compatible = compatible and _truncates_to(row, lower)
+        morphism = morphism and _level_holds(k, steps, lower, row)
+        roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row))
         lower = row
-    morphism = _morphism_law(c, table)
     return compatible, roundtrip, morphism, morphism and base
 
 
-def _morphism_law(c: Coalgebra, table: list) -> bool:
-    """The morphism law of :func:`_table_laws`, per group of transitions of
-    one label and arity."""
+def _grouped(nodes: Iterable, number: dict) -> list | None:
+    """The ``(i, label, children)`` nodes, a state number, a label and the
+    child states, grouped by label and arity as :func:`_level_holds` reads
+    them: a list of ``(label, members, columns)``, with the group's state
+    numbers in the array ``members`` and one array of child numbers
+    (``number``) per position in ``columns``.  None if a node is None.  The
+    arrays hold C ints, 4 bytes a number, so the two groupings that
+    :func:`_table_laws` holds at once add little to its peak; the tables of
+    2^31 states would not fit in memory anyway."""
     groups: dict = {}
-    for s in c.state_enumeration:
-        label, children = c.transition(s)
+    for node in nodes:
+        if node is None:
+            return None
+        i, label, children = node
         group = groups.get((label, len(children)))
         if group is None:
-            group = groups[label, len(children)] = ([], [])
-        group[0].append(s)
-        group[1].append(children)
-    rows = [(label, members, list(zip(*kids))) for (label, _), (members, kids) in groups.items()]
-    for k in range(1, len(table)):
-        below, level = table[k - 1], table[k]
-        for label, members, columns in rows:
-            read = [map(below.__getitem__, col) for col in columns]
-            children = zip(*read) if read else repeat((), len(members))
-            want = map(_interned.get, zip(repeat(k), repeat(label), children))
-            if not all(map(operator.is_, want, map(level.__getitem__, members))):
-                return False
+            group = groups[label, len(children)] = (array("i"), array("i"))
+        group[0].append(i)
+        group[1].extend(map(number.__getitem__, children))
+    return [
+        (label, members, [flat[b::arity] for b in range(arity)])
+        for (label, arity), (members, flat) in groups.items()
+    ]
+
+
+def _roundtrip_groups(c: Coalgebra, depth: int) -> list | None:
+    """The roundtrip's groups (:func:`_grouped`): for each state ``s``, the
+    element ``m = into(c.container, out(unfold(c, s)), c._sort(s))``, its
+    label over the states of its children, when ``into`` assembled it over
+    elements pointed at enumerated states of ``c``, whose stages are the
+    table's entries.  Any other element is compared on its own, by
+    :func:`_agrees`.  None when an element has another sort than its state
+    or :func:`_agrees` refuses it: the law fails."""
+    container, sort, number = c.container, c._sort, c._numbers()
+
+    def nodes():
+        for i, s in enumerate(c.state_enumeration):
+            want = sort(s)
+            m = into(container, out(unfold(c, s)), want)
+            if m.sort != want:
+                yield None
+                return
+            ext = m.coalgebra
+            if type(ext) is _FreeExtension:
+                children = [ch.state for ch in ext.children if ch.coalgebra is c]
+                if len(children) == len(ext.children) and all(map(number.__contains__, children)):
+                    yield i, ext.label, children
+                    continue
+            if not _agrees(m, c, s, depth):
+                yield None
+                return
+
+    return _grouped(nodes(), number)
+
+
+def _level_holds(k: int, groups: list, below: list, here: list) -> bool:
+    """Level ``k`` of the morphism law or the roundtrip, for the rows
+    ``below`` and ``here`` of levels k-1 and k: for each group of
+    :func:`_grouped`, the interned trees keyed by ``(k, label, the
+    children's entries in below)``, one ``map``, are the members' entries in
+    ``here``, by identity.  A key that is not interned names no tree, so it
+    matches no entry, and a failing level makes no tree."""
+    for label, members, columns in groups:
+        read = [map(below.__getitem__, col) for col in columns]
+        children = zip(*read) if read else repeat((), len(members))
+        want = map(_interned.get, zip(repeat(k), repeat(label), children))
+        if not all(map(operator.is_, want, map(here.__getitem__, members))):
+            return False
     return True
 
 

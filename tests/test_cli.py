@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -930,6 +931,77 @@ def test_check_fails_on_a_wrong_table_entry(tmp_path, monkeypatch, doc, state, r
     assert (code, out.splitlines(), err) == (1, expected, "")
 
 
+PLAIN_ROUNDTRIP_FAILS = [
+    "compatibility: PASS",
+    "out-into-roundtrip: FAIL",
+    "unfold-is-morphism: PASS",
+    "unfold-uniqueness: PASS",
+]
+INDEXED_ROUNDTRIP_FAILS = [
+    "well-sorted: PASS",
+    "compatibility: PASS",
+    "i-out-i-into-roundtrip: FAIL",
+    "iunfold-is-morphism: PASS",
+    "iunfold-uniqueness: PASS",
+]
+
+
+@pytest.mark.parametrize(
+    "doc, relabel, repoint, expected",
+    [
+        (STREAM_DOC, {"0": "1"}, {}, PLAIN_ROUNDTRIP_FAILS),
+        (PARITY_TWO_LABELS, {"E": "F"}, {}, INDEXED_ROUNDTRIP_FAILS),
+        (STREAM_DOC, {}, {"hi": "lo"}, PLAIN_ROUNDTRIP_FAILS),
+        (PARITY_TWO_LABELS, {}, {"p": "r"}, INDEXED_ROUNDTRIP_FAILS),
+    ],
+    ids=["plain-label", "indexed-label", "plain-child", "indexed-child"],
+)
+def test_check_fails_only_the_roundtrip_on_a_wrong_into(tmp_path, monkeypatch, doc, relabel, repoint, expected):
+    """The roundtrip line reads what ``into`` assembles.  With ``into``
+    assembling over another label of the same arity, or over a child
+    pointed at another state of the same sort, the table is right, so every
+    other line passes, and the roundtrip fails."""
+    into = mtype.into
+
+    def wrong_into(c, v, sort=None):
+        label, children = v
+        kids = [
+            mtype.MElement(c, coalgebra=ch.coalgebra, state=repoint.get(ch.state, ch.state), sort=ch.sort)
+            for ch in children
+        ]
+        return into(c, PValue(relabel.get(label, label), tuple(kids)), sort)
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--spec", str(path), "--depth", "6"]
+    assert _run_in_process(argv)[0] == 0
+    monkeypatch.setattr(mtype, "into", wrong_into)
+    code, out, err = _run_in_process(argv)
+    assert (code, out.splitlines(), err) == (1, expected, "")
+
+
+def test_check_runs_out_and_into_once_per_state(tmp_path, monkeypatch):
+    """The roundtrip still runs the structure maps: on a 1500-state random
+    spec at depth 20, ``check`` calls ``out`` and ``into`` exactly once per
+    state, and ``verify_morphism`` not at all."""
+    doc = random_plain_doc(random.Random(3), 1500)
+    calls = {"out": 0, "into": 0, "verify_morphism": 0}
+    for name in calls:
+        original = getattr(mtype, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mtype, name, counted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "20"])
+    assert (code, out.count(": PASS\n"), err) == (0, 4, "")
+    n = len(doc["coalgebra"]["states"])
+    assert calls == {"out": n, "into": n, "verify_morphism": 0}
+
+
 INDEXED_LAWS = ("well-sorted", "compatibility", "i-out-i-into-roundtrip", "iunfold-is-morphism", "iunfold-uniqueness")
 
 
@@ -1339,6 +1411,24 @@ def test_stdout_whose_write_fails_is_one_line(monkeypatch):
     monkeypatch.setattr(sys, "stderr", err)
     assert cli.main(["demo", "stream"]) == 2
     assert err.getvalue() == "error: stdout closed\n"
+
+
+def test_out_of_memory_is_one_line(tmp_path):
+    """A command that runs out of memory exits 2 with the one line
+    ``error: out of memory``, not an internal error: ``check --depth
+    10000`` of a 1500-state random spec, in one child process that limits
+    its own address space to 200 MB."""
+    doc = random_plain_doc(random.Random(3), 1500)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    limit = 200 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["check", "--spec", str(path), "--depth", "10000"]
+    r = subprocess.run(PKG + argv, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60)
+    assert (r.returncode, r.stderr) == (2, "error: out of memory\n")
 
 
 def test_process_entry_runs_atexit_handlers():

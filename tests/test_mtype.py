@@ -1,5 +1,6 @@
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +476,60 @@ def test_table_laws_match_element_library_and_catch_a_wrong_entry_property(c, de
     compatible, roundtrip, morphism, unique = _table_laws(c, depth)
     assert compatible == (k == depth == 1)
     assert not roundtrip and not morphism and not unique
+
+
+def swapping_into(c, depth: int):
+    """An ``into`` that assembles over other states of ``c``: each child is
+    replaced by the first enumerated state whose depth-(depth-1) entry is
+    the child's, keeping the child's sort.  So its elements are not the
+    transitions, and their stages up to ``depth`` are the same as long as
+    the table is right below ``depth``."""
+    below = c._levels[max(depth - 1, 0)]
+    first = {}
+    for t in c.state_enumeration:
+        first.setdefault(below[t], t)
+
+    def swapped(container, v, sort=None):
+        label, children = v
+        kids = [MElement(container, coalgebra=c, state=first[below[ch.state]], sort=ch.sort) for ch in children]
+        return into(container, PValue(label, tuple(kids)), sort)
+
+    return swapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(0, 8),
+    st.booleans(),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted, swapped, rnd):
+    """The roundtrip line of ``_table_laws``, read in rows, is the verdict
+    of ``verify_morphism`` on the ``into . out . unfold`` candidate, which
+    compares each assembled element's stages on its own: on a table filled
+    in any order, and with one entry replaced by a well-shaped tree of
+    another label over the same children.  So it is too with an ``into``
+    that assembles over other children (:func:`swapping_into`), whose
+    elements the rows read apart from the transitions."""
+    states = c.state_enumeration
+    for _ in range(rnd.randint(0, 3)):
+        approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
+    approximate_all(c, depth)
+    if planted and depth:
+        s, k = rnd.choice(states), rnd.randint(1, depth)
+        right = c._levels[k][s]
+        c._levels[k][s] = _tree(k, ("wrong", right.label), right.children)
+    assemble = swapping_into(c, depth) if swapped else into
+    back = MorphismCandidate(c, lambda s: assemble(c.container, out(unfold(c, s)), c._sort(s)))
+    with mock.patch.object(mtype, "into", assemble):
+        roundtrip = _table_laws(c, depth)[1]
+    assert roundtrip == verify_morphism(back, depth, states)
+    if not (planted and depth):
+        assert roundtrip
+    elif not swapped:
+        assert not roundtrip
 
 
 @settings(max_examples=200, deadline=None)
