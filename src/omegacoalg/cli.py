@@ -3,7 +3,8 @@ the invariant checks, and print the built-in demo specs.
 
 All output is deterministic (sorted JSON keys, canonical block naming).
 Exit codes: 0 success / bisimilar, 1 distinguishable or failed checks,
-2 validation error, out of memory or internal error, 3 unknown state.
+2 validation error, out of memory, stdout closed or unable to encode the
+output, or internal error, 3 unknown state.
 """
 
 from __future__ import annotations
@@ -355,6 +356,11 @@ def main(argv=None) -> int:
         # write or flush drops what stdout held, so the flush at shutdown
         # fails no second time.
         print("error: stdout closed", file=sys.stderr)
+        return EXIT_VALIDATION
+    except UnicodeEncodeError as e:
+        # A label that stdout's encoding cannot write, such as a lone
+        # surrogate, or any non-ASCII text under PYTHONIOENCODING=ascii.
+        print(f"error: stdout cannot encode the output: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except SpecValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)

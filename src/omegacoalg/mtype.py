@@ -21,7 +21,8 @@ construction.
 ``out``/``into`` against, through every element's ``.limit`` view.
 Finality is witnessed observationally by :func:`verify_morphism`
 (existence) and :func:`uniqueness_probe` (agreement of any verified
-morphism with unfold).
+morphism with unfold), which read an element's stages one at a time,
+through ``at``, as the chain's limit reads them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from itertools import filterfalse, repeat
+from itertools import repeat
 
 from .chain import LIMITS, Chain, LimitElement
 from .container import (
@@ -418,15 +419,9 @@ class _FreeExtension:
     assembled element, whose depth-n stage is ``label`` over the
     children's depth-(n-1) stages.  The extension keeps the stages it has
     built in ``_stages``, so observing the assembled element again at a
-    depth it has reached costs a lookup.
-
-    Stages are built in batches (:meth:`_build`): for a list of depths, each
-    child's stages one lower are read as one column (:func:`_stages_of`),
-    off a level table in one pass when the child is unfolded from one, and
-    the nodes are interned in one :func:`~omegacoalg.container._intern_all`.
-    An observation builds its one stage; a stage column, which the morphism
-    checks read, builds every missing stage of a range at once.  An
-    extension over assembled children builds one stage at a time.
+    depth it has reached costs a lookup.  A stage is built from each
+    child's stage one lower (:meth:`_build`), after the stages that the
+    extensions of assembled children must build first.
     """
 
     __slots__ = ("label", "children", "_stages", "_nested")
@@ -461,79 +456,23 @@ class _FreeExtension:
                     stack.extend(todo)
                     continue
                 stack.pop()
-                ext._build((k,))
-        self._build((n,))
+                ext._build(k)
+        self._build(n)
         return self._stages[n]
 
-    def _build(self, ks) -> None:
-        """Build the stages at the depths ``ks``, each >= 1, from the
-        children's stages one lower, with every nested extension's already
-        built: one stage is one :func:`~omegacoalg.container._tree`, more
-        are read as columns and interned in one batch."""
-        label, stages = self.label, self._stages
-        if len(ks) == 1:
-            k = ks[0]
-            stages[k] = _tree(k, label, tuple([ch.at(k - 1) for ch in self.children]))
-            return
-        below = [k - 1 for k in ks]
-        columns = [_stages_of(ch.coalgebra, ch.state, below) for ch in self.children]
-        kids = zip(*columns) if columns else repeat((), len(below))
-        stages.update(zip(ks, _intern_all(list(zip(ks, repeat(label), kids)))))
-
-
-def _stages_of(c, s, ks) -> list:
-    """Stages ``ks`` of the state ``s`` of ``c``, the same objects as
-    ``c._observe(s, k)``: for a coalgebra whose observations are its level
-    table's entries (:func:`_on_table`), read off the table in one pass
-    when it holds them all; for a free extension over no assembled child,
-    read off its ``_stages`` after building the missing ones in one batch
-    (:meth:`_FreeExtension._build`); else one observation per depth."""
-    if type(c) is _FreeExtension:
-        if not c._nested:
-            stages = c._stages
-            missing = list(filterfalse(stages.__contains__, ks))
-            if missing:
-                c._build(missing)
-            return list(map(stages.__getitem__, ks))
-    elif _on_table(c):
-        levels = c._levels
-        try:
-            return [levels[k][s] for k in ks]
-        except (IndexError, KeyError):
-            pass
-    return list(map(c._observe, repeat(s, len(ks)), ks))
-
-
-def _on_table(c) -> bool:
-    """Whether ``c``'s observations are the entries of its level table.
-    Compared with the class attribute, not the module-level name
-    ``approximate``, which a caller may rebind to a wrapper."""
-    return getattr(type(c), "_observe", None) is Coalgebra._observe
-
-
-def _tabled(m: MElement) -> bool:
-    """Whether the stages of ``m`` come from level tables alone: ``m`` is
-    unfolded from a coalgebra whose observations are its table, or is
-    ``into`` over such elements.  Reading them interns trees and reads no
-    hand-built family, so they may be read as one column."""
-    c = m.coalgebra
-    if type(c) is _FreeExtension:
-        return all([_on_table(ch.coalgebra) for ch in c.children])
-    return _on_table(c)
+    def _build(self, k: int) -> None:
+        """Build the stage at depth ``k`` >= 1: one
+        :func:`~omegacoalg.container._tree` of ``label`` over the children's
+        stages at depth k-1, with every nested extension's already built."""
+        self._stages[k] = _tree(k, self.label, tuple([ch.at(k - 1) for ch in self.children]))
 
 
 def _agrees(m: MElement, c, s, depth: int) -> bool:
-    """Whether stages 0..depth of ``m`` are ``c``'s observations of ``s``.
-    An element whose stages come from level tables is compared as one
-    column (``==`` on lists of interned trees compares identities, in C).
-    Any other element, such as one built by hand, is compared stage by
-    stage, so the first differing stage ends the check before a deeper
-    stage, which may drift (:class:`~omegacoalg.errors.LabelDrift`), is
-    read."""
-    ks = range(depth + 1)
-    if _tabled(m):
-        return _stages_of(m.coalgebra, m.state, ks) == _stages_of(c, s, ks)
-    return all(m.at(n) is c._observe(s, n) for n in ks)
+    """Whether stages 0..depth of ``m`` are ``c``'s observations of ``s``,
+    read one stage at a time, so the first differing stage ends the check
+    before a deeper stage, which may drift
+    (:class:`~omegacoalg.errors.LabelDrift`), is read."""
+    return all(m.at(n) is c._observe(s, n) for n in range(depth + 1))
 
 
 class MorphismCandidate:
@@ -876,10 +815,9 @@ def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
     enumeration (``states=None``) first fills the source's level table by
     one :func:`approximate_all` sweep.
 
-    Stages 0..depth of an element unfolded from a level table, or assembled
-    by ``into`` over such elements, are compared with the state's as one
-    column; any other element's one stage at a time, stopping at the first
-    that differs (see :func:`_agrees`)."""
+    Stages are compared one at a time, the element's ``at(n)`` with the
+    source's observation, by identity of interned trees, stopping at the
+    first that differs (see :func:`_agrees`)."""
     checked = _check_states(mc, states)
     source = mc.source
     if states is None:
@@ -897,8 +835,8 @@ def uniqueness_probe(c: Coalgebra, mc: MorphismCandidate, depth: int, states=Non
     ``unfold(c, s)`` is ``c._observe(s, n)``, so ``c`` may be any
     coalgebra with a level table, plain or indexed.  ``states`` is read
     once, so an iterator checks its states in both the law and the
-    agreement.  Stages are compared as :func:`verify_morphism` compares
-    them."""
+    agreement.  Stages are compared one at a time, as
+    :func:`verify_morphism` compares them."""
     if states is not None:
         states = tuple(states)
     if not verify_morphism(mc, depth, states):

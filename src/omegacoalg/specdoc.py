@@ -68,6 +68,9 @@ def load_spec(path: str) -> SpecDocument:
         raise SpecValidationError(f"spec is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecValidationError(f"spec is not valid JSON: {e}") from None
+    except ValueError as e:
+        # An integer longer than the interpreter's digit limit.
+        raise SpecValidationError(f"spec cannot be read as JSON: {e}") from None
     except RecursionError:
         raise SpecValidationError("spec nests too deeply to parse") from None
     return parse_spec(doc)

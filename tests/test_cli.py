@@ -809,13 +809,12 @@ def _wrap_approximate(monkeypatch):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_check_reads_no_stage_per_state_and_depth(tmp_path, monkeypatch, traced):
-    """``check`` reads the laws off whole level rows and stage columns, not
-    one ``MElement.at`` call per (state, depth): on a 1500-state random spec
+    """``check`` reads the laws off whole level rows, not one
+    ``MElement.at`` call per (state, depth): on a 1500-state random spec
     at depth 20 it makes fewer than 2 calls per state, where a per-stage
     read makes |S| (depth + 1) for the roundtrip alone.  It counts calls
     and times nothing.  The bound holds too with ``approximate`` rebound
-    to a wrapper, as in a traced bench run: the stage-column path is
-    chosen by the class's ``_observe``, not by that name."""
+    to a wrapper, as in a traced bench run."""
     if traced:
         _wrap_approximate(monkeypatch)
     doc = random_plain_doc(random.Random(3), 1500)
@@ -1088,6 +1087,32 @@ def test_unreadable_spec_exits_2(tmp_path, command, content, message):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith(f"validation error: {message}")
+
+
+@pytest.mark.parametrize("command", ["bisim", "check"])
+@pytest.mark.parametrize("limit", [None, "0"], ids=["digit-limit", "no-digit-limit"])
+def test_spec_with_a_5000_digit_integer_exits_2(tmp_path, command, limit):
+    """A spec whose arity has 5000 digits is a validation error: where the
+    interpreter limits integer digits (Python 3.11 and later, 4300 by
+    default) the decode refuses it, and without the limit
+    (``PYTHONINTMAXSTRDIGITS=0``, or Python 3.10) the state that uses the
+    label has too few children."""
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"schema_version": "1", "signature": {"labels": ["a"], "arity": {"a": ' + "9" * 5000 + "}}, "
+        '"coalgebra": {"states": ["s"], "gamma": {"s": {"label": "a", "children": []}}}}'
+    )
+    extra = ["--left", "s", "--right", "s"] if command == "bisim" else []
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    r = run_cli(command, "--spec", str(path), *extra, env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("validation error: ")
+    assert r.stderr.count("\n") == 1
+    assert "internal error" not in r.stderr
 
 
 def test_internal_error_exits_2(monkeypatch):
@@ -1396,6 +1421,33 @@ def test_stdout_closed_before_reading_is_one_line(tmp_path):
     finally:
         os.close(write)
     assert (r.returncode, r.stderr) == (2, b"error: stdout closed\n")
+
+
+@pytest.mark.parametrize(
+    "label, encoding, message",
+    [
+        ("\ud800", "utf-8", "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+        ("\u00e9", "ascii", "'ascii' codec can't encode character '\\xe9' in position 0: ordinal not in range(128)"),
+    ],
+    ids=["lone-surrogate", "non-ascii-under-ascii"],
+)
+def test_label_stdout_cannot_encode_is_one_line(tmp_path, label, encoding, message):
+    """``approx --format text`` of a state whose label stdout's encoding
+    cannot write exits 2 with one ``error:`` line that names the encoding
+    failure, not an internal error.  Only a real process shows it: the
+    in-process runs write to a ``StringIO``, which encodes nothing."""
+    doc = {
+        "schema_version": "1",
+        "signature": {"labels": [label], "arity": {label: 1}},
+        "coalgebra": {"states": ["s"], "gamma": {"s": {"label": label, "children": ["s"]}}},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    argv = ["approx", "--spec", str(path), "--state", "s", "--depth", "3", "--format", "text"]
+    r = subprocess.run(PKG + argv, capture_output=True, env=env)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr.decode("ascii") == f"error: stdout cannot encode the output: {message}\n"
 
 
 def test_stdout_whose_write_fails_is_one_line(monkeypatch):

@@ -25,7 +25,7 @@ from omegacoalg import (
 )
 from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node
 from omegacoalg import mtype
-from omegacoalg.mtype import MElement, _stages_of, _table_laws
+from omegacoalg.mtype import MElement, _table_laws
 from omegacoalg.bisim import minimize
 from omegacoalg.catalog import (
     conat_coalgebra,
@@ -692,38 +692,43 @@ def sevens(sc, n):
     st.lists(st.integers(0, 8), max_size=3),
     st.data(),
 )
-def test_stage_column_is_the_stages_property(c, n, seen, data):
-    """The stage column that the morphism checks compare, stages 0..n of
-    ``m`` read by ``_stages_of``, is ``[m.at(k) for k in range(n + 1)]``,
-    the same objects, for an unfolded element, ``into`` of its ``out``,
-    ``into`` over such ``into`` children, and ``cons`` over a hand-built
-    family; whether the element and its table are fresh or some of their
+def test_morphism_verdict_reads_the_stages_property(c, n, seen, data):
+    """The verdict of :func:`verify_morphism` on one state ``s`` sent to an
+    element ``m`` is whether ``m`` has the sort of ``s`` and its stages
+    0..n, read through chain.py's ``.limit`` view, are the observations of
+    ``s``: for an unfolded element, ``into`` of its ``out``, ``into`` over
+    such ``into`` children, ``into`` over children unfolded from drawn
+    states of their sorts (which may first differ at any depth), a family
+    built by hand from the observations of ``s``, and ``cons`` over a
+    hand-built stream or over its child; whether or not some of their
     stages were read first."""
     s = data.draw(st.sampled_from(c.state_enumeration))
     sc = stream_container((3, 7))
     hand = MElement(sc, LimitElement(w_chain(sc), lambda k: sevens(sc, k)))
-
-    def elements():
-        m = unfold(c, s)
-        label, children = out(m)
-        inner = tuple(into(c.container, out(ch), ch.sort) for ch in children)
-        return {
-            "unfold": m,
-            "into": into(c.container, PValue(label, children), m.sort),
-            "into-over-into": into(c.container, PValue(label, inner), m.sort),
-            "cons-over-hand-built": cons(3, hand),
-            "cons-over-hand-built-child": cons(3, out(hand).children[0]),
-        }
-
-    columns = {}
-    for name, m in elements().items():
+    m = unfold(c, s)
+    sort = m.sort
+    label, children = out(m)
+    inner = tuple(into(c.container, out(ch), ch.sort) for ch in children)
+    drawn = tuple(
+        unfold(c, data.draw(st.sampled_from([q for q in c.state_enumeration if c._sort(q) == ch.sort])))
+        for ch in children
+    )
+    own = LimitElement(w_chain(c.container), lambda k: approximate(c, s, k))
+    elements = {
+        "unfold": m,
+        "into": into(c.container, PValue(label, children), m.sort),
+        "into-over-into": into(c.container, PValue(label, inner), m.sort),
+        "into-over-drawn": into(c.container, PValue(label, drawn), m.sort),
+        "hand-built": MElement(c.container, own, sort=sort),
+        "cons-over-hand-built": cons(3, hand),
+        "cons-over-hand-built-child": cons(3, out(hand).children[0]),
+    }
+    for name, m in elements.items():
         for k in seen:
             m.at(k)
-        columns[name] = _stages_of(m.coalgebra, m.state, range(n + 1))
-        assert all(map(operator.is_, columns[name], [m.at(k) for k in range(n + 1)])), name
-    for name, m in elements().items():
-        assert len(columns[name]) == n + 1, name
-        assert all(map(operator.is_, columns[name], [m.at(k) for k in range(n + 1)])), name
+        verdict = verify_morphism(MorphismCandidate(c, lambda _: m), n, [s])
+        expected = m.sort == sort and all(m.limit.at(k) is approximate(c, s, k) for k in range(n + 1))
+        assert verdict == expected, name
 
 
 def test_hand_built_candidate_that_differs_early_is_refused_before_it_drifts():
