@@ -243,43 +243,43 @@ def _no_stage(n: int) -> CannotTruncateUnit:
     return CannotTruncateUnit(f"no approximation stage below depth 0: depth {n}")
 
 
-_truncate_cache: dict = {}
-
-
 def truncate(c: Container, t: ApproxTree) -> ApproxTree:
     """The chain projection: drop the deepest layer of observations.
 
-    Any depth-1 tree maps to Trunc; deeper nodes keep their label and
-    truncate each child.  The container argument is accepted for signature
-    uniformity and not otherwise consulted.
-    """
+    Any depth-1 tree maps to Trunc, a deeper node keeps its label over its
+    children's truncations, and Trunc raises :class:`CannotTruncateUnit`.
+    ``c`` is not consulted, and nothing is kept after the call."""
     return _truncate(t)
 
 
 def _truncate(t: ApproxTree) -> ApproxTree:
-    """:func:`truncate`, the projection of the approximation chain.  Trunc
-    is refused before either cache is written: it is never a key of the
-    truncation cache, so the check costs nothing on a cache hit."""
-    cache = _truncate_cache
-    got = cache.get(t)
-    if got is not None:
-        return got
+    """:func:`truncate`, the projection of the approximation chain."""
     if t.depth == 0:
         raise CannotTruncateUnit("Trunc has no stage below it")
+    return _cut(t, t.depth - 1)
+
+
+def _cut(t: ApproxTree, m: int) -> ApproxTree:
+    """Stage ``m`` of ``t``, ``0 <= m <= t.depth``: its deepest layers
+    dropped in one walk, with a memo that lives only for the call."""
+    drop = t.depth - m
+    if not drop:
+        return t
+    memo: dict = {}
     stack = [t]
     while stack:
         cur = stack[-1]
-        if cur.depth == 1:
-            cache[cur] = TRUNC
+        if cur.depth == drop:
+            memo[cur] = TRUNC
             stack.pop()
             continue
-        kids = [cache.get(ch) for ch in cur.children]
+        kids = [memo.get(ch) for ch in cur.children]
         if None in kids:
             stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
             continue
-        cache[cur] = _tree(cur.depth - 1, cur.label, tuple(kids))
+        memo[cur] = _tree(cur.depth - drop, cur.label, tuple(kids))
         stack.pop()
-    return cache[t]
+    return memo[t]
 
 
 _depth_of = operator.attrgetter("depth")
@@ -287,49 +287,49 @@ _label_of = operator.attrgetter("label")
 _children_of = operator.attrgetter("children")
 
 
-def _truncates_to(row: list, lower: list) -> bool:
+def _truncates_to(row: list, lower: list, down: dict) -> dict | None:
     """Whether :func:`_truncate` of each tree of ``row`` is the tree at the
-    same place in ``lower``, as for two rows of a level table, depths k and
-    k-1.  When every tree of ``row`` is deeper than 1 and every child's
-    truncation is cached, as for the rows of a table read upwards, it is
-    one batch of list comparisons over the distinct pairs: the truncation
-    of a node is the interned node one lower with the same label over its
-    children's truncations, so it is the tree ``u`` exactly when ``u`` has
-    that depth, that label and those children.  The row's truncations are
-    then cached.  Otherwise each tree goes through :func:`_truncate`."""
-    cache = _truncate_cache
+    same place in ``lower``, for two rows of a level table, depths k and
+    k-1: the row's map from each distinct tree to its truncation if so,
+    else None (so for Trunc, which has no truncation).  ``down`` is that
+    map for the row of depth k-1 (empty below depth 2).  A repeated tree
+    must meet one tree of ``lower`` at all its places; then the distinct
+    pairs are compared, as one batch of list comparisons when every tree is
+    deeper than 1 and every child is a key of ``down``: the truncation of a
+    node is the interned node one lower with its label over its children's
+    truncations, so it is ``u`` exactly when ``u`` has that depth, that
+    label and those children.  Otherwise each goes through
+    :func:`_truncate`."""
     pairs = dict(zip(row, lower))
+    if len(pairs) < len(row) and not all(map(operator.is_, map(pairs.__getitem__, row), lower)):
+        return None
     trees = list(pairs)
+    lower = list(pairs.values())
     depths = list(map(_depth_of, trees))
     kids = list(map(_children_of, trees))
     flat = list(chain.from_iterable(kids))
-    if min(depths, default=2) < 2 or not all(map(cache.__contains__, flat)):
-        return all(map(operator.is_, map(_truncate, row), lower))
-    if len(trees) < len(row) and not all(map(operator.is_, map(pairs.__getitem__, row), lower)):
-        return False
-    lower = list(pairs.values())
-    below = list(map(_children_of, lower))
-    same = (
-        list(map(operator.sub, depths, repeat(1))) == list(map(_depth_of, lower))
-        and list(map(_label_of, trees)) == list(map(_label_of, lower))
-        and list(map(len, kids)) == list(map(len, below))
-        and list(map(cache.__getitem__, flat)) == list(chain.from_iterable(below))
-    )
-    if same:
-        cache.update(pairs)
-    return same
+    if min(depths, default=2) < 2 or not all(map(down.__contains__, flat)):
+        same = 0 not in depths and all(map(operator.is_, map(_truncate, trees), lower))
+    else:
+        below = list(map(_children_of, lower))
+        same = (
+            list(map(operator.sub, depths, repeat(1))) == list(map(_depth_of, lower))
+            and list(map(_label_of, trees)) == list(map(_label_of, lower))
+            and list(map(len, kids)) == list(map(len, below))
+            and list(map(down.__getitem__, flat)) == list(chain.from_iterable(below))
+        )
+    return pairs if same else None
 
 
 def truncate_to(c: Container, t: ApproxTree, m: int) -> ApproxTree:
-    """Project ``t`` down to stage ``m`` by composing truncations.  A
-    negative ``m`` raises :class:`CannotTruncateUnit`."""
+    """Project ``t`` down to stage ``m``, dropping its deepest ``t.depth -
+    m`` layers in one walk.  A negative ``m`` raises
+    :class:`CannotTruncateUnit`."""
     if m < 0:
         raise _no_stage(m)
     if m > t.depth:
         raise DepthTooLarge(f"cannot raise depth {t.depth} to {m}")
-    while t.depth > m:
-        t = _truncate(t)
-    return t
+    return _cut(t, m)
 
 
 def tree_equal(t1: ApproxTree, t2: ApproxTree) -> bool:

@@ -62,11 +62,16 @@ DEFAULT_DEPTH_BOUND = 10**4
 def depth_bound() -> int:
     """The largest admitted observation depth: ``OMEGACOALG_MAX_DEPTH`` if
     set, else 10^4.  Read when a level table grows to a new depth; a value
-    other than decimal digits raises :class:`OmegaCoalgError`."""
+    other than decimal digits, or one longer than the interpreter's digit
+    limit, raises :class:`OmegaCoalgError`."""
     text = os.environ.get("OMEGACOALG_MAX_DEPTH", str(DEFAULT_DEPTH_BOUND))
     if not text.isdecimal():
         raise OmegaCoalgError(f"OMEGACOALG_MAX_DEPTH must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as e:
+        # More digits than the interpreter's limit for int().
+        raise OmegaCoalgError(f"OMEGACOALG_MAX_DEPTH cannot be read as an integer: {e}") from None
 
 
 # The approximation chain: stage n holds depth-n trees, the projection
@@ -595,7 +600,8 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     against something other than the table itself: truncation, ``out``/
     ``into`` and the transition.  Returns four verdicts:
 
-    * compatible: truncating each depth-(k+1) entry gives the depth-k one;
+    * compatible: truncating each depth-(k+1) entry gives the depth-k one
+      (an entry that is Trunc above depth 0 has no truncation and fails);
     * roundtrip: the verdict of :func:`verify_morphism` on ``into . out .
       unfold``, the second morphism that finality says must agree with
       ``unfold``: for every state ``s``, the stages of
@@ -610,7 +616,9 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     as a row indexed by state number; Python loops over states, levels and
     groups, and each row goes through C-level ``map``/``zip``.
     Compatibility compares each row with the row below as one batch
-    (:func:`~omegacoalg.container._truncates_to`).  The morphism law and
+    (:func:`~omegacoalg.container._truncates_to`), reading the truncations
+    of the row below, which it carries up one level at a time; none is
+    kept after the call.  The morphism law and
     the roundtrip are one kernel (:func:`_level_holds`) over two groupings
     of the states by label and arity (:func:`_grouped`): of their
     transitions, as ``c.transition`` gives them, not the tables the fill
@@ -629,17 +637,19 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
         assembled = steps
     lower = list(map(table[0].__getitem__, states))
     base = all(map(operator.is_, lower, repeat(TRUNC)))
-    compatible = morphism = True
+    down: dict | None = {}
+    morphism = True
     roundtrip = assembled is not None and base
     for k in range(1, depth + 1):
-        if not (compatible or roundtrip or morphism):
+        if down is None and not (roundtrip or morphism):
             break
         row = list(map(table[k].__getitem__, states))
-        compatible = compatible and _truncates_to(row, lower)
+        if down is not None:
+            down = _truncates_to(row, lower, down)
         morphism = morphism and _level_holds(k, steps, lower, row)
         roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row))
         lower = row
-    return compatible, roundtrip, morphism, morphism and base
+    return down is not None, roundtrip, morphism, morphism and base
 
 
 def _grouped(nodes: Iterable, number: dict) -> list | None:

@@ -22,7 +22,7 @@ from omegacoalg import (
     w_chain,
 )
 from omegacoalg.chain import poly_chain
-from omegacoalg.container import TRUNC, _interned, _truncate_cache, make_node
+from omegacoalg.container import TRUNC, _interned, make_node
 from omegacoalg.catalog import (
     conat_coalgebra,
     stream_container,
@@ -101,10 +101,9 @@ def test_cone_law_violation():
 
 def test_trunc_leg_writes_no_cache():
     """A cone whose stage-1 leg is Trunc is refused, and the chain's
-    projection refuses that Trunc before either cache is written: no tree
-    of negative depth is interned, and Trunc is no key of the truncation
-    cache.  A family with Trunc at stage 1 fails compatibility the same
-    way."""
+    projection refuses that Trunc before the intern table is written: no
+    tree of negative depth is interned.  A family with Trunc at stage 1
+    fails compatibility the same way."""
     c = conat_coalgebra()
     base = w_chain(c.container)
     bad = Cone(legs=lambda n, x: approximate(c, "inf", max(n - 1, 0)), apex_samples=(0,))
@@ -112,7 +111,6 @@ def test_trunc_leg_writes_no_cache():
         cone_to_map(base, bad)
     assert not check_compat(LimitElement(base, lambda n: bad.legs(n, 0)), 3)
     assert all(t.depth >= 0 for t in _interned.values())
-    assert TRUNC not in _truncate_cache
 
 
 def test_map_to_cone_round_trips():

@@ -309,6 +309,32 @@ def test_env_depth_bound_not_a_non_negative_integer(fig1_spec, value):
     assert "internal error" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["approx", "check"])
+@pytest.mark.parametrize("limit", [None, "0"], ids=["digit-limit", "no-digit-limit"])
+def test_env_depth_bound_of_5000_digits(fig1_spec, command, limit):
+    """A bound of 5000 digits is one error line naming the variable, exit
+    2, where the interpreter limits integer digits (Python 3.11 and later,
+    4300 by default).  Without the limit (``PYTHONINTMAXSTRDIGITS=0``, or
+    Python 3.10) it is accepted, and the command answers as it does under
+    the default bound."""
+    extra = ["--state", "t"] if command == "approx" else []
+    args = [command, "--spec", fig1_spec, *extra, "--depth", "5"]
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    env.pop("OMEGACOALG_MAX_DEPTH", None)
+    default = run_cli(*args, env=env)
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    r = run_cli(*args, env=dict(env, OMEGACOALG_MAX_DEPTH="9" * 5000))
+    if limit is None and hasattr(sys, "set_int_max_str_digits"):
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error: OMEGACOALG_MAX_DEPTH cannot be read as an integer: ")
+        assert r.stderr.count("\n") == 1
+    else:
+        assert default.returncode == 0
+        assert (r.returncode, r.stdout, r.stderr) == (default.returncode, default.stdout, default.stderr)
+
+
 def indexed_doc(arity, gamma):
     return {
         "schema_version": "1",

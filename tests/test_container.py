@@ -18,7 +18,7 @@ from omegacoalg import (
     truncate,
     truncate_to,
 )
-from omegacoalg.container import TRUNC, _truncate_cache, well_formed
+from omegacoalg.container import TRUNC, well_formed
 from omegacoalg.catalog import conat_coalgebra, fig1_coalgebra, fig1_signature
 from omegacoalg.errors import (
     ArityMismatch,
@@ -170,12 +170,10 @@ def test_tree_equal_examples():
 
 
 def test_negative_depth_raises_before_any_cache_write():
-    """``truncate_to`` below stage 0 and ``enumerate_w`` of a negative
-    stage raise :class:`CannotTruncateUnit`, and the truncation cache gets
-    no entry on the way, under Trunc or any other key."""
+    """``truncate_to`` below stage 0, of a tree or of Trunc, and
+    ``enumerate_w`` of a negative stage raise :class:`CannotTruncateUnit`."""
     t = approximate(fig1_coalgebra(), "t", 3)
     truncate_to(FIG1, t, 0)
-    had, size = _truncate_cache.get(TRUNC), len(_truncate_cache)
     for m in (-1, -5):
         with pytest.raises(CannotTruncateUnit):
             truncate_to(FIG1, t, m)
@@ -183,7 +181,6 @@ def test_negative_depth_raises_before_any_cache_write():
             truncate_to(FIG1, TRUNC, m)
         with pytest.raises(CannotTruncateUnit):
             enumerate_w(FIG1, m)
-    assert _truncate_cache.get(TRUNC) is had and len(_truncate_cache) == size
 
 
 def test_enumerate_w_unit_stage():

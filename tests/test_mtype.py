@@ -539,23 +539,88 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
     st.randoms(use_true_random=False),
 )
 def test_row_truncation_matches_per_tree_truncation_property(c, depth, rnd):
-    """Compatibility's row kernel, ``_truncates_to(row, lower)``, says what
-    truncating each tree of ``row`` on its own says: whether it gives the
-    tree at the same place in ``lower``, for the table's rows read upwards,
-    for rows paired with a shuffled row below, and for rows below with one
-    tree relabelled over the same children."""
+    """Compatibility's row kernel, ``_truncates_to(row, lower, down)``, says
+    what truncating each tree of ``row`` on its own says: whether it gives
+    the tree at the same place in ``lower``.  Each level takes one case:
+    the table's rows read upwards; the row below shuffled; one tree of the
+    row below relabelled over the same children, or put over other
+    children; one tree of the row over children that are no entries of the
+    row below (the per-tree fallback); or Trunc planted in the row.  It
+    returns the row's map from each tree to its truncation, or None, and
+    never raises."""
     states = c.state_enumeration
     table = approximate_all(c, depth)
     rows = [[table[k][s] for s in states] for k in range(depth + 1)]
     for k in range(1, depth + 1):
-        lower = list(rows[k - 1])
-        if rnd.random() < 0.5:
+        row, lower = list(rows[k]), list(rows[k - 1])
+        down = {t: truncate(None, t) for t in lower} if k > 1 else {}
+        i = rnd.randrange(len(row))
+        case = rnd.choice(("table", "shuffled", "relabelled", "rewired", "fresh", "trunc"))
+        if case == "shuffled":
             rnd.shuffle(lower)
-        if k > 1 and rnd.random() < 0.5:
-            i = rnd.randrange(len(lower))
+        elif case == "relabelled" and k > 1:
             lower[i] = _tree(k - 1, ("other", lower[i].label), lower[i].children)
-        got = _truncates_to(rows[k], lower)
-        assert got == all(truncate(None, t) is u for t, u in zip(rows[k], lower))
+        elif case == "rewired" and k > 2:
+            lower[i] = _tree(k - 1, lower[i].label, tuple(rnd.choice(rows[k - 2]) for _ in lower[i].children))
+        elif case == "fresh" and k > 1:
+            row[i] = _tree(k, ("fresh",), (_tree(k - 1, ("fresh",), ()),))
+            if rnd.random() < 0.5:
+                lower[i] = truncate(None, row[i])
+        elif case == "trunc":
+            row[i] = TRUNC
+        got = _truncates_to(row, lower, down)
+        if case == "trunc":
+            assert got is None
+        else:
+            holds = all(truncate(None, t) is u for t, u in zip(row, lower))
+            assert got == (dict(zip(row, lower)) if holds else None)
+
+
+def test_table_laws_read_trunc_above_depth_0_as_a_failure():
+    """Trunc planted in the table above depth 0 has no truncation: the
+    compatibility verdict is False, not an exception, and the other three
+    laws are read as usual (they fail too, as the entry is not the
+    transition's label over the entries below)."""
+    for k in (1, 2, 3):
+        c = fig1_coalgebra()
+        approximate_all(c, 4)
+        c._levels[k]["t"] = TRUNC
+        assert _table_laws(c, 4) == (False, False, False, False)
+        c._levels[k]["t"] = approximate(fig1_coalgebra(), "t", k)
+        assert _table_laws(c, 4) == (True, True, True, True)
+
+
+def module_tables(module) -> dict:
+    """The sizes of a module's module-level dicts, lists and sets."""
+    return {
+        name: len(value)
+        for name, value in vars(module).items()
+        if type(value) in (dict, list, set) and not name.startswith("__")
+    }
+
+
+def test_table_laws_grow_no_module_table():
+    """``check``'s law sweep keeps nothing process-wide once it returns:
+    after ``_table_laws(c, 20)`` on a random 300-state spec, every
+    module-level dict, list and set of ``container`` and ``mtype`` has its
+    size from before, other than the intern table ``_interned``."""
+    from omegacoalg import container
+
+    rng = random.Random(5)
+    arity = {"a": 0, "b": 1, "c": 2}
+    states = tuple(range(300))
+    gamma = {}
+    for s in states:
+        a = rng.choice("abbcc")
+        gamma[s] = (a, tuple(rng.choice(states) for _ in range(arity[a])))
+    c = Coalgebra(Container(arity=arity, labels=tuple(arity)), gamma, state_enumeration=states)
+    modules = (container, mtype)
+    before = [module_tables(m) for m in modules]
+    assert _table_laws(c, 20) == (True, True, True, True)
+    after = [module_tables(m) for m in modules]
+    for sizes in before + after:
+        sizes.pop("_interned", None)
+    assert after == before
 
 
 @settings(max_examples=200, deadline=None)
