@@ -55,16 +55,23 @@ class BisimWitness:
 
 
 class Partition:
-    """Disjoint nonempty blocks covering the state enumeration; after
-    refinement, two states share a block iff they are bisimilar.
+    """Disjoint nonempty blocks covering the state enumeration ``states``;
+    after refinement, two states share a block iff they are bisimilar.
 
-    A partition that :func:`partition_refine` computed also keeps
-    ``numbers``, an ``array('l')`` whose entry i is the place in ``blocks``
-    of the block of state number i; it is None otherwise."""
+    A partition is its numbering ``numbers``, an ``array('l')`` whose entry
+    i is the block of state number i, the blocks numbered in order of their
+    earliest member.  ``blocks``, one tuple of states per block in that
+    order, and the index behind :meth:`block_of` are built on first read."""
 
-    def __init__(self, blocks: tuple, numbers: array | None = None):
-        self.blocks = blocks
+    def __init__(self, states: tuple, numbers: array):
+        self.states = states
         self.numbers = numbers
+
+    @cached_property
+    def blocks(self) -> tuple:
+        groups: list = [[] for _ in range(max(self.numbers, default=-1) + 1)]
+        deque(map(list.append, map(groups.__getitem__, self.numbers), self.states), 0)
+        return tuple(map(tuple, groups))
 
     @cached_property
     def _block_index(self) -> dict:
@@ -85,7 +92,8 @@ def _require_states(c: Coalgebra):
 def diagonal_bisim(c: Coalgebra) -> BisimWitness:
     """The identity relation as a bisimulation witness: the witness of the
     partition into singletons."""
-    return witness_from_partition(c, Partition(tuple((s,) for s in _require_states(c))))
+    states = _require_states(c)
+    return witness_from_partition(c, Partition(states, array("l", range(len(states)))))
 
 
 def find(parent: dict, x):
@@ -236,8 +244,10 @@ def partition_refine(c: Coalgebra) -> Partition:
     splitting then goes on in dirty-set rounds (:func:`_dirty_rounds`),
     O((n + m) log n) in all, so the whole stays O((n + m) log n).
 
-    Output ordering is canonical: blocks by the enumeration index of their
-    earliest member, members in enumeration order.
+    The result is the numbering alone, and it is canonical: blocks are
+    numbered by the enumeration index of their earliest member.  No block
+    tuple is built here; :attr:`Partition.blocks` lists the members of each
+    block in enumeration order when it is first read.
 
     The first partition and the children of each state, as state numbers,
     are read from the columns that validating ``c`` built
@@ -275,10 +285,7 @@ def partition_refine(c: Coalgebra) -> Partition:
         block = _dirty_rounds(c, row, last, place)
     # Blocks are renumbered in order of their earliest member.
     canon = dict(zip(dict.fromkeys(block), count()))
-    numbers = array("l", map(canon.__getitem__, block))
-    groups: list = [[] for _ in canon]
-    deque(map(list.append, map(groups.__getitem__, numbers), states), 0)
-    return Partition(tuple(map(tuple, groups)), numbers)
+    return Partition(states, array("l", map(canon.__getitem__, block)))
 
 
 def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:

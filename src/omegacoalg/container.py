@@ -93,14 +93,18 @@ class ApproxTree:
     so equality, hashing and set membership are O(1) even though deep trees
     share subtrees internally.  Always build through :func:`make_trunc`,
     :func:`make_node` or the library operations, never by hand.
+
+    A tree that :func:`truncate` has projected keeps its truncation in the
+    slot ``_truncation``, None until then.
     """
 
-    __slots__ = ("depth", "label", "children")
+    __slots__ = ("depth", "label", "children", "_truncation")
 
     def __init__(self, depth, label, children):
         self.depth = depth
         self.label = label
         self.children = children
+        self._truncation = None
 
     @property
     def is_trunc(self) -> bool:
@@ -248,15 +252,33 @@ def truncate(c: Container, t: ApproxTree) -> ApproxTree:
 
     Any depth-1 tree maps to Trunc, a deeper node keeps its label over its
     children's truncations, and Trunc raises :class:`CannotTruncateUnit`.
-    ``c`` is not consulted, and nothing is kept after the call."""
+    ``c`` is not consulted.  A tree keeps its own truncation, and no table
+    outside the trees is kept, so each tree is truncated once: the walk
+    stops at subtrees already truncated."""
     return _truncate(t)
 
 
 def _truncate(t: ApproxTree) -> ApproxTree:
-    """:func:`truncate`, the projection of the approximation chain."""
+    """:func:`truncate`, the projection of the approximation chain: one walk
+    that fills the ``_truncation`` slot of every tree it reaches."""
     if t.depth == 0:
         raise CannotTruncateUnit("Trunc has no stage below it")
-    return _cut(t, t.depth - 1)
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        if cur._truncation is not None:
+            stack.pop()
+        elif cur.depth == 1:
+            cur._truncation = TRUNC
+            stack.pop()
+        else:
+            kids = [ch._truncation for ch in cur.children]
+            if None in kids:
+                stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
+                continue
+            cur._truncation = _tree(cur.depth - 1, cur.label, tuple(kids))
+            stack.pop()
+    return t._truncation
 
 
 def _cut(t: ApproxTree, m: int) -> ApproxTree:

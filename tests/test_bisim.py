@@ -7,6 +7,7 @@ import random
 import tempfile
 import time
 import weakref
+from array import array
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from omegacoalg import (
     BisimWitness,
     Coalgebra,
     Container,
+    Partition,
     PValue,
     approximate,
     approximate_all,
@@ -33,7 +35,7 @@ from omegacoalg import (
 )
 from omegacoalg import bisim, cli, specdoc
 from omegacoalg.bisim import bisim_violations
-from omegacoalg.catalog import fig1_coalgebra, stream_container
+from omegacoalg.catalog import fig1_coalgebra, parity_coalgebra, stream_container
 from omegacoalg.errors import InvalidWitness, NeedsFiniteStates, PairNotRelated
 
 from conftest import (
@@ -58,9 +60,8 @@ def constant_cycle(last_label="x"):
 
 
 def full_relation_witness(c):
-    return witness_from_partition(
-        c, type(partition_refine(c))((tuple(c.state_enumeration),))
-    )
+    states = c.state_enumeration
+    return witness_from_partition(c, Partition(states, array("l", [0]) * len(states)))
 
 
 def test_diagonal_bisim_verifies():
@@ -258,6 +259,38 @@ def test_minimize_idempotent():
         m = minimize(c)
         assert all(len(b) == 1 for b in partition_refine(m).blocks)
         assert len(minimize(m).state_enumeration) == len(m.state_enumeration)
+
+
+def test_minimize_builds_no_block_tuple(monkeypatch, tmp_path):
+    """A partition is its numbering, and ``minimize`` reads only that: with
+    ``Partition.blocks`` failing when read, the library and the CLI's
+    ``minimize`` print the quotients they print without it."""
+    rng = random.Random(7)
+    coalgebras = [fig1_coalgebra(), constant_cycle(), parity_coalgebra()]
+    coalgebras += [random_coalgebra(rng) for _ in range(5)]
+    paths = []
+    for i, c in enumerate(coalgebras):
+        paths.append(tmp_path / f"spec{i}.json")
+        paths[-1].write_text(specdoc.dump_document(c))
+
+    def quotients():
+        printed = []
+        for c, path in zip(coalgebras, paths):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["minimize", "--spec", str(path)]) == 0
+            printed.append((specdoc.dump_document(minimize(c)), out.getvalue()))
+        return printed
+
+    want = quotients()
+
+    def refuse(p):
+        raise AssertionError("Partition.blocks was read")
+
+    monkeypatch.setattr(Partition, "blocks", property(refuse))
+    with pytest.raises(AssertionError, match="was read"):
+        partition_refine(fig1_coalgebra()).blocks
+    assert quotients() == want
 
 
 def test_partition_matches_bounded_oracle():

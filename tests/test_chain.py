@@ -21,6 +21,7 @@ from omegacoalg import (
     unfold,
     w_chain,
 )
+from omegacoalg import container
 from omegacoalg.chain import poly_chain
 from omegacoalg.container import TRUNC, _interned, make_node
 from omegacoalg.catalog import (
@@ -54,6 +55,25 @@ def test_check_compat_detects_mismatch():
     l = LimitElement(base, broken)
     assert not check_compat(l, 5)
     assert check_compat(l, 0)  # vacuous
+
+
+def test_check_compat_deep_limit_is_linear(monkeypatch):
+    """Each tree keeps its own truncation, so checking the stages of a deep
+    ``.limit`` view in order truncates each tree once: at most d interned
+    lookups, not the d(d-1)/2 of a walk per stage."""
+    d = 2000
+    m = unfold(conat_coalgebra(), "inf")
+    m.at(d)
+    lookups = []
+    tree = container._tree
+
+    def counted(*key):
+        lookups.append(key)
+        return tree(*key)
+
+    monkeypatch.setattr(container, "_tree", counted)
+    assert check_compat(m.limit, d)
+    assert len(lookups) <= d
 
 
 def test_iterate_cochain_counts():
@@ -191,19 +211,27 @@ def test_poly_limit_round_trips():
 
 
 def test_label_drift_detected():
+    """A family whose root label changes is refused with
+    :class:`LabelDrift`: by ``poly_limit_from`` when the change is among
+    stages 0-7, and by a child when a stage from 8 on is read otherwise."""
     sc = stream_container()
     base = w_chain(sc)
 
-    def drifting(n):
-        label = 5 if n < 2 else 6
-        t = TRUNC
-        for d in range(1, n + 1):
-            t = make_node(sc, 7, [t], depth=d)
-        return PValue(label, (t,))
+    def drifting(at):
+        def stage(n):
+            t = TRUNC
+            for d in range(1, n + 1):
+                t = make_node(sc, 7, [t], depth=d)
+            return PValue(5 if n < at else 6, (t,))
 
-    l = LimitElement(poly_chain(sc, base), drifting)
+        return LimitElement(poly_chain(sc, base), stage)
+
     with pytest.raises(LabelDrift):
-        poly_limit_from(sc, base, l)
+        poly_limit_from(sc, base, drifting(2))
+    (child,) = poly_limit_from(sc, base, drifting(8)).children
+    assert child.at(7).depth == 7
+    with pytest.raises(LabelDrift, match="stage 8 has label 6, stage 0 has 5"):
+        child.at(8)
 
 
 def test_cochain_uniqueness_both_routes_agree():

@@ -677,6 +677,13 @@ def test_shape_fault_outranks_an_earlier_coalgebra_fault(tmp_path, doc, line):
     assert (r.returncode, r.stdout, r.stderr) == (2, "", line)
 
 
+# Two sorts: e with label E over one child of sort e, o with the leaf O.
+TWO_SORTS = {
+    "sorts": ["e", "o"],
+    "labels": {"e": {"E": {"arity": 1, "child_sorts": ["e"]}}, "o": {"O": {"arity": 0, "child_sorts": []}}},
+}
+
+
 @pytest.mark.parametrize(
     "states, gamma, fault",
     [
@@ -700,15 +707,48 @@ def test_shape_fault_outranks_an_earlier_coalgebra_fault(tmp_path, doc, line):
             {"q": {"label": "a", "children": ["zz"]}, "r": {"label": "a", "children": []}},
             "state enumeration contains duplicates",
         ),
+        (
+            ("p", "q", "r"),
+            {
+                "p": {"label": "a", "children": ["p"]},
+                "q": {"label": "a", "children": []},
+                "r": {"label": "a", "children": ["zz"]},
+            },
+            "state 'q': label 'a' has arity 1, got 0 children",
+        ),
+        (
+            {"p": "e", "q": "e", "r": "e", "z": "o"},
+            {
+                "p": {"label": "E", "children": ["p"]},
+                "q": {"label": "E", "children": ["z"]},
+                "r": {"label": "E", "children": ["zz"]},
+                "z": {"label": "O", "children": []},
+            },
+            "state 'q': child 0 has sort 'o', expected 'e'",
+        ),
     ],
-    ids=["dangling-then-arity", "arity-then-dangling", "arity-and-dangling", "duplicate-and-dangling"],
+    ids=[
+        "dangling-then-arity",
+        "arity-then-dangling",
+        "arity-and-dangling",
+        "duplicate-and-dangling",
+        "clean-arity-dangling",
+        "indexed-clean-sort-dangling",
+    ],
 )
 def test_first_coalgebra_fault_in_state_order(tmp_path, states, gamma, fault):
     """Of the faults the coalgebra refuses, a repeated state is named first,
     then the first state in enumeration order whose transition has one,
-    its arity before a child outside the states."""
+    its arity (or a child's sort) before a child outside the states, even
+    when a later state's child is not a state and a clean state comes
+    first.  States given as a mapping to sorts make an indexed spec over
+    ``TWO_SORTS``."""
+    if isinstance(states, dict):
+        doc = {"schema_version": "1", "indexed": TWO_SORTS, "coalgebra": {"states": states, "gamma": gamma}}
+    else:
+        doc = plain_doc(states=states, gamma=gamma)
     path = tmp_path / "coalgebra-faults.json"
-    path.write_text(json.dumps(plain_doc(states=states, gamma=gamma)))
+    path.write_text(json.dumps(doc))
     r = run_cli("minimize", "--spec", str(path))
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"validation error: coalgebra: {fault}\n")
 
@@ -1561,7 +1601,9 @@ def test_bench_tracer_runs(tmp_path, command):
     """The bench tracer (``perfbench/tracer.py``) wraps library functions
     by name and reads ``SpecDocument.raw`` and ``Partition.blocks``, so a
     deleted or renamed name that it pins fails here, as it fails CI's
-    "Bench tracer" step: each command exits 0 and writes its spans file."""
+    "Bench tracer" step: each command exits 0 and writes its spans file.
+    The blocks it reads are built when read, after the refinement's span
+    has closed, and it counts the parity demo's two."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     spec = tmp_path / "parity.json"
@@ -1579,3 +1621,5 @@ def test_bench_tracer_runs(tmp_path, command):
     record = json.loads(spans.read_text())
     assert record["stats"][f"cli.cmd_{command[0]}"][0] == 1 and record["spans"]
     assert record["counts"]["states"] > 0
+    if command[0] == "minimize":
+        assert record["counts"]["refine_blocks"] == 2

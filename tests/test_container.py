@@ -27,6 +27,7 @@ from omegacoalg.errors import (
     NeedsFiniteLabels,
     RaggedDepth,
     SizeBoundExceeded,
+    UnknownLabel,
 )
 
 from conftest import random_coalgebra
@@ -122,9 +123,26 @@ def test_make_node_arity_mismatch():
 
 
 def test_make_node_ragged_depth():
+    """Children of one depth, a node one deeper than its children, and a
+    leaf at depth 1 or deeper: any other depth is refused."""
     deep = make_node(FIG1, "b", [make_trunc(), make_trunc()])
     with pytest.raises(RaggedDepth):
         make_node(FIG1, "b", [make_trunc(), deep])
+    leaf = make_node(FIG1, "a", [])
+    with pytest.raises(RaggedDepth, match="requested depth 3 but children force depth 2"):
+        make_node(FIG1, "b", [leaf, leaf], depth=3)
+    assert make_node(FIG1, "b", [leaf, leaf], depth=2).depth == 2
+    with pytest.raises(RaggedDepth, match="nodes sit at depth >= 1"):
+        make_node(FIG1, "a", [], depth=0)
+    assert make_node(FIG1, "a", [], depth=4).depth == 4
+
+
+def test_container_refuses_a_negative_arity_and_an_undeclared_label():
+    with pytest.raises(UnknownLabel, match="negative arity for label 'a'"):
+        Container(arity={"a": -1}, labels=("a",))
+    with pytest.raises(UnknownLabel, match="label 'zz' has no declared arity"):
+        FIG1.arity_of("zz")
+    assert Container(arity=lambda a: 2).arity_of("zz") == 2
 
 
 def test_truncate_depth1_to_trunc():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacoalg import Container, PValue, approximate, into, out, tree_equal, truncate, unfold
+from omegacoalg import Coalgebra, Container, PValue, approximate, into, out, tree_equal, truncate, unfold
 from omegacoalg.container import TRUNC, _tree
 from omegacoalg.bisim import (
     BisimWitness,
@@ -18,6 +18,7 @@ from omegacoalg.bisim import (
 )
 from omegacoalg.indexed import (
     IndexedCoalgebra,
+    IndexedContainer,
     SortedApproxTree,
     embed_plain,
     iapproximate,
@@ -26,7 +27,7 @@ from omegacoalg.indexed import (
 )
 from omegacoalg.catalog import parity_coalgebra, parity_container
 from omegacoalg.mtype import MElement, MorphismCandidate, uniqueness_probe, verify_morphism
-from omegacoalg.errors import ArityMismatch, InvalidCoalgebra, NotAMorphism, SortMismatch
+from omegacoalg.errors import ArityMismatch, InvalidCoalgebra, NotAMorphism, SortMismatch, UnknownLabel
 
 from conftest import (
     chain_into,
@@ -265,6 +266,11 @@ def test_indexed_finality_probes_on_corpus():
         assert uniqueness_probe(c, mc, 30)
 
 
+def test_indexed_container_refuses_a_label_without_arity():
+    with pytest.raises(UnknownLabel, match="no arity for label 'E' at sort 'e'"):
+        IndexedContainer(sorts=("e",), labels_at={"e": ("E",)}, arity={}, child_sort={})
+
+
 def test_singleton_index_embedding_agrees_with_plain():
     rng = random.Random(44)
     for _ in range(10):
@@ -279,6 +285,9 @@ def test_singleton_index_embedding_agrees_with_plain():
             m_idx = unfold(ic, s)
             for n in range(31):
                 assert tree_equal(m_idx.at(n), m_plain.at(n))
+    unlisted = Coalgebra(Container(arity=lambda a: 0), {"s": ("a", ())}, state_enumeration=("s",))
+    with pytest.raises(UnknownLabel, match="embedding needs an enumerated label domain"):
+        embed_plain(unlisted.container, unlisted)
 
 
 def _at_sort(ic, sort):

@@ -26,7 +26,7 @@ from omegacoalg import (
 from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node
 from omegacoalg import mtype
 from omegacoalg.mtype import MElement, _table_laws
-from omegacoalg.bisim import minimize
+from omegacoalg.bisim import bounded_bisim, minimize, partition_refine
 from omegacoalg.catalog import (
     conat_coalgebra,
     conat_infinity,
@@ -45,6 +45,7 @@ from omegacoalg.errors import (
     DepthBoundExceeded,
     InvalidCoalgebra,
     LabelDrift,
+    NeedsFiniteStates,
     NotAMorphism,
     SortMismatch,
     UnknownLabel,
@@ -303,6 +304,19 @@ def test_uniqueness_probe_reads_states_once():
     assert not uniqueness_probe(c2, mc, 5, states=iter(["x"]))
 
 
+def test_level_table_and_morphism_check_need_enumerated_states():
+    """With no state enumeration there is no table to fill and no state to
+    check by default: both refuse with :class:`NeedsFiniteStates`, and
+    ``verify_morphism`` still checks the states it is given."""
+    c = Coalgebra(stream_container(), lambda s: (s % 2, (s + 1,)))
+    with pytest.raises(NeedsFiniteStates, match="approximate_all needs a state enumeration"):
+        approximate_all(c, 3)
+    candidate = MorphismCandidate(c, lambda s: unfold(c, s))
+    with pytest.raises(NeedsFiniteStates, match="verify_morphism needs a state enumeration"):
+        verify_morphism(candidate, 3)
+    assert verify_morphism(candidate, 3, states=(0, 1))
+
+
 def test_degenerate_container_collapses():
     leaves = Container(arity={"x": 0, "y": 0}, labels=("x", "y"))
     c = Coalgebra(leaves, {"s": ("x", ()), "t": ("y", ())}, state_enumeration=("s", "t"))
@@ -497,22 +511,40 @@ def swapping_into(c, depth: int):
     return swapped
 
 
+def foreign_into(c, s, element, assemble):
+    """An ``into`` that gives ``element``, which it did not assemble, for
+    the transition of ``s`` at the sort of ``s``, and hands every other
+    transition to ``assemble``."""
+    target = (out(unfold(c, s)), c._sort(s))
+
+    def foreign(container, v, sort=None):
+        return element if (v, sort) == target else assemble(container, v, sort)
+
+    return foreign
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(small_coalgebras(), small_indexed_coalgebras()),
     st.integers(0, 8),
     st.booleans(),
     st.booleans(),
+    st.sampled_from((None, "quotient", "unbisimilar", "sort")),
     st.randoms(use_true_random=False),
 )
-def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted, swapped, rnd):
+def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted, swapped, foreign, rnd):
     """The roundtrip line of ``_table_laws``, read in rows, is the verdict
     of ``verify_morphism`` on the ``into . out . unfold`` candidate, which
     compares each assembled element's stages on its own: on a table filled
     in any order, and with one entry replaced by a well-shaped tree of
     another label over the same children.  So it is too with an ``into``
     that assembles over other children (:func:`swapping_into`), whose
-    elements the rows read apart from the transitions."""
+    elements the rows read apart from the transitions, and with one that
+    gives an element it did not assemble (:func:`foreign_into`), which the
+    rows compare on its own: the unfold of the state's image in the
+    quotient, which agrees; the unfold of a state of the same sort in
+    another block, which agrees as far as the two states' observations do;
+    or an element of another sort, which fails."""
     states = c.state_enumeration
     for _ in range(rnd.randint(0, 3)):
         approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
@@ -522,13 +554,30 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
         right = c._levels[k][s]
         c._levels[k][s] = _tree(k, ("wrong", right.label), right.children)
     assemble = swapping_into(c, depth) if swapped else into
+    if foreign:
+        s = rnd.choice(states)
+        numbers = partition_refine(c).numbers
+        block = numbers[states.index(s)]
+        if foreign == "unbisimilar":
+            others = [u for i, u in enumerate(states) if c._sort(u) == c._sort(s) and numbers[i] != block]
+            t = rnd.choice(others or [s])
+            element = unfold(c, t)
+        else:
+            q = minimize(c)
+            element = unfold(q, q.state_enumeration[block])
+            if foreign == "sort":
+                element = MElement(q.container, coalgebra=q, state=element.state, sort=("not", element.sort))
+        assemble = foreign_into(c, s, element, assemble)
     back = MorphismCandidate(c, lambda s: assemble(c.container, out(unfold(c, s)), c._sort(s)))
     with mock.patch.object(mtype, "into", assemble):
         roundtrip = _table_laws(c, depth)[1]
     assert roundtrip == verify_morphism(back, depth, states)
-    if not (planted and depth):
-        assert roundtrip
-    elif not swapped:
+    if foreign == "sort":
+        assert not roundtrip
+    elif not (planted and depth):
+        assert roundtrip == (foreign != "unbisimilar" or bounded_bisim(c, s, t, depth))
+    elif not swapped and foreign != "unbisimilar":
+        # An unfold in ``c`` reads the planted table, so it may agree.
         assert not roundtrip
 
 
