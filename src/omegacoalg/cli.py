@@ -29,17 +29,37 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN_STATE = 3
 
 
+# The longest text of a shared node that :func:`_emit` keeps, in characters.
+# A node expanded instead costs microseconds of Python at each of its
+# occurrences, a kept text well under a nanosecond per character written: a
+# shorter limit expands more nodes (JSON of ``t -> b(t, t)`` at depth 18
+# renders about 4x slower at 8 KiB), a longer one keeps more text for no
+# steady gain.
+_SHORT = 1 << 16
+
+
+class _Long(Exception):
+    """A shared node's text passed ``_SHORT`` characters."""
+
+
 def _emit(root, write, parts) -> None:
     """Write the expanded rendering of the tree ``root`` through ``write``,
     piece by piece.
 
     ``parts(t)`` renders one node: a string for a node without children,
-    else the ``(head, separator, tail)`` written around its children.  The
-    rendering of a node depends on the node alone, so a node reached along
-    two or more edges is rendered once into a string, lowest stage first so
-    that the shared nodes below it are ready, and then written by reference;
-    every other node is expanded inline from an explicit stack.  The cost is
-    O(distinct nodes + output bytes), and nothing recurses.
+    else the ``(head, separator, tail)`` written around its children.  A
+    separator or tail may be a tuple instead of a string, which ``parts``
+    turns into its string when it is written, so that no open node holds
+    text that grows with the depth.  The rendering of a node depends on the
+    node alone, so a node reached along two or more edges is rendered once
+    into a string, lowest stage first so that the shared nodes below it are
+    ready, and kept while it is at most ``_SHORT`` characters long: its
+    rendering is abandoned once it passes that length, and the node is then
+    expanded wherever it is reached, over its children's kept strings.  Every
+    other node is expanded inline from an explicit stack.  The cost is
+    O(distinct nodes + output bytes) time, an abandoned rendering being
+    shorter than the node's text, and O(``_SHORT`` x shared nodes + depth)
+    memory besides the tree; nothing recurses.
     """
     refs = {}
     todo = [root]
@@ -51,10 +71,26 @@ def _emit(root, write, parts) -> None:
                 refs[ch] = 1
                 todo.append(ch)
     memo = {}
-    for t in sorted((t for t, k in refs.items() if k > 1), key=attrgetter("depth")):
-        pieces = []
-        _expand(t, pieces.append, parts, memo)
-        memo[t] = "".join(pieces)
+    shared = sorted((t for t, k in refs.items() if k > 1), key=attrgetter("depth"))
+    del refs
+    pieces = []
+    size = 0
+
+    def keep(piece):
+        nonlocal size
+        size += len(piece)
+        if size > _SHORT:
+            raise _Long
+        pieces.append(piece)
+
+    for t in shared:
+        try:
+            _expand(t, keep, parts, memo)
+            memo[t] = "".join(pieces)
+        except _Long:
+            pass
+        pieces.clear()
+        size = 0
     _expand(root, write, parts, memo)
 
 
@@ -63,8 +99,12 @@ def _expand(root, write, parts, memo) -> None:
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
-        if item.__class__ is str:
+        cls = item.__class__
+        if cls is str:
             write(item)
+            continue
+        if cls is tuple:
+            write(parts(item))
             continue
         text = memo.get(item)
         if text is None:
@@ -105,8 +145,9 @@ def render_text(t, write=None):
     """Display form: '·' for Trunc, labels with parenthesized children.
 
     Returns the text; given ``write``, passes it to ``write`` in pieces
-    instead and returns None.  Shared subtrees are rendered once (see
-    :func:`_emit`), but the text is the expanded tree.
+    instead and returns None.  Shared subtrees are rendered once while
+    their text is short (see :func:`_emit`), but the text is the expanded
+    tree.
     """
     return _render(t, _text_parts, write, "")
 
@@ -116,22 +157,24 @@ def _json_parts(root_depth: int):
     indent=2)`` for a tree of depth ``root_depth``.  Every child sits one
     stage below its parent (:func:`omegacoalg.container.make_node`), so a
     node at depth d is nested ``root_depth - d`` levels deep, 4 spaces per
-    level, wherever it occurs."""
+    level, wherever it occurs.  A node's separator and tail are the tuples
+    ``(level, None)`` and ``(level, node)``, so the pads and the label are
+    built only when they are written."""
 
     def parts(t):
+        if t.__class__ is tuple:
+            level, node = t
+            pad = "    " * level
+            if node is None:
+                return ",\n" + pad + "    "
+            return "\n" + pad + "  ],\n" + pad + '  "label": ' + json.dumps(node.label) + "\n" + pad + "}"
         if t.is_trunc:
             return "null"
-        label = '"label": ' + json.dumps(t.label) + "\n"
-        pad = "    " * (root_depth - t.depth)
-        key = pad + "  "
+        level = root_depth - t.depth
+        pad = "    " * level
         if not t.children:
-            return "{\n" + key + '"children": [],\n' + key + label + pad + "}"
-        item = key + "  "
-        return (
-            "{\n" + key + '"children": [\n' + item,
-            ",\n" + item,
-            "\n" + key + "],\n" + key + label + pad + "}",
-        )
+            return "{\n" + pad + '  "children": [],\n' + pad + '  "label": ' + json.dumps(t.label) + "\n" + pad + "}"
+        return ("{\n" + pad + '  "children": [\n' + pad + "    ", (level, None), (level, t))
 
     return parts
 
@@ -238,7 +281,10 @@ def cmd_approx(args) -> int:
 
     The observation is a hash-consed DAG; it is written out as the expanded
     tree, straight to stdout in pieces, in O(distinct nodes + output bytes)
-    time and without recursion (see :func:`_emit`).  The output of a
+    time and without recursion (see :func:`_emit`).  Besides the DAG and its
+    level table, the render holds O(``_SHORT`` x shared nodes + depth)
+    memory, whatever the output's size: no open node holds its indent, and
+    a shared node's text is kept only while short.  The output of a
     branching state still grows exponentially with the depth.
     """
     c = specdoc.load_spec(args.spec).coalgebra

@@ -103,9 +103,10 @@ def _fill_levels(c, s, n: int) -> None:
 
     ``c._levels[k]`` maps a state to its depth-k observation.  An entry at
     depth k needs only its children's entries at depth k-1, so the walk
-    down collects the missing entries level by level, from ``s`` at depth
-    n, and stops at the first level where none is missing; the entries are
-    then built bottom-up, level by level: Trunc at depth 0, else the
+    down collects the missing states level by level, from ``s`` at depth
+    n, into one flat list with the start of each level in an array, and
+    stops at the first level where none is missing; the entries are then
+    built bottom-up, level by level: Trunc at depth 0, else the
     transition's label over the children's depth-(k-1) entries.  The cost
     is proportional to the entries added (times the arity), not to ``n``.
     """
@@ -113,23 +114,33 @@ def _fill_levels(c, s, n: int) -> None:
     _grow(levels, n)
     step = c.transition
     missing = []
+    starts = array("l")
     wanted = [s]
     for k in range(n, -1, -1):
         here = levels[k]
-        steps = [(t, step(t)) for t in dict.fromkeys(wanted) if t not in here]
-        if not steps:
+        # One wanted state, as down a stream, needs no dedupe.
+        if len(wanted) > 1:
+            wanted = dict.fromkeys(wanted)
+        fresh = [t for t in wanted if t not in here]
+        if not fresh:
             break
-        missing.append((k, steps))
-        wanted = [ch for _, pv in steps for ch in pv.children]
-    for k, steps in reversed(missing):
+        starts.append(len(missing))
+        missing += fresh
+        wanted = [ch for t in fresh for ch in step(t).children]
+    # The walk down read every transition, so the transition cache has them.
+    known = c._gamma_cache
+    end = len(missing)
+    for k, start in enumerate(reversed(starts), n + 1 - len(starts)):
         here = levels[k]
         if k == 0:
-            for t, _ in steps:
+            for t in missing[start:end]:
                 here[t] = TRUNC
-            continue
-        below = levels[k - 1]
-        for t, pv in steps:
-            here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
+        else:
+            below = levels[k - 1]
+            for t in missing[start:end]:
+                pv = known[t]
+                here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
+        end = start
 
 
 def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
@@ -657,7 +668,8 @@ def _grouped(nodes: Iterable, number: dict) -> list | None:
     child states, grouped by label and arity as :func:`_level_holds` reads
     them: a list of ``(label, members, columns)``, with the group's state
     numbers in the array ``members`` and one array of child numbers
-    (``number``) per position in ``columns``.  None if a node is None.  The
+    (``number``) per position in ``columns``.  None if a node is None: the
+    grouping stops at the first None and reads no further node.  The
     arrays hold C ints, 4 bytes a number, so the two groupings that
     :func:`_table_laws` holds at once add little to its peak; the tables of
     2^31 states would not fit in memory anyway."""
@@ -691,18 +703,16 @@ def _roundtrip_groups(c: Coalgebra, depth: int) -> list | None:
         for i, s in enumerate(c.state_enumeration):
             want = sort(s)
             m = into(container, out(unfold(c, s)), want)
-            if m.sort != want:
-                yield None
-                return
-            ext = m.coalgebra
-            if type(ext) is _FreeExtension:
-                children = [ch.state for ch in ext.children if ch.coalgebra is c]
-                if len(children) == len(ext.children) and all(map(number.__contains__, children)):
-                    yield i, ext.label, children
+            if m.sort == want:
+                ext = m.coalgebra
+                if type(ext) is _FreeExtension:
+                    children = [ch.state for ch in ext.children if ch.coalgebra is c]
+                    if len(children) == len(ext.children) and all(map(number.__contains__, children)):
+                        yield i, ext.label, children
+                        continue
+                if _agrees(m, c, s, depth):
                     continue
-            if not _agrees(m, c, s, depth):
-                yield None
-                return
+            yield None
 
     return _grouped(nodes(), number)
 

@@ -4,6 +4,10 @@ expanded tree that a naive recursive rendering writes."""
 import json
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -87,13 +91,17 @@ def _nodes(t):
     small_coalgebras(),
     st.integers(0, 8),
     st.lists(st.sampled_from(ESCAPED_LABELS + ("x", "y", "z")), min_size=3, max_size=3, unique=True),
+    st.sampled_from((0, 1, 12, 60, cli._SHORT)),
 )
-def test_emitters_match_recursive_reference_property(c, depth, names):
+def test_emitters_match_recursive_reference_property(c, depth, names, limit):
     """Every state at a drawn depth, its labels renamed to drawn names that
-    include escaped ones, renders as the recursive reference does."""
+    include escaped ones, renders as the recursive reference does.  The
+    kept-text limit is drawn too: below the shared nodes' lengths, they are
+    expanded where they are reached."""
     c = relabelled(c, dict(zip("xyz", names)))
-    for s in c.state_enumeration:
-        assert_renders_like_reference(approximate(c, s, depth))
+    with mock.patch.object(cli, "_SHORT", limit):
+        for s in c.state_enumeration:
+            assert_renders_like_reference(approximate(c, s, depth))
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,6 +109,100 @@ def test_emitters_match_recursive_reference_property(c, depth, names):
 def test_indexed_emitters_match_recursive_reference_property(c, depth):
     for s in c.state_enumeration:
         assert_renders_like_reference(iapproximate(c, s, depth).tree)
+
+
+def binary() -> Coalgebra:
+    """``t -> b(t, t)``: every node below the root is shared."""
+    return Coalgebra(Container(arity={"b": 2}, labels=("b",)), {"t": ("b", ("t", "t"))}, state_enumeration=("t",))
+
+
+def test_long_shared_nodes_of_binary_tree():
+    """At these depths the root's child, shared, has more than ``_SHORT``
+    characters in either format, so it is expanded where reached."""
+    c = binary()
+    for render, reference, depth in ((cli.render_text, reference_text, 15), (cli.tree_json, reference_json, 10)):
+        t = approximate(c, "t", depth)
+        want = reference(t)
+        # The root's text is its child's twice, plus under 100 characters.
+        assert len(want) > 2 * (cli._SHORT + 100)
+        assert render(t) == want
+        pieces = []
+        assert render(t, pieces.append) is None
+        assert "".join(pieces) == want
+
+
+def test_long_shared_node_between_unshared_and_short_shared_nodes():
+    """``r -> a(n, m)``, ``n -> c(x)``, ``m -> d(x)``, ``x -> b(y, y)``,
+    ``y -> b(y, y)``: at depth D, the node of ``x`` at depth D - 2 is
+    shared by the unshared nodes of ``n`` and ``m``, its text is long, and
+    the nodes of ``y`` below it are shared, the lowest ones short."""
+    container = Container(arity={"a": 2, "b": 2, "c": 1, "d": 1}, labels=("a", "b", "c", "d"))
+    gamma = {"r": ("a", ("n", "m")), "n": ("c", ("x",)), "m": ("d", ("x",)), "x": ("b", ("y", "y")), "y": ("b", ("y", "y"))}
+    c = Coalgebra(container, gamma, state_enumeration=tuple(gamma))
+    for render, depth in ((cli.render_text, 16), (cli.tree_json, 12)):
+        t = approximate(c, "r", depth)
+        n, m = t.children
+        x = n.children[0]
+        edges = [ch for node in _nodes(t) for ch in node.children]
+        assert (edges.count(n), edges.count(m), edges.count(x)) == (1, 1, 2)
+        assert len(render(x)) > cli._SHORT
+        assert len(render(approximate(c, "y", 2))) < cli._SHORT
+        assert_renders_like_reference(t)
+
+
+def counting_sink():
+    """A ``write`` that keeps only the number of characters written."""
+    count = [0]
+
+    def write(piece):
+        count[0] += len(piece)
+
+    return write, count
+
+
+def test_render_memory_is_bounded_on_binary_tree():
+    """Rendering ``t -> b(t, t)`` into a sink that keeps nothing allocates
+    under 1 MB at its peak, for 1.6 MB of text at depth 18 and 5.6 MB of
+    JSON at depth 14: the kept texts of shared nodes are short."""
+    c = binary()
+    for render, depth, size in ((cli.render_text, 18, 6 * 2**18 - 5), (cli.tree_json, 14, 5603327)):
+        t = approximate(c, "t", depth)
+        write, count = counting_sink()
+        tracemalloc.start()
+        try:
+            render(t, write)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count[0] == size
+        assert peak < 2**20, (render.__name__, depth, peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.wait4")
+def test_deep_json_render_peak_rss(tmp_path):
+    """``approx --format json`` at depth 10^4 on a one-state stream writes
+    about 1 GB; the process peaks under 64 MB, because no open level holds
+    its indent."""
+    spec = tmp_path / "stream.json"
+    spec.write_text(json.dumps(stream_doc()))
+    args = ["approx", "--spec", str(spec), "--state", "s", "--depth", "10000", "--format", "json"]
+    # A child's ru_maxrss counts the resident set of the process that
+    # started it, so a small interpreter starts the command, not this one.
+    spawner = (
+        "import os, subprocess, sys\n"
+        "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(p.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", spawner, sys.executable, "-m", "omegacoalg", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    code, maxrss_kib = map(int, r.stdout.split())
+    assert code == 0
+    assert maxrss_kib < 64 * 1024, maxrss_kib
 
 
 def test_emitters_leaves_shared_subtrees_and_escapes():
@@ -149,18 +251,19 @@ def test_stream_json_closed_form():
         assert stream_json(depth) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
+def stream_doc() -> dict:
+    """The spec of the one-state stream ``s -> a(s)``."""
+    return {
+        "schema_version": "1",
+        "signature": {"labels": ["a"], "arity": {"a": 1}},
+        "coalgebra": {"states": ["s"], "gamma": {"s": {"label": "a", "children": ["s"]}}},
+    }
+
+
 def test_deep_approx_needs_no_recursion(tmp_path):
     """``approx`` renders deep observations with the recursion limit at 100."""
     spec = tmp_path / "stream.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "schema_version": "1",
-                "signature": {"labels": ["a"], "arity": {"a": 1}},
-                "coalgebra": {"states": ["s"], "gamma": {"s": {"label": "a", "children": ["s"]}}},
-            }
-        )
-    )
+    spec.write_text(json.dumps(stream_doc()))
     # Exit 99 if the command raised the limit instead of doing without.
     prog = (
         "import sys\n"
