@@ -433,13 +433,13 @@ def minimize(c: Coalgebra) -> Coalgebra:
     bisimulation-closed).  The quotient is built from state numbers: each
     block's row of the child table and of the class column is its earliest
     member's, with every child renumbered by its block.  Those tables are
-    the quotient's one store (:meth:`~omegacoalg.mtype.Coalgebra._adopt`):
-    no transition of ``c`` is read, and a ``PValue`` of the quotient is
-    made only when its transition is first read.  The blocks and the
-    earliest members come from the numbering ``numbers`` that
-    :func:`partition_refine` returns, and the tables are built in C-level
-    passes over it, so the cost is O((n + m) log n) for n states and m
-    edges.
+    the quotient's one store, kept with its numbering
+    (:meth:`~omegacoalg.mtype.Coalgebra._adopt`): no transition of ``c``
+    is read, and a ``PValue`` of the quotient is made only when its
+    transition is first read.  The blocks and the earliest members come
+    from the numbering ``numbers`` that :func:`partition_refine` returns,
+    and the tables are built in C-level passes over it, so the cost is
+    O((n + m) log n) for n states and m edges.
     """
     numbers = partition_refine(c).numbers
     kids, koff, column, tags = c._kids, c._koff, c._class, c._tags
@@ -458,5 +458,6 @@ def minimize(c: Coalgebra) -> Coalgebra:
     qcolumn = array("l", map(renumber.__getitem__, klass))
     states = tuple(map(c.state_enumeration.__getitem__, firsts))
     q = c._like(states, f"min({c.name})" if c.name else "min")
-    q._adopt(states, qkids, qkoff, qcolumn, tuple(map(tags.__getitem__, renumber)))
+    qtags = tuple(map(tags.__getitem__, renumber))
+    q._adopt(states, qkids, qkoff, qcolumn, qtags, dict(zip(states, count())))
     return q

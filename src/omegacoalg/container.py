@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from itertools import chain, compress, repeat, starmap
 
@@ -94,8 +95,11 @@ class ApproxTree:
     share subtrees internally.  Always build through :func:`make_trunc`,
     :func:`make_node` or the library operations, never by hand.
 
-    A tree that :func:`truncate` has projected keeps its truncation in the
-    slot ``_truncation``, None until then.
+    A tree keeps its truncation in the slot ``_truncation`` once
+    :func:`truncate` has projected it, or once ``check``'s compatibility
+    law (:func:`_truncates_to`) has compared it with the tree one level
+    below it in a level table; None until then.  The slot is the one place
+    a truncation is kept, and it holds nothing but a true truncation.
     """
 
     __slots__ = ("depth", "label", "children", "_truncation")
@@ -307,40 +311,42 @@ def _cut(t: ApproxTree, m: int) -> ApproxTree:
 _depth_of = operator.attrgetter("depth")
 _label_of = operator.attrgetter("label")
 _children_of = operator.attrgetter("children")
+_truncation_of = operator.attrgetter("_truncation")
 
 
-def _truncates_to(row: list, lower: list, down: dict) -> dict | None:
+def _truncates_to(row: list, lower: list) -> bool:
     """Whether :func:`_truncate` of each tree of ``row`` is the tree at the
     same place in ``lower``, for two rows of a level table, depths k and
-    k-1: the row's map from each distinct tree to its truncation if so,
-    else None (so for Trunc, which has no truncation).  ``down`` is that
-    map for the row of depth k-1 (empty below depth 2).  A repeated tree
+    k-1 (never so for Trunc, which has no truncation).  A repeated tree
     must meet one tree of ``lower`` at all its places; then the distinct
     pairs are compared, as one batch of list comparisons when every tree is
-    deeper than 1 and every child is a key of ``down``: the truncation of a
-    node is the interned node one lower with its label over its children's
-    truncations, so it is ``u`` exactly when ``u`` has that depth, that
-    label and those children.  Otherwise each goes through
-    :func:`_truncate`."""
+    deeper than 1 and every child holds its truncation in its slot: the
+    truncation of a node is the interned node one lower with its label over
+    its children's truncations, so it is ``u`` exactly when ``u`` has that
+    depth, that label and those children.  Only once the whole batch
+    compares equal is each tree's slot set to its tree of ``lower``, so a
+    slot holds nothing but a true truncation.  Otherwise each goes through
+    :func:`_truncate`, which fills the slots it reaches."""
     pairs = dict(zip(row, lower))
     if len(pairs) < len(row) and not all(map(operator.is_, map(pairs.__getitem__, row), lower)):
-        return None
+        return False
     trees = list(pairs)
     lower = list(pairs.values())
     depths = list(map(_depth_of, trees))
     kids = list(map(_children_of, trees))
-    flat = list(chain.from_iterable(kids))
-    if min(depths, default=2) < 2 or not all(map(down.__contains__, flat)):
-        same = 0 not in depths and all(map(operator.is_, map(_truncate, trees), lower))
-    else:
-        below = list(map(_children_of, lower))
-        same = (
-            list(map(operator.sub, depths, repeat(1))) == list(map(_depth_of, lower))
-            and list(map(_label_of, trees)) == list(map(_label_of, lower))
-            and list(map(len, kids)) == list(map(len, below))
-            and list(map(down.__getitem__, flat)) == list(chain.from_iterable(below))
-        )
-    return pairs if same else None
+    down = list(map(_truncation_of, chain.from_iterable(kids)))
+    if min(depths, default=2) < 2 or None in down:
+        return 0 not in depths and all(map(operator.is_, map(_truncate, trees), lower))
+    below = list(map(_children_of, lower))
+    same = (
+        list(map(operator.sub, depths, repeat(1))) == list(map(_depth_of, lower))
+        and list(map(_label_of, trees)) == list(map(_label_of, lower))
+        and list(map(len, kids)) == list(map(len, below))
+        and down == list(chain.from_iterable(below))
+    )
+    if same:
+        deque(map(setattr, trees, repeat("_truncation"), lower), 0)
+    return same
 
 
 def truncate_to(c: Container, t: ApproxTree, m: int) -> ApproxTree:
@@ -390,28 +396,3 @@ def enumerate_w(
                 nxt.append(_tree(d, a, combo))
         stage = nxt
     return stage
-
-
-def well_formed(c: Container, t: ApproxTree) -> bool:
-    """Check the depth/arity/shape discipline of a tree (test helper)."""
-    stack = [t]
-    seen = set()
-    while stack:
-        cur = stack.pop()
-        # Interned trees may be DAG-shared; dedup keeps the walk linear.
-        if id(cur) in seen:
-            continue
-        seen.add(id(cur))
-        if cur.is_trunc:
-            if cur.depth != 0:
-                return False
-            continue
-        if cur.depth < 1:
-            return False
-        if len(cur.children) != c.arity_of(cur.label):
-            return False
-        for ch in cur.children:
-            if ch.depth != cur.depth - 1:
-                return False
-            stack.append(ch)
-    return True

@@ -176,29 +176,29 @@ class Coalgebra:
     admitted (:meth:`_admit`) and must stay within the enumerated states.
     Coalgebras compare by identity.
 
-    That one validating pass also numbers the states, by their place in
-    the enumeration, and keeps the tables.  The child table: the children
-    of state i, as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The
-    class column: ``_class[i]`` numbers the pair of state i's sort and
-    label, in order of first appearance, and ``_tags[k]`` is the pair that
-    k numbers.  Partition refinement reads them
-    (:func:`~omegacoalg.bisim.partition_refine`), and so do
-    :func:`~omegacoalg.bisim.minimize` and the spec writer
+    That one validating pass also numbers the states, by their place in the
+    enumeration, and keeps the numbering and the tables.  The numbering:
+    ``_index`` maps each state to its number; the duplicate and closure
+    checks, the reads off the tables and the laws of ``check`` all use this
+    one dict.  The child table: the children of state i, as numbers, are
+    ``_kids[_koff[i]:_koff[i + 1]]``.  The class column: ``_class[i]``
+    numbers the pair of state i's sort and label, in order of first
+    appearance, and ``_tags[k]`` is the pair that k numbers.  Partition
+    refinement reads them (:func:`~omegacoalg.bisim.partition_refine`), and
+    so do :func:`~omegacoalg.bisim.minimize` and the spec writer
     (:func:`~omegacoalg.specdoc.dump_document`), which read no transition.
-    They cost 16 bytes per state plus 8 bytes per edge; the state ->
-    number dict that the duplicate and closure checks use is dropped once
-    they pass.  Without an enumeration they are all None.
+    They cost 16 bytes per state plus 8 bytes per edge, beside the
+    numbering's dict.  Without an enumeration they are all None.
 
     The transition store.  A transition read through ``gamma`` is admitted
     and kept in ``_gamma_cache``, so the validating pass leaves every
     state's :class:`PValue` there.  A pass elsewhere that validates a
     presentation and builds its tables itself hands them over through
-    :meth:`_adopt`, with ``gamma`` None: the spec loader's pass over a
-    document, and ``minimize`` for its quotient.  The tables are then the
-    one store: a state's ``PValue`` is read off them on its first
-    :meth:`transition`, with no second admission, and kept; the state ->
-    number dict that this read needs (:meth:`_numbers`) is built on the
-    first one, and the laws of ``check`` read the same dict.
+    :meth:`_adopt`, with ``gamma`` None, together with its numbering: the
+    spec loader's pass over a document, and ``minimize`` for its quotient.
+    The tables are then the one store: a state's ``PValue`` is read off
+    them, through the numbering, on its first :meth:`transition`, with no
+    second admission, and kept.
     """
 
     # How validation names a repeated state and the states a child must
@@ -222,7 +222,7 @@ class Coalgebra:
         # Every enumerated state is in the level table up to this depth.
         self._full = -1
         self._kids = self._koff = self._class = self._tags = None
-        # State -> number, for reading a transition off the tables.
+        # State -> number, kept from the validating pass.
         self._index = None
         if state_enumeration is not None:
             self._validate(tuple(state_enumeration))
@@ -248,7 +248,7 @@ class Coalgebra:
             except KeyError:
                 raise self._fault(s, pv, index) from None
             koff.append(len(kids))
-        self._adopt(states, kids, koff, column, tuple(classes))
+        self._adopt(states, kids, koff, column, tuple(classes), index)
 
     def _fault(self, s, pv: PValue, index) -> OmegaCoalgError | None:
         """What validation refuses in the transition ``pv`` of ``s``: the
@@ -264,12 +264,14 @@ class Coalgebra:
                 return InvalidCoalgebra(f"transition of {s!r} leaves the {self._state_pool}: {ch!r}")
         return None
 
-    def _adopt(self, states: tuple, kids, koff, column, tags: tuple) -> None:
-        """Take the enumeration ``states`` and its tables from a pass that
-        has validated them; with ``gamma`` None they are the store (see
-        the class docstring)."""
+    def _adopt(self, states: tuple, kids, koff, column, tags: tuple, index: dict) -> None:
+        """Take the enumeration ``states``, its numbering ``index`` (state
+        -> place in ``states``) and its tables from a pass that has
+        validated them; with ``gamma`` None they are the store (see the
+        class docstring)."""
         self.state_enumeration = states
         self._kids, self._koff, self._class, self._tags = kids, koff, column, tags
+        self._index = index
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
     # level table (:func:`approximate`), as pointed elements take it.
@@ -304,20 +306,11 @@ class Coalgebra:
         self._admit(s, pv)
         return pv
 
-    def _numbers(self) -> dict:
-        """The enumerated states' numbers, state -> place in the
-        enumeration, built on the first call and kept."""
-        index = self._index
-        if index is None:
-            states = self.state_enumeration
-            index = self._index = dict(zip(states, range(len(states))))
-        return index
-
     def _row(self, s) -> PValue:
         """The transition of ``s`` read off the tables: the label its class
         names over its row of the child table."""
         states = self.state_enumeration
-        i = self._numbers().get(s)
+        i = self._index.get(s)
         if i is None:
             raise InvalidCoalgebra(f"state {s!r} has no transition in gamma")
         koff = self._koff
@@ -510,8 +503,11 @@ def approximate_all(c: Coalgebra, n: int) -> list:
     from the coalgebra's class column and child table; an entry already in
     the table stays, and the entries above it are built over it.  The
     coalgebra keeps the depth up to which its table is full, so a second
-    call up to that depth returns in O(n).
+    call up to that depth returns in O(n).  A negative ``n`` raises
+    :class:`CannotTruncateUnit` before the table is touched.
     """
+    if n < 0:
+        raise _no_stage(n)
     if c.state_enumeration is None:
         raise NeedsFiniteStates("approximate_all needs a state enumeration")
     levels = c._levels
@@ -575,7 +571,9 @@ def _fill_rows(c: Coalgebra, n: int) -> None:
     share their level-k entry, k >= 1, exactly when they share a block
     after k - 1 rounds.  Python loops over classes, batches and levels,
     and over the trees that are new; no table of all levels is built
-    beside the level dicts.
+    beside the level dicts.  Each built entry goes into its level through
+    ``setdefault``, so an entry already in the table stays, and the row
+    that the next level reads is the level's own entries.
     """
     order, _, layout = _class_columns(c)
     states = list(map(c.state_enumeration.__getitem__, order))
@@ -594,16 +592,7 @@ def _fill_rows(c: Coalgebra, n: int) -> None:
                     below = [map(row.__getitem__, col[i:end]) for col in columns]
                     children = zip(*below) if below else repeat((), end - i)
                     built += _intern_all(list(zip(repeat(k), repeat(label), children)))
-        level = levels[k]
-        if level:
-            # An entry already in the table stays.
-            fresh = dict(zip(states, built))
-            fresh.update(level)
-            level.update(fresh)
-            built = list(map(level.__getitem__, states))
-        else:
-            level.update(zip(states, built))
-        row = built
+        row = list(map(levels[k].setdefault, states, built))
 
 
 def _table_laws(c: Coalgebra, depth: int) -> tuple:
@@ -628,39 +617,37 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     groups, and each row goes through C-level ``map``/``zip``.
     Compatibility compares each row with the row below as one batch
     (:func:`~omegacoalg.container._truncates_to`), reading the truncations
-    of the row below, which it carries up one level at a time; none is
-    kept after the call.  The morphism law and
-    the roundtrip are one kernel (:func:`_level_holds`) over two groupings
-    of the states by label and arity (:func:`_grouped`): of their
-    transitions, as ``c.transition`` gives them, not the tables the fill
-    read; and of the elements that ``into`` assembles, one per state, whose
-    stage 0 is Trunc (:func:`_roundtrip_groups`).  When ``into`` gives back
-    each state's label over its children, the two groupings are equal, so
-    the kernel's answer at each level is the same for both laws, and it is
-    asked once.
+    of the row below from their trees' ``_truncation`` slots, where the row
+    below's comparison left them; no truncation is held anywhere else.  The
+    morphism law and the roundtrip are one kernel (:func:`_level_holds`)
+    over two groupings of the states by label and arity (:func:`_grouped`):
+    of their transitions, as ``c.transition`` gives them, not the tables the
+    fill read; and of the elements that ``into`` assembles, one per state,
+    whose stage 0 is Trunc (:func:`_roundtrip_groups`).  When ``into`` gives
+    back each state's label over its children, the two groupings are equal,
+    so the kernel's answer at each level is the same for both laws, and it
+    is asked once.
     """
     table = approximate_all(c, depth)
     states = c.state_enumeration
     assembled = _roundtrip_groups(c, depth)
     transitions = enumerate(map(c.transition, states))
-    steps = _grouped(((i, pv.label, pv.children) for i, pv in transitions), c._numbers())
+    steps = _grouped(((i, pv.label, pv.children) for i, pv in transitions), c._index)
     if assembled == steps:
         assembled = steps
     lower = list(map(table[0].__getitem__, states))
     base = all(map(operator.is_, lower, repeat(TRUNC)))
-    down: dict | None = {}
-    morphism = True
+    compatible = morphism = True
     roundtrip = assembled is not None and base
     for k in range(1, depth + 1):
-        if down is None and not (roundtrip or morphism):
+        if not (compatible or roundtrip or morphism):
             break
         row = list(map(table[k].__getitem__, states))
-        if down is not None:
-            down = _truncates_to(row, lower, down)
+        compatible = compatible and _truncates_to(row, lower)
         morphism = morphism and _level_holds(k, steps, lower, row)
         roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row))
         lower = row
-    return down is not None, roundtrip, morphism, morphism and base
+    return compatible, roundtrip, morphism, morphism and base
 
 
 def _grouped(nodes: Iterable, number: dict) -> list | None:
@@ -697,7 +684,7 @@ def _roundtrip_groups(c: Coalgebra, depth: int) -> list | None:
     table's entries.  Any other element is compared on its own, by
     :func:`_agrees`.  None when an element has another sort than its state
     or :func:`_agrees` refuses it: the law fails."""
-    container, sort, number = c.container, c._sort, c._numbers()
+    container, sort, number = c.container, c._sort, c._index
 
     def nodes():
         for i, s in enumerate(c.state_enumeration):
@@ -833,11 +820,14 @@ def verify_morphism(mc: MorphismCandidate, depth: int, states=None) -> bool:
     observation of ``s``, for every checked state and n <= depth.  A state
     sent to an element of another sort fails.  Checking the whole
     enumeration (``states=None``) first fills the source's level table by
-    one :func:`approximate_all` sweep.
+    one :func:`approximate_all` sweep.  A negative ``depth`` names no
+    stage and raises :class:`CannotTruncateUnit`.
 
     Stages are compared one at a time, the element's ``at(n)`` with the
     source's observation, by identity of interned trees, stopping at the
     first that differs (see :func:`_agrees`)."""
+    if depth < 0:
+        raise _no_stage(depth)
     checked = _check_states(mc, states)
     source = mc.source
     if states is None:

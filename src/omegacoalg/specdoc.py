@@ -6,10 +6,11 @@ or an ``indexed`` container fragment, and a ``coalgebra`` fragment that
 must validate against it (arities, state closure, sorts).
 
 The coalgebra fragment, plain or indexed, is validated in one pass over
-the states, which also numbers them and writes the coalgebra's tables
-(:meth:`~omegacoalg.mtype.Coalgebra._adopt`).  A fault of the document's
-shape is raised where it is found; the first fault the coalgebra refuses
-is held until the whole document's shape has passed.  The loaded
+the states, which also numbers them and writes the coalgebra's tables;
+the coalgebra keeps both (:meth:`~omegacoalg.mtype.Coalgebra._adopt`).
+A fault of the document's shape is raised where it is found; the first
+fault the coalgebra refuses is held until the whole document's shape has
+passed.  The loaded
 coalgebra has no ``gamma``: its tables are its one store, and a state's
 transition is read off them when it is first asked for.  The writer,
 :func:`dump_document`, prints a coalgebra's document straight from its
@@ -117,7 +118,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     """The coalgebra fragment against ``container``, plain or indexed, in
     one pass over the states that checks each entry and numbers the states
     into the tables (:meth:`~omegacoalg.mtype.Coalgebra._adopt`), which
-    are the coalgebra's store.
+    are the coalgebra's store; the coalgebra keeps the numbering too.
 
     A fault of shape (a name that is not a string, a missing or malformed
     entry, a plain label outside ``signature.labels``, an undeclared
@@ -222,7 +223,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     if held is not None:
         raise SpecValidationError(f"coalgebra: {held}")
     koff = array("l", accumulate(map(len, lists), initial=0))
-    c._adopt(tuple(states), kids, koff, column, tuple(classes))
+    c._adopt(tuple(states), kids, koff, column, tuple(classes), index)
     return c
 
 

@@ -9,6 +9,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from omegacoalg import Coalgebra, Container, LimitElement, PValue, make_node, w_chain
+from omegacoalg.container import ApproxTree
 from omegacoalg.chain import poly_chain, poly_limit_from, poly_limit_to, shift_back, shift_forward
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
@@ -39,6 +40,32 @@ def chain_into(container: Container, v: PValue) -> LimitElement:
         lambda n: make_node(container, lp.at(n).label, lp.at(n).children, depth=n + 1),
     )
     return shift_back(base, as_nodes)
+
+
+def well_formed(c: Container, t: ApproxTree) -> bool:
+    """Whether ``t`` keeps the depth, arity and shape discipline of an
+    approximation tree over ``c``."""
+    stack = [t]
+    seen = set()
+    while stack:
+        cur = stack.pop()
+        # Interned trees may be DAG-shared; dedup keeps the walk linear.
+        if id(cur) in seen:
+            continue
+        seen.add(id(cur))
+        if cur.is_trunc:
+            if cur.depth != 0:
+                return False
+            continue
+        if cur.depth < 1:
+            return False
+        if len(cur.children) != c.arity_of(cur.label):
+            return False
+        for ch in cur.children:
+            if ch.depth != cur.depth - 1:
+                return False
+            stack.append(ch)
+    return True
 
 
 def random_container(rng: random.Random, max_labels=4, max_arity=3) -> Container:

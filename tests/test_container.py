@@ -18,7 +18,7 @@ from omegacoalg import (
     truncate,
     truncate_to,
 )
-from omegacoalg.container import TRUNC, well_formed
+from omegacoalg.container import TRUNC
 from omegacoalg.catalog import conat_coalgebra, fig1_coalgebra, fig1_signature
 from omegacoalg.errors import (
     ArityMismatch,
@@ -30,7 +30,7 @@ from omegacoalg.errors import (
     UnknownLabel,
 )
 
-from conftest import random_coalgebra
+from conftest import random_coalgebra, well_formed
 
 FIG1 = fig1_signature()
 

@@ -23,10 +23,11 @@ from omegacoalg import (
     verify_morphism,
     w_chain,
 )
-from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node
-from omegacoalg import mtype
+from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node, truncate_to
+from omegacoalg import container, mtype
 from omegacoalg.mtype import MElement, _table_laws
 from omegacoalg.bisim import bounded_bisim, minimize, partition_refine
+from omegacoalg.specdoc import dump_document, load_spec
 from omegacoalg.catalog import (
     conat_coalgebra,
     conat_infinity,
@@ -98,16 +99,31 @@ def test_approximate_depth_bound(monkeypatch):
 @pytest.mark.parametrize("filled", [False, True], ids=["empty-table", "filled-table"])
 def test_negative_depth_rejected(filled):
     """A negative depth names no stage; it must not index the level table
-    from its end and return the deepest stored observation."""
+    from its end and return the deepest stored observation, nor slice the
+    table from its end, nor pass a morphism check on no stage at all.  It
+    is refused before the table is touched."""
     c, ic = conat_coalgebra(), parity_coalgebra()
     if filled:
         approximate(c, "inf", 3)
         iapproximate(ic, "p", 3)
+        approximate_all(ic, 10)
     for n in (-1, -4):
         with pytest.raises(CannotTruncateUnit):
             approximate(c, "inf", n)
         with pytest.raises(CannotTruncateUnit):
             iapproximate(ic, "p", n)
+        for coalgebra in (c, ic):
+            depths = len(coalgebra._levels)
+            with pytest.raises(CannotTruncateUnit):
+                approximate_all(coalgebra, n)
+            mc = MorphismCandidate(coalgebra, lambda s, coalgebra=coalgebra: unfold(coalgebra, s))
+            with pytest.raises(CannotTruncateUnit):
+                verify_morphism(mc, n, states=None)
+            with pytest.raises(CannotTruncateUnit):
+                uniqueness_probe(coalgebra, mc, n)
+            with pytest.raises(CannotTruncateUnit):
+                _table_laws(coalgebra, n)
+            assert len(coalgebra._levels) == depths
 
 
 def test_unfold_stages_are_approximations():
@@ -581,6 +597,26 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
         assert not roundtrip
 
 
+def reachable(roots) -> list:
+    """The trees of ``roots`` and every tree below them, each once."""
+    todo, seen, found = list(roots), set(), []
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            found.append(t)
+            todo.extend(t.children)
+    return found
+
+
+def forget_truncations(trees) -> None:
+    """Empty the ``_truncation`` slot of each of ``trees`` and of every tree
+    below them.  A slot only caches a truncation, so an empty one is never
+    wrong; emptied, the slots that a test reads are the ones it wrote."""
+    for t in reachable(trees):
+        t._truncation = None
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(small_coalgebras(), small_indexed_coalgebras()),
@@ -588,23 +624,27 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
     st.randoms(use_true_random=False),
 )
 def test_row_truncation_matches_per_tree_truncation_property(c, depth, rnd):
-    """Compatibility's row kernel, ``_truncates_to(row, lower, down)``, says
-    what truncating each tree of ``row`` on its own says: whether it gives
-    the tree at the same place in ``lower``.  Each level takes one case:
-    the table's rows read upwards; the row below shuffled; one tree of the
-    row below relabelled over the same children, or put over other
-    children; one tree of the row over children that are no entries of the
-    row below (the per-tree fallback); or Trunc planted in the row.  It
-    returns the row's map from each tree to its truncation, or None, and
-    never raises."""
+    """Compatibility's row kernel, ``_truncates_to(row, lower)``, says what
+    truncating each tree of ``row`` on its own says: whether it gives the
+    tree at the same place in ``lower``, read by ``truncate_to``, which
+    reads no slot.  Each level takes one case: the table's rows read
+    upwards, which above depth 1 compares the rows as one batch over the
+    slots the kernel wrote one level down; the row below shuffled; one
+    tree of the row below relabelled over the same children, or put over
+    other children; one tree of the row over children that are no entries
+    of the row below (the per-tree fallback); Trunc planted in the row; or
+    the table's rows once every tree of the row below was truncated by a
+    plain ``truncate``, so the batch reads slots the kernel did not write.
+    It never raises, and when it holds, each tree of the row keeps the
+    tree below it as its truncation."""
     states = c.state_enumeration
     table = approximate_all(c, depth)
     rows = [[table[k][s] for s in states] for k in range(depth + 1)]
+    forget_truncations([t for row in rows for t in row])
     for k in range(1, depth + 1):
         row, lower = list(rows[k]), list(rows[k - 1])
-        down = {t: truncate(None, t) for t in lower} if k > 1 else {}
         i = rnd.randrange(len(row))
-        case = rnd.choice(("table", "shuffled", "relabelled", "rewired", "fresh", "trunc"))
+        case = rnd.choice(("table", "shuffled", "relabelled", "rewired", "fresh", "trunc", "truncated"))
         if case == "shuffled":
             rnd.shuffle(lower)
         elif case == "relabelled" and k > 1:
@@ -613,16 +653,78 @@ def test_row_truncation_matches_per_tree_truncation_property(c, depth, rnd):
             lower[i] = _tree(k - 1, lower[i].label, tuple(rnd.choice(rows[k - 2]) for _ in lower[i].children))
         elif case == "fresh" and k > 1:
             row[i] = _tree(k, ("fresh",), (_tree(k - 1, ("fresh",), ()),))
+            forget_truncations([row[i]])
             if rnd.random() < 0.5:
                 lower[i] = truncate(None, row[i])
         elif case == "trunc":
             row[i] = TRUNC
-        got = _truncates_to(row, lower, down)
+        elif case == "truncated" and k > 1:
+            forget_truncations(lower)
+            for t in lower:
+                truncate(None, t)
+        with mock.patch.object(container, "_truncate", wraps=container._truncate) as per_tree:
+            got = _truncates_to(row, lower)
+        if case in ("table", "truncated") and k > 1:
+            assert got and not per_tree.called
         if case == "trunc":
-            assert got is None
+            assert got is False
         else:
-            holds = all(truncate(None, t) is u for t, u in zip(row, lower))
-            assert got == (dict(zip(row, lower)) if holds else None)
+            assert got is all(truncate_to(None, t, k - 1) is u for t, u in zip(row, lower))
+        if got:
+            assert all(t._truncation is u for t, u in zip(row, lower))
+        # The next level reads the slots that the table's rows leave.
+        assert _truncates_to(rows[k], rows[k - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(1, 8),
+    st.sampled_from((None, "relabelled", "trunc")),
+    st.randoms(use_true_random=False),
+)
+def test_truncation_slots_never_lie_property(c, depth, fault, rnd):
+    """After ``check``'s laws on a table filled in any order, with or
+    without one planted fault (an entry relabelled over the same children,
+    or Trunc above depth 0), every tree reachable from the table whose
+    ``_truncation`` slot is set holds its true truncation there, as
+    ``truncate_to``, which reads no slot, computes it."""
+    states = c.state_enumeration
+    for _ in range(rnd.randint(0, 3)):
+        approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
+    approximate_all(c, depth)
+    if fault:
+        s, k = rnd.choice(states), rnd.randint(1, depth)
+        right = c._levels[k][s]
+        c._levels[k][s] = TRUNC if fault == "trunc" else _tree(k, ("wrong", right.label), right.children)
+    compatible = _table_laws(c, depth)[0]
+    assert compatible == (fault is None or (fault == "relabelled" and k == depth == 1))
+    for t in reachable([t for level in c._levels for t in level.values()]):
+        if t._truncation is not None:
+            assert t._truncation is truncate_to(None, t, t.depth - 1)
+
+
+@pytest.mark.parametrize("kind", ["loaded", "validated", "quotient"])
+@pytest.mark.parametrize("make", [fig1_coalgebra, parity_coalgebra], ids=["plain", "indexed"])
+def test_one_state_numbering(kind, make, tmp_path):
+    """A loaded spec, a coalgebra validated in memory and a ``minimize``
+    quotient each keep the numbering that built their tables, state ->
+    place in the enumeration, and reading transitions and ``check``'s
+    laws leave that one dict in place."""
+    c = make()
+    if kind == "loaded":
+        path = tmp_path / "spec.json"
+        path.write_text(dump_document(c))
+        c = load_spec(str(path)).coalgebra
+    elif kind == "quotient":
+        c = minimize(c)
+    states = c.state_enumeration
+    index = c._index
+    assert index == {s: i for i, s in enumerate(states)}
+    assert _table_laws(c, 5) == (True, True, True, True)
+    for s in states:
+        c.transition(s)
+    assert c._index is index
 
 
 def test_table_laws_read_trunc_above_depth_0_as_a_failure():
