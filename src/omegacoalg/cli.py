@@ -288,7 +288,7 @@ def cmd_approx(args) -> int:
     branching state still grows exponentially with the depth.
     """
     c = specdoc.load_spec(args.spec).coalgebra
-    if args.state not in c.state_enumeration:
+    if args.state not in c._index:
         print(f"unknown state: {args.state}", file=sys.stderr)
         return EXIT_UNKNOWN_STATE
     t = approximate(c, args.state, args.depth)
@@ -314,7 +314,7 @@ def cmd_bisim(args) -> int:
         print("--depth is required with --algorithm bounded", file=sys.stderr)
         return EXIT_VALIDATION
     for s in (args.left, args.right):
-        if s not in c.state_enumeration:
+        if s not in c._index:
             print(f"unknown state: {s}", file=sys.stderr)
             return EXIT_UNKNOWN_STATE
     i, j = c._sort(args.left), c._sort(args.right)
@@ -351,8 +351,8 @@ def cmd_check(args) -> int:
     level, in O(|S| depth r) for |S| states of arity at most r; each law is
     then read off it against truncation, ``out``/``into`` or the
     transition (:func:`omegacoalg.mtype._table_laws`).  An indexed spec is
-    also checked well sorted on that same table, with each state's sort
-    read once.
+    also checked well sorted on that same table, read as its rows, with
+    each state's sort read once.
     """
     c = specdoc.load_spec(args.spec).coalgebra
     verdicts = _table_laws(c, args.depth)
@@ -369,7 +369,7 @@ def cmd_check(args) -> int:
         table = approximate_all(c, args.depth)
         # Each distinct (sort, entry) pair of a level once: entries are
         # interned, so states that agree to that depth share one.
-        trees = chain.from_iterable(dict.fromkeys(zip(sorts, map(level.__getitem__, states))) for level in table)
+        trees = chain.from_iterable(dict.fromkeys(zip(sorts, level)) for level in table)
         verdicts = (well_sorted_all(c.container, trees),) + verdicts
     else:
         names = ("compatibility", "out-into-roundtrip", "unfold-is-morphism", "unfold-uniqueness")
@@ -432,9 +432,9 @@ def run() -> None:
     ``omegacoalg`` console script: run :func:`main` without the cyclic
     garbage collector and exit with its code.
 
-    A command's heap is interned trees, their key tuples and level dicts,
-    which hold no bulk reference cycles, so the collector would only walk
-    it: during the command, and again in the full collections that
+    A command's heap is interned trees, the intern table's per-label
+    dicts and level rows, which hold no bulk reference cycles, so the
+    collector would only walk it: during the command, and again in the full collections that
     interpreter shutdown runs.  It is turned off for the command, and the
     heap is frozen (``gc.freeze``) before the exit, which keeps it out of
     those last collections.  Shutdown still flushes stdout and runs atexit

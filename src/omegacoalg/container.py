@@ -15,7 +15,7 @@ import itertools
 import operator
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, compress, repeat
 
 from .errors import (
     ArityMismatch,
@@ -131,28 +131,56 @@ class _TruncLabel:
 
 _TRUNC_LABEL = _TruncLabel()
 
+# The intern table: one dict per label, from a tree's key to the tree.
+# The key of a node is its own ``children`` tuple, and that of a nullary
+# node its depth, so a tree is stored with no key of its own.  A tree
+# whose children are not all one level below it (only a planted table or
+# a hand-built family asks for one) is keyed by ``(depth, children)``,
+# apart from every other key: a children tuple holds trees, not a depth.
 _interned: dict = {}
 
 
+def _table(label) -> dict:
+    """The intern table of ``label``, made on first use."""
+    table = _interned.get(label)
+    if table is None:
+        table = _interned[label] = {}
+    return table
+
+
 def _tree(depth: int, label, children: tuple) -> ApproxTree:
-    key = (depth, label, children)
-    t = _interned.get(key)
+    """The interned tree of ``depth`` and ``label`` over ``children``, made
+    on first use: looked up in its label's dict by ``children``, by
+    ``depth`` when there are none, and by ``(depth, children)`` when a
+    child does not sit at ``depth - 1``."""
+    if children:
+        key = children
+        d = depth - 1
+        for ch in children:
+            if ch.depth != d:
+                key = (depth, children)
+                break
+    else:
+        key = depth
+    table = _table(label)
+    t = table.get(key)
     if t is None:
-        t = ApproxTree(depth, label, children)
-        _interned[key] = t
+        t = table[key] = ApproxTree(depth, label, children)
     return t
 
 
-def _intern_all(keys: list) -> list:
-    """:func:`_tree` of every ``(depth, label, children)`` key of ``keys``,
-    in order.  The lookups are one ``map``; only the missing trees are made,
-    one per distinct missing key, so a key repeated in the batch gives one
-    tree."""
-    got = list(map(_interned.get, keys))
+def _intern_all(depth: int, label, keys: list) -> list:
+    """:func:`_tree` of ``depth``, ``label`` and each children tuple of
+    ``keys``, in order, for keys whose children all sit at ``depth - 1``,
+    which the caller vouches for.  The lookups are one ``map``; only the
+    missing trees are made, one per distinct missing key, so a key
+    repeated in the batch gives one tree, whose ``children`` is that key."""
+    table = _table(label)
+    got = list(map(table.get, keys))
     if None in got:
         new = dict.fromkeys(compress(keys, map(operator.is_, got, repeat(None))))
-        _interned.update(zip(new, starmap(ApproxTree, new)))
-        got = list(map(_interned.__getitem__, keys))
+        table.update(zip(new, map(ApproxTree, repeat(depth), repeat(label), new)))
+        got = list(map(table.__getitem__, keys))
     return got
 
 

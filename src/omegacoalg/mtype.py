@@ -39,6 +39,7 @@ from .container import (
     TRUNC,
     Container,
     PValue,
+    _depth_of,
     _intern_all,
     _interned,
     _no_stage,
@@ -97,27 +98,35 @@ def _grow(levels: list, hi: int) -> None:
         levels.extend({} for _ in range(hi + 1 - len(levels)))
 
 
-def _fill_levels(c, s, n: int) -> None:
+def _fill_levels(c, s, n: int):
     """The level-table engine behind every depth-n observation, plain and
-    indexed: afterwards ``c._levels[n][s]`` holds.
+    indexed: the depth-n observation of ``s``, called when the table lacks
+    it, which it then holds if ``s`` is enumerated or ``n`` is above
+    ``c._full``.
 
-    ``c._levels[k]`` maps a state to its depth-k observation.  An entry at
-    depth k needs only its children's entries at depth k-1, so the walk
-    down collects the missing states level by level, from ``s`` at depth
-    n, into one flat list with the start of each level in an array, and
-    stops at the first level where none is missing; the entries are then
-    built bottom-up, level by level: Trunc at depth 0, else the
-    transition's label over the children's depth-(k-1) entries.  The cost
-    is proportional to the entries added (times the arity), not to ``n``.
+    Level k of ``c._levels`` is, up to ``c._full``, a list indexed by state
+    number (``c._index``) that holds every enumerated state, as
+    :func:`approximate_all` writes it; above, a dict from state to entry,
+    holding the states that demand fills reached.  An entry at depth k
+    needs only its children's entries at depth k-1, so the walk down
+    collects the missing states level by level, from ``s`` at depth n,
+    into one flat list with the start of each level in an array, and stops
+    at the first level where none is missing; the entries are then built
+    bottom-up, level by level: Trunc at depth 0, else the transition's
+    label over the children's depth-(k-1) entries.  The cost is
+    proportional to the entries added (times the arity), not to ``n``.  A
+    full level lacks only states outside the enumeration, whose entries
+    there are built in a dict of the call's own and not kept.
     """
     levels = c._levels
     _grow(levels, n)
+    full, index = c._full, c._index
     step = c.transition
     missing = []
     starts = array("l")
     wanted = [s]
     for k in range(n, -1, -1):
-        here = levels[k]
+        here = index if k <= full else levels[k]
         # One wanted state, as down a stream, needs no dedupe.
         if len(wanted) > 1:
             wanted = dict.fromkeys(wanted)
@@ -130,17 +139,29 @@ def _fill_levels(c, s, n: int) -> None:
     # The walk down read every transition, so the transition cache has them.
     known = c._gamma_cache
     end = len(missing)
+    here = {}
     for k, start in enumerate(reversed(starts), n + 1 - len(starts)):
-        here = levels[k]
-        if k == 0:
-            for t in missing[start:end]:
-                here[t] = TRUNC
-        else:
-            below = levels[k - 1]
-            for t in missing[start:end]:
-                pv = known[t]
-                here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
+        batch = missing[start:end]
         end = start
+        lower = here
+        here = levels[k] if k > full else {}
+        if k == 0:
+            here.update(dict.fromkeys(batch, TRUNC))
+            continue
+        below = levels[k - 1]
+        if k - 1 <= full:
+            # The children's entries: an enumerated child's from the row, any
+            # other's from the level built just before.
+            row, below = below, dict(lower)
+            for t in batch:
+                for ch in known[t].children:
+                    i = index.get(ch)
+                    if i is not None:
+                        below[ch] = row[i]
+        for t in batch:
+            pv = known[t]
+            here[t] = _tree(k, pv.label, tuple([below[ch] for ch in pv.children]))
+    return here[s]
 
 
 def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
@@ -149,20 +170,26 @@ def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
 
     Read from the level table ``c._levels`` of a coalgebra ``c``, plain or
     indexed, shared across states and depths: a hit returns at once,
-    without reading the depth bound; a miss runs :func:`_fill_levels` from
-    ``s``, which builds the missing entry together with the missing entries
-    below it.  This is :meth:`Coalgebra._observe`.  A negative ``n`` raises
+    without reading the depth bound, from the row of a full level by the
+    state's number or from the dict of a level above; a miss runs
+    :func:`_fill_levels` from ``s``, which builds the missing entry
+    together with the missing entries below it.  This is
+    :meth:`Coalgebra._observe`.  A negative ``n`` raises
     :class:`CannotTruncateUnit`.
     """
     levels = c._levels
     if 0 <= n < len(levels):
-        got = levels[n].get(s)
-        if got is not None:
-            return got
+        if n <= c._full:
+            i = c._index.get(s)
+            if i is not None:
+                return levels[n][i]
+        else:
+            got = levels[n].get(s)
+            if got is not None:
+                return got
     elif n < 0:
         raise _no_stage(n)
-    _fill_levels(c, s, n)
-    return levels[n][s]
+    return _fill_levels(c, s, n)
 
 
 class Coalgebra:
@@ -180,12 +207,14 @@ class Coalgebra:
     enumeration, and keeps the numbering and the tables.  The numbering:
     ``_index`` maps each state to its number; the duplicate and closure
     checks, the reads off the tables and the laws of ``check`` all use this
-    one dict.  The child table: the children of state i, as numbers, are
-    ``_kids[_koff[i]:_koff[i + 1]]``.  The class column: ``_class[i]``
-    numbers the pair of state i's sort and label, in order of first
-    appearance, and ``_tags[k]`` is the pair that k numbers.  Partition
-    refinement reads them (:func:`~omegacoalg.bisim.partition_refine`), and
-    so do :func:`~omegacoalg.bisim.minimize` and the spec writer
+    one dict, and the level table's full levels, up to ``_full``, are rows
+    indexed by it (:func:`approximate_all`).  The child table: the children
+    of state i, as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The
+    class column: ``_class[i]`` numbers the pair of state i's sort and
+    label, in order of first appearance, and ``_tags[k]`` is the pair that
+    k numbers.  Partition refinement reads them
+    (:func:`~omegacoalg.bisim.partition_refine`), and so do
+    :func:`~omegacoalg.bisim.minimize` and the spec writer
     (:func:`~omegacoalg.specdoc.dump_document`), which read no transition.
     They cost 16 bytes per state plus 8 bytes per edge, beside the
     numbering's dict.  Without an enumeration they are all None.
@@ -219,7 +248,8 @@ class Coalgebra:
         self.name = name
         self._gamma_cache = {}
         self._levels = []
-        # Every enumerated state is in the level table up to this depth.
+        # The levels up to this depth are rows by state number, each
+        # holding every enumerated state; the levels above are dicts.
         self._full = -1
         self._kids = self._koff = self._class = self._tags = None
         # State -> number, kept from the validating pass.
@@ -496,15 +526,17 @@ class MorphismCandidate:
 def approximate_all(c: Coalgebra, n: int) -> list:
     """Fill the level table with every enumerated state at every depth
     k <= n: O(|S| n r) for |S| states of arity at most r.  Returns the
-    table up to depth n: entry k maps each state to its depth-k
-    observation, so ``approximate(c, s, k)`` is then a lookup.
+    table up to depth n: entry k is a row, a list in enumeration order,
+    whose slot i is the depth-k observation of state number i
+    (``c._index``), so ``approximate(c, s, k)`` is then two lookups.
 
     The table is filled in rows (:func:`_fill_rows`), one level at a time,
-    from the coalgebra's class column and child table; an entry already in
-    the table stays, and the entries above it are built over it.  The
-    coalgebra keeps the depth up to which its table is full, so a second
-    call up to that depth returns in O(n).  A negative ``n`` raises
-    :class:`CannotTruncateUnit` before the table is touched.
+    from the coalgebra's class column and child table; an entry that a
+    demand fill already put in the table stays, and the entries above it
+    are built over it.  The coalgebra keeps the depth up to which its
+    levels are rows (``c._full``), so a second call up to that depth
+    returns in O(n).  A negative ``n`` raises :class:`CannotTruncateUnit`
+    before the table is touched.
     """
     if n < 0:
         raise _no_stage(n)
@@ -514,7 +546,6 @@ def approximate_all(c: Coalgebra, n: int) -> list:
     _grow(levels, n)
     if n > c._full:
         _fill_rows(c, n)
-        c._full = n
     return levels[: n + 1]
 
 
@@ -561,38 +592,54 @@ def _class_columns(c: Coalgebra) -> tuple:
 def _fill_rows(c: Coalgebra, n: int) -> None:
     """Fill levels ``c._full + 1`` to ``n`` of the level table as whole rows.
 
-    A row holds one level's entries in the order of
-    :func:`_class_columns`, so level k is, class by class, the label over
-    ``zip`` of the class's columns read through row k-1, interned in
-    batches of at most ``_BATCH`` keys
-    (:func:`~omegacoalg.container._intern_all`).  A level is a round of
-    partition refinement (:func:`~omegacoalg.bisim.partition_refine`)
-    whose block ids are interned trees: in a plain coalgebra, two states
-    share their level-k entry, k >= 1, exactly when they share a block
-    after k - 1 rounds.  Python loops over classes, batches and levels,
-    and over the trees that are new; no table of all levels is built
-    beside the level dicts.  Each built entry goes into its level through
-    ``setdefault``, so an entry already in the table stays, and the row
-    that the next level reads is the level's own entries.
+    A level is built in the order of :func:`_class_columns`: class by
+    class, the label over ``zip`` of the class's columns read through the
+    level below in that order, interned in batches of at most ``_BATCH``
+    children tuples (:func:`~omegacoalg.container._intern_all`); a nullary
+    class is one tree.  A level is a round of partition refinement
+    (:func:`~omegacoalg.bisim.partition_refine`) whose block ids are
+    interned trees: in a plain coalgebra, two states share their level-k
+    entry, k >= 1, exactly when they share a block after k - 1 rounds.
+    Python loops over classes, batches and levels, and over the trees that
+    are new.  An entry that a demand fill put in the level's dict replaces
+    the built one, so it stays, and the level below that the next level
+    reads is the level's own entries.  The level is then stored as the row
+    by state number, one C-level permutation (``place``) of the built
+    list, and ``c._full`` moves up to it, so a fill cut short leaves the
+    levels below as rows and the levels above as dicts.  A batch is interned through :func:`~omegacoalg.container._tree`,
+    key by key, when the level below holds an entry of another depth,
+    which only a planted entry can be: every built entry of level k has
+    depth k.
     """
-    order, _, layout = _class_columns(c)
-    states = list(map(c.state_enumeration.__getitem__, order))
+    order, place, layout = _class_columns(c)
     classes = [(label, end - start, columns) for (start, end, columns), (_, label) in zip(layout, c._tags)]
-    levels = c._levels
+    levels, index = c._levels, c._index
     lo = c._full + 1
-    row = list(map(levels[lo - 1].__getitem__, states)) if lo else None
+    below = list(map(levels[lo - 1].__getitem__, order)) if lo else []
+    sound = all(map(operator.eq, map(_depth_of, below), repeat(lo - 1)))
     for k in range(lo, n + 1):
         if k == 0:
-            built = [TRUNC] * len(states)
+            built = [TRUNC] * len(order)
         else:
             built = []
             for label, size, columns in classes:
+                if not columns:
+                    built += [_tree(k, label, ())] * size
+                    continue
                 for i in range(0, size, _BATCH):
                     end = min(i + _BATCH, size)
-                    below = [map(row.__getitem__, col[i:end]) for col in columns]
-                    children = zip(*below) if below else repeat((), end - i)
-                    built += _intern_all(list(zip(repeat(k), repeat(label), children)))
-        row = list(map(levels[k].setdefault, states, built))
+                    keys = list(zip(*[map(below.__getitem__, col[i:end]) for col in columns]))
+                    if sound:
+                        built += _intern_all(k, label, keys)
+                    else:
+                        built += map(_tree, repeat(k), repeat(label), keys)
+        kept = [(place[index[s]], t) for s, t in levels[k].items() if s in index]
+        for p, t in kept:
+            built[p] = t
+        sound = all(t.depth == k for _, t in kept)
+        levels[k] = list(map(built.__getitem__, place))
+        c._full = k
+        below = built
 
 
 def _table_laws(c: Coalgebra, depth: int) -> tuple:
@@ -635,17 +682,21 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     steps = _grouped(((i, pv.label, pv.children) for i, pv in transitions), c._index)
     if assembled == steps:
         assembled = steps
-    lower = list(map(table[0].__getitem__, states))
+    lower = table[0]
     base = all(map(operator.is_, lower, repeat(TRUNC)))
     compatible = morphism = True
     roundtrip = assembled is not None and base
+    # With Trunc at depth 0, a level of the laws reads no depths: the first
+    # row that holds an entry of another depth fails at its own level, since
+    # the trees found over the row below it sit at their depth.
+    sound = base
     for k in range(1, depth + 1):
         if not (compatible or roundtrip or morphism):
             break
-        row = list(map(table[k].__getitem__, states))
+        row = table[k]
         compatible = compatible and _truncates_to(row, lower)
-        morphism = morphism and _level_holds(k, steps, lower, row)
-        roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row))
+        morphism = morphism and _level_holds(k, steps, lower, row, sound)
+        roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row, sound))
         lower = row
     return compatible, roundtrip, morphism, morphism and base
 
@@ -704,18 +755,28 @@ def _roundtrip_groups(c: Coalgebra, depth: int) -> list | None:
     return _grouped(nodes(), number)
 
 
-def _level_holds(k: int, groups: list, below: list, here: list) -> bool:
+def _level_holds(k: int, groups: list, below: list, here: list, sound: bool) -> bool:
     """Level ``k`` of the morphism law or the roundtrip, for the rows
     ``below`` and ``here`` of levels k-1 and k: for each group of
-    :func:`_grouped`, the interned trees keyed by ``(k, label, the
-    children's entries in below)``, one ``map``, are the members' entries in
-    ``here``, by identity.  A key that is not interned names no tree, so it
-    matches no entry, and a failing level makes no tree."""
+    :func:`_grouped`, the interned trees of its label keyed by the
+    children's entries in ``below``, one ``map`` over the ``zip`` tuples,
+    are the members' entries in ``here``, by identity, and sit at depth k.
+    A key that is not interned names no tree, so it matches no entry, and
+    a failing level makes no tree.  A children tuple keys the tree one
+    level above it, so over entries of ``below`` that are not at depth
+    k-1, which only a planted table holds, the tree found is not the
+    depth-k one: the depths are read unless ``sound`` says that level 0
+    is Trunc (see :func:`_table_laws`)."""
     for label, members, columns in groups:
-        read = [map(below.__getitem__, col) for col in columns]
-        children = zip(*read) if read else repeat((), len(members))
-        want = map(_interned.get, zip(repeat(k), repeat(label), children))
-        if not all(map(operator.is_, want, map(here.__getitem__, members))):
+        table = _interned.get(label, {})
+        if columns:
+            want = map(table.get, zip(*[map(below.__getitem__, col) for col in columns]))
+        else:
+            want = repeat(table.get(k), len(members))
+        entries = list(map(here.__getitem__, members))
+        if not all(map(operator.is_, want, entries)):
+            return False
+        if not sound and columns and not all(map(operator.eq, map(_depth_of, entries), repeat(k))):
             return False
     return True
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from omegacoalg import Coalgebra, Container, LimitElement, PValue, make_node, w_chain
-from omegacoalg.container import ApproxTree
+from omegacoalg.container import ApproxTree, _interned
 from omegacoalg.chain import poly_chain, poly_limit_from, poly_limit_to, shift_back, shift_forward
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
 
@@ -66,6 +66,11 @@ def well_formed(c: Container, t: ApproxTree) -> bool:
                 return False
             stack.append(ch)
     return True
+
+
+def interned_trees() -> list:
+    """Every tree in the intern table, one dict per label."""
+    return [t for table in _interned.values() for t in table.values()]
 
 
 def random_container(rng: random.Random, max_labels=4, max_arity=3) -> Container:

@@ -370,13 +370,14 @@ def test_refinement_and_pair_search_match_oracle_property(c):
 def test_blocks_are_the_level_fill_entries_property(c):
     """Refinement and the level fill are one engine seen from two sides:
     two states share a block exactly when their depth-|S| entries in the
-    table that ``approximate_all`` fills are the same object."""
+    table that ``approximate_all`` fills, a row in enumeration order, are
+    the same object."""
     states = c.state_enumeration
     top = approximate_all(c, len(states))[-1]
     p = partition_refine(c)
-    for s in states:
-        for t in states:
-            assert (p.block_of(s) == p.block_of(t)) == (top[s] is top[t])
+    for i, s in enumerate(states):
+        for j, t in enumerate(states):
+            assert (p.block_of(s) == p.block_of(t)) == (top[i] is top[j])
 
 
 @st.composite

@@ -23,7 +23,7 @@ from omegacoalg import (
 )
 from omegacoalg import container
 from omegacoalg.chain import poly_chain
-from omegacoalg.container import TRUNC, _interned, make_node
+from omegacoalg.container import TRUNC, make_node
 from omegacoalg.catalog import (
     conat_coalgebra,
     stream_container,
@@ -31,7 +31,7 @@ from omegacoalg.catalog import (
 )
 from omegacoalg.errors import ConeLawViolation, LabelDrift
 
-from conftest import random_coalgebra
+from conftest import interned_trees, random_coalgebra
 
 
 def test_check_compat_unfold_depth50():
@@ -130,7 +130,7 @@ def test_trunc_leg_writes_no_cache():
     with pytest.raises(ConeLawViolation):
         cone_to_map(base, bad)
     assert not check_compat(LimitElement(base, lambda n: bad.legs(n, 0)), 3)
-    assert all(t.depth >= 0 for t in _interned.values())
+    assert all(t.depth >= 0 for t in interned_trees())
 
 
 def test_map_to_cone_round_trips():

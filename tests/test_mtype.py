@@ -1,5 +1,7 @@
 import operator
 import random
+import tracemalloc
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -371,12 +373,12 @@ def test_level_sweep_matches_demand_driven_property(c, depth, rnd):
     table = approximate_all(c, depth)
     assert len(table) == depth + 1
     fresh = Coalgebra(c.container, c.gamma, state_enumeration=c.state_enumeration)
-    queries = [(s, n) for s in c.state_enumeration for n in range(depth + 1)]
+    queries = [(i, s, n) for i, s in enumerate(c.state_enumeration) for n in range(depth + 1)]
     rnd.shuffle(queries)
     memo = {}
-    for s, n in queries:
+    for i, s, n in queries:
         got = approximate(fresh, s, n)
-        assert got is table[n][s] is approximate(c, s, n)
+        assert got is table[n][i] is approximate(c, s, n)
         assert got is unrolled(c.transition, s, n, memo)
 
 
@@ -418,9 +420,9 @@ def test_level_sweep_in_small_batches_property(c, depth, batch):
     finally:
         mtype._BATCH = kept
     memo = {}
-    for s in c.state_enumeration:
+    for i, s in enumerate(c.state_enumeration):
         for n in range(depth + 1):
-            assert table[n][s] is unrolled(c.transition, s, n, memo)
+            assert table[n][i] is unrolled(c.transition, s, n, memo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -449,13 +451,13 @@ def test_indexed_level_sweep_matches_demand_driven_property(c, depth, rnd):
     table = approximate_all(c, depth)
     assert len(table) == depth + 1
     fresh = IndexedCoalgebra(c.container, c.state_enumeration, c.sort_of, c.gamma)
-    queries = [(s, n) for s in c.state_enumeration for n in range(depth + 1)]
+    queries = [(i, s, n) for i, s in enumerate(c.state_enumeration) for n in range(depth + 1)]
     rnd.shuffle(queries)
     memo = {}
-    for s, n in queries:
+    for i, s, n in queries:
         got = iapproximate(fresh, s, n)
         assert got.sort == c.sort_of[s]
-        assert got.tree is table[n][s] is iapproximate(c, s, n).tree
+        assert got.tree is table[n][i] is iapproximate(c, s, n).tree
         assert got.tree is unrolled(c.transition, s, n, memo)
 
 
@@ -500,9 +502,9 @@ def test_table_laws_match_element_library_and_catch_a_wrong_entry_property(c, de
         approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
     laws = _table_laws(c, depth)
     assert laws == element_laws(c, depth) == (True, True, True, True)
-    s, k = rnd.choice(states), rnd.randint(1, depth)
-    right = c._levels[k][s]
-    c._levels[k][s] = _tree(k, ("wrong", right.label), right.children)
+    i, k = rnd.randrange(len(states)), rnd.randint(1, depth)
+    right = c._levels[k][i]
+    c._levels[k][i] = _tree(k, ("wrong", right.label), right.children)
     compatible, roundtrip, morphism, unique = _table_laws(c, depth)
     assert compatible == (k == depth == 1)
     assert not roundtrip and not morphism and not unique
@@ -514,7 +516,7 @@ def swapping_into(c, depth: int):
     the child's, keeping the child's sort.  So its elements are not the
     transitions, and their stages up to ``depth`` are the same as long as
     the table is right below ``depth``."""
-    below = c._levels[max(depth - 1, 0)]
+    below = dict(zip(c.state_enumeration, c._levels[max(depth - 1, 0)]))
     first = {}
     for t in c.state_enumeration:
         first.setdefault(below[t], t)
@@ -566,9 +568,9 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
         approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
     approximate_all(c, depth)
     if planted and depth:
-        s, k = rnd.choice(states), rnd.randint(1, depth)
-        right = c._levels[k][s]
-        c._levels[k][s] = _tree(k, ("wrong", right.label), right.children)
+        i, k = rnd.randrange(len(states)), rnd.randint(1, depth)
+        right = c._levels[k][i]
+        c._levels[k][i] = _tree(k, ("wrong", right.label), right.children)
     assemble = swapping_into(c, depth) if swapped else into
     if foreign:
         s = rnd.choice(states)
@@ -637,9 +639,8 @@ def test_row_truncation_matches_per_tree_truncation_property(c, depth, rnd):
     plain ``truncate``, so the batch reads slots the kernel did not write.
     It never raises, and when it holds, each tree of the row keeps the
     tree below it as its truncation."""
-    states = c.state_enumeration
     table = approximate_all(c, depth)
-    rows = [[table[k][s] for s in states] for k in range(depth + 1)]
+    rows = [list(table[k]) for k in range(depth + 1)]
     forget_truncations([t for row in rows for t in row])
     for k in range(1, depth + 1):
         row, lower = list(rows[k]), list(rows[k - 1])
@@ -694,12 +695,14 @@ def test_truncation_slots_never_lie_property(c, depth, fault, rnd):
         approximate(c, rnd.choice(states), rnd.randint(0, depth + 2))
     approximate_all(c, depth)
     if fault:
-        s, k = rnd.choice(states), rnd.randint(1, depth)
-        right = c._levels[k][s]
-        c._levels[k][s] = TRUNC if fault == "trunc" else _tree(k, ("wrong", right.label), right.children)
+        i, k = rnd.randrange(len(states)), rnd.randint(1, depth)
+        right = c._levels[k][i]
+        c._levels[k][i] = TRUNC if fault == "trunc" else _tree(k, ("wrong", right.label), right.children)
     compatible = _table_laws(c, depth)[0]
     assert compatible == (fault is None or (fault == "relabelled" and k == depth == 1))
-    for t in reachable([t for level in c._levels for t in level.values()]):
+    # Rows up to ``depth``, and the dicts of the demand fills above.
+    entries = [t for level in c._levels for t in (level.values() if type(level) is dict else level)]
+    for t in reachable(entries):
         if t._truncation is not None:
             assert t._truncation is truncate_to(None, t, t.depth - 1)
 
@@ -735,10 +738,173 @@ def test_table_laws_read_trunc_above_depth_0_as_a_failure():
     for k in (1, 2, 3):
         c = fig1_coalgebra()
         approximate_all(c, 4)
-        c._levels[k]["t"] = TRUNC
+        i = c._index["t"]
+        c._levels[k][i] = TRUNC
         assert _table_laws(c, 4) == (False, False, False, False)
-        c._levels[k]["t"] = approximate(fig1_coalgebra(), "t", k)
+        c._levels[k][i] = approximate(fig1_coalgebra(), "t", k)
         assert _table_laws(c, 4) == (True, True, True, True)
+
+
+def test_table_laws_read_a_table_one_level_up_as_no_morphism():
+    """A table whose every row holds the entries one level higher, row 0
+    included, still truncates row by row, but it is no observation of the
+    coalgebra: the morphism law fails, since each tree it finds over the
+    row below sits at the depth above that row, not at its own."""
+    for c in (conat_coalgebra(), fig1_coalgebra()):
+        approximate_all(c, 5)
+        c._levels[:5] = [list(map(approximate, repeat(c), c.state_enumeration, repeat(k + 1))) for k in range(5)]
+        assert _table_laws(c, 4) == (True, False, False, False)
+
+
+def with_strays(c):
+    """``c`` again, with its transitions given by a function that is also
+    defined on states outside the enumeration: ``("copy", s)`` steps to the
+    label of ``s`` over the copies of its children and ``("bridge", s)`` to
+    the transition of ``s``, so both observe as ``s`` does; ``("bad", s)``
+    steps to the label of ``s`` over one child too many, and
+    ``("lost", s)`` has no transition."""
+    states = c.state_enumeration
+    gamma, sorts = {}, {}
+    for s in states:
+        label, children = c.transition(s)
+        gamma[s] = gamma["bridge", s] = (label, children)
+        gamma["copy", s] = (label, tuple(("copy", ch) for ch in children))
+        gamma["bad", s] = (label, children + (s,))
+        for tag in ("", "bridge", "copy", "bad", "lost"):
+            sorts[(tag, s) if tag else s] = c._sort(s)
+    if isinstance(c, IndexedCoalgebra):
+        return IndexedCoalgebra(c.container, states, sorts, gamma.__getitem__)
+    return Coalgebra(c.container, gamma.__getitem__, state_enumeration=states)
+
+
+def answer(c, s, n):
+    """``approximate(c, s, n)``, or the type and text of what it raises."""
+    try:
+        return approximate(c, s, n)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_coalgebras(), small_indexed_coalgebras()), st.data())
+def test_full_levels_are_rows_by_state_number_property(c, data):
+    """Demand fills, below, at and above the depth up to which the table is
+    full, interleaved with ``approximate_all`` to a drawn depth: afterwards
+    every level up to ``c._full`` is a list with one slot per state, slot i
+    holding the observation of state number i by direct recursion, and the
+    levels above are dicts.  A demand entry planted above ``c._full`` stays
+    in its slot through the full fill.  A state outside the enumeration
+    gets the same answer, or the same error, before and after a full fill,
+    and a copy of a state observes as the state does."""
+    c = with_strays(c)
+    states = c.state_enumeration
+    strays = [(tag, s) for tag in ("copy", "bridge", "bad", "lost") for s in states]
+    memo = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        for _ in range(data.draw(st.integers(0, 3))):
+            s = data.draw(st.sampled_from(states + tuple(strays)))
+            answer(c, s, max(c._full + data.draw(st.integers(-2, 3)), 0))
+        full = max(c._full + data.draw(st.integers(-1, 3)), 0)
+        before = {(s, n): answer(c, s, n) for s in strays for n in range(full + 1)}
+        table = approximate_all(c, full)
+        assert all(map(operator.is_, table, c._levels))
+        for n, level in enumerate(c._levels):
+            if n > c._full:
+                assert type(level) is dict
+                continue
+            assert type(level) is list and len(level) == len(states)
+            for i, s in enumerate(states):
+                assert level[i] is unrolled(c.transition, s, n, memo)
+        for (s, n), got in before.items():
+            assert answer(c, s, n) == got
+            if s[0] in ("copy", "bridge"):
+                assert got is approximate(c, s[1], n)
+    i, k = data.draw(st.integers(0, len(states) - 1)), c._full + data.draw(st.integers(1, 3))
+    approximate(c, states[i], k)
+    planted = c._levels[k][states[i]] = _tree(k, ("planted",), ())
+    approximate_all(c, k + data.draw(st.integers(0, 2)))
+    assert c._levels[k][i] is planted
+
+
+def tree_of(t) -> tuple:
+    """A tree's structure: its depth, its label, and its children."""
+    return t.depth, t.label, t.children
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_coalgebras(), small_indexed_coalgebras()),
+    st.integers(1, 6),
+    st.sampled_from(("trunc", "lower", "higher")),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_interned_trees_are_their_own_keys_property(c, depth, fault, in_row, rnd):
+    """Every tree interned while a fill builds over a planted entry of the
+    wrong depth (Trunc, or a state's entry one level lower or higher), in
+    the top row of the table or in a demand level the fill keeps, and
+    while ``into`` assembles over a hand-built family whose stage n sits
+    one level off, is what ``_tree`` gives for its own depth, label and
+    children; no two are structurally equal; and the tree that a children
+    tuple keys one level above it has that depth.  So a tree whose children
+    are not one level below it is never found under a consistent key.  The
+    fill's entries and the assembled element's stages have the depth they
+    are built at."""
+    states = c.state_enumeration
+    sizes = {label: len(table) for label, table in container._interned.items()}
+    approximate_all(c, depth)
+    i = rnd.randrange(len(states))
+    k = depth if in_row else depth + rnd.randint(1, 2)
+    approximate(c, states[i], k)
+    planted = {"trunc": TRUNC, "lower": approximate(c, states[i], k - 1), "higher": approximate(c, states[i], k + 1)}[fault]
+    c._levels[k][i if in_row else states[i]] = planted
+    table = approximate_all(c, depth + 3)
+    for n, row in enumerate(table):
+        assert all(t.depth == n for j, t in enumerate(row) if (n, j) != (k, i))
+    off = -1 if fault == "lower" else 1
+    m = unfold(c, states[i])
+    label, kids = out(m)
+    family = [
+        MElement(c.container, LimitElement(w_chain(c.container), lambda n, ch=ch: ch.at(max(n + off, 0))), sort=ch.sort)
+        for ch in kids
+    ]
+    assembled = into(c.container, PValue(label, tuple(family)), m.sort)
+    stages = [assembled.at(n) for n in range(depth + 4)]
+    assert [t.depth for t in stages] == list(range(depth + 4))
+    # A label's dict keeps its trees in the order they were interned.
+    new = [t for label, got in container._interned.items() for t in list(got.values())[sizes.get(label, 0) :]]
+    trees = reachable(new + [t for row in table for t in row] + stages)
+    assert len({tree_of(t) for t in trees}) == len(trees)
+    for t in trees:
+        assert _tree(*tree_of(t)) is t
+        if len({ch.depth for ch in t.children}) == 1:
+            d = t.children[0].depth + 1
+            assert _tree(d, t.label, t.children).depth == d
+
+
+def test_full_table_costs_under_120_bytes_an_entry():
+    """``approximate_all(c, 20)`` on a random 1500-state coalgebra keeps
+    under 120 bytes per (state, depth) entry, as ``tracemalloc`` counts
+    them: a row slot per entry, and each new tree with no key of its own.
+    The labels are this test's own, so every tree is new.  A level dict
+    beside a key tuple per tree cost about 158 bytes an entry here."""
+    rng = random.Random(7)
+    arity = {("memory", "a"): 2, ("memory", "b"): 2, ("memory", "c"): 1, ("memory", "z"): 0}
+    labels = tuple(arity)
+    states = tuple(range(1500))
+    gamma = {}
+    for s in states:
+        a = rng.choice(labels)
+        gamma[s] = (a, tuple(rng.choice(states) for _ in range(arity[a])))
+    c = Coalgebra(Container(arity=arity, labels=labels), gamma, state_enumeration=states)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        approximate_all(c, 20)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / (len(states) * 21) < 120, kept / (len(states) * 21)
 
 
 def module_tables(module) -> dict:
