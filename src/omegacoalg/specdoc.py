@@ -12,7 +12,16 @@ A fault of the document's shape is raised where it is found; the first
 fault the coalgebra refuses is held until the whole document's shape has
 passed.  The loaded
 coalgebra has no ``gamma``: its tables are its one store, and a state's
-transition is read off them when it is first asked for.  The writer,
+transition is read off them when it is first asked for.
+
+:func:`load_spec` decodes with an ``object_hook`` that hands each object
+whose keys are exactly ``label`` and ``children`` over as a tuple of its
+label, its children and its key order, so a document's ``gamma`` entries
+are never held as dicts; the pass unpacks them.  The hook sees no path,
+so every place that expects an object, or prints a value in a message,
+turns such a tuple back into its dict, in its key order: what the loader
+reports is what it reports for the plain document :func:`parse_spec`
+takes.  The writer,
 :func:`dump_document`, prints a coalgebra's document straight from its
 tables, byte for byte as ``json.dumps`` with sorted keys and an indent of
 2 does.
@@ -22,7 +31,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 
 from .container import Container, PValue
 from .errors import InvalidCoalgebra, OmegaCoalgError, SpecValidationError
@@ -34,13 +44,76 @@ SCHEMA_VERSION = "1"
 
 class SpecDocument:
     """A loaded document: its coalgebra, plain or indexed, and ``raw``, the
-    parsed JSON it came from.  The coalgebra does not read ``raw``; it is
-    kept only because the benchmark's tracer (``perfbench/tracer.py``)
-    counts the states and edges of a load from it."""
+    parsed JSON it came from.  The coalgebra does not read ``raw``, and it
+    is not kept as parsed: the decoder hands the ``gamma`` entries over as
+    tuples, and ``raw`` is rebuilt from them, as ``json.load`` returns the
+    document, when it is first read.  Only the benchmark's tracer
+    (``perfbench/tracer.py``) reads it, to count the states and edges of a
+    load."""
 
-    def __init__(self, coalgebra: Coalgebra, raw: dict):
+    def __init__(self, coalgebra: Coalgebra, decoded: dict):
         self.coalgebra = coalgebra
-        self.raw = raw
+        self._decoded = decoded
+
+    @cached_property
+    def raw(self) -> dict:
+        return _restore(self._decoded)
+
+
+# The key orders of an entry, which the decoder hands over as the tuple
+# ``(label, children, order)``.  Only the decoder makes these: a tuple is an
+# entry when its third item is one of them.
+_LABEL_FIRST = ("label", "children")
+_CHILDREN_FIRST = ("children", "label")
+
+
+def _decode_object(obj: dict):
+    """The decoder's ``object_hook``: an object of exactly the keys
+    ``label`` and ``children`` as an entry tuple, any other as is."""
+    try:
+        label, children = obj["label"], obj["children"]
+    except KeyError:
+        return obj
+    if len(obj) != 2:
+        return obj
+    return label, children, (_LABEL_FIRST if next(iter(obj)) == "label" else _CHILDREN_FIRST)
+
+
+def _is_entry(value) -> bool:
+    """Whether ``value`` is an entry as the decoder hands it over."""
+    return type(value) is tuple and len(value) == 3 and (value[2] is _LABEL_FIRST or value[2] is _CHILDREN_FIRST)
+
+
+def _object(value):
+    """``value`` where an object is expected: an entry as its dict, in its
+    key order, whose own values are left as they are; anything else as
+    is."""
+    if not _is_entry(value):
+        return value
+    label, children, order = value
+    if order is _LABEL_FIRST:
+        return {"label": label, "children": children}
+    return {"children": children, "label": label}
+
+
+def _restore(value):
+    """``value`` as ``json.load`` returns it: every entry within it turned
+    back into its dict, in place.  The walk keeps its own stack, so it
+    restores a value of any depth the decoder reads, and it visits each
+    array or object once, so it ends on a value built with a cycle."""
+    value = _object(value)
+    todo, seen = [value] if isinstance(value, (dict, list)) else [], set()
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        for k, x in v.items() if isinstance(v, dict) else enumerate(v):
+            if type(x) is tuple and _is_entry(x):
+                v[k] = x = _object(x)
+            if isinstance(x, (dict, list)):
+                todo.append(x)
+    return value
 
 
 def _require(cond: bool, msg: str):
@@ -51,7 +124,7 @@ def _require(cond: bool, msg: str):
 def _require_str(value, where: str):
     """State names, sorts, labels and children are JSON strings."""
     if not isinstance(value, str):
-        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(value, default=repr)}")
+        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(_restore(value), default=repr)}")
 
 
 def _is_arity(n) -> bool:
@@ -62,7 +135,15 @@ def _is_arity(n) -> bool:
 def load_spec(path: str) -> SpecDocument:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh, object_hook=_decode_object)
+            except RecursionError:
+                # The hook's calls take the decoder a level or two nearer
+                # the recursion limit; a document nests too deeply only
+                # where the plain decoder finds so, and then it is parsed
+                # as plain dicts.
+                fh.seek(0)
+                doc = json.load(fh)
     except OSError as e:
         raise SpecValidationError(f"cannot read spec file: {e}") from None
     except UnicodeDecodeError as e:
@@ -78,6 +159,7 @@ def load_spec(path: str) -> SpecDocument:
 
 
 def parse_spec(doc: dict) -> SpecDocument:
+    doc = _object(doc)
     _require(isinstance(doc, dict), "document: expected a JSON object")
     _require(
         doc.get("schema_version") == SCHEMA_VERSION,
@@ -97,9 +179,10 @@ def parse_spec(doc: dict) -> SpecDocument:
 
 
 def _parse_signature(sig) -> Container:
+    sig = _object(sig)
     _require(isinstance(sig, dict), "signature: expected an object")
     labels = sig.get("labels")
-    arity = sig.get("arity")
+    arity = _object(sig.get("arity"))
     _require(isinstance(labels, list), "signature.labels: expected an array")
     _require(isinstance(arity, dict), "signature.arity: expected an object")
     for a in labels:
@@ -129,13 +212,16 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     passed, and named as the coalgebra names it
     (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each entry is first
     screened by a cheap test (its child count, and for an indexed spec
-    its children's sorts); only one that fails it is checked in full.
+    its children's sorts); only one that fails it is checked in full.  An
+    entry comes from :func:`load_spec` as the decoder's tuple, and from a
+    caller of :func:`parse_spec` as a dict.
     The children are numbered after the pass, all at once, and only when
     one is not a state are the states searched for it.
     """
+    frag = _object(frag)
     _require(isinstance(frag, dict), "coalgebra: expected an object")
-    states = frag.get("states")
-    gamma = frag.get("gamma")
+    states = _object(frag.get("states"))
+    gamma = _object(frag.get("gamma"))
     plain = not isinstance(container, IndexedContainer)
     if plain:
         _require(isinstance(states, list), "coalgebra.states: expected an array")
@@ -162,8 +248,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     held, held_at = None, len(states)
     if len(index) != len(states):
         held, held_at = InvalidCoalgebra(c._duplicates), -1
-    column = array("l")
-    classes: dict = {}
+    labels = []
     lists = []
     sort = None
     for i, s in enumerate(states):
@@ -175,14 +260,17 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
             if not isinstance(sort, str):
                 _require_str(sort, f"coalgebra.states.{s}")
         entry = gamma.get(s)
-        if not isinstance(entry, dict):
-            _require(s in gamma, f"coalgebra.gamma.{s}: missing")
-            raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
-        label = entry.get("label")
-        if not isinstance(label, str):
+        # _is_entry(entry), inline: it is asked once a state.
+        if type(entry) is tuple and len(entry) == 3 and (entry[2] is _LABEL_FIRST or entry[2] is _CHILDREN_FIRST):
+            label, children, _ = entry
+        else:
+            if not isinstance(entry, dict):
+                _require(s in gamma, f"coalgebra.gamma.{s}: missing")
+                raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
             _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
+            label, children = entry["label"], entry.get("children")
+        if not isinstance(label, str):
             _require_str(label, f"coalgebra.gamma.{s}.label")
-        children = entry.get("children")
         if not isinstance(children, list):
             raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
         for ch in children:
@@ -197,7 +285,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
             suspect = len(children) != n
         else:
             suspect = child_sort.get((sort, label)) != tuple(map(sort_of, children))
-        column.append(classes.setdefault((sort, label), len(classes)))
+        labels.append(label)
         lists.append(children)
         if suspect and held is None:
             held, held_at = c._fault(s, PValue(label, children), index), i
@@ -214,23 +302,30 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     try:
         kids = array("l", map(index.__getitem__, chain.from_iterable(lists)))
     except KeyError:
-        for i, (s, children) in enumerate(zip(states, lists)):
+        for i, (s, label, children) in enumerate(zip(states, labels, lists)):
             if i >= held_at:
                 break
             if not all(map(index.__contains__, children)):
-                held = c._fault(s, PValue(gamma[s]["label"], children), index)
+                held = c._fault(s, PValue(label, children), index)
                 break
     if held is not None:
         raise SpecValidationError(f"coalgebra: {held}")
+    # Each state's (sort, label) class, numbered in the order of first use;
+    # a plain spec's is keyed by its label alone, which hashes as it is.
+    keys = labels if plain else list(zip(states.values(), labels))
+    classes = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    column = array("l", map(classes.__getitem__, keys))
+    tags = tuple(zip(repeat(None), classes)) if plain else tuple(classes)
     koff = array("l", accumulate(map(len, lists), initial=0))
-    c._adopt(tuple(states), kids, koff, column, tuple(classes), index)
+    c._adopt(tuple(states), kids, koff, column, tags, index)
     return c
 
 
 def _parse_indexed(frag) -> IndexedContainer:
+    frag = _object(frag)
     _require(isinstance(frag, dict), "indexed: expected an object")
     sorts = frag.get("sorts")
-    labels = frag.get("labels")
+    labels = _object(frag.get("labels"))
     _require(isinstance(sorts, list), "indexed.sorts: expected an array")
     _require(isinstance(labels, dict), "indexed.labels: expected an object")
     labels_at = {}
@@ -238,7 +333,7 @@ def _parse_indexed(frag) -> IndexedContainer:
     child_sort = {}
     for i in sorts:
         _require_str(i, "indexed.sorts")
-        per_sort = labels.get(i, {})
+        per_sort = _object(labels.get(i, {}))
         _require(
             isinstance(per_sort, dict), f"indexed.labels.{i}: expected an object"
         )
@@ -343,16 +438,24 @@ def dump_document(c: Coalgebra) -> str:
     mid = ',\n        "label": '
     labels = [_string(label) for _, label in c._tags]
     kids, koff, column = c._kids, c._koff, c._class
-    entries = []
+    # The document's keys are written sorted, coalgebra first.  Each gamma
+    # entry is its own piece, with the line before it, and the pieces are
+    # joined once, so the bulk of the text is copied once, not once per
+    # enclosing value.
+    pieces = ['{\n  "coalgebra": {\n    "gamma": ']
+    line = "{\n      "
     for i in order:
         children = _block([names[k] for k in kids[koff[i] : koff[i + 1]]], "        ", "[]")
-        entries.append(names[i] + head + children + mid + labels[column[i]] + "\n      }")
-    parts = {
-        "coalgebra": "{\n    \"gamma\": " + _block(entries, "    ", "{}") + ",\n    \"states\": " + listed + "\n  }",
+        pieces.append(line + names[i] + head + children + mid + labels[column[i]] + "\n      }")
+        line = ",\n      "
+    rest = {
         key: json.dumps(fragment, sort_keys=True, indent=2).replace("\n", "\n  "),
         "schema_version": _string(SCHEMA_VERSION),
     }
-    return _block([_string(k) + ": " + parts[k] for k in sorted(parts)], "", "{}") + "\n"
+    pieces += ["\n    }" if order else "{}", ',\n    "states": ', listed, "\n  }"]
+    pieces += [",\n  " + _string(k) + ": " + rest[k] for k in sorted(rest)]
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def _block(items: list, pad: str, brackets: str) -> str:

@@ -3,12 +3,13 @@ tests.  All generation is seeded, so every run sees the same corpus."""
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from omegacoalg import Coalgebra, Container, LimitElement, PValue, make_node, w_chain
+from omegacoalg import Coalgebra, Container, LimitElement, PValue, cli, make_node, specdoc, w_chain
 from omegacoalg.container import ApproxTree, _interned
 from omegacoalg.chain import poly_chain, poly_limit_from, poly_limit_to, shift_back, shift_forward
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer
@@ -199,3 +200,60 @@ def small_indexed_coalgebras(draw):
         )
         gamma[s] = (a, tuple(kids))
     return IndexedCoalgebra(base, states, sort_of, gamma)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, prefix + (i,))
+
+
+def _names(doc):
+    """The strings of a document, keys included: state names, labels, sorts."""
+    found = set()
+    for path in _paths(doc):
+        found.update(k for k in path if isinstance(k, str))
+        value = doc
+        for k in path:
+            value = value[k]
+        if isinstance(value, str):
+            found.add(value)
+    return sorted(found)
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo spec with one position replaced by a drawn value (a JSON
+    value, or a name or list of names from the spec) or, in an object,
+    deleted; also returns the names to draw states from."""
+    name = draw(st.sampled_from(sorted(cli.DEMOS)))
+    doc = json.loads(specdoc.dump_document(cli.DEMOS[name]()))
+    names = _names(doc)
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    named = st.sampled_from(names)
+    replacement = JSON_VALUES | named | st.lists(named, max_size=3)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(replacement)
+    return json.dumps(doc).encode(), names

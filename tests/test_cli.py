@@ -19,7 +19,7 @@ from omegacoalg.container import _tree
 from omegacoalg.bisim import first_divergence_depth
 from omegacoalg.indexed import IndexedCoalgebra
 
-from conftest import small_indexed_coalgebras
+from conftest import JSON_VALUES, mutated_demos, small_indexed_coalgebras
 
 PKG = [sys.executable, "-m", "omegacoalg"]
 
@@ -1228,63 +1228,6 @@ def test_main_leaves_the_collector_as_it_found_it(fig1_spec, tmp_path, monkeypat
         (gc.enable if was_enabled else gc.disable)()
 
 
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 3)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=10,
-)
-
-
-def _paths(doc, prefix=()):
-    """Every position in a JSON document, as a tuple of keys and indices."""
-    yield prefix
-    if isinstance(doc, dict):
-        for k, v in doc.items():
-            yield from _paths(v, prefix + (k,))
-    elif isinstance(doc, list):
-        for i, v in enumerate(doc):
-            yield from _paths(v, prefix + (i,))
-
-
-def _names(doc):
-    """The strings of a document, keys included: state names, labels, sorts."""
-    found = set()
-    for path in _paths(doc):
-        found.update(k for k in path if isinstance(k, str))
-        value = doc
-        for k in path:
-            value = value[k]
-        if isinstance(value, str):
-            found.add(value)
-    return sorted(found)
-
-
-@st.composite
-def mutated_demos(draw):
-    """A demo spec with one position replaced by a drawn value (a JSON
-    value, or a name or list of names from the spec) or, in an object,
-    deleted; also returns the names to draw states from."""
-    name = draw(st.sampled_from(sorted(cli.DEMOS)))
-    doc = json.loads(specdoc.dump_document(cli.DEMOS[name]()))
-    names = _names(doc)
-    path = draw(st.sampled_from(list(_paths(doc))[1:]))
-    parent = doc
-    for k in path[:-1]:
-        parent = parent[k]
-    named = st.sampled_from(names)
-    replacement = JSON_VALUES | named | st.lists(named, max_size=3)
-    if isinstance(parent, dict) and draw(st.booleans()):
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = draw(replacement)
-    return json.dumps(doc).encode(), names
-
-
 # Spec files as bytes, with the names to draw states from: any JSON value,
 # a mutated demo, arrays nested up to 200000 deep, or any bytes at all.
 SPEC_FILES = st.one_of(
@@ -1602,6 +1545,8 @@ def test_bench_tracer_runs(tmp_path, command):
     by name and reads ``SpecDocument.raw`` and ``Partition.blocks``, so a
     deleted or renamed name that it pins fails here, as it fails CI's
     "Bench tracer" step: each command exits 0 and writes its spans file.
+    ``raw`` is rebuilt from the decoded tuples when the tracer reads it,
+    which counts the parity demo's two states and two edges.
     The blocks it reads are built when read, after the refinement's span
     has closed, and it counts the parity demo's two."""
     root = Path(__file__).resolve().parent.parent
@@ -1620,6 +1565,6 @@ def test_bench_tracer_runs(tmp_path, command):
     assert (r.returncode, r.stderr) == (0, "")
     record = json.loads(spans.read_text())
     assert record["stats"][f"cli.cmd_{command[0]}"][0] == 1 and record["spans"]
-    assert record["counts"]["states"] > 0
+    assert (record["counts"]["states"], record["counts"]["edges"]) == (2, 2)
     if command[0] == "minimize":
         assert record["counts"]["refine_blocks"] == 2

@@ -2,19 +2,24 @@
 ``dump_document`` writes is byte for byte ``json.dumps`` of the document
 built from the coalgebra's transitions, it loads back to the same tables
 and transitions, and a loaded coalgebra reads its tables, not the
-document."""
+document.  The loader, which decodes ``gamma`` entries into tuples, gives
+what ``parse_spec`` gives on the stdlib's decoding of the same text."""
 
+import importlib.util
 import json
+import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from omegacoalg import Coalgebra, Container, minimize, specdoc
+from omegacoalg import Coalgebra, Container, PValue, cli, minimize, specdoc
 from omegacoalg.catalog import conat_coalgebra
 from omegacoalg.errors import SpecValidationError
 from omegacoalg.indexed import IndexedCoalgebra, IndexedContainer, embed_plain
 
-from conftest import small_coalgebras, small_indexed_coalgebras
+from conftest import JSON_VALUES, _names, _paths, mutated_demos, small_coalgebras, small_indexed_coalgebras
 
 
 def expected_document(c) -> dict:
@@ -185,3 +190,223 @@ def test_loaded_coalgebra_reads_its_tables_not_the_document_property(monkeypatch
     assert texts == (specdoc.dump_document(minimize(c)), specdoc.dump_document(c))
     for s in c.state_enumeration:
         assert loaded.transition(s) == c.transition(s)
+
+
+def _outcome(load):
+    """What a load gives: the validation error's text, or the loaded
+    coalgebra's kind, enumeration, tables and numbering."""
+    try:
+        c = load().coalgebra
+    except SpecValidationError as e:
+        return str(e)
+    return type(c), c.state_enumeration, c._kids, c._koff, c._class, c._tags, c._index
+
+
+# The keys and constants of the document format, which are not renamed.
+STRUCTURE = {
+    "schema_version", "1", "signature", "indexed", "coalgebra", "labels", "arity",
+    "sorts", "child_sorts", "states", "gamma", "label", "children",
+}
+
+
+def _renamed(value, to: dict):
+    """``value`` with every string in ``to``, key or value, renamed."""
+    if isinstance(value, str):
+        return to.get(value, value)
+    if isinstance(value, list):
+        return [_renamed(v, to) for v in value]
+    if isinstance(value, dict):
+        return {to.get(k, k): _renamed(v, to) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def planted_entries(draw):
+    """A demo spec with up to two of its names renamed ``label`` and
+    ``children``, so that its arities, states or ``gamma`` may be objects
+    of exactly those keys, and with up to three positions, the document
+    itself among them, replaced by an object of exactly the keys ``label``
+    and ``children``, in either order, whose values are drawn or are the
+    value it replaces."""
+    name = draw(st.sampled_from(sorted(cli.DEMOS)))
+    doc = json.loads(specdoc.dump_document(cli.DEMOS[name]()))
+    names = [n for n in _names(doc) if n not in STRUCTURE]
+    targets = draw(st.lists(st.sampled_from(names), unique=True, max_size=2))
+    doc = _renamed(doc, dict(zip(targets, ("label", "children"))))
+    named = st.sampled_from(_names(doc))
+    values = JSON_VALUES | named | st.lists(named, max_size=3)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent, old = None, doc
+        for k in path:
+            parent, old = old, old[k]
+        old = json.dumps(old)
+        label = draw(values | st.just(old).map(json.loads))
+        children = draw(values | st.just(old).map(json.loads))
+        pair = {"children": children, "label": label} if draw(st.booleans()) else {"label": label, "children": children}
+        if parent is None:
+            doc = pair
+        else:
+            parent[path[-1]] = pair
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(mutated_demos().map(lambda drawn: drawn[0].decode()), planted_entries()))
+def test_loader_matches_parse_of_the_stdlib_value_property(tmp_path, text):
+    """The loader, which decodes ``gamma`` entries into tuples, gives what
+    ``parse_spec`` gives on the stdlib's decoding of the same text: the
+    same validation error, or the same enumeration, tables and numbering.
+    Its ``raw`` is the stdlib's value, key order included."""
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    got = _outcome(lambda: specdoc.load_spec(str(path)))
+    assert got == _outcome(lambda: specdoc.parse_spec(json.loads(text)))
+    if not isinstance(got, str):
+        assert json.dumps(specdoc.load_spec(str(path)).raw) == json.dumps(json.loads(text))
+
+
+NAMED = {
+    "schema_version": "1",
+    "signature": {"labels": ["label", "children"], "arity": {"label": 1, "children": 0}},
+    "coalgebra": {
+        "states": ["label", "children"],
+        "gamma": {"label": {"label": "label", "children": ["children"]}, "children": {"label": "children", "children": []}},
+    },
+}
+NAMED_INDEXED = {
+    "schema_version": "1",
+    "indexed": {
+        "sorts": ["label", "children"],
+        "labels": {
+            "label": {"label": {"arity": 1, "child_sorts": ["children"]}, "children": {"arity": 0, "child_sorts": []}},
+            "children": {"label": {"arity": 0, "child_sorts": []}, "children": {"arity": 1, "child_sorts": ["label"]}},
+        },
+    },
+    "coalgebra": {
+        "states": {"label": "label", "children": "children"},
+        "gamma": {"label": {"label": "label", "children": ["children"]}, "children": {"label": "children", "children": ["label"]}},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", [NAMED, NAMED_INDEXED], ids=["plain", "indexed"])
+@pytest.mark.parametrize("sort_keys", [False, True], ids=["label-first", "children-first"])
+def test_names_of_the_entry_keys_load(tmp_path, doc, sort_keys):
+    """A spec whose labels and states, and for an indexed one its sorts,
+    are named ``label`` and ``children`` has its arities, states, ``gamma``
+    and labels at a sort shaped like entries; it loads as the stdlib's
+    value parses, writes back the stdlib's text and keeps ``raw`` in its
+    key order."""
+    text = json.dumps(doc, sort_keys=sort_keys)
+    path = tmp_path / "named.json"
+    path.write_text(text)
+    loaded = specdoc.load_spec(str(path))
+    c = loaded.coalgebra
+    assert sorted(c.state_enumeration) == ["children", "label"]
+    assert c.transition("label") == PValue("label", ("children",))
+    assert specdoc.dump_document(c) == stdlib_text(doc)
+    assert _outcome(lambda: loaded) == _outcome(lambda: specdoc.parse_spec(json.loads(text)))
+    assert json.dumps(loaded.raw) == text
+
+
+def _plain_spec(label='"a"', states='["s"]', entry=None) -> str:
+    """A one-state plain spec as text, with the given pieces of JSON."""
+    entry = entry or '{"label": ' + label + ', "children": []}'
+    return (
+        '{"schema_version": "1", "signature": {"labels": ["a"], "arity": {"a": 0}}, '
+        '"coalgebra": {"states": ' + states + ', "gamma": {"s": ' + entry + "}}}"
+    )
+
+
+ENTRY = '{"label": "a", "children": []}'
+DEEP = "[" * 899 + ENTRY + "]" * 899
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"schema_version": "1", "signature": ' + ENTRY + ', "coalgebra": {"states": [], "gamma": {}}}',
+            "signature.labels: expected an array",
+        ),
+        (_plain_spec(states='["s", ' + ENTRY + "]"), "coalgebra.states: expected a string, got " + ENTRY),
+        (
+            _plain_spec(states='["s", {"children": [], "label": "a"}]'),
+            'coalgebra.states: expected a string, got {"children": [], "label": "a"}',
+        ),
+        (_plain_spec(label=ENTRY), "coalgebra.gamma.s.label: expected a string, got " + ENTRY),
+        (_plain_spec(entry='{"label": 5, "children": [], "label": "a"}'), None),
+        (
+            _plain_spec(entry='{"label": "a", "children": [], "label": ' + ENTRY + "}"),
+            "coalgebra.gamma.s.label: expected a string, got " + ENTRY,
+        ),
+        (_plain_spec(label=DEEP), "coalgebra.gamma.s.label: expected a string, got " + DEEP),
+        (
+            '{"schema_version": "1", "signature": {"labels": ["a"], "arity": {"a": 1}}, "coalgebra": '
+            '{"gamma": {"q": {"children": ["zz"], "label": "a"}, "r": {"children": [], "label": "a"}}, "states": ["q", "r"]}}',
+            "coalgebra: transition of 'q' leaves the state enumeration: 'zz'",
+        ),
+        (
+            '{"coalgebra": {"gamma": {"p": {"children": [], "label": "a"}, "q": {"children": ["zz"], "label": "b"}}, '
+            '"states": ["p", "q"]}, "schema_version": "1", "signature": {"arity": {"a": 0, "b": 1}, "labels": ["a", "b"]}}',
+            "coalgebra: transition of 'q' leaves the state enumeration: 'zz'",
+        ),
+    ],
+    ids=[
+        "signature",
+        "state",
+        "state-children-first",
+        "label",
+        "repeated-label-key",
+        "repeated-label-key-entry",
+        "deep-label",
+        "held-dangling-children-first",
+        "held-dangling-own-label",
+    ],
+)
+def test_entry_shaped_values_are_reported_as_objects(tmp_path, text, message):
+    """An object of exactly the keys ``label`` and ``children`` outside a
+    ``gamma`` entry is reported as the object it is, in its key order,
+    however deep (the restore keeps its own stack); a repeated key counts
+    once, with its last value; and the held fault of a state whose entry
+    lists ``children`` first is checked against its own label, not an
+    earlier state's.  ``None`` is a spec that loads."""
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    got = _outcome(lambda: specdoc.load_spec(str(path)))
+    assert got == _outcome(lambda: specdoc.parse_spec(json.loads(text)))
+    if message is None:
+        assert not isinstance(got, str)
+    else:
+        assert got == message
+
+
+def _specgen():
+    """``perfbench/specgen.py``, the benchmark's spec generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "specgen.py"
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_load_peaks_under_520_bytes_a_state(tmp_path):
+    """Loading a planted 3*10^4-state spec peaks under 520 bytes a state
+    above what was held before, as ``tracemalloc`` counts them: no
+    ``gamma`` entry is held as a dict.  With a dict per entry the load
+    peaked at about 588 bytes a state here; it peaks at about 473-477."""
+    n = 3 * 10**4
+    pb = _specgen().PlantedBlocks(random.Random(1), n, {"a": 2, "b": 2, "c": 1, "z": 0}, base_size=3000, shape=random.Random(2))
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(pb.doc()))
+    del pb
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = specdoc.load_spec(str(path)).coalgebra
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(c.state_enumeration) == n
+    assert peak / n < 520, peak / n
