@@ -442,7 +442,7 @@ def minimize(c: Coalgebra) -> Coalgebra:
     O((n + m) log n) for n states and m edges.
     """
     numbers = partition_refine(c).numbers
-    kids, koff, column, tags = c._kids, c._koff, c._class, c._tags
+    kids, koff, column = c._kids, c._koff, c._class
     n = len(numbers)
     # The earliest member of each block: written last, going backwards.
     first = dict(zip(reversed(numbers), range(n - 1, -1, -1)))
@@ -458,6 +458,6 @@ def minimize(c: Coalgebra) -> Coalgebra:
     qcolumn = array("l", map(renumber.__getitem__, klass))
     states = tuple(map(c.state_enumeration.__getitem__, firsts))
     q = c._like(states, f"min({c.name})" if c.name else "min")
-    qtags = tuple(map(tags.__getitem__, renumber))
-    q._adopt(states, qkids, qkoff, qcolumn, qtags, dict(zip(states, count())))
+    qlabels = tuple(map(c._labels.__getitem__, renumber))
+    q._adopt(states, qkids, qkoff, qcolumn, qlabels, dict(zip(states, count())))
     return q

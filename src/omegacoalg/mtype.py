@@ -211,8 +211,8 @@ class Coalgebra:
     indexed by it (:func:`approximate_all`).  The child table: the children
     of state i, as numbers, are ``_kids[_koff[i]:_koff[i + 1]]``.  The
     class column: ``_class[i]`` numbers the pair of state i's sort and
-    label, in order of first appearance, and ``_tags[k]`` is the pair that
-    k numbers.  Partition refinement reads them
+    label, in order of first appearance, and ``_labels[k]`` is the label
+    of the pair that k numbers.  Partition refinement reads them
     (:func:`~omegacoalg.bisim.partition_refine`), and so do
     :func:`~omegacoalg.bisim.minimize` and the spec writer
     (:func:`~omegacoalg.specdoc.dump_document`), which read no transition.
@@ -251,7 +251,7 @@ class Coalgebra:
         # The levels up to this depth are rows by state number, each
         # holding every enumerated state; the levels above are dicts.
         self._full = -1
-        self._kids = self._koff = self._class = self._tags = None
+        self._kids = self._koff = self._class = self._labels = None
         # State -> number, kept from the validating pass.
         self._index = None
         if state_enumeration is not None:
@@ -278,7 +278,7 @@ class Coalgebra:
             except KeyError:
                 raise self._fault(s, pv, index) from None
             koff.append(len(kids))
-        self._adopt(states, kids, koff, column, tuple(classes), index)
+        self._adopt(states, kids, koff, column, tuple([label for _, label in classes]), index)
 
     def _fault(self, s, pv: PValue, index) -> OmegaCoalgError | None:
         """What validation refuses in the transition ``pv`` of ``s``: the
@@ -294,13 +294,13 @@ class Coalgebra:
                 return InvalidCoalgebra(f"transition of {s!r} leaves the {self._state_pool}: {ch!r}")
         return None
 
-    def _adopt(self, states: tuple, kids, koff, column, tags: tuple, index: dict) -> None:
+    def _adopt(self, states: tuple, kids, koff, column, labels: tuple, index: dict) -> None:
         """Take the enumeration ``states``, its numbering ``index`` (state
         -> place in ``states``) and its tables from a pass that has
         validated them; with ``gamma`` None they are the store (see the
         class docstring)."""
         self.state_enumeration = states
-        self._kids, self._koff, self._class, self._tags = kids, koff, column, tags
+        self._kids, self._koff, self._class, self._labels = kids, koff, column, labels
         self._index = index
 
     # The depth-n observation of a state, ``_observe(s, n)``: a read of the
@@ -345,7 +345,7 @@ class Coalgebra:
             raise InvalidCoalgebra(f"state {s!r} has no transition in gamma")
         koff = self._koff
         children = tuple([states[k] for k in self._kids[koff[i] : koff[i + 1]]])
-        return PValue(self._tags[self._class[i]][1], children)
+        return PValue(self._labels[self._class[i]], children)
 
     def _admit(self, s, pv: PValue) -> None:
         """Reject a transition the signature does not allow: here, one
@@ -612,7 +612,7 @@ def _fill_rows(c: Coalgebra, n: int) -> None:
     depth k.
     """
     order, place, layout = _class_columns(c)
-    classes = [(label, end - start, columns) for (start, end, columns), (_, label) in zip(layout, c._tags)]
+    classes = [(label, end - start, columns) for (start, end, columns), label in zip(layout, c._labels)]
     levels, index = c._levels, c._index
     lo = c._full + 1
     below = list(map(levels[lo - 1].__getitem__, order)) if lo else []

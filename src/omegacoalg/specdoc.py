@@ -9,10 +9,10 @@ The coalgebra fragment, plain or indexed, is validated in one pass over
 the states, which also numbers them and writes the coalgebra's tables;
 the coalgebra keeps both (:meth:`~omegacoalg.mtype.Coalgebra._adopt`).
 A fault of the document's shape is raised where it is found; the first
-fault the coalgebra refuses is held until the whole document's shape has
-passed.  The loaded
-coalgebra has no ``gamma``: its tables are its one store, and a state's
-transition is read off them when it is first asked for.
+fault the coalgebra refuses is sought once the whole document's shape has
+passed.  The loaded coalgebra has no ``gamma``: its tables are its one
+store, and a state's transition is read off them when it is first asked
+for.
 
 :func:`load_spec` decodes with an ``object_hook`` that hands each object
 whose keys are exactly ``label`` and ``children`` over as a tuple of its
@@ -30,12 +30,13 @@ tables, byte for byte as ``json.dumps`` with sorted keys and an indent of
 from __future__ import annotations
 
 import json
+import operator
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, repeat
 
 from .container import Container, PValue
-from .errors import InvalidCoalgebra, OmegaCoalgError, SpecValidationError
+from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import IndexedCoalgebra, IndexedContainer
 from .mtype import Coalgebra
 
@@ -208,13 +209,13 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     ``gamma`` key) is raised where it is found.  A fault the coalgebra
     refuses (a repeated state, then the first transition in enumeration
     order with a wrong arity, sort or label at its sort, or a child
-    outside the states) is held until the whole document's shape has
-    passed, and named as the coalgebra names it
+    outside the states) is sought after the pass, once the whole
+    document's shape has passed, and named as the coalgebra names it
     (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each entry is first
     screened by a cheap test (its child count, and for an indexed spec
-    its children's sorts); only one that fails it is checked in full.  An
-    entry comes from :func:`load_spec` as the decoder's tuple, and from a
-    caller of :func:`parse_spec` as a dict.
+    its children's sorts); only the first one that fails it is checked in
+    full.  An entry comes from :func:`load_spec` as the decoder's tuple,
+    and from a caller of :func:`parse_spec` as a dict.
     The children are numbered after the pass, all at once, and only when
     one is not a state are the states searched for it.
     """
@@ -238,20 +239,9 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         child_sort = container.child_sort
         sort_of = states.get
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
-    try:
-        index = dict(zip(states, range(len(states))))
-    except TypeError:
-        # A state that is not a string, which the pass names.
-        index = {}
-    # The first fault the coalgebra refuses, and the place of its state
-    # (-1 for a repeated state, which outranks every transition's fault).
-    held, held_at = None, len(states)
-    if len(index) != len(states):
-        held, held_at = InvalidCoalgebra(c._duplicates), -1
     labels = []
     lists = []
-    sort = None
-    for i, s in enumerate(states):
+    for s in states:
         if plain:
             if not isinstance(s, str):
                 _require_str(s, "coalgebra.states")
@@ -276,19 +266,11 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         for ch in children:
             if not isinstance(ch, str):
                 _require_str(ch, f"coalgebra.gamma.{s}.children")
-        if plain:
-            n = arity.get(label)
-            if n is None:
-                raise SpecValidationError(
-                    f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels"
-                )
-            suspect = len(children) != n
-        else:
-            suspect = child_sort.get((sort, label)) != tuple(map(sort_of, children))
+        if plain and label not in arity:
+            raise SpecValidationError(f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels")
         labels.append(label)
         lists.append(children)
-        if suspect and held is None:
-            held, held_at = c._fault(s, PValue(label, children), index), i
+    index = dict(zip(states, range(len(states))))
     if len(gamma) != len(index):
         for s in gamma:
             _require(s in index, f"coalgebra.gamma.{s}: not a declared state")
@@ -297,27 +279,35 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         # named as such rather than by its arity entry.
         for a in container.arity:
             _require(a in arity, f"signature.arity.{a}: not in signature.labels")
-    # Every child is numbered in one pass; a child that is not a state is
-    # then sought only among the states before the held fault's.
+    # The shape has passed.  A repeated state is the coalgebra's first
+    # fault, then the first state that the screen flags, unless a child
+    # that is not a state comes earlier: every child is numbered in one
+    # pass, and only if one is missing are the states before the flagged
+    # one searched for it.
+    _require(len(index) == len(states), f"coalgebra: {c._duplicates}")
+    if plain:
+        flagged = map(operator.ne, map(len, lists), map(arity.__getitem__, labels))
+    else:
+        wanted = map(child_sort.get, zip(states.values(), labels))
+        flagged = map(operator.ne, wanted, map(tuple, map(map, repeat(sort_of), lists)))
+    first = next(compress(count(), flagged), len(lists))
     try:
         kids = array("l", map(index.__getitem__, chain.from_iterable(lists)))
     except KeyError:
-        for i, (s, label, children) in enumerate(zip(states, labels, lists)):
-            if i >= held_at:
-                break
-            if not all(map(index.__contains__, children)):
-                held = c._fault(s, PValue(label, children), index)
-                break
-    if held is not None:
-        raise SpecValidationError(f"coalgebra: {held}")
+        closed = map(all, map(map, repeat(index.__contains__), lists[:first]))
+        first = next(compress(count(), map(operator.not_, closed)), first)
+    order = tuple(states)
+    if first < len(order):
+        fault = c._fault(order[first], PValue(labels[first], lists[first]), index)
+        raise SpecValidationError(f"coalgebra: {fault}")
     # Each state's (sort, label) class, numbered in the order of first use;
     # a plain spec's is keyed by its label alone, which hashes as it is.
     keys = labels if plain else list(zip(states.values(), labels))
     classes = {key: k for k, key in enumerate(dict.fromkeys(keys))}
     column = array("l", map(classes.__getitem__, keys))
-    tags = tuple(zip(repeat(None), classes)) if plain else tuple(classes)
     koff = array("l", accumulate(map(len, lists), initial=0))
-    c._adopt(tuple(states), kids, koff, column, tags, index)
+    class_labels = tuple(classes) if plain else tuple([a for _, a in classes])
+    c._adopt(order, kids, koff, column, class_labels, index)
     return c
 
 
@@ -423,7 +413,7 @@ def dump_document(c: Coalgebra) -> str:
     # A state's sort is one of the sorts, and its label one of the labels
     # at its sort; only a plain label outside the listed ones is left.
     _require_strs(states, "coalgebra.states")
-    for k, (_, label) in enumerate(c._tags):
+    for k, label in enumerate(c._labels):
         if not isinstance(label, str):
             _require_str(label, f"coalgebra.gamma.{states[c._class.index(k)]}.label")
     names = list(map(_string, states))
@@ -436,7 +426,7 @@ def dump_document(c: Coalgebra) -> str:
     # A gamma entry, indented three levels, with its children a fourth.
     head = ': {\n        "children": '
     mid = ',\n        "label": '
-    labels = [_string(label) for _, label in c._tags]
+    labels = list(map(_string, c._labels))
     kids, koff, column = c._kids, c._koff, c._class
     # The document's keys are written sorted, coalgebra first.  Each gamma
     # entry is its own piece, with the line before it, and the pieces are

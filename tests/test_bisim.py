@@ -497,7 +497,7 @@ def test_gamma_function_refines_as_its_mapping_property(c):
 def test_cli_bisim_across_sorts_output(tmp_path):
     """bisim across sorts is a validation error under either algorithm:
     exit 2, nothing on stdout, and one line on stderr naming both states
-    and both sorts.  Within a sort the bounded oracle answers."""
+    and both sorts.  Within a sort both algorithms answer."""
     path = tmp_path / "two.json"
     path.write_text(specdoc.dump_document(two_sorts_sharing_a_label()))
     assert run_bisim(str(path), "p", "q") == (
@@ -507,6 +507,7 @@ def test_cli_bisim_across_sorts_output(tmp_path):
     )
     bounded = ("--algorithm", "bounded", "--depth", "3")
     assert run_bisim(str(path), "p", "q", *bounded) == run_bisim(str(path), "p", "q")
+    assert run_bisim(str(path), "p", "r") == (0, "bisimilar\n", "")
     assert run_bisim(str(path), "p", "r", *bounded) == (0, "bisimilar\n", "")
 
 

@@ -427,6 +427,18 @@ STABLE_QUOTIENT = {
 }
 
 
+def two_sorts_doc(states):
+    """The document of ``conftest.two_sorts_sharing_a_label()`` over
+    ``states``, a map from state to sort: sorts x and y each offer a leaf
+    label named a, and every state is that leaf."""
+    leaf = {"arity": 0, "child_sorts": []}
+    return {
+        "schema_version": "1",
+        "indexed": {"sorts": ["x", "y"], "labels": {"x": {"a": leaf}, "y": {"a": leaf}}},
+        "coalgebra": {"states": states, "gamma": {s: _step("a") for s in states}},
+    }
+
+
 @pytest.mark.parametrize(
     "doc, quotient",
     [
@@ -435,13 +447,16 @@ STABLE_QUOTIENT = {
         (plain_doc(), plain_doc()),
         (parity_doc(), parity_doc()),
         (STABLE_CLASSES, STABLE_QUOTIENT),
+        (two_sorts_doc({"p": "x", "q": "y", "r": "x"}), two_sorts_doc({"p": "x", "q": "y"})),
     ],
-    ids=["empty-plain", "empty-indexed", "one-state-plain", "one-state-indexed", "stable-classes"],
+    ids=["empty-plain", "empty-indexed", "one-state-plain", "one-state-indexed", "stable-classes", "two-sorts"],
 )
 def test_minimize_edge_cases(tmp_path, doc, quotient):
-    """No state, one state, and classes that are already the fixpoint (no
-    round splits a block): ``minimize`` prints the quotient document, in
-    the stdlib's sorted text, and it is a fixed point."""
+    """No state, one state, classes that are already the fixpoint (no
+    round splits a block), and two sorts that share a label name, whose
+    states stay apart (p and q) while r merges into p: ``minimize`` prints
+    the quotient document, in the stdlib's sorted text, and it is a fixed
+    point."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     text = json.dumps(quotient, sort_keys=True, indent=2) + "\n"
@@ -1543,8 +1558,8 @@ def test_both_launchers_share_one_entry():
 def test_bench_tracer_runs(tmp_path, command):
     """The bench tracer (``perfbench/tracer.py``) wraps library functions
     by name and reads ``SpecDocument.raw`` and ``Partition.blocks``, so a
-    deleted or renamed name that it pins fails here, as it fails CI's
-    "Bench tracer" step: each command exits 0 and writes its spans file.
+    deleted or renamed name that it pins fails here: each command exits 0
+    and writes its spans file.
     ``raw`` is rebuilt from the decoded tuples when the tracer reads it,
     which counts the parity demo's two states and two edges.
     The blocks it reads are built when read, after the refinement's span

@@ -69,7 +69,7 @@ def test_written_spec_loads_to_the_same_tables_property(c):
     assert type(loaded) is type(c)
     assert loaded.state_enumeration == c.state_enumeration
     assert (loaded._kids, loaded._koff, loaded._class) == (c._kids, c._koff, c._class)
-    assert loaded._tags == c._tags
+    assert loaded._labels == c._labels
     for s in c.state_enumeration:
         assert loaded.transition(s) == c.transition(s)
     assert specdoc.dump_document(loaded) == text
@@ -199,7 +199,7 @@ def _outcome(load):
         c = load().coalgebra
     except SpecValidationError as e:
         return str(e)
-    return type(c), c.state_enumeration, c._kids, c._koff, c._class, c._tags, c._index
+    return type(c), c.state_enumeration, c._kids, c._koff, c._class, c._labels, c._index
 
 
 # The keys and constants of the document format, which are not renamed.
