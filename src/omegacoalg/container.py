@@ -43,10 +43,8 @@ class Container:
     def __init__(self, arity: Mapping | Callable[[object], int], labels: tuple | None = None):
         self.arity = arity
         self.labels = labels = None if labels is None else tuple(labels)
-        # One entry per enumerated label, None until a transition uses it.
-        self._child_sorts = dict.fromkeys(labels or ())
         if labels is not None:
-            if len(self._child_sorts) != len(labels):
+            if len(set(labels)) != len(labels):
                 raise UnknownLabel("label enumeration contains duplicates")
             for a in labels:
                 if self.arity_of(a) < 0:
@@ -70,17 +68,8 @@ class Container:
     def child_sorts(self, sort, label) -> tuple:
         """The sorts of the children of a ``label`` node at ``sort``: one
         None per position, since a plain container is the one-sort case
-        whose sort is None; another sort raises :class:`SortMismatch`.  The
-        tuple of an enumerated label is built on first use and kept, and no
-        other is kept."""
-        if sort is None:
-            sorts = self._child_sorts.get(label)
-            if sorts is not None:
-                return sorts
-        sorts = (None,) * self._arity(sort, label)
-        if label in self._child_sorts:
-            self._child_sorts[label] = sorts
-        return sorts
+        whose sort is None; another sort raises :class:`SortMismatch`."""
+        return (None,) * self._arity(sort, label)
 
 
 class ApproxTree:

@@ -14,17 +14,18 @@ passed.  The loaded coalgebra has no ``gamma``: its tables are its one
 store, and a state's transition is read off them when it is first asked
 for.
 
-:func:`load_spec` decodes with an ``object_hook`` that hands each object
-whose keys are exactly ``label`` and ``children`` over as a tuple of its
-label, its children and its key order, so a document's ``gamma`` entries
-are never held as dicts; the pass unpacks them.  The hook sees no path,
-so every place that expects an object, or prints a value in a message,
-turns such a tuple back into its dict, in its key order: what the loader
-reports is what it reports for the plain document :func:`parse_spec`
-takes.  The writer,
-:func:`dump_document`, prints a coalgebra's document straight from its
-tables, byte for byte as ``json.dumps`` with sorted keys and an indent of
-2 does.
+:func:`load_spec` first decodes with an ``object_hook`` that hands each
+object whose keys are exactly ``label`` and ``children`` over as a tuple
+of its label, its children and a private mark, so a document's ``gamma``
+entries are never held as dicts; the pass unpacks them, and it is the one
+place that reads such a tuple.  Anywhere else a tuple fails the type check
+of what is expected there, and then the document is decoded again by the
+stdlib alone and that value is parsed: what the loader reports is, by
+construction, what :func:`parse_spec` reports for the plain document.
+
+The writer, :func:`dump_document`, prints a coalgebra's document straight
+from its tables, byte for byte as ``json.dumps`` with sorted keys and an
+indent of 2 does.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import operator
 from array import array
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, repeat
 
 from .container import Container, PValue
@@ -45,27 +46,24 @@ SCHEMA_VERSION = "1"
 
 class SpecDocument:
     """A loaded document: its coalgebra, plain or indexed, and ``raw``, the
-    parsed JSON it came from.  The coalgebra does not read ``raw``, and it
-    is not kept as parsed: the decoder hands the ``gamma`` entries over as
-    tuples, and ``raw`` is rebuilt from them, as ``json.load`` returns the
-    document, when it is first read.  Only the benchmark's tracer
-    (``perfbench/tracer.py``) reads it, to count the states and edges of a
-    load."""
+    parsed JSON it came from.  The coalgebra does not read ``raw``: it is
+    the value a caller gave :func:`parse_spec`, or for :func:`load_spec`
+    the stdlib's decoding of the file, made when first read.  Only the
+    benchmark's tracer (``perfbench/tracer.py``) reads it, to count the
+    states and edges of a load."""
 
-    def __init__(self, coalgebra: Coalgebra, decoded: dict):
+    def __init__(self, coalgebra: Coalgebra, decode):
         self.coalgebra = coalgebra
-        self._decoded = decoded
+        self._decode = decode
 
     @cached_property
     def raw(self) -> dict:
-        return _restore(self._decoded)
+        return self._decode()
 
 
-# The key orders of an entry, which the decoder hands over as the tuple
-# ``(label, children, order)``.  Only the decoder makes these: a tuple is an
-# entry when its third item is one of them.
-_LABEL_FIRST = ("label", "children")
-_CHILDREN_FIRST = ("children", "label")
+# The mark of an entry as the decoder hands it over, ``(label, children,
+# _ENTRY)``; nothing else makes it.
+_ENTRY = object()
 
 
 def _decode_object(obj: dict):
@@ -77,44 +75,7 @@ def _decode_object(obj: dict):
         return obj
     if len(obj) != 2:
         return obj
-    return label, children, (_LABEL_FIRST if next(iter(obj)) == "label" else _CHILDREN_FIRST)
-
-
-def _is_entry(value) -> bool:
-    """Whether ``value`` is an entry as the decoder hands it over."""
-    return type(value) is tuple and len(value) == 3 and (value[2] is _LABEL_FIRST or value[2] is _CHILDREN_FIRST)
-
-
-def _object(value):
-    """``value`` where an object is expected: an entry as its dict, in its
-    key order, whose own values are left as they are; anything else as
-    is."""
-    if not _is_entry(value):
-        return value
-    label, children, order = value
-    if order is _LABEL_FIRST:
-        return {"label": label, "children": children}
-    return {"children": children, "label": label}
-
-
-def _restore(value):
-    """``value`` as ``json.load`` returns it: every entry within it turned
-    back into its dict, in place.  The walk keeps its own stack, so it
-    restores a value of any depth the decoder reads, and it visits each
-    array or object once, so it ends on a value built with a cycle."""
-    value = _object(value)
-    todo, seen = [value] if isinstance(value, (dict, list)) else [], set()
-    while todo:
-        v = todo.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        for k, x in v.items() if isinstance(v, dict) else enumerate(v):
-            if type(x) is tuple and _is_entry(x):
-                v[k] = x = _object(x)
-            if isinstance(x, (dict, list)):
-                todo.append(x)
-    return value
+    return label, children, _ENTRY
 
 
 def _require(cond: bool, msg: str):
@@ -125,7 +86,7 @@ def _require(cond: bool, msg: str):
 def _require_str(value, where: str):
     """State names, sorts, labels and children are JSON strings."""
     if not isinstance(value, str):
-        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(_restore(value), default=repr)}")
+        raise SpecValidationError(f"{where}: expected a string, got {json.dumps(value, default=repr)}")
 
 
 def _is_arity(n) -> bool:
@@ -133,18 +94,31 @@ def _is_arity(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
+def _read(path: str, object_hook=None):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_hook=object_hook)
+
+
 def load_spec(path: str) -> SpecDocument:
+    """The document in the file at ``path``, as :func:`parse_spec` parses
+    the stdlib's decoding of it.  The file is decoded once, with its
+    ``gamma`` entries as tuples, and that is parsed.  If that fails (a
+    tuple where no entry is expected, a fault of the document, or a
+    decoder that the hook's calls took past the recursion limit), the
+    first decoding is dropped, and the file is decoded again by the stdlib
+    alone and parsed, in this frame, so that a document nests too deeply
+    exactly where it does for the stdlib's decoder here."""
+    try:
+        loaded = parse_spec(_read(path, _decode_object))
+    except (SpecValidationError, RecursionError, ValueError, OSError):
+        pass
+    else:
+        # Its ``raw`` is the stdlib's decoding, not the hooked one.
+        loaded._decode = partial(_read, path)
+        return loaded
     try:
         with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh, object_hook=_decode_object)
-            except RecursionError:
-                # The hook's calls take the decoder a level or two nearer
-                # the recursion limit; a document nests too deeply only
-                # where the plain decoder finds so, and then it is parsed
-                # as plain dicts.
-                fh.seek(0)
-                doc = json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
         raise SpecValidationError(f"cannot read spec file: {e}") from None
     except UnicodeDecodeError as e:
@@ -160,7 +134,6 @@ def load_spec(path: str) -> SpecDocument:
 
 
 def parse_spec(doc: dict) -> SpecDocument:
-    doc = _object(doc)
     _require(isinstance(doc, dict), "document: expected a JSON object")
     _require(
         doc.get("schema_version") == SCHEMA_VERSION,
@@ -176,14 +149,13 @@ def parse_spec(doc: dict) -> SpecDocument:
         container = _parse_signature(doc["signature"])
     else:
         container = _parse_indexed(doc["indexed"])
-    return SpecDocument(_parse_coalgebra(container, doc["coalgebra"]), doc)
+    return SpecDocument(_parse_coalgebra(container, doc["coalgebra"]), lambda: doc)
 
 
 def _parse_signature(sig) -> Container:
-    sig = _object(sig)
     _require(isinstance(sig, dict), "signature: expected an object")
     labels = sig.get("labels")
-    arity = _object(sig.get("arity"))
+    arity = sig.get("arity")
     _require(isinstance(labels, list), "signature.labels: expected an array")
     _require(isinstance(arity, dict), "signature.arity: expected an object")
     for a in labels:
@@ -219,10 +191,9 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     The children are numbered after the pass, all at once, and only when
     one is not a state are the states searched for it.
     """
-    frag = _object(frag)
     _require(isinstance(frag, dict), "coalgebra: expected an object")
-    states = _object(frag.get("states"))
-    gamma = _object(frag.get("gamma"))
+    states = frag.get("states")
+    gamma = frag.get("gamma")
     plain = not isinstance(container, IndexedContainer)
     if plain:
         _require(isinstance(states, list), "coalgebra.states: expected an array")
@@ -250,8 +221,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
             if not isinstance(sort, str):
                 _require_str(sort, f"coalgebra.states.{s}")
         entry = gamma.get(s)
-        # _is_entry(entry), inline: it is asked once a state.
-        if type(entry) is tuple and len(entry) == 3 and (entry[2] is _LABEL_FIRST or entry[2] is _CHILDREN_FIRST):
+        if type(entry) is tuple and len(entry) == 3 and entry[2] is _ENTRY:
             label, children, _ = entry
         else:
             if not isinstance(entry, dict):
@@ -298,8 +268,10 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         first = next(compress(count(), map(operator.not_, closed)), first)
     order = tuple(states)
     if first < len(order):
-        fault = c._fault(order[first], PValue(labels[first], lists[first]), index)
-        raise SpecValidationError(f"coalgebra: {fault}")
+        # The fault is kept in no local: its traceback reaches this frame,
+        # and the cycle would hold the whole document until the collector
+        # runs, which the CLI turns off.
+        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], lists[first]), index)}")
     # Each state's (sort, label) class, numbered in the order of first use;
     # a plain spec's is keyed by its label alone, which hashes as it is.
     keys = labels if plain else list(zip(states.values(), labels))
@@ -312,10 +284,9 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
 
 
 def _parse_indexed(frag) -> IndexedContainer:
-    frag = _object(frag)
     _require(isinstance(frag, dict), "indexed: expected an object")
     sorts = frag.get("sorts")
-    labels = _object(frag.get("labels"))
+    labels = frag.get("labels")
     _require(isinstance(sorts, list), "indexed.sorts: expected an array")
     _require(isinstance(labels, dict), "indexed.labels: expected an object")
     labels_at = {}
@@ -323,7 +294,7 @@ def _parse_indexed(frag) -> IndexedContainer:
     child_sort = {}
     for i in sorts:
         _require_str(i, "indexed.sorts")
-        per_sort = _object(labels.get(i, {}))
+        per_sort = labels.get(i, {})
         _require(
             isinstance(per_sort, dict), f"indexed.labels.{i}: expected an object"
         )

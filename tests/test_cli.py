@@ -1560,8 +1560,8 @@ def test_bench_tracer_runs(tmp_path, command):
     by name and reads ``SpecDocument.raw`` and ``Partition.blocks``, so a
     deleted or renamed name that it pins fails here: each command exits 0
     and writes its spans file.
-    ``raw`` is rebuilt from the decoded tuples when the tracer reads it,
-    which counts the parity demo's two states and two edges.
+    ``raw`` is the stdlib's decoding of the file, made when the tracer
+    reads it, which counts the parity demo's two states and two edges.
     The blocks it reads are built when read, after the refinement's span
     has closed, and it counts the parity demo's two."""
     root = Path(__file__).resolve().parent.parent

@@ -2,9 +2,11 @@
 ``dump_document`` writes is byte for byte ``json.dumps`` of the document
 built from the coalgebra's transitions, it loads back to the same tables
 and transitions, and a loaded coalgebra reads its tables, not the
-document.  The loader, which decodes ``gamma`` entries into tuples, gives
-what ``parse_spec`` gives on the stdlib's decoding of the same text."""
+document.  The loader, which decodes ``gamma`` entries into tuples and
+falls back to the stdlib's decoding where that parse fails, gives what
+``parse_spec`` gives on the stdlib's decoding of the same text."""
 
+import gc
 import importlib.util
 import json
 import random
@@ -292,16 +294,18 @@ NAMED_INDEXED = {
 
 @pytest.mark.parametrize("doc", [NAMED, NAMED_INDEXED], ids=["plain", "indexed"])
 @pytest.mark.parametrize("sort_keys", [False, True], ids=["label-first", "children-first"])
-def test_names_of_the_entry_keys_load(tmp_path, doc, sort_keys):
+def test_names_of_the_entry_keys_load(tmp_path, monkeypatch, doc, sort_keys):
     """A spec whose labels and states, and for an indexed one its sorts,
     are named ``label`` and ``children`` has its arities, states, ``gamma``
     and labels at a sort shaped like entries; it loads as the stdlib's
-    value parses, writes back the stdlib's text and keeps ``raw`` in its
-    key order."""
+    value parses, decoded a second time by the stdlib alone, writes back
+    the stdlib's text and keeps ``raw`` in its key order."""
     text = json.dumps(doc, sort_keys=sort_keys)
     path = tmp_path / "named.json"
     path.write_text(text)
+    hooks = _decodes(monkeypatch)
     loaded = specdoc.load_spec(str(path))
+    assert hooks == [specdoc._decode_object, None]
     c = loaded.coalgebra
     assert sorted(c.state_enumeration) == ["children", "label"]
     assert c.transition("label") == PValue("label", ("children",))
@@ -368,7 +372,7 @@ DEEP = "[" * 899 + ENTRY + "]" * 899
 def test_entry_shaped_values_are_reported_as_objects(tmp_path, text, message):
     """An object of exactly the keys ``label`` and ``children`` outside a
     ``gamma`` entry is reported as the object it is, in its key order,
-    however deep (the restore keeps its own stack); a repeated key counts
+    however deep (the stdlib's own decoding is parsed); a repeated key counts
     once, with its last value; and the held fault of a state whose entry
     lists ``children`` first is checked against its own label, not an
     earlier state's.  ``None`` is a spec that loads."""
@@ -391,16 +395,35 @@ def _specgen():
     return module
 
 
-def test_load_peaks_under_520_bytes_a_state(tmp_path):
-    """Loading a planted 3*10^4-state spec peaks under 520 bytes a state
-    above what was held before, as ``tracemalloc`` counts them: no
-    ``gamma`` entry is held as a dict.  With a dict per entry the load
-    peaked at about 588 bytes a state here; it peaks at about 473-477."""
+def _decodes(monkeypatch) -> list:
+    """The ``object_hook`` of each ``json.load`` call made from now on, in
+    order, None for none."""
+    hooks, load = [], json.load
+
+    def counted(fh, **kwargs):
+        hooks.append(kwargs.get("object_hook"))
+        return load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted)
+    return hooks
+
+
+def _planted(n: int) -> dict:
+    """The benchmark's planted spec of ``n`` states, as a document."""
+    shape = random.Random(2)
+    return _specgen().PlantedBlocks(random.Random(1), n, {"a": 2, "b": 2, "c": 1, "z": 0}, base_size=3000, shape=shape).doc()
+
+
+def test_load_peaks_under_520_bytes_a_state(tmp_path, monkeypatch):
+    """Loading a planted 3*10^4-state spec decodes it once, with the hook,
+    and peaks under 520 bytes a state above what was held before, as
+    ``tracemalloc`` counts them: no ``gamma`` entry is held as a dict.
+    With a dict per entry the load peaked at about 588 bytes a state here;
+    it peaks at about 473-477."""
     n = 3 * 10**4
-    pb = _specgen().PlantedBlocks(random.Random(1), n, {"a": 2, "b": 2, "c": 1, "z": 0}, base_size=3000, shape=random.Random(2))
     path = tmp_path / "planted.json"
-    path.write_text(json.dumps(pb.doc()))
-    del pb
+    path.write_text(json.dumps(_planted(n)))
+    hooks = _decodes(monkeypatch)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -410,3 +433,35 @@ def test_load_peaks_under_520_bytes_a_state(tmp_path):
         tracemalloc.stop()
     assert len(c.state_enumeration) == n
     assert peak / n < 520, peak / n
+    assert hooks == [specdoc._decode_object]
+
+
+def test_failed_load_holds_nothing_of_the_document(tmp_path):
+    """A load that fails on a fault the coalgebra names, one child too many
+    on the last state of a planted 3*10^4-state spec, reports what
+    ``parse_spec`` reports for the stdlib's value.  Its two decodings are
+    never held at once, and with the collector off nothing of them is held
+    once it returns: the fault's traceback reaches the parse's frame, and
+    a cycle through it held about 460 bytes a state here.  It peaks at
+    about 580 bytes a state and holds 0-4."""
+    n = 3 * 10**4
+    doc = _planted(n)
+    last = doc["coalgebra"]["states"][-1]
+    doc["coalgebra"]["gamma"][last]["children"].append(last)
+    text = json.dumps(doc)
+    del doc
+    path = tmp_path / "planted.json"
+    path.write_text(text)
+    expected = _outcome(lambda: specdoc.parse_spec(json.loads(text)))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = _outcome(lambda: specdoc.load_spec(str(path)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert isinstance(expected, str) and got == expected
+    assert (peak - before) / n < 640, (peak - before) / n
+    assert (held - before) / n < 16, (held - before) / n
