@@ -32,6 +32,7 @@ from collections import Counter, deque
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 
+from .container import _no_stage
 from .mtype import Coalgebra, _class_columns, approximate
 from .errors import (
     InvalidWitness,
@@ -167,7 +168,10 @@ def first_divergence_depth(c: Coalgebra, s, t, max_depth: int) -> int | None:
     different sorts differ at depth 1 even where their labels agree.  Below
     roots of equal sort and label the child sorts agree position by
     position, so deeper observations need no sorts.  With max_depth >= |S|
-    it agrees with :func:`divergence_depth`."""
+    it agrees with :func:`divergence_depth`.  A negative max_depth names
+    no stage and raises :class:`CannotTruncateUnit`."""
+    if max_depth < 0:
+        raise _no_stage(max_depth)
     if max_depth >= 1 and c._sort(s) != c._sort(t):
         return 1
     for n in range(max_depth + 1):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .container import Container, PValue
+from .container import Container, PValue, _no_stage
 from .indexed import IndexedCoalgebra, IndexedContainer
 from .mtype import Coalgebra, MElement, into, out, unfold
 
@@ -64,9 +64,12 @@ def stream_from_function(g: Callable[[int], object]) -> MElement:
 
 def stream_to_function(m: MElement) -> Callable[[int], object]:
     """Read a stream back as a function on naturals:
-    the value at k is head(tail^k(m)), read off the depth-(k+1) observation."""
+    the value at k is head(tail^k(m)), read off the depth-(k+1) observation.
+    A negative k raises :class:`CannotTruncateUnit`."""
 
     def g(k: int):
+        if k < 0:
+            raise _no_stage(k)
         node = m.at(k + 1)
         for _ in range(k):
             node = node.children[0]

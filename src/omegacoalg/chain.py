@@ -43,7 +43,8 @@ def poly_chain(c: Container, base: Chain) -> Chain:
 
 
 class LimitElement:
-    """An element of a chain limit: a memoized stage-indexed family."""
+    """An element of a chain limit: a memoized stage-indexed family.  A
+    negative stage raises :class:`CannotTruncateUnit`."""
 
     __slots__ = ("chain", "provenance", "_fn", "_cache")
 
@@ -57,6 +58,8 @@ class LimitElement:
         cache = self._cache
         if n in cache:
             return cache[n]
+        if n < 0:
+            raise _no_stage(n)
         v = self._fn(n)
         cache[n] = v
         return v
@@ -111,7 +114,10 @@ def map_to_cone(h: Callable[[object], LimitElement]) -> Cone:
 def iterate_cochain(x0, step: Callable[[int, object], object], n: int):
     """Evaluate at stage n the unique compatible cochain tuple with first
     element ``x0`` (tuples in a chain with inverted arrows are determined by
-    their first element)."""
+    their first element).  A negative ``n`` raises
+    :class:`CannotTruncateUnit`."""
+    if n < 0:
+        raise _no_stage(n)
     v = x0
     for k in range(n):
         v = step(k, v)

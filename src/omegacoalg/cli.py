@@ -350,7 +350,11 @@ def cmd_check(args) -> int:
     The level table of every state up to --depth is built once, level by
     level, in O(|S| depth r) for |S| states of arity at most r; each law is
     then read off it against truncation, ``out``/``into`` or the
-    transition (:func:`omegacoalg.mtype._table_laws`).  An indexed spec is
+    transition (:func:`omegacoalg.mtype._table_laws`).  The roundtrip
+    line runs ``out`` and ``into`` once per state; when ``into`` gives
+    each state back as it steps, the line is the morphism law's verdict
+    with Trunc at depth 0, and otherwise ``verify_morphism``'s on
+    ``into . out . unfold``.  An indexed spec is
     also checked well sorted on that same table, read as its rows, with
     each state's sort read once.
     """

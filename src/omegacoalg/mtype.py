@@ -217,7 +217,8 @@ class Coalgebra:
     :func:`~omegacoalg.bisim.minimize` and the spec writer
     (:func:`~omegacoalg.specdoc.dump_document`), which read no transition.
     They cost 16 bytes per state plus 8 bytes per edge, beside the
-    numbering's dict.  Without an enumeration they are all None.
+    numbering's dict.  Without an enumeration the numbering is empty and
+    the tables are None.
 
     The transition store.  A transition read through ``gamma`` is admitted
     and kept in ``_gamma_cache``, so the validating pass leaves every
@@ -252,8 +253,9 @@ class Coalgebra:
         # holding every enumerated state; the levels above are dicts.
         self._full = -1
         self._kids = self._koff = self._class = self._labels = None
-        # State -> number, kept from the validating pass.
-        self._index = None
+        # State -> number, kept from the validating pass; empty until then,
+        # so a state read off tables not yet adopted has no transition.
+        self._index = {}
         if state_enumeration is not None:
             self._validate(tuple(state_enumeration))
 
@@ -659,110 +661,91 @@ def _table_laws(c: Coalgebra, depth: int) -> tuple:
     * unique: the morphism law and Trunc at depth 0, the induction that
       forces any morphism into the final coalgebra to equal ``unfold``.
 
-    Each law runs in row kernels.  The levels are read upwards, each once,
-    as a row indexed by state number; Python loops over states, levels and
-    groups, and each row goes through C-level ``map``/``zip``.
-    Compatibility compares each row with the row below as one batch
-    (:func:`~omegacoalg.container._truncates_to`), reading the truncations
-    of the row below from their trees' ``_truncation`` slots, where the row
-    below's comparison left them; no truncation is held anywhere else.  The
-    morphism law and the roundtrip are one kernel (:func:`_level_holds`)
-    over two groupings of the states by label and arity (:func:`_grouped`):
-    of their transitions, as ``c.transition`` gives them, not the tables the
-    fill read; and of the elements that ``into`` assembles, one per state,
-    whose stage 0 is Trunc (:func:`_roundtrip_groups`).  When ``into`` gives
-    back each state's label over its children, the two groupings are equal,
-    so the kernel's answer at each level is the same for both laws, and it
-    is asked once.
+    Compatibility and the morphism law run in row kernels.  The levels are
+    read upwards, each once, as a row indexed by state number; Python loops
+    over states, levels and groups, and each row goes through C-level
+    ``map``/``zip``.  Compatibility compares each row with the row below as
+    one batch (:func:`~omegacoalg.container._truncates_to`), reading the
+    truncations of the row below from their trees' ``_truncation`` slots,
+    where the row below's comparison left them; no truncation is held
+    anywhere else.  The morphism law reads the states grouped by the label
+    and arity of their transitions, as ``c.transition`` gives them, not the
+    tables the fill read (:func:`_grouped`, :func:`_level_holds`).
+
+    The roundtrip runs ``out`` and ``into`` once per state, up to the first
+    element that ``into`` did not assemble as the state steps: at the
+    state's sort, pointed at a free extension of the transition's label
+    over children pointed at ``(c, t)`` for the transition's children
+    ``t``.  Such an element's stage 0 is Trunc and its stage k the label
+    over the children's entries at depth k-1, so when every state passes,
+    the roundtrip's verdict is the morphism law's with Trunc at depth 0.
+    Otherwise it is :func:`verify_morphism`'s, which reads each assembled
+    element's stages on its own.
     """
     table = approximate_all(c, depth)
-    states = c.state_enumeration
-    assembled = _roundtrip_groups(c, depth)
-    transitions = enumerate(map(c.transition, states))
-    steps = _grouped(((i, pv.label, pv.children) for i, pv in transitions), c._index)
-    if assembled == steps:
-        assembled = steps
+    states, container, sort = c.state_enumeration, c.container, c._sort
+    back = lambda s: into(container, out(unfold(c, s)), sort(s))
+    reassembled = all(_steps_as(c, s, back(s)) for s in states)
+    steps = _grouped(c)
     lower = table[0]
     base = all(map(operator.is_, lower, repeat(TRUNC)))
     compatible = morphism = True
-    roundtrip = assembled is not None and base
     # With Trunc at depth 0, a level of the laws reads no depths: the first
     # row that holds an entry of another depth fails at its own level, since
     # the trees found over the row below it sit at their depth.
     sound = base
     for k in range(1, depth + 1):
-        if not (compatible or roundtrip or morphism):
+        if not (compatible or morphism):
             break
         row = table[k]
         compatible = compatible and _truncates_to(row, lower)
         morphism = morphism and _level_holds(k, steps, lower, row, sound)
-        roundtrip = roundtrip and (morphism if assembled is steps else _level_holds(k, assembled, lower, row, sound))
         lower = row
+    roundtrip = morphism and base if reassembled else verify_morphism(MorphismCandidate(c, back), depth)
     return compatible, roundtrip, morphism, morphism and base
 
 
-def _grouped(nodes: Iterable, number: dict) -> list | None:
-    """The ``(i, label, children)`` nodes, a state number, a label and the
-    child states, grouped by label and arity as :func:`_level_holds` reads
-    them: a list of ``(label, members, columns)``, with the group's state
-    numbers in the array ``members`` and one array of child numbers
-    (``number``) per position in ``columns``.  None if a node is None: the
-    grouping stops at the first None and reads no further node.  The
-    arrays hold C ints, 4 bytes a number, so the two groupings that
-    :func:`_table_laws` holds at once add little to its peak; the tables of
-    2^31 states would not fit in memory anyway."""
+def _steps_as(c: Coalgebra, s, m: MElement) -> bool:
+    """Whether ``m`` steps as the state ``s`` of ``c`` does: it has the
+    state's sort and is pointed at a free extension of the transition's
+    label over children pointed at ``(c, t)``, for each child ``t`` of the
+    transition."""
+    ext = m.coalgebra
+    if m.sort != c._sort(s) or type(ext) is not _FreeExtension:
+        return False
+    label, children = c.transition(s)
+    return ext.label == label and [(ch.coalgebra, ch.state) for ch in ext.children] == [(c, t) for t in children]
+
+
+def _grouped(c: Coalgebra) -> list:
+    """The states of ``c`` grouped by the label and arity of their
+    transitions, as :func:`_level_holds` reads them: a list of ``(label,
+    members, columns)``, with the group's state numbers in the array
+    ``members`` and one array of child numbers (``c._index``) per position
+    in ``columns``.  The arrays hold C ints, 4 bytes a number; the tables
+    of 2^31 states would not fit in memory anyway."""
+    number = c._index.__getitem__
     groups: dict = {}
-    for node in nodes:
-        if node is None:
-            return None
-        i, label, children = node
+    for i, (label, children) in enumerate(map(c.transition, c.state_enumeration)):
         group = groups.get((label, len(children)))
         if group is None:
             group = groups[label, len(children)] = (array("i"), array("i"))
         group[0].append(i)
-        group[1].extend(map(number.__getitem__, children))
+        group[1].extend(map(number, children))
     return [
         (label, members, [flat[b::arity] for b in range(arity)])
         for (label, arity), (members, flat) in groups.items()
     ]
 
 
-def _roundtrip_groups(c: Coalgebra, depth: int) -> list | None:
-    """The roundtrip's groups (:func:`_grouped`): for each state ``s``, the
-    element ``m = into(c.container, out(unfold(c, s)), c._sort(s))``, its
-    label over the states of its children, when ``into`` assembled it over
-    elements pointed at enumerated states of ``c``, whose stages are the
-    table's entries.  Any other element is compared on its own, by
-    :func:`_agrees`.  None when an element has another sort than its state
-    or :func:`_agrees` refuses it: the law fails."""
-    container, sort, number = c.container, c._sort, c._index
-
-    def nodes():
-        for i, s in enumerate(c.state_enumeration):
-            want = sort(s)
-            m = into(container, out(unfold(c, s)), want)
-            if m.sort == want:
-                ext = m.coalgebra
-                if type(ext) is _FreeExtension:
-                    children = [ch.state for ch in ext.children if ch.coalgebra is c]
-                    if len(children) == len(ext.children) and all(map(number.__contains__, children)):
-                        yield i, ext.label, children
-                        continue
-                if _agrees(m, c, s, depth):
-                    continue
-            yield None
-
-    return _grouped(nodes(), number)
-
-
 def _level_holds(k: int, groups: list, below: list, here: list, sound: bool) -> bool:
-    """Level ``k`` of the morphism law or the roundtrip, for the rows
-    ``below`` and ``here`` of levels k-1 and k: for each group of
-    :func:`_grouped`, the interned trees of its label keyed by the
-    children's entries in ``below``, one ``map`` over the ``zip`` tuples,
-    are the members' entries in ``here``, by identity, and sit at depth k.
-    A key that is not interned names no tree, so it matches no entry, and
-    a failing level makes no tree.  A children tuple keys the tree one
+    """Level ``k`` of the morphism law, for the rows ``below`` and
+    ``here`` of levels k-1 and k: for each group of :func:`_grouped`, the
+    interned trees of its label keyed by the children's entries in
+    ``below``, one ``map`` over the ``zip`` tuples, are the members'
+    entries in ``here``, by identity, and sit at depth k.  A key that is
+    not interned names no tree, so it matches no entry, and a failing
+    level makes no tree.  A children tuple keys the tree one
     level above it, so over entries of ``below`` that are not at depth
     k-1, which only a planted table holds, the tree found is not the
     depth-k one: the depths are read unless ``sound`` says that level 0

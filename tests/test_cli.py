@@ -1040,8 +1040,14 @@ def test_check_fails_only_the_roundtrip_on_a_wrong_into(tmp_path, monkeypatch, d
     """The roundtrip line reads what ``into`` assembles.  With ``into``
     assembling over another label of the same arity, or over a child
     pointed at another state of the same sort, the table is right, so every
-    other line passes, and the roundtrip fails."""
-    into = mtype.into
+    other line passes, and the roundtrip fails: its verdict is read by
+    ``verify_morphism``, called once, on ``into . out . unfold``."""
+    into, verify_morphism = mtype.into, mtype.verify_morphism
+    verified = []
+
+    def counted(*args, **kwargs):
+        verified.append(args)
+        return verify_morphism(*args, **kwargs)
 
     def wrong_into(c, v, sort=None):
         label, children = v
@@ -1056,15 +1062,17 @@ def test_check_fails_only_the_roundtrip_on_a_wrong_into(tmp_path, monkeypatch, d
     argv = ["check", "--spec", str(path), "--depth", "6"]
     assert _run_in_process(argv)[0] == 0
     monkeypatch.setattr(mtype, "into", wrong_into)
+    monkeypatch.setattr(mtype, "verify_morphism", counted)
     code, out, err = _run_in_process(argv)
     assert (code, out.splitlines(), err) == (1, expected, "")
+    assert len(verified) == 1
 
 
 def test_check_runs_out_and_into_once_per_state(tmp_path, monkeypatch):
     """The roundtrip still runs the structure maps: on a 1500-state random
-    spec at depth 20, ``check`` calls ``out`` and ``into`` exactly once per
-    state, and ``verify_morphism`` not at all."""
-    doc = random_plain_doc(random.Random(3), 1500)
+    spec and on a 300-state random indexed one, at depth 20, ``check``
+    calls ``out`` and ``into`` exactly once per state, and
+    ``verify_morphism`` not at all."""
     calls = {"out": 0, "into": 0, "verify_morphism": 0}
     for name in calls:
         original = getattr(mtype, name)
@@ -1074,12 +1082,14 @@ def test_check_runs_out_and_into_once_per_state(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(mtype, name, counted)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "20"])
-    assert (code, out.count(": PASS\n"), err) == (0, 4, "")
-    n = len(doc["coalgebra"]["states"])
-    assert calls == {"out": n, "into": n, "verify_morphism": 0}
+    for doc, checks in ((random_plain_doc(random.Random(3), 1500), 4), (random_indexed_doc(random.Random(4), 300), 5)):
+        calls.update(dict.fromkeys(calls, 0))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_in_process(["check", "--spec", str(path), "--depth", "20"])
+        assert (code, out.count(": PASS\n"), err) == (0, checks, "")
+        n = len(doc["coalgebra"]["states"])
+        assert calls == {"out": n, "into": n, "verify_morphism": 0}
 
 
 INDEXED_LAWS = ("well-sorted", "compatibility", "i-out-i-into-roundtrip", "iunfold-is-morphism", "iunfold-uniqueness")

@@ -28,7 +28,8 @@ from omegacoalg import (
 from omegacoalg.container import TRUNC, _tree, _truncates_to, make_node, truncate_to
 from omegacoalg import container, mtype
 from omegacoalg.mtype import MElement, _table_laws
-from omegacoalg.bisim import bounded_bisim, minimize, partition_refine
+from omegacoalg.bisim import BisimWitness, bounded_bisim, coinduction_transfer, first_divergence_depth, minimize, partition_refine
+from omegacoalg.chain import iterate_cochain, shift_forward
 from omegacoalg.specdoc import dump_document, load_spec
 from omegacoalg.catalog import (
     conat_coalgebra,
@@ -40,6 +41,7 @@ from omegacoalg.catalog import (
     parity_container,
     stream_container,
     stream_from_function,
+    stream_to_function,
     tail,
 )
 from omegacoalg.errors import (
@@ -103,7 +105,10 @@ def test_negative_depth_rejected(filled):
     """A negative depth names no stage; it must not index the level table
     from its end and return the deepest stored observation, nor slice the
     table from its end, nor pass a morphism check on no stage at all.  It
-    is refused before the table is touched."""
+    is refused before the table is touched.  Nor does the depth oracle
+    find no divergence below it: fig1's t and u differ at depth 1, and
+    the oracle, the bounded bisimilarity and the coinduction transfer that
+    reads it refuse a negative depth as well."""
     c, ic = conat_coalgebra(), parity_coalgebra()
     if filled:
         approximate(c, "inf", 3)
@@ -126,6 +131,13 @@ def test_negative_depth_rejected(filled):
             with pytest.raises(CannotTruncateUnit):
                 _table_laws(coalgebra, n)
             assert len(coalgebra._levels) == depths
+        fig1 = fig1_coalgebra()
+        with pytest.raises(CannotTruncateUnit):
+            first_divergence_depth(fig1, "t", "u", n)
+        with pytest.raises(CannotTruncateUnit):
+            bounded_bisim(fig1, "t", "u", n)
+        with pytest.raises(CannotTruncateUnit):
+            coinduction_transfer(fig1, BisimWitness(frozenset({("t", "t")})), "t", "t", n)
 
 
 def test_unfold_stages_are_approximations():
@@ -599,6 +611,20 @@ def test_roundtrip_rows_give_the_per_element_verdict_property(c, depth, planted,
         assert not roundtrip
 
 
+def test_roundtrip_fails_on_an_element_of_another_sort():
+    """An ``into`` that assembles each transition as its state steps, but
+    gives the element another sort, fails the roundtrip line alone, plain
+    and indexed: the law sends each state to an element of its own sort."""
+
+    def resorted(container, v, sort=None):
+        m = into(container, v, sort)
+        return MElement(container, coalgebra=m.coalgebra, state=m.state, sort=("not", sort))
+
+    for c in (fig1_coalgebra(), parity_coalgebra()):
+        with mock.patch.object(mtype, "into", resorted):
+            assert _table_laws(c, 4) == (True, False, True, True)
+
+
 def reachable(roots) -> list:
     """The trees of ``roots`` and every tree below them, each once."""
     todo, seen, found = list(roots), set(), []
@@ -977,7 +1003,9 @@ def test_pointed_out_into_match_chain_reference_property(c, depth):
 
 def test_negative_depth_on_every_element():
     """A negative depth names no stage on any element, unfolded,
-    assembled, hand-built or sorted, nor on its ``limit`` view."""
+    assembled, hand-built or sorted, nor on its ``limit`` view, nor on
+    that view shifted forward, whose stage -1 would be stage 0 of the
+    view; nor does a stream read as a function, nor the cochain tuple."""
     s7 = stream_from_function(lambda k: 7)
     sc = s7.container
 
@@ -1011,6 +1039,12 @@ def test_negative_depth_on_every_element():
                 m.at(n)
         with pytest.raises(CannotTruncateUnit):
             m.limit.at(-1)
+        with pytest.raises(CannotTruncateUnit):
+            shift_forward(m.limit).at(-1)
+        with pytest.raises(CannotTruncateUnit):
+            stream_to_function(m)(-1)
+    with pytest.raises(CannotTruncateUnit):
+        iterate_cochain(TRUNC, lambda k, t: t, -2)
 
 
 def test_elements_compare_by_coalgebra_and_state():
@@ -1190,6 +1224,10 @@ def test_gamma_mapping_missing_a_state_is_invalid():
         Coalgebra(fig1_signature(), {}, state_enumeration=("a",))
     with pytest.raises(InvalidCoalgebra, match="state 'q' has no transition"):
         IndexedCoalgebra(parity_container(), ("p", "q"), {"p": "e", "q": "o"}, {"p": ("E", ("q",))})
+    # With no gamma and no tables, a state read without an enumeration has
+    # no transition either.
+    with pytest.raises(InvalidCoalgebra, match="state 't' has no transition in gamma"):
+        approximate(Coalgebra(fig1_signature(), None), "t", 1)
 
 
 def test_out_coalgebra_of_an_indexed_container_steps_by_out():
@@ -1327,6 +1365,10 @@ def _two_sorts(gamma):
             InvalidCoalgebra,
             "state 's' has no transition in gamma",
         ),
+        # No gamma at all, and no tables adopted: the first state has no
+        # transition.
+        (_plain(("a",), None), InvalidCoalgebra, "state 'a' has no transition in gamma"),
+        (_parity(("p", "q"), None), InvalidCoalgebra, "state 'p' has no transition in gamma"),
     ],
     ids=[
         "plain-leaves-then-arity",
@@ -1346,6 +1388,8 @@ def _two_sorts(gamma):
         "plain-table-arity-then-leaves",
         "indexed-table-leaves-then-arity",
         "plain-table-missing-then-leaves",
+        "plain-no-gamma",
+        "indexed-no-gamma",
     ],
 )
 def test_validation_reports_the_first_fault_in_enumeration_order(make, error, message):
