@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 
 from .container import _no_stage
-from .mtype import Coalgebra, _class_columns, approximate
+from .mtype import Coalgebra, _class_columns, _first_use, approximate
 from .errors import (
     InvalidWitness,
     NeedsFiniteStates,
@@ -288,8 +288,7 @@ def partition_refine(c: Coalgebra) -> Partition:
     else:
         block = _dirty_rounds(c, row, last, place)
     # Blocks are renumbered in order of their earliest member.
-    canon = dict(zip(dict.fromkeys(block), count()))
-    return Partition(states, array("l", map(canon.__getitem__, block)))
+    return Partition(states, _first_use(block)[0])
 
 
 def _dirty_rounds(c: Coalgebra, row: list, last: list, place: list) -> array:
@@ -457,9 +456,7 @@ def minimize(c: Coalgebra) -> Coalgebra:
     qkoff = array("l", accumulate(map(operator.sub, hi, lo), initial=0))
     # The classes that the blocks' rows use, renumbered in order of first
     # use.
-    klass = list(map(column.__getitem__, firsts))
-    renumber = dict(zip(dict.fromkeys(klass), count()))
-    qcolumn = array("l", map(renumber.__getitem__, klass))
+    qcolumn, renumber = _first_use(list(map(column.__getitem__, firsts)))
     states = tuple(map(c.state_enumeration.__getitem__, firsts))
     q = c._like(states, f"min({c.name})" if c.name else "min")
     qlabels = tuple(map(c._labels.__getitem__, renumber))

@@ -31,8 +31,8 @@ import operator
 import os
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
-from itertools import repeat
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import count, repeat
 
 from .chain import LIMITS, Chain, LimitElement
 from .container import (
@@ -192,6 +192,16 @@ def approximate(c: Coalgebra, s, n: int) -> "ApproxTree":
     return _fill_levels(c, s, n)
 
 
+def _first_use(keys: Sequence) -> tuple:
+    """Number ``keys`` in order of first appearance: the number of each
+    key, as an ``array('l')``, and the dict from each distinct key to its
+    number, in that order.  The class columns are numbered so, by
+    :meth:`Coalgebra._validate`, the spec loader and
+    :func:`~omegacoalg.bisim.minimize`, and so are a partition's blocks."""
+    numbers = dict(zip(dict.fromkeys(keys), count()))
+    return array("l", map(numbers.__getitem__, keys)), numbers
+
+
 class Coalgebra:
     """A state domain with a transition ``state -> PValue`` of states.
 
@@ -270,16 +280,16 @@ class Coalgebra:
         sort = self._sort
         kids = array("l")
         koff = array("l", [0])
-        column = array("l")
-        classes: dict = {}
+        keys = []
         for s in states:
             pv = step(s)
-            column.append(classes.setdefault((sort(s), pv.label), len(classes)))
+            keys.append((sort(s), pv.label))
             try:
                 kids.extend(map(number, pv.children))
             except KeyError:
                 raise self._fault(s, pv, index) from None
             koff.append(len(kids))
+        column, classes = _first_use(keys)
         self._adopt(states, kids, koff, column, tuple([label for _, label in classes]), index)
 
     def _fault(self, s, pv: PValue, index) -> OmegaCoalgError | None:

@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from .container import Container, PValue
 from .errors import OmegaCoalgError, SpecValidationError
 from .indexed import IndexedCoalgebra, IndexedContainer
-from .mtype import Coalgebra
+from .mtype import Coalgebra, _first_use
 
 SCHEMA_VERSION = "1"
 
@@ -275,8 +275,7 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     # Each state's (sort, label) class, numbered in the order of first use;
     # a plain spec's is keyed by its label alone, which hashes as it is.
     keys = labels if plain else list(zip(states.values(), labels))
-    classes = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-    column = array("l", map(classes.__getitem__, keys))
+    column, classes = _first_use(keys)
     koff = array("l", accumulate(map(len, lists), initial=0))
     class_labels = tuple(classes) if plain else tuple([a for _, a in classes])
     c._adopt(order, kids, koff, column, class_labels, index)

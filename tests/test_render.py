@@ -202,6 +202,7 @@ def test_deep_json_render_peak_rss(tmp_path):
     assert r.returncode == 0, r.stderr
     code, maxrss_kib = map(int, r.stdout.split())
     assert code == 0
+    print(f"approx --format json at depth 10^4: peak RSS {maxrss_kib / 1024:.1f} MB (bound 64)")
     assert maxrss_kib < 64 * 1024, maxrss_kib
 
 

@@ -432,6 +432,7 @@ def test_load_peaks_under_520_bytes_a_state(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(c.state_enumeration) == n
+    print(f"load: peak {peak / n:.1f} B a state (bound 520)")
     assert peak / n < 520, peak / n
     assert hooks == [specdoc._decode_object]
 
@@ -463,5 +464,6 @@ def test_failed_load_holds_nothing_of_the_document(tmp_path):
         tracemalloc.stop()
         gc.enable()
     assert isinstance(expected, str) and got == expected
+    print(f"failed load: peak {(peak - before) / n:.1f} B a state (bound 640), held {(held - before) / n:.1f} (bound 16)")
     assert (peak - before) / n < 640, (peak - before) / n
     assert (held - before) / n < 16, (held - before) / n
