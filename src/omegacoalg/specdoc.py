@@ -15,11 +15,14 @@ store, and a state's transition is read off them when it is first asked
 for.
 
 :func:`load_spec` first decodes with an ``object_hook`` that hands each
-object whose keys are exactly ``label`` and ``children`` over as a tuple
-of its label, its children and a private mark, so a document's ``gamma``
-entries are never held as dicts; the pass unpacks them, and it is the one
-place that reads such a tuple.  Anywhere else a tuple fails the type check
-of what is expected there, and then the document is decoded again by the
+object whose keys are exactly ``label`` and ``children``, and whose
+children are an array, over as one flat tuple of a private mark, the
+label and the children; so a document's ``gamma`` entry is held as
+neither a dict nor a list, and nothing beside that tuple is kept for it.
+The pass reads such tuples, and it is the one place that does; a
+caller's document keeps its dict entries.  Anywhere else a tuple fails
+the type check of what is expected there.  If the first parse fails,
+for that or any other reason, the document is decoded again by the
 stdlib alone and that value is parsed: what the loader reports is, by
 construction, what :func:`parse_spec` reports for the plain document.
 
@@ -34,7 +37,7 @@ import json
 import operator
 from array import array
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 
 from .container import Container, PValue
 from .errors import OmegaCoalgError, SpecValidationError
@@ -61,21 +64,51 @@ class SpecDocument:
         return self._decode()
 
 
-# The mark of an entry as the decoder hands it over, ``(label, children,
-# _ENTRY)``; nothing else makes it.
+# The mark of an entry as the decoder hands it over, ``(_ENTRY, label,
+# *children)``; nothing else makes it.
 _ENTRY = object()
 
 
 def _decode_object(obj: dict):
     """The decoder's ``object_hook``: an object of exactly the keys
-    ``label`` and ``children`` as an entry tuple, any other as is."""
+    ``label`` and ``children``, whose children are an array, as one flat
+    entry tuple ``(_ENTRY, label, *children)``, so that the decoder's list
+    of the children is dropped at once; any other object as is."""
     try:
         label, children = obj["label"], obj["children"]
     except KeyError:
         return obj
-    if len(obj) != 2:
+    if len(obj) != 2 or type(children) is not list:
         return obj
-    return label, children, _ENTRY
+    return (_ENTRY, label, *children)
+
+
+def _children(rows, patterns: dict, keys, n: int):
+    """The children of the first ``n`` of ``rows``, whose classes are
+    ``keys``, in order: the rows' items laid end to end, as the pattern of
+    each row's class picks them (a byte per item, 1 for a child)."""
+    picked = chain.from_iterable(map(patterns.__getitem__, islice(keys, n)))
+    return compress(chain.from_iterable(rows), picked)
+
+
+def _holder(sizes, k: int) -> int:
+    """The place of the row that holds child ``k`` of rows of ``sizes``
+    children, read up to that row."""
+    return next(compress(count(), map(operator.gt, accumulate(sizes), repeat(k))))
+
+
+def _entries(states, gamma) -> list | None:
+    """The decoder's entry tuples of ``states``, in order, if each state's
+    ``gamma`` entry is one; else None.  Only such a tuple holds the mark,
+    so a caller's tuple, or a list or dict, is none."""
+    try:
+        entries = list(map(gamma.get, states))
+        if all(map(operator.contains, entries, repeat(_ENTRY))):
+            return entries
+    except TypeError:
+        # A state that is no key, or an entry that holds no items.
+        pass
+    return None
 
 
 def _require(cond: bool, msg: str):
@@ -103,14 +136,15 @@ def load_spec(path: str) -> SpecDocument:
     """The document in the file at ``path``, as :func:`parse_spec` parses
     the stdlib's decoding of it.  The file is decoded once, with its
     ``gamma`` entries as tuples, and that is parsed.  If that fails (a
-    tuple where no entry is expected, a fault of the document, or a
-    decoder that the hook's calls took past the recursion limit), the
-    first decoding is dropped, and the file is decoded again by the stdlib
-    alone and parsed, in this frame, so that a document nests too deeply
-    exactly where it does for the stdlib's decoder here."""
+    tuple where no entry is expected, a label or child in a tuple that
+    cannot be hashed, a fault of the document, or a decoder that the
+    hook's calls took past the recursion limit), the first decoding is
+    dropped, and the file is decoded again by the stdlib alone and parsed,
+    in this frame, so that a document nests too deeply exactly where it
+    does for the stdlib's decoder here."""
     try:
         loaded = parse_spec(_read(path, _decode_object))
-    except (SpecValidationError, RecursionError, ValueError, OSError):
+    except (SpecValidationError, RecursionError, TypeError, ValueError, OSError):
         pass
     else:
         # Its ``raw`` is the stdlib's decoding, not the hooked one.
@@ -186,10 +220,21 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each entry is first
     screened by a cheap test (its child count, and for an indexed spec
     its children's sorts); only the first one that fails it is checked in
-    full.  An entry comes from :func:`load_spec` as the decoder's tuple,
-    and from a caller of :func:`parse_spec` as a dict.
-    The children are numbered after the pass, all at once, and only when
-    one is not a state are the states searched for it.
+    full.
+
+    An entry comes from a caller of :func:`parse_spec` as a dict, and a
+    loop over the states reads it.  From :func:`load_spec` it is the
+    decoder's flat tuple, and when every state's entry is one no loop
+    runs: the labels are read off the tuples in one pass, and each check
+    after it is a C-level pass over all the entries that slices none of
+    them.  A name, label or child of the wrong type is then caught by those
+    checks, as no state, as of no class, or as unhashable (a
+    ``TypeError``), rather than where the loop names it; the loader then
+    answers from the stdlib's decoding.  The children of the rows (the
+    children lists, or the tuples) are read as the rows' items laid end
+    to end, as each row's class picks them, and numbered after the pass,
+    all at once; only when one is not a state are the states searched for
+    it.
     """
     _require(isinstance(frag, dict), "coalgebra: expected an object")
     states = frag.get("states")
@@ -207,39 +252,40 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
             "coalgebra.states: expected an object mapping state to sort",
         )
         c = IndexedCoalgebra(container, None, states, None)
-        child_sort = container.child_sort
-        sort_of = states.get
+        # Each declared (sort, label) pair's arity.
+        arity = container.arity
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
-    labels = []
-    lists = []
-    for s in states:
-        if plain:
-            if not isinstance(s, str):
-                _require_str(s, "coalgebra.states")
-        else:
-            sort = states[s]
-            if not isinstance(sort, str):
-                _require_str(sort, f"coalgebra.states.{s}")
-        entry = gamma.get(s)
-        if type(entry) is tuple and len(entry) == 3 and entry[2] is _ENTRY:
-            label, children, _ = entry
-        else:
+    rows = _entries(states, gamma)
+    if rows is not None:
+        labels = list(map(operator.itemgetter(1), rows))
+        skip = 2
+    else:
+        labels, rows, skip = [], [], 0
+        for s in states:
+            if plain:
+                if not isinstance(s, str):
+                    _require_str(s, "coalgebra.states")
+            else:
+                sort = states[s]
+                if not isinstance(sort, str):
+                    _require_str(sort, f"coalgebra.states.{s}")
+            entry = gamma.get(s)
             if not isinstance(entry, dict):
                 _require(s in gamma, f"coalgebra.gamma.{s}: missing")
                 raise SpecValidationError(f"coalgebra.gamma.{s}: expected an object")
             _require("label" in entry, f"coalgebra.gamma.{s}.label: missing")
             label, children = entry["label"], entry.get("children")
-        if not isinstance(label, str):
-            _require_str(label, f"coalgebra.gamma.{s}.label")
-        if not isinstance(children, list):
-            raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
-        for ch in children:
-            if not isinstance(ch, str):
-                _require_str(ch, f"coalgebra.gamma.{s}.children")
-        if plain and label not in arity:
-            raise SpecValidationError(f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels")
-        labels.append(label)
-        lists.append(children)
+            if not isinstance(label, str):
+                _require_str(label, f"coalgebra.gamma.{s}.label")
+            if not isinstance(children, list):
+                raise SpecValidationError(f"coalgebra.gamma.{s}.children: expected an array")
+            for ch in children:
+                if not isinstance(ch, str):
+                    _require_str(ch, f"coalgebra.gamma.{s}.children")
+            if plain and label not in arity:
+                raise SpecValidationError(f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels")
+            labels.append(label)
+            rows.append(children)
     index = dict(zip(states, range(len(states))))
     if len(gamma) != len(index):
         for s in gamma:
@@ -252,31 +298,41 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     # The shape has passed.  A repeated state is the coalgebra's first
     # fault, then the first state that the screen flags, unless a child
     # that is not a state comes earlier: every child is numbered in one
-    # pass, and only if one is missing are the states before the flagged
-    # one searched for it.
+    # pass, and only if one is missing are the states searched for it.
     _require(len(index) == len(states), f"coalgebra: {c._duplicates}")
-    if plain:
-        flagged = map(operator.ne, map(len, lists), map(arity.__getitem__, labels))
-    else:
-        wanted = map(child_sort.get, zip(states.values(), labels))
-        flagged = map(operator.ne, wanted, map(tuple, map(map, repeat(sort_of), lists)))
-    first = next(compress(count(), flagged), len(lists))
+    # Each state's (sort, label) class key; a plain spec's is its label
+    # alone, which hashes as it is.
+    keys = labels if plain else list(zip(states.values(), labels))
+    # The screen: a row of another length than its class wants, or of no
+    # class, is flagged.
+    lengths = {k: n + skip for k, n in arity.items()}
+    first = next(compress(count(), map(operator.ne, map(len, rows), map(lengths.get, keys))), len(rows))
+    # For each class of the rows before it, which items of such a row are
+    # children (those rows have their class's length), and each row's
+    # child count, read lazily.
+    patterns = {k: bytes(skip) + b"\1" * arity[k] for k in set(islice(keys, first))}
+    sizes = partial(map, arity.__getitem__, keys)
+    if not plain:
+        # Their children's sorts.
+        sorts = map(states.get, _children(rows, patterns, keys, first))
+        wanted = chain.from_iterable(map(container.child_sort.__getitem__, islice(keys, first)))
+        wrong = next(compress(count(), map(operator.ne, sorts, wanted)), None)
+        if wrong is not None:
+            first = _holder(sizes(), wrong)
     try:
-        kids = array("l", map(index.__getitem__, chain.from_iterable(lists)))
+        kids = array("l", map(index.__getitem__, _children(rows, patterns, keys, first)))
     except KeyError:
-        closed = map(all, map(map, repeat(index.__contains__), lists[:first]))
-        first = next(compress(count(), map(operator.not_, closed)), first)
+        closed = map(index.__contains__, _children(rows, patterns, keys, first))
+        first = min(first, _holder(sizes(), next(compress(count(), map(operator.not_, closed)))))
     order = tuple(states)
     if first < len(order):
         # The fault is kept in no local: its traceback reaches this frame,
         # and the cycle would hold the whole document until the collector
         # runs, which the CLI turns off.
-        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], lists[first]), index)}")
-    # Each state's (sort, label) class, numbered in the order of first use;
-    # a plain spec's is keyed by its label alone, which hashes as it is.
-    keys = labels if plain else list(zip(states.values(), labels))
+        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)}")
+    koff = array("l", accumulate(sizes(), initial=0))
+    # The classes, numbered in the order of first use.
     column, classes = _first_use(keys)
-    koff = array("l", accumulate(map(len, lists), initial=0))
     class_labels = tuple(classes) if plain else tuple([a for _, a in classes])
     c._adopt(order, kids, koff, column, class_labels, index)
     return c

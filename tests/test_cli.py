@@ -1575,7 +1575,8 @@ def test_bench_tracer_runs(tmp_path, command):
     The blocks it reads are built when read, after the refinement's span
     has closed, and it counts the parity demo's two."""
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    # The library this test imports, wherever it is, not the checkout's.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     spec = tmp_path / "parity.json"
     spec.write_text(run_cli("demo", "parity", env=env).stdout)
     spans = tmp_path / "spans.json"

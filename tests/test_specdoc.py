@@ -297,15 +297,17 @@ NAMED_INDEXED = {
 def test_names_of_the_entry_keys_load(tmp_path, monkeypatch, doc, sort_keys):
     """A spec whose labels and states, and for an indexed one its sorts,
     are named ``label`` and ``children`` has its arities, states, ``gamma``
-    and labels at a sort shaped like entries; it loads as the stdlib's
-    value parses, decoded a second time by the stdlib alone, writes back
-    the stdlib's text and keeps ``raw`` in its key order."""
+    and labels at a sort shaped like entries.  None of those objects has an
+    array for its ``children``, so only the ``gamma`` entries are decoded
+    as tuples: it loads from the first decoding as the stdlib's value
+    parses, writes back the stdlib's text and keeps ``raw`` in its key
+    order."""
     text = json.dumps(doc, sort_keys=sort_keys)
     path = tmp_path / "named.json"
     path.write_text(text)
     hooks = _decodes(monkeypatch)
     loaded = specdoc.load_spec(str(path))
-    assert hooks == [specdoc._decode_object, None]
+    assert hooks == [specdoc._decode_object]
     c = loaded.coalgebra
     assert sorted(c.state_enumeration) == ["children", "label"]
     assert c.transition("label") == PValue("label", ("children",))
@@ -386,6 +388,68 @@ def test_entry_shaped_values_are_reported_as_objects(tmp_path, text, message):
         assert got == message
 
 
+def _unary(gamma: dict) -> str:
+    """A plain spec as text, with the one label ``a`` of arity 1 and the
+    states and entries of ``gamma``."""
+    signature = {"labels": ["a"], "arity": {"a": 1}}
+    return json.dumps({"schema_version": "1", "signature": signature, "coalgebra": {"states": list(gamma), "gamma": gamma}})
+
+
+LOOP = {"label": "a", "children": ["s"]}
+
+
+@pytest.mark.parametrize(
+    "gamma, message, decodes",
+    [
+        ({"s": LOOP}, None, 1),
+        ({"s": {"children": ["s"], "label": "a"}}, None, 1),
+        ({"s": {**LOOP, "note": None}}, None, 1),
+        ({"s": LOOP, "t": {"label": "a", "children": ["s"], "note": None}}, None, 2),
+        ({"s": {"label": "a", "children": "s"}}, "coalgebra.gamma.s.children: expected an array", 2),
+        ({"s": {"label": "a", "children": {"s": 0}}}, "coalgebra.gamma.s.children: expected an array", 2),
+        ({"s": {"label": "a", "children": [["s"]]}}, 'coalgebra.gamma.s.children: expected a string, got ["s"]', 2),
+        ({"s": {"label": ["a"], "children": ["s"]}}, 'coalgebra.gamma.s.label: expected a string, got ["a"]', 2),
+    ],
+    ids=[
+        "entry", "children-first", "all-dicts", "mixed", "children-string", "children-object",
+        "child-array", "label-array",
+    ],
+)
+def test_only_array_children_make_a_tuple(tmp_path, monkeypatch, gamma, message, decodes):
+    """The decoder makes a tuple only of an entry whose ``children`` are an
+    array; any other entry-shaped object stays a dict.  A document whose
+    entries are all tuples, or all dicts, loads from the first decoding.
+    One with some entries of each, or with a name of the wrong type in a
+    tuple, is decoded a second time, by the stdlib alone, and parsed as
+    ``parse_spec`` parses that: a string of children is not read as an
+    array of its characters, and an unhashable label or child fails the
+    first parse without an error of its own.  ``None`` is a spec that
+    loads."""
+    text = _unary(gamma)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    hooks = _decodes(monkeypatch)
+    got = _outcome(lambda: specdoc.load_spec(str(path)))
+    assert hooks == [specdoc._decode_object, None][:decodes]
+    assert got == _outcome(lambda: specdoc.parse_spec(json.loads(text)))
+    if message is None:
+        assert not isinstance(got, str)
+    else:
+        assert got == message
+
+
+@pytest.mark.parametrize("entry", [("a", ["s"]), ("a", "s"), (None, "a", "s"), ()], ids=["pair", "strings", "three", "empty"])
+def test_a_callers_tuple_is_no_entry(entry):
+    """A tuple in a caller's document is refused as no object, whatever its
+    items: only the decoder's own tuples, which hold its private mark, are
+    read as entries."""
+    doc = json.loads(_unary({"s": LOOP}))
+    doc["coalgebra"]["gamma"]["s"] = entry
+    with pytest.raises(SpecValidationError) as raised:
+        specdoc.parse_spec(doc)
+    assert str(raised.value) == "coalgebra.gamma.s: expected an object"
+
+
 def _specgen():
     """``perfbench/specgen.py``, the benchmark's spec generator."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "specgen.py"
@@ -414,12 +478,14 @@ def _planted(n: int) -> dict:
     return _specgen().PlantedBlocks(random.Random(1), n, {"a": 2, "b": 2, "c": 1, "z": 0}, base_size=3000, shape=shape).doc()
 
 
-def test_load_peaks_under_520_bytes_a_state(tmp_path, monkeypatch):
+def test_load_peaks_under_430_bytes_a_state(tmp_path, monkeypatch):
     """Loading a planted 3*10^4-state spec decodes it once, with the hook,
-    and peaks under 520 bytes a state above what was held before, as
-    ``tracemalloc`` counts them: no ``gamma`` entry is held as a dict.
-    With a dict per entry the load peaked at about 588 bytes a state here;
-    it peaks at about 473-477."""
+    and peaks under 430 bytes a state above what was held before, as
+    ``tracemalloc`` counts them: each ``gamma`` entry is held as one flat
+    tuple, neither as a dict nor with a list of its children.  With a
+    dict per entry the load peaked at about 588 bytes a state here, and
+    with a tuple and a list per entry at about 473-477; it peaks at about
+    395."""
     n = 3 * 10**4
     path = tmp_path / "planted.json"
     path.write_text(json.dumps(_planted(n)))
@@ -432,8 +498,8 @@ def test_load_peaks_under_520_bytes_a_state(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(c.state_enumeration) == n
-    print(f"load: peak {peak / n:.1f} B a state (bound 520)")
-    assert peak / n < 520, peak / n
+    print(f"load: peak {peak / n:.1f} B a state (bound 430)")
+    assert peak / n < 430, peak / n
     assert hooks == [specdoc._decode_object]
 
 
@@ -444,7 +510,12 @@ def test_failed_load_holds_nothing_of_the_document(tmp_path):
     never held at once, and with the collector off nothing of them is held
     once it returns: the fault's traceback reaches the parse's frame, and
     a cycle through it held about 460 bytes a state here.  It peaks at
-    about 580 bytes a state and holds 0-4."""
+    about 590 bytes a state.  What it holds is CPython's per-length tuple
+    free lists, up to 2000 freed tuples of each length, which the first
+    decoding's entries fill: with entries of three lengths (0-2 children)
+    that reads about 13 bytes a state (about 9 after an earlier load has
+    part-filled them), while nothing of the document is held (with one
+    length, as when an entry was a tuple and a list, it read about 4)."""
     n = 3 * 10**4
     doc = _planted(n)
     last = doc["coalgebra"]["states"][-1]

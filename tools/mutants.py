@@ -35,6 +35,7 @@ ROWS = MTYPE + "test_full_levels_are_rows_by_state_number_property"
 BISIM = "tests/test_bisim.py::"
 CLEAN_PART = BISIM + "test_dirty_round_moves_the_clean_part"
 RENDER = "tests/test_render.py::test_emitters_leaves_shared_subtrees_and_escapes"
+SPECDOC = "tests/test_specdoc.py::"
 
 # (name, module, snippet, replacement, tests that must fail)
 CATALOGUE = [
@@ -142,16 +143,16 @@ CATALOGUE = [
     (
         "fault kept in a local",
         "specdoc.py",
-        '        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], lists[first]), index)}")',
-        "        fault = c._fault(order[first], PValue(labels[first], lists[first]), index)\n"
+        '        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)}")',
+        "        fault = c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)\n"
         '        raise SpecValidationError(f"coalgebra: {fault}")',
-        ["tests/test_specdoc.py::test_failed_load_holds_nothing_of_the_document"],
+        [SPECDOC + "test_failed_load_holds_nothing_of_the_document"],
     ),
     (
         "indexed classes keyed by label alone",
         "specdoc.py",
-        "keys = labels if plain else list(zip(states.values(), labels))",
-        "keys = labels if plain else list(zip(repeat(None), labels))",
+        "column, classes = _first_use(keys)",
+        "column, classes = _first_use(labels if plain else list(zip(repeat(None), labels)))",
         [CLI + "test_minimize_edge_cases[two-sorts]"],
     ),
     # Defined results for every input.
@@ -243,7 +244,7 @@ CATALOGUE = [
         "bisim.py",
         "    def blocks(self)",
         "    def blocks_(self)",
-        [BISIM + "test_partition_refine_fig1"],
+        [BISIM + "test_partition_refine_fig1", CLI + "test_bench_tracer_runs[minimize]"],
     ),
     # Elements.
     (
@@ -293,9 +294,34 @@ CATALOGUE = [
     (
         "the held fault read with the first state's label",
         "specdoc.py",
-        "PValue(labels[first], lists[first])",
-        "PValue(labels[0], lists[first])",
-        ["tests/test_specdoc.py::test_entry_shaped_values_are_reported_as_objects[held-dangling-own-label]"],
+        "PValue(labels[first], rows[first][skip:])",
+        "PValue(labels[0], rows[first][skip:])",
+        [SPECDOC + "test_entry_shaped_values_are_reported_as_objects[held-dangling-own-label]"],
+    ),
+    # The decoder's flat entry tuples.
+    (
+        "the hook packs an entry whose children are not an array",
+        "specdoc.py",
+        "    if len(obj) != 2 or type(children) is not list:\n",
+        "    if len(obj) != 2:\n",
+        [
+            SPECDOC + "test_only_array_children_make_a_tuple[children-string]",
+            SPECDOC + "test_only_array_children_make_a_tuple[children-object]",
+        ],
+    ),
+    (
+        "the children read one item early",
+        "specdoc.py",
+        'bytes(skip) + b"\\1" * arity[k]',
+        'bytes(skip)[1:] + b"\\1" * arity[k] + bytes(skip)[:1]',
+        [SPECDOC + "test_names_of_the_entry_keys_load[label-first-plain]", SPECDOC + "test_load_peaks_under_430_bytes_a_state"],
+    ),
+    (
+        "a caller's tuple accepted as an entry",
+        "specdoc.py",
+        "if all(map(operator.contains, entries, repeat(_ENTRY))):",
+        "if all(map(operator.is_, map(type, entries), repeat(tuple))):",
+        [SPECDOC + "test_a_callers_tuple_is_no_entry[three]"],
     ),
     (
         "an undeclared gamma key ignored",
