@@ -154,31 +154,44 @@ def poly_limit_to(c: Container, base: Chain, v: PValue) -> LimitElement:
     )
 
 
+def _drift(n: int, got, label) -> LabelDrift:
+    return LabelDrift(f"stage {n} has label {got!r}, stage 0 has {label!r}")
+
+
+def _root(at: Callable[[int], object]):
+    """Stage 0 of the family ``at``, once stages 1 to
+    ``DEFAULT_LABEL_CHECK_DEPTH - 1`` are checked to carry its root label,
+    which compatibility forces on every stage; the first that does not
+    raises :class:`LabelDrift`."""
+    first = at(0)
+    label = first.label
+    for n in range(1, DEFAULT_LABEL_CHECK_DEPTH):
+        got = at(n).label
+        if got != label:
+            raise _drift(n, got, label)
+    return first
+
+
 def poly_limit_from(c: Container, base: Chain, l: LimitElement) -> PValue:
     """Inverse of :func:`poly_limit_to`.
 
     Compatibility forces every stage of ``l`` to carry the same root label;
     disagreement (a corrupt hand-built family) raises :class:`LabelDrift`,
-    eagerly below stage ``DEFAULT_LABEL_CHECK_DEPTH`` and lazily beyond.
+    eagerly below stage ``DEFAULT_LABEL_CHECK_DEPTH`` (:func:`_root`) and
+    lazily beyond, when a child reads the stage.
     """
-    first = l.at(0)
-    label = first.label
-    for n in range(1, DEFAULT_LABEL_CHECK_DEPTH):
-        if l.at(n).label != label:
-            raise LabelDrift(f"stage {n} has label {l.at(n).label!r}, stage 0 has {label!r}")
+    label, children = _root(l.at)
 
     def child(b):
         def fn(n):
             pv = l.at(n)
             if pv.label != label:
-                raise LabelDrift(
-                    f"stage {n} has label {pv.label!r}, stage 0 has {label!r}"
-                )
+                raise _drift(n, pv.label, label)
             return pv.children[b]
 
         return LimitElement(base, fn, provenance=f"poly_limit_from[{b}]")
 
-    return PValue(label, tuple(child(b) for b in range(len(first.children))))
+    return PValue(label, tuple(child(b) for b in range(len(children))))
 
 
 class LimitCoalgebra:
@@ -186,11 +199,12 @@ class LimitCoalgebra:
     ``(family, path)``: a compatible family of depth-n trees (a
     :class:`LimitElement`) and a tuple of ``(label, position)`` steps from
     its root; its stage n is the subtree at ``path`` of the family's stage
-    ``n + len(path)``, and its transition is the paper's ``out``.  An
-    element built by hand from a family is pointed at ``(family, ())`` in
-    :data:`LIMITS`.  No state holds another, so ``out`` taken any number of
-    times nests no frames, and two ``out``s of one state give equal
-    children.  Each observation walks its path, in O(len(path)):
+    ``n + len(path)``, and its transition is the paper's ``out``, which
+    checks the root label as :func:`poly_limit_from` does (:func:`_root`).
+    An element built by hand from a family is pointed at ``(family, ())``
+    in :data:`LIMITS`.  No state holds another, so ``out`` taken any
+    number of times nests no frames, and two ``out``s of one state give
+    equal children.  Each observation walks its path, in O(len(path)):
     ``zip_streams`` of two hand-built streams observed to depth d costs
     O(d^2), a few seconds at d = 2000.
     """
@@ -204,27 +218,21 @@ class LimitCoalgebra:
         t = family.at(n + len(path))
         for k, (label, b) in enumerate(path):
             if t.label != label:
-                raise LabelDrift(
-                    f"stage {n + len(path) - k - 1} has label {t.label!r}, "
-                    f"stage 0 has {label!r}"
-                )
+                raise _drift(n + len(path) - k - 1, t.label, label)
             t = t.children[b]
         return t
 
     def transition(self, state) -> PValue:
         """The shifted-chain view of ``state`` read through the inverse
         limit-commutation map: the root label, which compatibility forces
-        to be the same at every stage (checked on stages 1..8, raising
-        :class:`LabelDrift`, and on the later ones when they are observed),
-        over one child state per position, the path extended by that step.
-        No container is consulted."""
+        to be the same at every stage (:func:`_root` checks stages 1..8 of
+        ``state``, stages 0..7 of the shifted view, and the later ones are
+        checked when they are observed), over one child state per
+        position, the path extended by that step.  No container is
+        consulted."""
         family, path = state
-        first = self._observe(state, 1)
+        first = _root(lambda n: self._observe(state, n + 1))
         label = first.label
-        for n in range(1, DEFAULT_LABEL_CHECK_DEPTH):
-            got = self._observe(state, n + 1).label
-            if got != label:
-                raise LabelDrift(f"stage {n} has label {got!r}, stage 0 has {label!r}")
         return PValue(
             label, tuple([(family, path + ((label, b),)) for b in range(len(first.children))])
         )

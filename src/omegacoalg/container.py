@@ -85,10 +85,12 @@ class ApproxTree:
     :func:`make_node` or the library operations, never by hand.
 
     A tree keeps its truncation in the slot ``_truncation`` once
-    :func:`truncate` has projected it, or once ``check``'s compatibility
+    :func:`truncate` has projected it (or a tree above it, through the one
+    projection walk, :func:`_project`), or once ``check``'s compatibility
     law (:func:`_truncates_to`) has compared it with the tree one level
     below it in a level table; None until then.  The slot is the one place
-    a truncation is kept, and it holds nothing but a true truncation.
+    a truncation is kept, and it holds nothing but a true truncation;
+    :func:`truncate_to` neither reads nor sets it.
     """
 
     __slots__ = ("depth", "label", "children", "_truncation")
@@ -274,61 +276,54 @@ def truncate(c: Container, t: ApproxTree) -> ApproxTree:
     Any depth-1 tree maps to Trunc, a deeper node keeps its label over its
     children's truncations, and Trunc raises :class:`CannotTruncateUnit`.
     ``c`` is not consulted.  A tree keeps its own truncation, and no table
-    outside the trees is kept, so each tree is truncated once: the walk
-    stops at subtrees already truncated."""
+    outside the trees is kept, so each tree is truncated once: a tree
+    already truncated is read off its slot, and the walk stops at subtrees
+    already truncated."""
     return _truncate(t)
 
 
 def _truncate(t: ApproxTree) -> ApproxTree:
-    """:func:`truncate`, the projection of the approximation chain: one walk
-    that fills the ``_truncation`` slot of every tree it reaches."""
-    if t.depth == 0:
-        raise CannotTruncateUnit("Trunc has no stage below it")
-    stack = [t]
-    while stack:
-        cur = stack[-1]
-        if cur._truncation is not None:
-            stack.pop()
-        elif cur.depth == 1:
-            cur._truncation = TRUNC
-            stack.pop()
-        else:
-            kids = [ch._truncation for ch in cur.children]
-            if None in kids:
-                stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
-                continue
-            cur._truncation = _tree(cur.depth - 1, cur.label, tuple(kids))
-            stack.pop()
-    return t._truncation
+    """:func:`truncate`, the projection of the approximation chain: the
+    ``_truncation`` slot when it is set, else :func:`_project` by one
+    layer, filling the slot of every tree it reaches."""
+    got = t._truncation
+    if got is None:
+        if t.depth == 0:
+            raise CannotTruncateUnit("Trunc has no stage below it")
+        got = _project(t, 1, _truncation_of, _set_truncation)
+    return got
 
 
-def _cut(t: ApproxTree, m: int) -> ApproxTree:
-    """Stage ``m`` of ``t``, ``0 <= m <= t.depth``: its deepest layers
-    dropped in one walk, with a memo that lives only for the call."""
-    drop = t.depth - m
-    if not drop:
-        return t
-    memo: dict = {}
+def _project(t: ApproxTree, drop: int, get: Callable, put: Callable) -> ApproxTree:
+    """``t`` with its deepest ``drop`` >= 1 layers dropped, in one walk from
+    an explicit stack: a tree ``drop`` deep becomes Trunc, and a deeper one
+    its label over its children's projections.  ``get(u)`` reads the
+    projection of ``u`` made so far, None if none, and ``put(u, p)`` keeps
+    one that the walk makes, so the walk stops at a subtree already
+    projected: :func:`_truncate` keeps them in the trees' slots,
+    :func:`truncate_to` in a dict of its own.  A child that a node holds
+    twice is pushed twice, and its second visit finds its children
+    projected: one interned lookup."""
     stack = [t]
     while stack:
         cur = stack[-1]
         if cur.depth == drop:
-            memo[cur] = TRUNC
-            stack.pop()
-            continue
-        kids = [memo.get(ch) for ch in cur.children]
-        if None in kids:
-            stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
-            continue
-        memo[cur] = _tree(cur.depth - drop, cur.label, tuple(kids))
+            put(cur, TRUNC)
+        else:
+            kids = tuple(map(get, cur.children))
+            if None in kids:
+                stack.extend([ch for ch, got in zip(cur.children, kids) if got is None])
+                continue
+            put(cur, _tree(cur.depth - drop, cur.label, kids))
         stack.pop()
-    return memo[t]
+    return get(t)
 
 
 _depth_of = operator.attrgetter("depth")
 _label_of = operator.attrgetter("label")
 _children_of = operator.attrgetter("children")
 _truncation_of = operator.attrgetter("_truncation")
+_set_truncation = ApproxTree._truncation.__set__
 
 
 def _truncates_to(row: list, lower: list) -> bool:
@@ -368,13 +363,17 @@ def _truncates_to(row: list, lower: list) -> bool:
 
 def truncate_to(c: Container, t: ApproxTree, m: int) -> ApproxTree:
     """Project ``t`` down to stage ``m``, dropping its deepest ``t.depth -
-    m`` layers in one walk.  A negative ``m`` raises
-    :class:`CannotTruncateUnit`."""
+    m`` layers in one walk (:func:`_project`), whose projections are kept
+    in a dict that lives only for the call: no truncation slot is read or
+    set.  A negative ``m`` raises :class:`CannotTruncateUnit`."""
     if m < 0:
         raise _no_stage(m)
     if m > t.depth:
         raise DepthTooLarge(f"cannot raise depth {t.depth} to {m}")
-    return _cut(t, m)
+    if m == t.depth:
+        return t
+    memo: dict = {}
+    return _project(t, t.depth - m, memo.get, memo.__setitem__)
 
 
 def tree_equal(t1: ApproxTree, t2: ApproxTree) -> bool:

@@ -470,9 +470,11 @@ class _FreeExtension:
     assembled element, whose depth-n stage is ``label`` over the
     children's depth-(n-1) stages.  The extension keeps the stages it has
     built in ``_stages``, so observing the assembled element again at a
-    depth it has reached costs a lookup.  A stage is built from each
-    child's stage one lower (:meth:`_build`), after the stages that the
-    extensions of assembled children must build first.
+    depth it has reached costs a lookup.  A stage is built from one
+    explicit stack of (extension, depth) pairs, this one's first: a pair
+    waits until the extensions of its assembled children (``_nested``)
+    have built the stage one lower, so ``cons`` nested any number of
+    times is observed without recursion.
     """
 
     __slots__ = ("label", "children", "_stages", "_nested")
@@ -493,29 +495,21 @@ class _FreeExtension:
             return got
         if n < 0:
             raise _no_stage(n)
-        if self._nested:
-            # Nested extensions are evaluated first, from an explicit stack,
-            # so deep nesting does not recurse.
-            stack = [(ext, n - 1) for ext in self._nested]
-            while stack:
-                ext, k = stack[-1]
-                if k in ext._stages:
-                    stack.pop()
-                    continue
-                todo = [(e, k - 1) for e in ext._nested if k - 1 not in e._stages]
-                if todo:
-                    stack.extend(todo)
-                    continue
+        stack = [(self, n)]
+        while stack:
+            ext, k = stack[-1]
+            if k in ext._stages:
                 stack.pop()
-                ext._build(k)
-        self._build(n)
+                continue
+            todo = [(e, k - 1) for e in ext._nested if k - 1 not in e._stages]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            # Stage k >= 1: the label over the children's stages at k-1,
+            # every nested extension's already built.
+            ext._stages[k] = _tree(k, ext.label, tuple([ch.at(k - 1) for ch in ext.children]))
         return self._stages[n]
-
-    def _build(self, k: int) -> None:
-        """Build the stage at depth ``k`` >= 1: one
-        :func:`~omegacoalg.container._tree` of ``label`` over the children's
-        stages at depth k-1, with every nested extension's already built."""
-        self._stages[k] = _tree(k, self.label, tuple([ch.at(k - 1) for ch in self.children]))
 
 
 def _agrees(m: MElement, c, s, depth: int) -> bool:

@@ -14,16 +14,17 @@ passed.  The loaded coalgebra has no ``gamma``: its tables are its one
 store, and a state's transition is read off them when it is first asked
 for.
 
-:func:`load_spec` first decodes with an ``object_hook`` that hands each
-object whose keys are exactly ``label`` and ``children``, and whose
-children are an array, over as one flat tuple of a private mark, the
-label and the children; so a document's ``gamma`` entry is held as
-neither a dict nor a list, and nothing beside that tuple is kept for it.
-The pass reads such tuples, and it is the one place that does; a
-caller's document keeps its dict entries.  Anywhere else a tuple fails
-the type check of what is expected there.  If the first parse fails,
-for that or any other reason, the document is decoded again by the
-stdlib alone and that value is parsed: what the loader reports is, by
+:func:`load_spec` opens the file once, and first decodes with an
+``object_hook`` that hands each object with a ``label`` key and an array
+of ``children``, whatever other keys it holds, over as one flat tuple of
+a private mark, the label and the children; so a document's ``gamma``
+entry is held as neither a dict nor a list, and nothing beside that
+tuple is kept for it.  The pass reads such tuples, and it is the one
+place that does; a caller's document keeps its dict entries.  Anywhere
+else a tuple fails the type check of what is expected there.  If the
+first parse fails, for that or any other reason, the text is read again
+from its start (a pipe's was read into memory first) and decoded by the
+stdlib alone, and that value is parsed: what the loader reports is, by
 construction, what :func:`parse_spec` reports for the plain document.
 
 The writer, :func:`dump_document`, prints a coalgebra's document straight
@@ -33,6 +34,7 @@ indent of 2 does.
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 from array import array
@@ -70,15 +72,16 @@ _ENTRY = object()
 
 
 def _decode_object(obj: dict):
-    """The decoder's ``object_hook``: an object of exactly the keys
-    ``label`` and ``children``, whose children are an array, as one flat
-    entry tuple ``(_ENTRY, label, *children)``, so that the decoder's list
-    of the children is dropped at once; any other object as is."""
+    """The decoder's ``object_hook``: an object with a ``label`` key and an
+    array of ``children``, whatever other keys it holds (the parse reads
+    no other key of an entry), as one flat entry tuple ``(_ENTRY, label,
+    *children)``, so that the decoder's list of the children is dropped at
+    once; any other object as is."""
     try:
         label, children = obj["label"], obj["children"]
     except KeyError:
         return obj
-    if len(obj) != 2 or type(children) is not list:
+    if type(children) is not list:
         return obj
     return (_ENTRY, label, *children)
 
@@ -127,32 +130,40 @@ def _is_arity(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
-def _read(path: str, object_hook=None):
+def _read(path: str):
+    """The stdlib's decoding of the file at ``path``: a loaded document's
+    lazy ``raw``."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_hook=object_hook)
+        return json.load(fh)
 
 
 def load_spec(path: str) -> SpecDocument:
     """The document in the file at ``path``, as :func:`parse_spec` parses
-    the stdlib's decoding of it.  The file is decoded once, with its
-    ``gamma`` entries as tuples, and that is parsed.  If that fails (a
-    tuple where no entry is expected, a label or child in a tuple that
-    cannot be hashed, a fault of the document, or a decoder that the
-    hook's calls took past the recursion limit), the first decoding is
-    dropped, and the file is decoded again by the stdlib alone and parsed,
-    in this frame, so that a document nests too deeply exactly where it
-    does for the stdlib's decoder here."""
-    try:
-        loaded = parse_spec(_read(path, _decode_object))
-    except (SpecValidationError, RecursionError, TypeError, ValueError, OSError):
-        pass
-    else:
-        # Its ``raw`` is the stdlib's decoding, not the hooked one.
-        loaded._decode = partial(_read, path)
-        return loaded
+    the stdlib's decoding of it.  The file is opened once; a stream that
+    cannot seek (a pipe, such as ``/dev/stdin`` or ``<(...)``) is first
+    read into memory.  It is decoded with its ``gamma`` entries as tuples,
+    and that is parsed.  If that fails (a tuple where no entry is
+    expected, a label or child in a tuple that cannot be hashed, a fault
+    of the document, or a decoder that the hook's calls took past the
+    recursion limit), the first decoding is dropped, and the text is read
+    again from its start and decoded by the stdlib alone, after the
+    handler and in this frame: no traceback holds the first decoding, and
+    a document nests too deeply exactly where it does for the stdlib's
+    decoder here.  A loaded document's ``raw`` reads the file again, so
+    for a pipe it is not the document."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            stream = fh if fh.seekable() else io.StringIO(fh.read())
+            try:
+                loaded = parse_spec(json.load(stream, object_hook=_decode_object))
+            except (SpecValidationError, RecursionError, TypeError, ValueError):
+                pass
+            else:
+                # Its ``raw`` is the stdlib's decoding, not the hooked one.
+                loaded._decode = partial(_read, path)
+                return loaded
+            stream.seek(0)
+            doc = json.load(stream)
     except OSError as e:
         raise SpecValidationError(f"cannot read spec file: {e}") from None
     except UnicodeDecodeError as e:

@@ -116,6 +116,27 @@ def test_approx_invalid_spec(tmp_path):
     assert "arity" in r.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this system")
+def test_a_piped_spec_is_read_once(tmp_path):
+    """A spec piped through ``--spec /dev/stdin``, a stream that cannot be
+    read twice, gives what the same spec in a file gives: a faulty one
+    (fig1 with a third child on ``t``, which fails the first parse) names
+    its own fault with exit 2, not "not valid JSON", and a valid one is
+    checked."""
+    good = run_cli("demo", "fig1").stdout
+    doc = json.loads(good)
+    doc["coalgebra"]["gamma"]["t"]["children"].append("t")
+    fault = "validation error: coalgebra: state 't': label 'b' has arity 2, got 3 children\n"
+    for text, code, stderr in ((json.dumps(doc), 2, fault), (good, 0, "")):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        from_file = run_cli("check", "--spec", str(path), "--depth", "5")
+        piped = run_cli("check", "--spec", "/dev/stdin", "--depth", "5", input=text)
+        assert (from_file.returncode, from_file.stderr) == (code, stderr)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (code, from_file.stdout, stderr)
+    assert "PASS" in piped.stdout and "FAIL" not in piped.stdout
+
+
 def test_bisim_cycle_partition(cycle_spec):
     r = run_cli("bisim", "--spec", cycle_spec, "--left", "s0", "--right", "s1")
     assert r.returncode == 0

@@ -1191,6 +1191,24 @@ def test_assembled_element_keeps_its_stages():
     assert seen == [8]
 
 
+def test_nested_extensions_build_below_the_top():
+    """``cons`` three deep over a pointed stream, first observed at a depth
+    that none of its extensions has built: the middle extension must have
+    the innermost one build its stage before it builds its own.  Each
+    extension keeps the one stage it built, and every stage equals the
+    chain reference, ``into`` composed in chain.py."""
+    sc = stream_container()
+    base = unfold(Coalgebra(sc, {0: (1, (0,))}, state_enumeration=(0,)), 0)
+    inner = cons(4, base)
+    middle = cons(3, inner)
+    m = cons(2, middle)
+    top = m.at(12)
+    assert [sorted(e.coalgebra._stages) for e in (m, middle, inner)] == [[0, 12], [0, 11], [0, 10]]
+    reference = chain_into(sc, PValue(2, (chain_into(sc, PValue(3, (chain_into(sc, PValue(4, (base,))),))),)))
+    assert top is reference.at(12)
+    assert all(m.at(n) is reference.at(n) for n in range(14))
+
+
 def test_an_overridden_observe_is_read_through_not_off_the_table():
     """A subclass that overrides ``_observe`` is observed through it by
     ``verify_morphism`` and ``uniqueness_probe``, never off its level

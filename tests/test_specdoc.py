@@ -227,9 +227,10 @@ def planted_entries(draw):
     """A demo spec with up to two of its names renamed ``label`` and
     ``children``, so that its arities, states or ``gamma`` may be objects
     of exactly those keys, and with up to three positions, the document
-    itself among them, replaced by an object of exactly the keys ``label``
-    and ``children``, in either order, whose values are drawn or are the
-    value it replaces."""
+    itself among them, replaced by an object of the keys ``label`` and
+    ``children``, in either order, whose values are drawn or are the value
+    it replaces, and which may hold a third key, ``note``, that no entry
+    reads."""
     name = draw(st.sampled_from(sorted(cli.DEMOS)))
     doc = json.loads(specdoc.dump_document(cli.DEMOS[name]()))
     names = [n for n in _names(doc) if n not in STRUCTURE]
@@ -246,6 +247,8 @@ def planted_entries(draw):
         label = draw(values | st.just(old).map(json.loads))
         children = draw(values | st.just(old).map(json.loads))
         pair = {"children": children, "label": label} if draw(st.booleans()) else {"label": label, "children": children}
+        if draw(st.booleans()):
+            pair["note"] = draw(values)
         if parent is None:
             doc = pair
         else:
@@ -338,6 +341,10 @@ DEEP = "[" * 899 + ENTRY + "]" * 899
         ),
         (_plain_spec(states='["s", ' + ENTRY + "]"), "coalgebra.states: expected a string, got " + ENTRY),
         (
+            _plain_spec(states='["s", {"note": 1, "label": "a", "children": []}]'),
+            'coalgebra.states: expected a string, got {"note": 1, "label": "a", "children": []}',
+        ),
+        (
             _plain_spec(states='["s", {"children": [], "label": "a"}]'),
             'coalgebra.states: expected a string, got {"children": [], "label": "a"}',
         ),
@@ -362,6 +369,7 @@ DEEP = "[" * 899 + ENTRY + "]" * 899
     ids=[
         "signature",
         "state",
+        "state-extra-key",
         "state-children-first",
         "label",
         "repeated-label-key",
@@ -372,12 +380,12 @@ DEEP = "[" * 899 + ENTRY + "]" * 899
     ],
 )
 def test_entry_shaped_values_are_reported_as_objects(tmp_path, text, message):
-    """An object of exactly the keys ``label`` and ``children`` outside a
-    ``gamma`` entry is reported as the object it is, in its key order,
-    however deep (the stdlib's own decoding is parsed); a repeated key counts
-    once, with its last value; and the held fault of a state whose entry
-    lists ``children`` first is checked against its own label, not an
-    earlier state's.  ``None`` is a spec that loads."""
+    """An object of the keys ``label`` and ``children``, with or without
+    another key, outside a ``gamma`` entry is reported as the object it is,
+    in its key order, however deep (the stdlib's own decoding is parsed); a
+    repeated key counts once, with its last value; and the held fault of a
+    state whose entry lists ``children`` first is checked against its own
+    label, not an earlier state's.  ``None`` is a spec that loads."""
     path = tmp_path / "spec.json"
     path.write_text(text)
     got = _outcome(lambda: specdoc.load_spec(str(path)))
@@ -404,7 +412,7 @@ LOOP = {"label": "a", "children": ["s"]}
         ({"s": LOOP}, None, 1),
         ({"s": {"children": ["s"], "label": "a"}}, None, 1),
         ({"s": {**LOOP, "note": None}}, None, 1),
-        ({"s": LOOP, "t": {"label": "a", "children": ["s"], "note": None}}, None, 2),
+        ({"s": LOOP, "t": {"label": "a", "children": ["s"], "note": None}}, None, 1),
         ({"s": {"label": "a", "children": "s"}}, "coalgebra.gamma.s.children: expected an array", 2),
         ({"s": {"label": "a", "children": {"s": 0}}}, "coalgebra.gamma.s.children: expected an array", 2),
         ({"s": {"label": "a", "children": [["s"]]}}, 'coalgebra.gamma.s.children: expected a string, got ["s"]', 2),
@@ -417,11 +425,12 @@ LOOP = {"label": "a", "children": ["s"]}
 )
 def test_only_array_children_make_a_tuple(tmp_path, monkeypatch, gamma, message, decodes):
     """The decoder makes a tuple only of an entry whose ``children`` are an
-    array; any other entry-shaped object stays a dict.  A document whose
-    entries are all tuples, or all dicts, loads from the first decoding.
-    One with some entries of each, or with a name of the wrong type in a
-    tuple, is decoded a second time, by the stdlib alone, and parsed as
-    ``parse_spec`` parses that: a string of children is not read as an
+    array, whatever other keys it holds; any other entry-shaped object
+    stays a dict.  A valid document loads from the first decoding, its
+    keys in either order, with or without an extra key in some entries.
+    One whose children are not an array, or with a name of the wrong type
+    in a tuple, is decoded a second time, by the stdlib alone, and parsed
+    as ``parse_spec`` parses that: a string of children is not read as an
     array of its characters, and an unhashable label or child fails the
     first parse without an error of its own.  ``None`` is a spec that
     loads."""
@@ -485,22 +494,30 @@ def test_load_peaks_under_430_bytes_a_state(tmp_path, monkeypatch):
     tuple, neither as a dict nor with a list of its children.  With a
     dict per entry the load peaked at about 588 bytes a state here, and
     with a tuple and a list per entry at about 473-477; it peaks at about
-    395."""
+    395.  So does the same spec with an extra key in one entry, which is
+    packed as the others are; when only entries of exactly the two keys
+    were packed, it was decoded twice and peaked at about 596."""
     n = 3 * 10**4
-    path = tmp_path / "planted.json"
-    path.write_text(json.dumps(_planted(n)))
+    doc = _planted(n)
+    plain = json.dumps(doc)
+    doc["coalgebra"]["gamma"][doc["coalgebra"]["states"][n // 2]]["note"] = None
     hooks = _decodes(monkeypatch)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        c = specdoc.load_spec(str(path)).coalgebra
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert len(c.state_enumeration) == n
-    print(f"load: peak {peak / n:.1f} B a state (bound 430)")
-    assert peak / n < 430, peak / n
-    assert hooks == [specdoc._decode_object]
+    for name, text in (("planted", plain), ("extra key", json.dumps(doc))):
+        path = tmp_path / "planted.json"
+        path.write_text(text)
+        hooks.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = specdoc.load_spec(str(path)).coalgebra
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(c.state_enumeration) == n
+        print(f"load, {name}: peak {peak / n:.1f} B a state (bound 430)")
+        assert peak / n < 430, (name, peak / n)
+        assert hooks == [specdoc._decode_object], name
+        del c
 
 
 def test_failed_load_holds_nothing_of_the_document(tmp_path):

@@ -264,9 +264,35 @@ CATALOGUE = [
     (
         "an extension reads its children one stage too deep",
         "mtype.py",
-        "tuple([ch.at(k - 1) for ch in self.children])",
-        "tuple([ch.at(k) for ch in self.children])",
+        "tuple([ch.at(k - 1) for ch in ext.children])",
+        "tuple([ch.at(k) for ch in ext.children])",
         [MTYPE + "test_into_out_round_trips"],
+    ),
+    (
+        "the assembly stack asks nested extensions for the same stage",
+        "mtype.py",
+        "todo = [(e, k - 1) for e in ext._nested if k - 1 not in e._stages]",
+        "todo = [(e, k) for e in ext._nested if k not in e._stages]",
+        [
+            MTYPE + "test_assembled_element_keeps_its_stages",
+            MTYPE + "test_nested_extensions_build_below_the_top",
+            "tests/test_catalog.py::test_deep_use_needs_no_recursion",
+        ],
+    ),
+    # The chain's maps: one projection walk, one root-label check.
+    (
+        "the projection walk stops at depth 1",
+        "container.py",
+        "        if cur.depth == drop:\n",
+        "        if cur.depth == 1:\n",
+        ["tests/test_container.py::test_truncate_to_conat_example", "tests/test_container.py::test_chain_law_projection_coherence"],
+    ),
+    (
+        "the root-label check reads stage 1 only",
+        "chain.py",
+        "    for n in range(1, DEFAULT_LABEL_CHECK_DEPTH):\n",
+        "    for n in range(1, 2):\n",
+        ["tests/test_chain.py::test_label_drift_detected", MTYPE + "test_hand_built_out_detects_label_drift"],
     ),
     # Truncation slots and well-sortedness.
     (
@@ -302,12 +328,19 @@ CATALOGUE = [
     (
         "the hook packs an entry whose children are not an array",
         "specdoc.py",
-        "    if len(obj) != 2 or type(children) is not list:\n",
-        "    if len(obj) != 2:\n",
+        "    if type(children) is not list:\n",
+        "    if False:\n",
         [
             SPECDOC + "test_only_array_children_make_a_tuple[children-string]",
             SPECDOC + "test_only_array_children_make_a_tuple[children-object]",
         ],
+    ),
+    (
+        "only an entry of exactly two keys packed",
+        "specdoc.py",
+        "    if type(children) is not list:\n",
+        "    if len(obj) != 2 or type(children) is not list:\n",
+        [SPECDOC + "test_only_array_children_make_a_tuple[mixed]", SPECDOC + "test_load_peaks_under_430_bytes_a_state"],
     ),
     (
         "the children read one item early",
