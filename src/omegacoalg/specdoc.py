@@ -20,12 +20,13 @@ of ``children``, whatever other keys it holds, over as one flat tuple of
 a private mark, the label and the children; so a document's ``gamma``
 entry is held as neither a dict nor a list, and nothing beside that
 tuple is kept for it.  The pass reads such tuples, and it is the one
-place that does; a caller's document keeps its dict entries.  Anywhere
-else a tuple fails the type check of what is expected there.  If the
-first parse fails, for that or any other reason, the text is read again
-from its start (a pipe's was read into memory first) and decoded by the
-stdlib alone, and that value is parsed: what the loader reports is, by
-construction, what :func:`parse_spec` reports for the plain document.
+place that does; it packs a caller's dict entries the same way, so it
+reads rows of one shape.  Anywhere else a tuple fails the type check of
+what is expected there.  If the first parse fails, for that or any other
+reason, the text is read again from its start (a pipe's was read into
+memory first) and decoded by the stdlib alone, and that value is parsed:
+what the loader reports is, by construction, what :func:`parse_spec`
+reports for the plain document.
 
 The writer, :func:`dump_document`, prints a coalgebra's document straight
 from its tables, byte for byte as ``json.dumps`` with sorted keys and an
@@ -86,24 +87,11 @@ def _decode_object(obj: dict):
     return (_ENTRY, label, *children)
 
 
-def _children(rows, patterns: dict, keys, n: int):
-    """The children of the first ``n`` of ``rows``, whose classes are
-    ``keys``, in order: the rows' items laid end to end, as the pattern of
-    each row's class picks them (a byte per item, 1 for a child)."""
-    picked = chain.from_iterable(map(patterns.__getitem__, islice(keys, n)))
-    return compress(chain.from_iterable(rows), picked)
-
-
-def _holder(sizes, k: int) -> int:
-    """The place of the row that holds child ``k`` of rows of ``sizes``
-    children, read up to that row."""
-    return next(compress(count(), map(operator.gt, accumulate(sizes), repeat(k))))
-
-
 def _entries(states, gamma) -> list | None:
     """The decoder's entry tuples of ``states``, in order, if each state's
-    ``gamma`` entry is one; else None.  Only such a tuple holds the mark,
-    so a caller's tuple, or a list or dict, is none."""
+    ``gamma`` entry is one; else None, and the parse checks and packs the
+    entries itself.  Only such a tuple holds the mark, so a caller's
+    tuple, or a list or dict, is none."""
     try:
         entries = list(map(gamma.get, states))
         if all(map(operator.contains, entries, repeat(_ENTRY))):
@@ -131,7 +119,7 @@ def _is_arity(n) -> bool:
 
 
 def _read(path: str):
-    """The stdlib's decoding of the file at ``path``: a loaded document's
+    """The stdlib's decoding of the file at ``path``: a loaded file's
     lazy ``raw``."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -149,8 +137,8 @@ def load_spec(path: str) -> SpecDocument:
     again from its start and decoded by the stdlib alone, after the
     handler and in this frame: no traceback holds the first decoding, and
     a document nests too deeply exactly where it does for the stdlib's
-    decoder here.  A loaded document's ``raw`` reads the file again, so
-    for a pipe it is not the document."""
+    decoder here.  A loaded document's ``raw`` reads the file again, or
+    for a pipe decodes the text it read."""
     try:
         with open(path, encoding="utf-8") as fh:
             stream = fh if fh.seekable() else io.StringIO(fh.read())
@@ -159,8 +147,9 @@ def load_spec(path: str) -> SpecDocument:
             except (SpecValidationError, RecursionError, TypeError, ValueError):
                 pass
             else:
-                # Its ``raw`` is the stdlib's decoding, not the hooked one.
-                loaded._decode = partial(_read, path)
+                # Its ``raw`` is the stdlib's decoding, not the hooked one:
+                # of the file, read again, or of the pipe's text in memory.
+                loaded._decode = partial(_read, path) if stream is fh else partial(json.loads, stream.getvalue())
                 return loaded
             stream.seek(0)
             doc = json.load(stream)
@@ -228,24 +217,21 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
     order with a wrong arity, sort or label at its sort, or a child
     outside the states) is sought after the pass, once the whole
     document's shape has passed, and named as the coalgebra names it
-    (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each entry is first
-    screened by a cheap test (its child count, and for an indexed spec
-    its children's sorts); only the first one that fails it is checked in
-    full.
+    (:meth:`~omegacoalg.mtype.Coalgebra._fault`).  Each row is first
+    screened whole (a plain row by its length, an indexed one by its
+    children's sorts); only the first one flagged is checked in full.
 
-    An entry comes from a caller of :func:`parse_spec` as a dict, and a
-    loop over the states reads it.  From :func:`load_spec` it is the
-    decoder's flat tuple, and when every state's entry is one no loop
-    runs: the labels are read off the tuples in one pass, and each check
-    after it is a C-level pass over all the entries that slices none of
-    them.  A name, label or child of the wrong type is then caught by those
-    checks, as no state, as of no class, or as unhashable (a
-    ``TypeError``), rather than where the loop names it; the loader then
-    answers from the stdlib's decoding.  The children of the rows (the
-    children lists, or the tuples) are read as the rows' items laid end
-    to end, as each row's class picks them, and numbered after the pass,
-    all at once; only when one is not a state are the states searched for
-    it.
+    Every row has one shape, the decoder's entry tuple ``(_ENTRY, label,
+    *children)``.  From :func:`load_spec` the decoder made it, and when
+    every state's entry is one no loop runs; each check after it is a
+    C-level pass over the rows.  A name, label or child of the wrong type
+    is then caught by those checks, as no state, as of no class, or as
+    unhashable (a ``TypeError``), rather than where the loop names it; the
+    loader then answers from the stdlib's decoding.  From a caller of
+    :func:`parse_spec` an entry is a dict, which a loop over the states
+    checks and packs as the decoder would.  The labels are read off the
+    rows, and their children are numbered after the pass, all at once;
+    only when one is not a state are the rows searched for it.
     """
     _require(isinstance(frag, dict), "coalgebra: expected an object")
     states = frag.get("states")
@@ -267,11 +253,8 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         arity = container.arity
     _require(isinstance(gamma, dict), "coalgebra.gamma: expected an object")
     rows = _entries(states, gamma)
-    if rows is not None:
-        labels = list(map(operator.itemgetter(1), rows))
-        skip = 2
-    else:
-        labels, rows, skip = [], [], 0
+    if rows is None:
+        rows = []
         for s in states:
             if plain:
                 if not isinstance(s, str):
@@ -295,8 +278,8 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
                     _require_str(ch, f"coalgebra.gamma.{s}.children")
             if plain and label not in arity:
                 raise SpecValidationError(f"coalgebra.gamma.{s}.label: {label!r} is not in signature.labels")
-            labels.append(label)
-            rows.append(children)
+            rows.append((_ENTRY, label, *children))
+    labels = list(map(operator.itemgetter(1), rows))
     index = dict(zip(states, range(len(states))))
     if len(gamma) != len(index):
         for s in gamma:
@@ -307,41 +290,39 @@ def _parse_coalgebra(container, frag) -> Coalgebra:
         for a in container.arity:
             _require(a in arity, f"signature.arity.{a}: not in signature.labels")
     # The shape has passed.  A repeated state is the coalgebra's first
-    # fault, then the first state that the screen flags, unless a child
-    # that is not a state comes earlier: every child is numbered in one
-    # pass, and only if one is missing are the states searched for it.
+    # fault, then the first row that the screen flags, unless a child that
+    # is not a state comes earlier.
     _require(len(index) == len(states), f"coalgebra: {c._duplicates}")
     # Each state's (sort, label) class key; a plain spec's is its label
     # alone, which hashes as it is.
     keys = labels if plain else list(zip(states.values(), labels))
-    # The screen: a row of another length than its class wants, or of no
-    # class, is flagged.
-    lengths = {k: n + skip for k, n in arity.items()}
-    first = next(compress(count(), map(operator.ne, map(len, rows), map(lengths.get, keys))), len(rows))
-    # For each class of the rows before it, which items of such a row are
-    # children (those rows have their class's length), and each row's
-    # child count, read lazily.
-    patterns = {k: bytes(skip) + b"\1" * arity[k] for k in set(islice(keys, first))}
-    sizes = partial(map, arity.__getitem__, keys)
-    if not plain:
-        # Their children's sorts.
-        sorts = map(states.get, _children(rows, patterns, keys, first))
-        wanted = chain.from_iterable(map(container.child_sort.__getitem__, islice(keys, first)))
-        wrong = next(compress(count(), map(operator.ne, sorts, wanted)), None)
-        if wrong is not None:
-            first = _holder(sizes(), wrong)
+    children_of = operator.itemgetter(slice(2, None))
+    # The screen flags a row of no class, or one its class does not take:
+    # a plain row of another length, an indexed row whose children's sorts
+    # (None for a child that is no state) are not its class's.  Those are
+    # compared as lists: a tuple built from an iterator is made long and
+    # cut down, so each one freed would stay on a free list.
+    if plain:
+        lengths = {k: n + 2 for k, n in arity.items()}
+        wrong = map(operator.ne, map(len, rows), map(lengths.get, keys))
+    else:
+        wanted = {k: list(v) for k, v in container.child_sort.items()}
+        sorts = map(list, map(partial(map, states.get), map(children_of, rows)))
+        wrong = map(operator.ne, sorts, map(wanted.get, keys))
+    first = next(compress(count(), wrong), len(rows))
+    # The children of the rows before it are numbered in one pass; only if
+    # one is no state are the rows searched for the first that holds one.
     try:
-        kids = array("l", map(index.__getitem__, _children(rows, patterns, keys, first)))
+        kids = array("l", map(index.__getitem__, chain.from_iterable(map(children_of, islice(rows, first)))))
     except KeyError:
-        closed = map(index.__contains__, _children(rows, patterns, keys, first))
-        first = min(first, _holder(sizes(), next(compress(count(), map(operator.not_, closed)))))
+        first = next(i for i, row in enumerate(rows) if not all(map(index.__contains__, children_of(row))))
     order = tuple(states)
     if first < len(order):
         # The fault is kept in no local: its traceback reaches this frame,
         # and the cycle would hold the whole document until the collector
         # runs, which the CLI turns off.
-        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)}")
-    koff = array("l", accumulate(sizes(), initial=0))
+        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][2:]), index)}")
+    koff = array("l", accumulate(map(arity.__getitem__, keys), initial=0))
     # The classes, numbered in the order of first use.
     column, classes = _first_use(keys)
     class_labels = tuple(classes) if plain else tuple([a for _, a in classes])

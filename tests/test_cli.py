@@ -137,6 +137,18 @@ def test_a_piped_spec_is_read_once(tmp_path):
     assert "PASS" in piped.stdout and "FAIL" not in piped.stdout
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this system")
+def test_a_piped_specs_raw_is_its_document():
+    """The ``raw`` of a spec loaded from a pipe is the stdlib's decoding of
+    the piped text, key order included, though the pipe cannot be read a
+    second time."""
+    text = run_cli("demo", "fig1").stdout
+    script = "import json; from omegacoalg import specdoc; print(json.dumps(specdoc.load_spec('/dev/stdin').raw))"
+    r = subprocess.run([sys.executable, "-c", script], input=text, capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == json.dumps(json.loads(text)) + "\n"
+
+
 def test_bisim_cycle_partition(cycle_spec):
     r = run_cli("bisim", "--spec", cycle_spec, "--left", "s0", "--right", "s1")
     assert r.returncode == 0
@@ -762,6 +774,11 @@ TWO_SORTS = {
             },
             "state 'q': child 0 has sort 'o', expected 'e'",
         ),
+        (
+            {"q": "e", "r": "e"},
+            {"q": {"label": "E", "children": ["zz"]}, "r": {"label": "E", "children": []}},
+            "transition of 'q' leaves the state set: 'zz'",
+        ),
     ],
     ids=[
         "dangling-then-arity",
@@ -770,6 +787,7 @@ TWO_SORTS = {
         "duplicate-and-dangling",
         "clean-arity-dangling",
         "indexed-clean-sort-dangling",
+        "indexed-dangling-then-arity",
     ],
 )
 def test_first_coalgebra_fault_in_state_order(tmp_path, states, gamma, fault):

@@ -1209,6 +1209,31 @@ def test_nested_extensions_build_below_the_top():
     assert all(m.at(n) is reference.at(n) for n in range(14))
 
 
+def test_a_shared_nested_extension_builds_each_stage_once(monkeypatch):
+    """``into(b, (x, x))``, with ``x`` itself assembled and first observed
+    through it at a fresh depth: ``x``'s extension waits on the stack
+    twice, builds its stage once and is then passed over.  Every stage
+    equals the chain reference."""
+    sig, c = fig1_signature(), fig1_coalgebra()
+    u, t = unfold(c, "u"), unfold(c, "t")
+    x = into(sig, PValue("b", (u, t)))
+    y = into(sig, PValue("b", (x, x)))
+    approximate_all(c, 10)
+    built = []
+
+    def counted(depth, label, children):
+        built.append(depth)
+        return _tree(depth, label, children)
+
+    monkeypatch.setattr(mtype, "_tree", counted)
+    y.at(12)
+    monkeypatch.undo()
+    assert built == [11, 12]
+    assert sorted(x.coalgebra._stages) == [0, 11]
+    reference = chain_into(sig, PValue("b", (chain_into(sig, PValue("b", (u, t))),) * 2))
+    assert all(y.at(n) is reference.at(n) for n in range(14))
+
+
 def test_an_overridden_observe_is_read_through_not_off_the_table():
     """A subclass that overrides ``_observe`` is observed through it by
     ``verify_morphism`` and ``uniqueness_probe``, never off its level

@@ -527,7 +527,9 @@ def test_failed_load_holds_nothing_of_the_document(tmp_path):
     never held at once, and with the collector off nothing of them is held
     once it returns: the fault's traceback reaches the parse's frame, and
     a cycle through it held about 460 bytes a state here.  It peaks at
-    about 590 bytes a state.  What it holds is CPython's per-length tuple
+    about 633 bytes a state, about 40 of them the rows into which the
+    parse packs the stdlib's entries (593 when it read their children
+    lists in place).  What it holds is CPython's per-length tuple
     free lists, up to 2000 freed tuples of each length, which the first
     decoding's entries fill: with entries of three lengths (0-2 children)
     that reads about 13 bytes a state (about 9 after an earlier load has

@@ -143,8 +143,8 @@ CATALOGUE = [
     (
         "fault kept in a local",
         "specdoc.py",
-        '        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)}")',
-        "        fault = c._fault(order[first], PValue(labels[first], rows[first][skip:]), index)\n"
+        '        raise SpecValidationError(f"coalgebra: {c._fault(order[first], PValue(labels[first], rows[first][2:]), index)}")',
+        "        fault = c._fault(order[first], PValue(labels[first], rows[first][2:]), index)\n"
         '        raise SpecValidationError(f"coalgebra: {fault}")',
         [SPECDOC + "test_failed_load_holds_nothing_of_the_document"],
     ),
@@ -279,6 +279,13 @@ CATALOGUE = [
             "tests/test_catalog.py::test_deep_use_needs_no_recursion",
         ],
     ),
+    (
+        "the assembly stack rebuilds a stage already built",
+        "mtype.py",
+        "            if k in ext._stages:\n                stack.pop()\n                continue\n",
+        "",
+        [MTYPE + "test_a_shared_nested_extension_builds_each_stage_once"],
+    ),
     # The chain's maps: one projection walk, one root-label check.
     (
         "the projection walk stops at depth 1",
@@ -320,8 +327,8 @@ CATALOGUE = [
     (
         "the held fault read with the first state's label",
         "specdoc.py",
-        "PValue(labels[first], rows[first][skip:])",
-        "PValue(labels[0], rows[first][skip:])",
+        "PValue(labels[first], rows[first][2:])",
+        "PValue(labels[0], rows[first][2:])",
         [SPECDOC + "test_entry_shaped_values_are_reported_as_objects[held-dangling-own-label]"],
     ),
     # The decoder's flat entry tuples.
@@ -345,9 +352,34 @@ CATALOGUE = [
     (
         "the children read one item early",
         "specdoc.py",
-        'bytes(skip) + b"\\1" * arity[k]',
-        'bytes(skip)[1:] + b"\\1" * arity[k] + bytes(skip)[:1]',
+        "children_of = operator.itemgetter(slice(2, None))",
+        "children_of = operator.itemgetter(slice(1, -1))",
         [SPECDOC + "test_names_of_the_entry_keys_load[label-first-plain]", SPECDOC + "test_load_peaks_under_430_bytes_a_state"],
+    ),
+    (
+        "a caller's row packed without its head",
+        "specdoc.py",
+        "rows.append((_ENTRY, label, *children))",
+        "rows.append((label, *children))",
+        [SPECDOC + "test_names_of_the_entry_keys_load[label-first-plain]", CLI + "test_first_coalgebra_fault_in_state_order[dangling-then-arity]"],
+    ),
+    # The row screen.
+    (
+        "the indexed screen compares child counts, not sorts",
+        "specdoc.py",
+        "wrong = map(operator.ne, sorts, map(wanted.get, keys))",
+        "wrong = map(operator.ne, map(len, sorts), map(len, map(wanted.get, keys)))",
+        [CLI + "test_first_coalgebra_fault_in_state_order[indexed-clean-sort-dangling]"],
+    ),
+    (
+        "the non-state child search starts at the flagged row",
+        "specdoc.py",
+        "for i, row in enumerate(rows) if",
+        "for i, row in enumerate(rows[first:], first) if",
+        [
+            CLI + "test_first_coalgebra_fault_in_state_order[dangling-then-arity]",
+            CLI + "test_shape_fault_outranks_an_earlier_coalgebra_fault[dangling-then-label]",
+        ],
     ),
     (
         "a caller's tuple accepted as an entry",
